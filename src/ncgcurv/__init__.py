@@ -43,15 +43,11 @@ from .forms import (
     kernel_one_forms,
     left_mult,
     one_form_space,
-    project_mod_junk,
     right_mult,
     two_form_space,
 )
 from .glinalg import (
-    GradedOperator,
     adjoint,
-    graded_commutator,
-    graded_right_lift,
     membership_residual,
     solve_kernel,
     spectral_norm,
@@ -75,7 +71,6 @@ __all__ = [
     "CurvatureReport",
     "FormSpace",
     "FramePoint",
-    "GradedOperator",
     "ProductOperator",
     "ProjectiveModule",
     "SpectralTriple",
@@ -96,8 +91,6 @@ __all__ = [
     "external_product_defect",
     "external_product_defect_ungraded",
     "fibration_curvature",
-    "graded_commutator",
-    "graded_right_lift",
     "grassmann_product_operator",
     "heisenberg_frame",
     "hermitian_residual",
@@ -111,7 +104,6 @@ __all__ = [
     "one_form_space",
     "product_operator",
     "product_operator_sq_lift",
-    "project_mod_junk",
     "represent_connection",
     "right_mult",
     "second_fundamental_form",

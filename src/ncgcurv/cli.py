@@ -35,24 +35,12 @@ from .fgpmod import (
     validate_module,
 )
 from .forms import junk_space, one_form_space, two_form_space
-from .glinalg import spectral_norm
+from .glinalg import DEFAULT_RANK_TOL, spectral_norm
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
-from .triple import Check, validate
+from .triple import DEFAULT_TOL, Check, validate
 
 __all__ = ["ResultDocument", "main", "run"]
-
-COMMANDS = (
-    "validate",
-    "forms",
-    "junk",
-    "curvature",
-    "correspondence",
-    "external",
-    "product-spectrum",
-    "submersion",
-    "selftest",
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -171,7 +159,7 @@ def _need(scen: Scenario, attr: str, command: str):
     return value
 
 
-def _cmd_validate(scen: Scenario, tol: float, rank_tol: float):
+def _cmd_validate(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     checks = list(validate(scen.triple, tol, rank_tol).checks)
     values = {"n": scen.triple.n, "d": scen.triple.d}
     if scen.module is not None:
@@ -195,7 +183,7 @@ def _orthonormality_defect(basis) -> float:
     return worst
 
 
-def _cmd_forms(scen: Scenario, tol: float, rank_tol: float):
+def _cmd_forms(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     one = one_form_space(scen.triple, rank_tol)
     two = two_form_space(scen.triple, rank_tol)
     checks = [
@@ -206,7 +194,7 @@ def _cmd_forms(scen: Scenario, tol: float, rank_tol: float):
     return checks, values, None, []
 
 
-def _cmd_junk(scen: Scenario, tol: float, rank_tol: float):
+def _cmd_junk(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     one = one_form_space(scen.triple, rank_tol)
     two = two_form_space(scen.triple, rank_tol)
     junk = junk_space(scen.triple, rank_tol)
@@ -220,7 +208,7 @@ def _cmd_junk(scen: Scenario, tol: float, rank_tol: float):
     return checks, values, None, []
 
 
-def _cmd_curvature(scen: Scenario, tol: float, rank_tol: float, emit: bool):
+def _cmd_curvature(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "curvature")
     junk = junk_space(scen.triple, rank_tol)
     report = curvature_report(module, scen.connection, junk=junk,
@@ -243,7 +231,7 @@ def _cmd_curvature(scen: Scenario, tol: float, rank_tol: float, emit: bool):
     return checks, values, matrices, [SIGN_CONVENTION_NOTE]
 
 
-def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, emit: bool):
+def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "correspondence")
     vertical = _need(scen, "vertical", "correspondence")
     checks = list(validate_vertical(vertical, tol))
@@ -259,7 +247,7 @@ def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, emit: bool)
     return checks, values, matrices, [SIGN_CONVENTION_NOTE]
 
 
-def _cmd_external(scen: Scenario, tol: float, rank_tol: float, emit: bool):
+def _cmd_external(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     st2 = _need(scen, "triple2", "external")
     defect = external_product_defect(scen.triple, st2)
     control = external_product_defect_ungraded(scen.triple, st2)
@@ -275,7 +263,7 @@ def _cmd_external(scen: Scenario, tol: float, rank_tol: float, emit: bool):
     return checks, values, matrices, []
 
 
-def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float):
+def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "product-spectrum")
     op = product_operator(module, scen.connection, tol)
     checks = op.validate(tol)
@@ -285,7 +273,7 @@ def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float):
     return checks, values, None, []
 
 
-def _cmd_submersion(scen: Scenario, tol: float, rank_tol: float):
+def _cmd_submersion(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     frame = _need(scen, "frame", "submersion")
     inv = submersion_invariants(frame)
     sym = float(np.max(np.abs(inv.S_pi - np.transpose(inv.S_pi, (1, 0, 2))))) \
@@ -309,11 +297,31 @@ def _cmd_submersion(scen: Scenario, tol: float, rank_tol: float):
     return checks, values, None, [SUBMERSION_INDEX_NOTE]
 
 
+def _cmd_selftest(scen: Scenario | None, tol: float, rank_tol: float, seed: int, emit: bool):
+    values = {"seed": seed, "scenarios_per_family": harness.SCENARIOS_PER_FAMILY}
+    return harness.selftest(seed), values, None, []
+
+
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "forms": _cmd_forms,
+    "junk": _cmd_junk,
+    "curvature": _cmd_curvature,
+    "correspondence": _cmd_correspondence,
+    "external": _cmd_external,
+    "product-spectrum": _cmd_product_spectrum,
+    "submersion": _cmd_submersion,
+    "selftest": _cmd_selftest,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
 def run(command: str, scen: Scenario | None, tol: float | None = None,
         rank_tol: float | None = None, seed: int | None = None,
         emit_matrices: bool = False) -> ResultDocument:
     """Dispatch one command against a parsed scenario."""
-    if command not in COMMANDS:
+    handler = _HANDLERS.get(command)
+    if handler is None:
         raise ScenarioError(f"unknown command {command!r}")
     if command != "selftest" and scen is None:
         raise ScenarioError(f"{command}: a scenario file is required")
@@ -322,8 +330,8 @@ def run(command: str, scen: Scenario | None, tol: float | None = None,
         tol = scen.residual_tol if tol is None else tol
         rank_tol = scen.rank_tol if rank_tol is None else rank_tol
         seed = scen.seed if seed is None else seed
-    tol = 1e-8 if tol is None else tol
-    rank_tol = 1e-9 if rank_tol is None else rank_tol
+    tol = DEFAULT_TOL if tol is None else tol
+    rank_tol = DEFAULT_RANK_TOL if rank_tol is None else rank_tol
     seed = 0 if seed is None else seed
 
     doc = ResultDocument(
@@ -333,29 +341,7 @@ def run(command: str, scen: Scenario | None, tol: float | None = None,
         version=__version__,
     )
     try:
-        if command == "validate":
-            checks, values, matrices, notes = _cmd_validate(scen, tol, rank_tol)
-        elif command == "forms":
-            checks, values, matrices, notes = _cmd_forms(scen, tol, rank_tol)
-        elif command == "junk":
-            checks, values, matrices, notes = _cmd_junk(scen, tol, rank_tol)
-        elif command == "curvature":
-            checks, values, matrices, notes = _cmd_curvature(scen, tol, rank_tol,
-                                                             emit_matrices)
-        elif command == "correspondence":
-            checks, values, matrices, notes = _cmd_correspondence(
-                scen, tol, rank_tol, emit_matrices)
-        elif command == "external":
-            checks, values, matrices, notes = _cmd_external(scen, tol, rank_tol,
-                                                            emit_matrices)
-        elif command == "product-spectrum":
-            checks, values, matrices, notes = _cmd_product_spectrum(scen, tol, rank_tol)
-        elif command == "submersion":
-            checks, values, matrices, notes = _cmd_submersion(scen, tol, rank_tol)
-        else:  # selftest
-            checks = harness.selftest(seed)
-            values = {"seed": seed, "scenarios_per_family": 20}
-            matrices, notes = None, []
+        checks, values, matrices, notes = handler(scen, tol, rank_tol, seed, emit_matrices)
     except InvariantViolation as exc:
         doc.checks.append(exc.check)
         doc.notes.append(f"aborted: {exc}")
@@ -382,9 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cmd.add_argument("scenario", help="scenario JSON file")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="residual tolerance (default 1e-8 or scenario value)")
+                         help=f"residual tolerance (default {DEFAULT_TOL:g} or scenario value)")
         cmd.add_argument("--rank-tol", type=float, default=None,
-                         help="rank threshold (default 1e-9 or scenario value)")
+                         help=f"rank threshold (default {DEFAULT_RANK_TOL:g} or scenario value)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="seed override for randomized checks")
         cmd.add_argument("--emit-matrices", action="store_true",

@@ -26,9 +26,10 @@ import numpy as np
 from .fgpmod import (
     Check,
     ConnectionForm,
+    ConnectionOperators,
     InvariantViolation,
     ProjectiveModule,
-    represent_connection,
+    connection_operators,
 )
 from .forms import FormSpace, junk_space
 from .glinalg import (
@@ -37,6 +38,7 @@ from .glinalg import (
     commutator,
     frobenius_norm,
     membership_residual,
+    project_off,
     relative_distance,
     spectral_norm,
     subspace_basis,
@@ -66,34 +68,25 @@ SIGN_CONVENTION_NOTE = (
 )
 
 
-def _canonical_pair(module: ProjectiveModule, a: ConnectionForm | None,
-                    tol: float) -> tuple[np.ndarray, np.ndarray]:
-    if a is None or a.is_zero():
-        z = np.zeros((module.dim, module.dim), dtype=complex)
-        return z, z
-    return represent_connection(module, a, tol)
-
-
-def curvature_direct(module: ProjectiveModule, a: ConnectionForm | None = None,
+def curvature_direct(module: ProjectiveModule,
+                     a: ConnectionForm | ConnectionOperators | None = None,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """R = M^2 - N with M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2."""
-    a_d, a_d2 = _canonical_pair(module, a, tol)
-    P = module.projector
-    m_op = P @ module.dirac_lift @ P + a_d
-    n_op = P @ module.dirac_sq_lift_free @ P + a_d2
-    return m_op @ m_op - n_op
+    ops = connection_operators(module, a, tol)
+    return ops.m_op @ ops.m_op - ops.n_op
 
 
-def curvature_formula(module: ProjectiveModule, a: ConnectionForm | None = None,
+def curvature_formula(module: ProjectiveModule,
+                      a: ConnectionForm | ConnectionOperators | None = None,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2)."""
-    a_d, a_d2 = _canonical_pair(module, a, tol)
+    ops = connection_operators(module, a, tol)
     P = module.projector
     dt = module.dirac_lift
     dp = commutator(dt, P)
     base = P @ dp @ dp @ P
-    d_a = P @ anticommutator(dt, a_d) @ P - a_d2
-    return base + a_d @ a_d + d_a
+    d_a = P @ anticommutator(dt, ops.a_d) @ P - ops.a_d2
+    return base + ops.a_d @ ops.a_d + d_a
 
 
 def lifted_junk_basis(module: ProjectiveModule, junk: FormSpace | None = None,
@@ -137,15 +130,11 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
                      junk: FormSpace | None = None, tol: float = DEFAULT_TOL,
                      rank_tol: float = DEFAULT_RANK_TOL) -> CurvatureReport:
     """Both curvature routes, their defect, and the junk-coset representative."""
-    direct = curvature_direct(module, a, tol)
-    formula = curvature_formula(module, a, tol)
+    ops = connection_operators(module, a, tol)
+    direct = curvature_direct(module, ops)
+    formula = curvature_formula(module, ops)
     scale = max(1.0, frobenius_norm(direct))
     route_residual = frobenius_norm(direct - formula) / scale
-
-    lifted = lifted_junk_basis(module, junk, rank_tol)
-    canonical = direct.copy()
-    for b in lifted:
-        canonical -= np.vdot(b, direct) * b
 
     G = module.grading
     P = module.projector
@@ -154,7 +143,7 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
         route_residual=route_residual,
         symmetry_residual=relative_distance(direct, direct.conj().T),
         norm=spectral_norm(direct),
-        junk_canonical=canonical,
+        junk_canonical=project_off(direct, lifted_junk_basis(module, junk, rank_tol)),
         evenness_residual=frobenius_norm(G @ direct @ G - direct) / scale,
         support_residual=frobenius_norm(P @ direct @ P - direct) / scale,
     )
@@ -210,16 +199,16 @@ def _checked_vertical(s: VerticalOperator, tol: float) -> np.ndarray:
     return s.assembled()
 
 
+def _correspondence(s_mat: np.ndarray, ops: ConnectionOperators) -> np.ndarray:
+    total = s_mat + ops.m_op
+    return total @ total - s_mat @ s_mat - ops.n_op
+
+
 def correspondence_curvature(module: ProjectiveModule, a: ConnectionForm | None,
                              s: VerticalOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(S + M)^2 - S^2 - N: the defect of the tensor sum from respecting squares."""
     s_mat = _checked_vertical(s, tol)
-    a_d, a_d2 = _canonical_pair(module, a, tol)
-    P = module.projector
-    m_op = P @ module.dirac_lift @ P + a_d
-    n_op = P @ module.dirac_sq_lift_free @ P + a_d2
-    total = s_mat + m_op
-    return total @ total - s_mat @ s_mat - n_op
+    return _correspondence(s_mat, connection_operators(module, a, tol))
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,
@@ -228,21 +217,17 @@ def correspondence_decomposition_residual(module: ProjectiveModule,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
     s_mat = _checked_vertical(s, tol)
-    corr = correspondence_curvature(module, a, s, tol)
-    direct = curvature_direct(module, a, tol)
-    a_d, _ = _canonical_pair(module, a, tol)
-    P = module.projector
-    m_op = P @ module.dirac_lift @ P + a_d
-    return frobenius_norm(corr - direct - anticommutator(s_mat, m_op))
+    ops = connection_operators(module, a, tol)
+    corr = _correspondence(s_mat, ops)
+    return frobenius_norm(corr - curvature_direct(module, ops)
+                          - anticommutator(s_mat, ops.m_op))
 
 
 def wac_diagnostic(module: ProjectiveModule, a: ConnectionForm | None,
                    s: VerticalOperator, tol: float = DEFAULT_TOL) -> float:
     """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
     s_mat = _checked_vertical(s, tol)
-    a_d, _ = _canonical_pair(module, a, tol)
-    P = module.projector
-    m_op = P @ module.dirac_lift @ P + a_d
+    m_op = connection_operators(module, a, tol).m_op
     return spectral_norm(anticommutator(s_mat, m_op)) / (spectral_norm(s_mat) + 1.0)
 
 

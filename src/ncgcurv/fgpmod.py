@@ -28,10 +28,12 @@ from .triple import Check, DEFAULT_TOL, SpectralTriple
 
 __all__ = [
     "ConnectionForm",
+    "ConnectionOperators",
     "InvariantViolation",
     "ProductOperator",
     "ProjectiveModule",
     "build_projector",
+    "connection_operators",
     "grassmann_product_operator",
     "hermitian_residual",
     "product_operator",
@@ -77,6 +79,8 @@ class ProjectiveModule:
             raise ValueError(f"signs must have shape ({p.shape[0]},), got {signs.shape}")
         if not np.all(np.isin(signs, (-1.0, 1.0))):
             raise ValueError("module grading entries must be +1 or -1")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("projection coefficients must be finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "signs", signs)
 
@@ -271,6 +275,44 @@ def represent_connection(module: ProjectiveModule, a: ConnectionForm,
 
 
 @dataclass(frozen=True)
+class ConnectionOperators:
+    """A connection evaluated once: its represented pair and its operators.
+
+    m_op = P (Gamma (x) D) P + A_D is the product operator and
+    n_op = P (1 (x) D^2) P + A_D2 its lifted square.  Modulo junk, every
+    curvature quantity depends on the connection only through these.
+    """
+
+    a_d: np.ndarray
+    a_d2: np.ndarray
+    m_op: np.ndarray
+    n_op: np.ndarray
+
+
+def connection_operators(module: ProjectiveModule,
+                         a: ConnectionForm | ConnectionOperators | None = None,
+                         tol: float = DEFAULT_TOL) -> ConnectionOperators:
+    """Validate and represent ``a`` once; None or a zero form is the Grassmann connection.
+
+    An already evaluated bundle is returned as it is, so a caller holding one
+    can pass it to any function that takes a connection without re-validation.
+    """
+    if isinstance(a, ConnectionOperators):
+        return a
+    if a is None or a.is_zero():
+        a_d = a_d2 = np.zeros((module.dim, module.dim), dtype=complex)
+    else:
+        a_d, a_d2 = represent_connection(module, a, tol)
+    P = module.projector
+    return ConnectionOperators(
+        a_d=a_d,
+        a_d2=a_d2,
+        m_op=P @ module.dirac_lift @ P + a_d,
+        n_op=P @ module.dirac_sq_lift_free @ P + a_d2,
+    )
+
+
+@dataclass(frozen=True)
 class ProductOperator:
     """An operator supported on range(P), odd for the module grading."""
 
@@ -298,30 +340,21 @@ class ProductOperator:
 
 def grassmann_product_operator(module: ProjectiveModule) -> ProductOperator:
     """P (Gamma (x) D) P: the product operator of the Grassmann connection."""
-    P = module.projector
-    mat = P @ module.dirac_lift @ P
-    return ProductOperator(mat, P, module.grading)
+    return product_operator(module)
 
 
 def product_operator(module: ProjectiveModule, a: ConnectionForm | None = None,
                      tol: float = DEFAULT_TOL) -> ProductOperator:
     """P (Gamma (x) D) P + A_D for the connection Grassmann + A."""
-    base = grassmann_product_operator(module)
-    if a is None or a.is_zero():
-        return base
-    a_d, _ = represent_connection(module, a, tol)
-    return ProductOperator(base.mat + a_d, base.projector, base.grading)
+    ops = connection_operators(module, a, tol)
+    return ProductOperator(ops.m_op, module.projector, module.grading)
 
 
 def product_operator_sq_lift(module: ProjectiveModule, a: ConnectionForm | None = None,
                              tol: float = DEFAULT_TOL) -> ProductOperator:
     """P (1 (x) D^2) P + A_D2; no grading twist since D^2 is even."""
-    P = module.projector
-    mat = P @ module.dirac_sq_lift_free @ P
-    if a is not None and not a.is_zero():
-        _, a_d2 = represent_connection(module, a, tol)
-        mat = mat + a_d2
-    return ProductOperator(mat, P, module.grading)
+    ops = connection_operators(module, a, tol)
+    return ProductOperator(ops.n_op, module.projector, module.grading)
 
 
 def spectrum(op: ProductOperator, tol: float = DEFAULT_TOL) -> list[float]:

@@ -25,9 +25,9 @@ import numpy as np
 from .glinalg import (
     DEFAULT_RANK_TOL,
     anticommutator,
-    frobenius_inner,
     frobenius_norm,
     membership_residual,
+    project_off,
     relative_distance,
     solve_kernel,
     subspace_basis,
@@ -43,7 +43,6 @@ __all__ = [
     "kernel_one_forms",
     "left_mult",
     "one_form_space",
-    "project_mod_junk",
     "right_mult",
     "two_form_space",
     "universal_form_basis",
@@ -187,10 +186,7 @@ class FormSpace:
 
     def project_off(self, mat) -> np.ndarray:
         """mat minus its orthogonal projection onto the span."""
-        out = np.asarray(mat, dtype=complex).copy()
-        for b in self.basis:
-            out -= frobenius_inner(b, mat) * b
-        return out
+        return project_off(mat, self.basis)
 
 
 def one_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
@@ -239,7 +235,3 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
     mats = [w.pi_d2() for w in kernel]
     return FormSpace("junk", tuple(subspace_basis(mats, rank_tol)), rank_tol)
 
-
-def project_mod_junk(mat, junk: FormSpace) -> np.ndarray:
-    """Canonical coset representative: mat minus its projection onto junk."""
-    return junk.project_off(mat)

@@ -30,13 +30,9 @@ from dataclasses import replace
 import numpy as np
 
 from .curvature import VerticalOperator
-from .fgpmod import (
-    ConnectionForm,
-    ProjectiveModule,
-    symmetrize_connection,
-    zero_connection,
-)
+from .fgpmod import ConnectionForm, ProjectiveModule, symmetrize_connection
 from .forms import UniversalOneForm, kernel_one_forms, universal_form_basis
+from .glinalg import DEFAULT_RANK_TOL
 from .triple import NotInAlgebraError, SpectralTriple
 
 __all__ = [
@@ -170,7 +166,7 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
 
 
 def random_universal_form(rng: np.random.Generator, st: SpectralTriple,
-                          rank_tol: float = 1e-9) -> UniversalOneForm:
+                          rank_tol: float = DEFAULT_RANK_TOL) -> UniversalOneForm:
     """Random element of ker(m): a universal one-form with unit-disc weights."""
     basis = universal_form_basis(st, rank_tol)
     coeffs = np.zeros((st.d, st.d), dtype=complex)
@@ -198,7 +194,7 @@ def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
 
 
 def random_connection(rng: np.random.Generator, module: ProjectiveModule,
-                      hermitian: bool = True, rank_tol: float = 1e-9) -> ConnectionForm:
+                      hermitian: bool = True, rank_tol: float = DEFAULT_RANK_TOL) -> ConnectionForm:
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
     basis = universal_form_basis(module.triple, rank_tol)
     a = _random_table_over(rng, module, basis)
@@ -225,7 +221,7 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
 
 def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
                    a: ConnectionForm | None = None,
-                   rank_tol: float = 1e-9) -> tuple[ConnectionForm, ConnectionForm]:
+                   rank_tol: float = DEFAULT_RANK_TOL) -> tuple[ConnectionForm, ConnectionForm]:
     """Two universal lifts with equal represented part.
 
     The second lift differs by a compressed combination of forms in
@@ -242,12 +238,9 @@ def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
 
 def random_connection_nonhermitian(rng: np.random.Generator,
                                    module: ProjectiveModule,
-                                   rank_tol: float = 1e-9) -> ConnectionForm:
+                                   rank_tol: float = DEFAULT_RANK_TOL) -> ConnectionForm:
     """A deliberately non-symmetrized connection form (for negative tests)."""
     basis = universal_form_basis(module.triple, rank_tol)
     a = _random_table_over(rng, module, basis).compressed()
     return replace(a, hermitian=False)
 
-
-def zero_form(module: ProjectiveModule) -> ConnectionForm:
-    return zero_connection(module)

@@ -1,9 +1,10 @@
-"""Dense complex matrix algebra with Z/2-grading support.
+"""Dense complex matrix algebra.
 
-Operators are plain complex128 numpy arrays.  This module supplies the graded
-commutator and the Koszul-sign Kronecker lifts used to assemble operators on
-graded tensor products, together with the rank-revealing subspace machinery
+Operators are plain complex128 numpy arrays.  This module supplies
+commutators, norms, grading checks and the rank-revealing subspace machinery
 (Frobenius inner product) on which all form-space computations are built.
+Graded lifts onto tensor products are assembled where they are used, with
+``np.kron`` (see :class:`ncgcurv.fgpmod.ProjectiveModule`).
 
 Every function is pure and never mutates its arguments, so independent calls
 are safe to evaluate in parallel.
@@ -11,34 +12,24 @@ are safe to evaluate in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-EVEN = "even"
-ODD = "odd"
 
 #: Default relative rank threshold for SVD-based subspace computations.
 DEFAULT_RANK_TOL = 1e-9
 
 __all__ = [
-    "EVEN",
-    "ODD",
     "DEFAULT_RANK_TOL",
-    "GradedOperator",
     "adjoint",
     "anticommutator",
     "as_complex_matrix",
     "commutator",
     "frobenius_inner",
     "frobenius_norm",
-    "graded_commutator",
-    "graded_right_lift",
     "grading_residuals",
-    "homogeneity_residual",
-    "left_lift",
     "membership_residual",
+    "project_off",
     "relative_distance",
     "solve_kernel",
     "spectral_norm",
@@ -67,40 +58,6 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-@dataclass(frozen=True)
-class GradedOperator:
-    """A square matrix together with its declared parity (even or odd)."""
-
-    mat: np.ndarray
-    degree: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", as_complex_matrix(self.mat))
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ValueError("GradedOperator requires a square matrix")
-        if self.degree not in (EVEN, ODD):
-            raise ValueError(f"degree must be {EVEN!r} or {ODD!r}, got {self.degree!r}")
-
-    @property
-    def parity(self) -> int:
-        return 0 if self.degree == EVEN else 1
-
-
-def graded_commutator(a: GradedOperator, b: GradedOperator) -> np.ndarray:
-    """[a, b] = ab - (-1)^(da*db) ba; the anticommutator when both are odd."""
-    if a.mat.shape != b.mat.shape:
-        raise ValueError(f"size mismatch: {a.mat.shape} vs {b.mat.shape}")
-    sign = -1.0 if (a.parity * b.parity) else 1.0
-    return a.mat @ b.mat - sign * (b.mat @ a.mat)
-
-
-def homogeneity_residual(op: GradedOperator, grading: np.ndarray) -> float:
-    """Relative defect of gamma*m*gamma = +/- m for the declared parity."""
-    g = as_complex_matrix(grading)
-    sign = -1.0 if op.parity else 1.0
-    return relative_distance(g @ op.mat @ g, sign * op.mat)
-
-
 def grading_residuals(g) -> dict:
     """Relative residuals of the involution (g^2 = 1) and self-adjointness."""
     g = as_complex_matrix(g)
@@ -109,23 +66,6 @@ def grading_residuals(g) -> dict:
         "involution": relative_distance(g @ g, eye),
         "selfadjoint": relative_distance(g, g.conj().T),
     }
-
-
-def left_lift(a, dim_right: int) -> np.ndarray:
-    """Plain Kronecker lift a (x) 1 onto the product space."""
-    return np.kron(as_complex_matrix(a), np.eye(dim_right))
-
-
-def graded_right_lift(b: GradedOperator, gamma_left: np.ndarray) -> np.ndarray:
-    """Graded lift "1 (x) b": gamma_left (x) b for odd b, identity (x) b for even.
-
-    The Koszul sign of moving an odd operator past the left tensor factor is
-    implemented by twisting with the left grading.
-    """
-    gamma_left = as_complex_matrix(gamma_left)
-    if b.parity:
-        return np.kron(gamma_left, b.mat)
-    return np.kron(np.eye(gamma_left.shape[0]), b.mat)
 
 
 def spectral_norm(a) -> float:
@@ -187,18 +127,26 @@ def subspace_basis(mats: Sequence[np.ndarray], rank_tol: float = DEFAULT_RANK_TO
     return [_normalize_phase(vh[k]).reshape(shape) for k in range(rank)]
 
 
+def project_off(a, basis: Sequence[np.ndarray]) -> np.ndarray:
+    """``a`` minus its Frobenius projection onto span(basis).
+
+    ``basis`` must be Frobenius-orthonormal (as produced by subspace_basis).
+    """
+    a = as_complex_matrix(a)
+    r = a.copy()
+    for b in basis:
+        if np.shape(b) != a.shape:
+            raise ValueError(f"shape mismatch in project_off: {np.shape(b)} vs {a.shape}")
+        r -= frobenius_inner(b, a) * np.asarray(b)
+    return r
+
+
 def membership_residual(a, basis: Sequence[np.ndarray]) -> float:
     """Distance of ``a`` from span(basis), normalized by max(1, ||a||_F).
 
     ``basis`` must be Frobenius-orthonormal (as produced by subspace_basis).
     """
-    a = as_complex_matrix(a)
-    r = a.astype(complex, copy=True)
-    for b in basis:
-        if np.shape(b) != a.shape:
-            raise ValueError(f"shape mismatch in membership_residual: {np.shape(b)} vs {a.shape}")
-        r -= frobenius_inner(b, a) * np.asarray(b)
-    return frobenius_norm(r) / max(1.0, frobenius_norm(a))
+    return frobenius_norm(project_off(a, basis)) / max(1.0, frobenius_norm(a))
 
 
 def solve_kernel(L, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:

@@ -44,6 +44,9 @@ __all__ = [
     "selftest",
 ]
 
+#: Scenarios drawn per identity family by ``selftest``.
+SCENARIOS_PER_FAMILY = 20
+
 
 def iter_connection_scenarios(seed: int, count: int, hermitian: bool = True
                               ) -> Iterator[tuple[SpectralTriple, ProjectiveModule, ConnectionForm]]:
@@ -208,7 +211,7 @@ def _max(values: list[float]) -> float:
     return max(values) if values else 0.0
 
 
-def selftest(seed: int, count: int = 20) -> list[Check]:
+def selftest(seed: int, count: int = SCENARIOS_PER_FAMILY) -> list[Check]:
     """Run every invariant family at its pinned tolerance; one check per line."""
     route = route_equality_residuals(seed, count)
     structure = curvature_structure_residuals(seed + 1, count)

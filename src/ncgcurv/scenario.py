@@ -19,13 +19,11 @@ import numpy as np
 
 from .curvature import VerticalOperator
 from .fgpmod import ConnectionForm, ProjectiveModule
+from .glinalg import DEFAULT_RANK_TOL
 from .submersion import FramePoint, canned_frame
-from .triple import SpectralTriple
+from .triple import DEFAULT_TOL, SpectralTriple
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "scenario_digest"]
-
-DEFAULT_RESIDUAL_TOL = 1e-8
-DEFAULT_RANK_TOL = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -280,7 +278,7 @@ def parse_scenario(source) -> Scenario:
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances: expected an object")
-    residual_tol = tolerances.get("residual_tol", DEFAULT_RESIDUAL_TOL)
+    residual_tol = tolerances.get("residual_tol", DEFAULT_TOL)
     rank_tol = tolerances.get("rank_tol", DEFAULT_RANK_TOL)
     for name, value in (("residual_tol", residual_tol), ("rank_tol", rank_tol)):
         if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:

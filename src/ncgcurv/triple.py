@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .glinalg import (
+    DEFAULT_RANK_TOL,
     as_complex_matrix,
     commutator,
     frobenius_norm,
@@ -257,7 +258,7 @@ def c2_norm(st: SpectralTriple, coeffs) -> float:
 
 
 def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
-             rank_tol: float = 1e-9) -> ValidationReport:
+             rank_tol: float = DEFAULT_RANK_TOL) -> ValidationReport:
     """Check every triple invariant, reporting one residual per check."""
     checks: list[Check] = []
     g = st.gamma

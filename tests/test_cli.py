@@ -161,6 +161,17 @@ class TestExitCodes:
         assert main(["junk", str(tmp_path / "missing.json")]) == EXIT_INPUT_ERROR
         assert "input error" in capsys.readouterr().err
 
+    def test_nonfinite_module_exit_two(self, tmp_path, capsys):
+        # 1e400 reads as inf; the module must be rejected as malformed input
+        payload = json.loads(json.dumps(TWO_POINT))
+        payload["module"] = {"gamma_signs": [1, -1],
+                             "p": [[[1, 0], [0, 0]], [[0, 0], [1, "INF"]]]}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(payload).replace('"INF"', "1e400"), encoding="utf-8")
+        for command in ("curvature", "validate"):
+            assert main([command, str(path)]) == EXIT_INPUT_ERROR
+            assert "module" in capsys.readouterr().err
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -16,6 +16,7 @@ from ncgcurv.curvature import (
     lifted_junk_basis,
     wac_diagnostic,
 )
+from ncgcurv import fgpmod
 from ncgcurv.fgpmod import InvariantViolation, represent_connection, symmetrize_connection
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
@@ -205,6 +206,31 @@ class TestCorrespondence:
         s = VerticalOperator(free_module, entries)
         with pytest.raises(InvariantViolation):
             correspondence_curvature(free_module, None, s)
+
+
+class TestSingleEvaluation:
+    def test_connection_validated_once_per_call(self, monkeypatch):
+        calls = []
+        validate = fgpmod.validate_connection
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(fgpmod, "validate_connection", counting)
+        rng = rng_for(23)
+        module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
+        a = random_connection(rng, module)
+        s = random_vertical(rng, module)
+        assert not a.is_zero()
+        curvature_report(module, a)
+        assert len(calls) == 1
+        correspondence_decomposition_residual(module, a, s)
+        assert len(calls) == 2
+        ops = fgpmod.connection_operators(module, a)
+        assert fgpmod.connection_operators(module, ops) is ops
+        assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
+        assert len(calls) == 4
 
 
 class TestExternalProduct:

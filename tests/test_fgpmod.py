@@ -61,6 +61,8 @@ class TestProjector:
             ProjectiveModule(two_point, np.zeros((2, 2, 3)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             ProjectiveModule(two_point, np.zeros((2, 2, 2)), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            ProjectiveModule(two_point, np.full((1, 1, 2), np.inf), np.array([1.0]))
 
 
 class TestGrassmannOperator:
@@ -120,6 +122,30 @@ class TestGrassmannOperator:
         s1 = np.array(spectrum(grassmann_product_operator(mod1)))
         s3 = np.array(spectrum(grassmann_product_operator(mod3)))
         assert np.allclose(s3, 3.0 * s1)
+
+
+class TestDiracLift:
+    """Koszul sign of the graded lift Gamma (x) D of the odd Dirac matrix."""
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_respects_squares(self, seed):
+        rng = np.random.default_rng(seed)
+        module = random_module(rng, random_triple(rng))
+        lift = module.dirac_lift
+        dirac_sq = module.triple.dirac_sq
+        assert np.allclose(module.dirac_sq_lift_free, np.kron(np.eye(module.m), dirac_sq))
+        assert np.linalg.norm(lift @ lift - module.dirac_sq_lift_free) <= 1e-12 * max(
+            1.0, np.linalg.norm(module.dirac_sq_lift_free))
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_odd_picks_up_grading(self, seed):
+        rng = np.random.default_rng(seed)
+        module = random_module(rng, random_triple(rng))
+        lift, grading = module.dirac_lift, module.grading
+        assert np.linalg.norm(grading @ lift + lift @ grading) <= 1e-12 * max(
+            1.0, np.linalg.norm(lift))
 
 
 class TestRepresentConnection:

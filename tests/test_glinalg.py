@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgcurv.glinalg import (
-    EVEN,
-    ODD,
-    GradedOperator,
     adjoint,
-    graded_commutator,
-    graded_right_lift,
+    anticommutator,
+    commutator,
     membership_residual,
+    project_off,
     solve_kernel,
     spectral_norm,
     subspace_basis,
@@ -40,72 +38,38 @@ class TestAdjoint:
 
 
 class TestGradedCommutator:
+    """The graded bracket: commutator unless both sides are odd, then anticommutator."""
+
     def test_identity_commutes(self):
-        d = GradedOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), ODD)
-        one = GradedOperator(np.eye(2), EVEN)
-        assert np.allclose(graded_commutator(d, one), 0.0)
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(commutator(d, np.eye(2)), 0.0)
 
     def test_odd_odd_is_anticommutator(self):
         # a = b = [[0,-1],[1,0]] odd: ab + ba = 2 diag(-1, -1)
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
-        a = GradedOperator(j, ODD)
-        out = graded_commutator(a, a)
-        assert np.allclose(out, 2.0 * np.diag([-1.0, -1.0]))
+        assert np.allclose(anticommutator(j, j), 2.0 * np.diag([-1.0, -1.0]))
 
     def test_even_even_is_plain_commutator(self):
         rng = np.random.default_rng(0)
         x, y = rand_matrix(rng, 3), rand_matrix(rng, 3)
-        out = graded_commutator(GradedOperator(x, EVEN), GradedOperator(y, EVEN))
-        assert np.allclose(out, x @ y - y @ x)
+        assert np.allclose(commutator(x, y), x @ y - y @ x)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            graded_commutator(GradedOperator(np.eye(2), EVEN),
-                              GradedOperator(np.eye(3), EVEN))
+            commutator(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError):
+            anticommutator(np.eye(2), np.eye(3))
 
-    @given(SEEDS, st.sampled_from([EVEN, ODD]), st.sampled_from([EVEN, ODD]))
+    @given(SEEDS)
     @settings(max_examples=60, deadline=None)
-    def test_koszul_antisymmetry(self, seed, da, db):
+    def test_koszul_antisymmetry(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
-        a = GradedOperator(rand_matrix(rng, n), da)
-        b = GradedOperator(rand_matrix(rng, n), db)
-        sign = -1.0 if (a.parity * b.parity) else 1.0
-        lhs = graded_commutator(a, b)
-        rhs = -sign * graded_commutator(b, a)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
-
-
-class TestGradedRightLift:
-    def test_even_is_plain(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = graded_right_lift(GradedOperator(b, EVEN), np.diag([1.0, -1.0]))
-        assert np.allclose(out, np.kron(np.eye(2), b))
-
-    def test_odd_picks_up_grading(self):
-        d2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = graded_right_lift(GradedOperator(d2, ODD), np.diag([1.0, -1.0]))
-        expected = np.zeros((4, 4))
-        expected[:2, :2] = d2
-        expected[2:, 2:] = -d2
-        assert np.allclose(out, expected)
-
-    def test_lift_of_identity(self):
-        out = graded_right_lift(GradedOperator(np.eye(3), EVEN), np.diag([1.0, -1.0]))
-        assert np.allclose(out, np.eye(6))
-
-    @given(SEEDS, st.sampled_from([EVEN, ODD]))
-    @settings(max_examples=40, deadline=None)
-    def test_respects_squares(self, seed, degree):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        gamma = np.diag(rng.choice([1.0, -1.0], size=m))
-        b = rand_matrix(rng, n)
-        lifted = graded_right_lift(GradedOperator(b, degree), gamma)
-        lifted_sq = graded_right_lift(GradedOperator(b @ b, EVEN), gamma)
-        assert np.linalg.norm(lifted @ lifted - lifted_sq) <= 1e-12 * max(
-            1.0, np.linalg.norm(lifted_sq))
+        a, b = rand_matrix(rng, n), rand_matrix(rng, n)
+        for bracket, sign in ((commutator, 1.0), (anticommutator, -1.0)):
+            lhs = bracket(a, b)
+            rhs = -sign * bracket(b, a)
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
 
 class TestSpectralNorm:
@@ -194,6 +158,8 @@ class TestMembershipResidual:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             membership_residual(np.eye(3), [np.eye(2)])
+        with pytest.raises(ValueError):
+            project_off(np.eye(3), [np.eye(2)])
 
 
 class TestSolveKernel:
