@@ -129,17 +129,6 @@ class TestDiracLift:
 
     @given(SEEDS)
     @settings(max_examples=40, deadline=None)
-    def test_respects_squares(self, seed):
-        rng = np.random.default_rng(seed)
-        module = random_module(rng, random_triple(rng))
-        lift = module.dirac_lift
-        dirac_sq = module.triple.dirac_sq
-        assert np.allclose(module.dirac_sq_lift_free, np.kron(np.eye(module.m), dirac_sq))
-        assert np.linalg.norm(lift @ lift - module.dirac_sq_lift_free) <= 1e-12 * max(
-            1.0, np.linalg.norm(module.dirac_sq_lift_free))
-
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
     def test_odd_picks_up_grading(self, seed):
         rng = np.random.default_rng(seed)
         module = random_module(rng, random_triple(rng))

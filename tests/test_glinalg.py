@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgcurv import ProjectiveModule, SpectralTriple
+from ncgcurv.generate import random_module, random_triple
 from ncgcurv.glinalg import (
     adjoint,
     anticommutator,
@@ -70,6 +72,32 @@ class TestGradedCommutator:
             lhs = bracket(a, b)
             rhs = -sign * bracket(b, a)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
+
+
+class TestGradedRightLift:
+    """The lifts "1 (x) b" of ProjectiveModule: Gamma (x) b for odd b, 1 (x) b for even."""
+
+    def test_even_is_plain(self):
+        gamma = np.diag([1.0, -1.0])
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        st_ = SpectralTriple(gamma, (np.eye(2), np.diag([1.0, 0.0])), d)
+        p = np.zeros((2, 2, 2), dtype=complex)
+        p[0, 0, 0] = p[1, 1, 0] = 1
+        module = ProjectiveModule(st_, p, np.array([1.0, -1.0]))
+        assert np.allclose(module.dirac_sq_lift_free, np.kron(np.eye(2), d @ d))
+        assert np.allclose(module.dirac_plain_lift, np.kron(np.eye(2), d))
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_respects_squares(self, seed):
+        # Both the graded (odd) and the plain (even) lift of D square to 1 (x) D^2.
+        rng = np.random.default_rng(seed)
+        module = random_module(rng, random_triple(rng))
+        lifted_sq = module.dirac_sq_lift_free
+        assert np.allclose(lifted_sq, np.kron(np.eye(module.m), module.triple.dirac_sq))
+        for lifted in (module.dirac_lift, module.dirac_plain_lift):
+            assert np.linalg.norm(lifted @ lifted - lifted_sq) <= 1e-12 * max(
+                1.0, np.linalg.norm(lifted_sq))
 
 
 class TestSpectralNorm:
