@@ -29,13 +29,14 @@ from .curvature import (
 )
 from .fgpmod import (
     InvariantViolation,
+    connection_operators,
     product_operator,
     spectrum,
     validate_connection,
     validate_module,
 )
 from .forms import junk_space, one_form_space, two_form_space
-from .glinalg import DEFAULT_RANK_TOL, spectral_norm
+from .glinalg import DEFAULT_RANK_TOL, orthonormality_defect, spectral_norm
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
 from .triple import DEFAULT_TOL, Check, validate
@@ -175,20 +176,12 @@ def _cmd_validate(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: 
     return checks, values, None, []
 
 
-def _orthonormality_defect(basis) -> float:
-    worst = 0.0
-    for i, b1 in enumerate(basis):
-        for j, b2 in enumerate(basis):
-            worst = max(worst, abs(np.vdot(b1, b2) - (1.0 if i == j else 0.0)))
-    return worst
-
-
 def _cmd_forms(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     one = one_form_space(scen.triple, rank_tol)
     two = two_form_space(scen.triple, rank_tol)
     checks = [
-        Check("one_form_basis_orthonormal", _orthonormality_defect(one.basis), 1e-10),
-        Check("two_form_basis_orthonormal", _orthonormality_defect(two.basis), 1e-10),
+        Check("one_form_basis_orthonormal", orthonormality_defect(one.basis), 1e-10),
+        Check("two_form_basis_orthonormal", orthonormality_defect(two.basis), 1e-10),
     ]
     values = {"one_form_dim": one.dim, "two_form_dim": two.dim}
     return checks, values, None, []
@@ -235,13 +228,16 @@ def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, seed: int, 
     module = _need(scen, "module", "correspondence")
     vertical = _need(scen, "vertical", "correspondence")
     checks = list(validate_vertical(vertical, tol))
-    corr = correspondence_curvature(module, scen.connection, vertical, tol)
-    residual = correspondence_decomposition_residual(module, scen.connection,
-                                                     vertical, tol)
+    for c in checks:  # a bad S aborts before the connection is evaluated
+        if not c.passed:
+            raise InvariantViolation(c)
+    ops = connection_operators(module, scen.connection, tol)
+    corr = correspondence_curvature(module, ops, vertical, tol)
+    residual = correspondence_decomposition_residual(module, ops, vertical, tol)
     checks.append(Check("correspondence_decomposition", residual, tol))
     values = {
         "norm": spectral_norm(corr),
-        "wac_diagnostic": wac_diagnostic(module, scen.connection, vertical, tol),
+        "wac_diagnostic": wac_diagnostic(module, ops, vertical, tol),
     }
     matrices = {"correspondence_curvature": _matrix_payload(corr)} if emit else None
     return checks, values, matrices, [SIGN_CONVENTION_NOTE]

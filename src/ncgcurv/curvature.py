@@ -12,6 +12,13 @@ convention is R = M^2 - N (the square of the product operator minus the
 lifted square); reports carry an explicit note so results can be matched to
 the opposite convention by a global sign flip.
 
+Curvature is well defined modulo junk.  Junk forms are an A-bimodule (Connes,
+Noncommutative Geometry, 1994, VI.1) and P has entries in A, so C(X) = PXP
+maps V = M_m (x) Junk into itself: C and proj_V are commuting orthogonal
+projectors, and proj_V o C projects onto C(V) = span{P (E_kl (x) J) P}.  It
+is applied block by block, each n x n block of PXP projected onto the
+orthonormal junk basis, with no lift and no SVD.
+
 The module also evaluates the correspondence curvature with a vertical
 operator S, its decomposition R + [S (x) 1, M]_+, junk-coset comparisons,
 and the external-product vanishing defect for pairs of triples.
@@ -37,11 +44,8 @@ from .glinalg import (
     anticommutator,
     commutator,
     frobenius_norm,
-    membership_residual,
-    project_off,
     relative_distance,
     spectral_norm,
-    subspace_basis,
 )
 from .triple import DEFAULT_TOL, SpectralTriple
 
@@ -57,7 +61,6 @@ __all__ = [
     "external_product_defect",
     "external_product_defect_ungraded",
     "junk_coset_residual",
-    "lifted_junk_basis",
     "validate_vertical",
     "wac_diagnostic",
 ]
@@ -89,23 +92,17 @@ def curvature_formula(module: ProjectiveModule,
     return base + ops.a_d @ ops.a_d + d_a
 
 
-def lifted_junk_basis(module: ProjectiveModule, junk: FormSpace | None = None,
-                      rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of span{P (E_kl (x) J) P} over junk basis elements J."""
-    if junk is None:
-        junk = junk_space(module.triple, rank_tol)
+def _junk_projection(x: np.ndarray, module: ProjectiveModule,
+                     junk: FormSpace) -> np.ndarray:
+    """proj_V(P x P): each n x n block of P x P projected onto the junk basis."""
     if junk.dim == 0:
-        return []
+        return np.zeros_like(x)
     P = module.projector
-    m = module.m
-    lifts = []
-    for k in range(m):
-        for l in range(m):
-            e_kl = np.zeros((m, m))
-            e_kl[k, l] = 1.0
-            for j_mat in junk.basis:
-                lifts.append(P @ np.kron(e_kl, j_mat) @ P)
-    return subspace_basis(lifts, rank_tol)
+    m, n = module.m, module.triple.n
+    blocks = (P @ x @ P).reshape(m, n, m, n)
+    basis = np.stack(junk.basis)
+    coeffs = np.einsum("qab,iajb->ijq", basis.conj(), blocks)
+    return np.einsum("ijq,qab->iajb", coeffs, basis).reshape(module.dim, module.dim)
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,8 @@ class CurvatureReport:
 
     R is supported on range(P) and even for the module grading; the junk
     canonical representative is R minus its Frobenius projection onto the
-    lifted junk span.
+    lifted junk span C(V) = P (M_m (x) Junk) P, taken blockwise as
+    proj_V(P R P) (see the module docstring).
     """
 
     R: np.ndarray
@@ -136,6 +134,8 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
     scale = max(1.0, frobenius_norm(direct))
     route_residual = frobenius_norm(direct - formula) / scale
 
+    if junk is None:
+        junk = junk_space(module.triple, rank_tol)
     G = module.grading
     P = module.projector
     return CurvatureReport(
@@ -143,7 +143,7 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
         route_residual=route_residual,
         symmetry_residual=relative_distance(direct, direct.conj().T),
         norm=spectral_norm(direct),
-        junk_canonical=project_off(direct, lifted_junk_basis(module, junk, rank_tol)),
+        junk_canonical=direct - _junk_projection(direct, module, junk),
         evenness_residual=frobenius_norm(G @ direct @ G - direct) / scale,
         support_residual=frobenius_norm(P @ direct @ P - direct) / scale,
     )
@@ -152,12 +152,15 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
 def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule,
                         junk: FormSpace | None = None,
                         rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Membership defect of R1 - R2 in the lifted junk span."""
+    """Distance of R1 - R2 from the lifted junk span, over max(1, ||R1 - R2||)."""
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
     if r1.shape != r2.shape or r1.shape != (module.dim, module.dim):
         raise ValueError("curvature matrices must both live on the module space")
-    return membership_residual(r1 - r2, lifted_junk_basis(module, junk, rank_tol))
+    if junk is None:
+        junk = junk_space(module.triple, rank_tol)
+    x = r1 - r2
+    return frobenius_norm(x - _junk_projection(x, module, junk)) / max(1.0, frobenius_norm(x))
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,8 @@ def _correspondence(s_mat: np.ndarray, ops: ConnectionOperators) -> np.ndarray:
     return total @ total - s_mat @ s_mat - ops.n_op
 
 
-def correspondence_curvature(module: ProjectiveModule, a: ConnectionForm | None,
+def correspondence_curvature(module: ProjectiveModule,
+                             a: ConnectionForm | ConnectionOperators | None,
                              s: VerticalOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(S + M)^2 - S^2 - N: the defect of the tensor sum from respecting squares."""
     s_mat = _checked_vertical(s, tol)
@@ -212,7 +216,7 @@ def correspondence_curvature(module: ProjectiveModule, a: ConnectionForm | None,
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,
-                                          a: ConnectionForm | None,
+                                          a: ConnectionForm | ConnectionOperators | None,
                                           s: VerticalOperator,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
@@ -223,7 +227,8 @@ def correspondence_decomposition_residual(module: ProjectiveModule,
                           - anticommutator(s_mat, ops.m_op))
 
 
-def wac_diagnostic(module: ProjectiveModule, a: ConnectionForm | None,
+def wac_diagnostic(module: ProjectiveModule,
+                   a: ConnectionForm | ConnectionOperators | None,
                    s: VerticalOperator, tol: float = DEFAULT_TOL) -> float:
     """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
     s_mat = _checked_vertical(s, tol)

@@ -187,17 +187,15 @@ class ConnectionForm:
         """Assembled (A_D, A_D2): entrywise pi_d and pi_d2 as mn x mn matrices."""
         st = self.module.triple
         dim = self.module.dim
-        a_d = np.einsum("ijpq,pab,qbc->iajc", self.entries, st.basis_stack,
-                        st.dirac_commutators).reshape(dim, dim)
-        a_d2 = np.einsum("ijpq,pab,qbc->iajc", self.entries, st.basis_stack,
-                         st.dirac_sq_commutators).reshape(dim, dim)
+        pairs = st.pair_products(np.stack([st.dirac_commutators, st.dirac_sq_commutators]))
+        blocks = np.tensordot(self.entries, pairs, axes=([2, 3], [1, 2]))
+        a_d, a_d2 = blocks.transpose(2, 0, 3, 1, 4).reshape(2, dim, dim)
         return a_d, a_d2
 
     def mult_residual(self) -> float:
         """Max ker(m)-defect over the entry tables."""
         st = self.module.triple
-        prods = np.einsum("ijpq,pab,qbc->ijac", self.entries, st.basis_stack,
-                          st.basis_stack)
+        prods = np.tensordot(self.entries, st.pair_products(st.basis_stack), axes=2)
         norms = np.linalg.norm(prods.reshape(self.module.m ** 2, -1), axis=1)
         return float(norms.max()) if norms.size else 0.0
 

@@ -96,21 +96,18 @@ class UniversalOneForm:
 
     def mult_residual(self) -> float:
         """||sum c[i,j] b_i b_j||_F: membership defect in ker(m)."""
-        st = self.triple
-        prod = np.einsum("ij,iab,jbc->ac", self.coeffs, st.basis_stack, st.basis_stack)
-        return frobenius_norm(prod)
+        return frobenius_norm(self._paired(self.triple.basis_stack))
 
     def pi_d(self) -> np.ndarray:
         """Represented one-form sum c[i,j] b_i [D, b_j]."""
-        st = self.triple
-        return np.einsum("ij,iab,jbc->ac", self.coeffs, st.basis_stack,
-                         st.dirac_commutators)
+        return self._paired(self.triple.dirac_commutators)
 
     def pi_d2(self) -> np.ndarray:
         """sum c[i,j] b_i [D^2, b_j]."""
-        st = self.triple
-        return np.einsum("ij,iab,jbc->ac", self.coeffs, st.basis_stack,
-                         st.dirac_sq_commutators)
+        return self._paired(self.triple.dirac_sq_commutators)
+
+    def _paired(self, right: np.ndarray) -> np.ndarray:
+        return np.tensordot(self.coeffs, self.triple.pair_products(right), axes=2)
 
     def two_form(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Represented two-form sum c[i,j] [D, b_i][D, b_j].
@@ -191,8 +188,7 @@ class FormSpace:
 
 def one_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_j]} as an orthonormal FormSpace."""
-    mats = [st.basis[k] @ st.dirac_commutators[j]
-            for k in range(st.d) for j in range(st.d)]
+    mats = st.pair_products(st.dirac_commutators).reshape(st.d * st.d, st.n, st.n)
     return FormSpace("one", tuple(subspace_basis(mats, rank_tol)), rank_tol)
 
 
@@ -205,21 +201,16 @@ def two_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> Fo
 
 def universal_form_basis(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
     """Orthonormal coefficient-table basis of ker(m), the universal one-forms."""
-    cols = np.stack([(st.basis[i] @ st.basis[j]).ravel()
-                     for i in range(st.d) for j in range(st.d)], axis=1)
+    cols = st.pair_products(st.basis_stack).reshape(st.d * st.d, -1).T
     return [UniversalOneForm(st, v.reshape(st.d, st.d))
             for v in solve_kernel(cols, rank_tol)]
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
     """Basis of ker(m) intersect ker(pi_d): universal forms representing to zero."""
-    cols = []
-    for i in range(st.d):
-        for j in range(st.d):
-            top = (st.basis[i] @ st.basis[j]).ravel()
-            bot = (st.basis[i] @ st.dirac_commutators[j]).ravel()
-            cols.append(np.concatenate([top, bot]))
-    L = np.stack(cols, axis=1)
+    # column (i, j) stacks vec(b_i b_j) over vec(b_i [D, b_j])
+    pairs = st.pair_products(np.stack([st.basis_stack, st.dirac_commutators]))
+    L = pairs.transpose(1, 2, 0, 3, 4).reshape(st.d * st.d, -1).T
     return [UniversalOneForm(st, v.reshape(st.d, st.d))
             for v in solve_kernel(L, rank_tol)]
 

@@ -29,6 +29,7 @@ __all__ = [
     "frobenius_norm",
     "grading_residuals",
     "membership_residual",
+    "orthonormality_defect",
     "project_off",
     "relative_distance",
     "solve_kernel",
@@ -147,6 +148,15 @@ def membership_residual(a, basis: Sequence[np.ndarray]) -> float:
     ``basis`` must be Frobenius-orthonormal (as produced by subspace_basis).
     """
     return frobenius_norm(project_off(a, basis)) / max(1.0, frobenius_norm(a))
+
+
+def orthonormality_defect(basis: Sequence[np.ndarray]) -> float:
+    """Largest entry of |Gram(basis) - 1| for the Frobenius inner product."""
+    worst = 0.0
+    for i, b1 in enumerate(basis):
+        for j, b2 in enumerate(basis):
+            worst = max(worst, abs(np.vdot(b1, b2) - (1.0 if i == j else 0.0)))
+    return worst
 
 
 def solve_kernel(L, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:

@@ -27,7 +27,7 @@ from .fgpmod import (
     product_operator,
 )
 from .forms import junk_space, kernel_one_forms, one_form_space, two_form_space
-from .glinalg import anticommutator, frobenius_norm, spectral_norm
+from .glinalg import anticommutator, frobenius_norm, orthonormality_defect, spectral_norm
 from .triple import Check, SpectralTriple, c1_norm, c2_norm
 
 __all__ = [
@@ -223,17 +223,9 @@ def selftest(seed: int, count: int = SCENARIOS_PER_FAMILY) -> list[Check]:
     herm = hermitian_identity_residuals(seed + 7, max(count // 2, 5))
     member, third = junk_membership_residuals(seed + 8, max(count // 2, 5))
     chain = norm_chain_violations(seed + 9, 2 * count)
-    one_dims = []
     rng = generate.rng_for(seed + 10)
-    for _ in range(max(count // 2, 5)):
-        st = generate.random_triple(rng)
-        one = one_form_space(st)
-        worst = 0.0
-        for i, b1 in enumerate(one.basis):
-            for j, b2 in enumerate(one.basis):
-                ip = np.vdot(b1, b2)
-                worst = max(worst, abs(ip - (1.0 if i == j else 0.0)))
-        one_dims.append(worst)
+    one_dims = [orthonormality_defect(one_form_space(generate.random_triple(rng)).basis)
+                for _ in range(max(count // 2, 5))]
 
     return [
         Check("route_equality", _max(route), 1e-9),

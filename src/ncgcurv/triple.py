@@ -151,6 +151,14 @@ class SpectralTriple:
         """(d, n, n) stack of [D^2, b_k]."""
         return np.stack([commutator(self.dirac_sq, b) for b in self.basis])
 
+    def pair_products(self, right: np.ndarray) -> np.ndarray:
+        """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r.
+
+        Not cached: kept on every triple it would cost d times the memory of
+        the commutator stacks, for a product that takes d^2 small matmuls.
+        """
+        return self.basis_stack[:, None] @ right[..., None, :, :, :]
+
     @cached_property
     def _vec_basis(self) -> np.ndarray:
         # (n^2, d) matrix with columns vec(b_k); used for coordinate solves.

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ncgcurv import fgpmod
 from ncgcurv.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from ncgcurv.scenario import ScenarioError, parse_scenario
 
@@ -78,6 +79,22 @@ class TestParsing:
         p1 = write_scenario(tmp_path, TWO_POINT, "a.json")
         p2 = write_scenario(tmp_path, TWO_POINT, "b.json")
         assert parse_scenario(p1).digest == parse_scenario(p2).digest
+
+
+class TestSingleEvaluation:
+    def test_correspondence_validates_connection_once(self, fixtures_dir, monkeypatch):
+        calls = []
+        validate = fgpmod.validate_connection
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(fgpmod, "validate_connection", counting)
+        scen = parse_scenario(fixtures_dir / "two_point_free_module.json")
+        assert not scen.connection.is_zero()
+        assert run("correspondence", scen).passed
+        assert len(calls) == 1
 
 
 class TestRun:

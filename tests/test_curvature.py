@@ -13,7 +13,6 @@ from ncgcurv.curvature import (
     external_product_defect,
     external_product_defect_ungraded,
     junk_coset_residual,
-    lifted_junk_basis,
     wac_diagnostic,
 )
 from ncgcurv import fgpmod
@@ -159,7 +158,105 @@ class TestJunkCoset:
             junk_coset_residual(np.eye(2), np.eye(2), two_point_module)
 
     def test_lifted_basis_empty_without_junk(self, two_point_module):
-        assert lifted_junk_basis(two_point_module) == []
+        assert junk_space(two_point_module.triple).dim == 0
+        report = curvature_report(two_point_module)
+        assert np.array_equal(report.junk_canonical, report.R)
+
+
+def lifted_svd_canonical(r, module, junk, rank_tol=1e-9):
+    """Reference: R minus its projection onto an SVD basis of the lifts
+    P (E_kl (x) J) P, as the junk quotient was once computed."""
+    P, m = module.projector, module.m
+    lifts = []
+    for k in range(m):
+        for l in range(m):
+            e_kl = np.zeros((m, m))
+            e_kl[k, l] = 1.0
+            lifts += [(P @ np.kron(e_kl, j) @ P).ravel() for j in junk.basis]
+    _, s, vh = np.linalg.svd(np.stack(lifts), full_matrices=False)
+    vh = vh[:int(np.sum(s > rank_tol * s[0]))]
+    return r - (vh.T @ (vh.conj() @ r.ravel())).reshape(r.shape)
+
+
+def ladder_module(idx, n, d, m):
+    """Triple and module of a size-ladder rung, drawn as the benchmark does."""
+    rng = rng_for(7 + idx)
+    st_ = random_triple(rng, n=n, d=d, kind="diag")
+    return random_module(rng, st_, m=m, allow_free=False)
+
+
+def bimodule_defect(st_, junk):
+    """Largest distance of b_i J b_j from span Junk, over max(1, ||b_i J b_j||)."""
+    basis = np.stack(junk.basis).reshape(junk.dim, -1)
+    b = st_.basis_stack
+    prods = (b[:, None, None] @ np.stack(junk.basis)[None, :, None] @ b[None, None, :])
+    vecs = prods.reshape(-1, basis.shape[1])
+    off = vecs - (vecs @ basis.conj().T) @ basis
+    return float(np.max(np.linalg.norm(off, axis=1)
+                        / np.maximum(1.0, np.linalg.norm(vecs, axis=1))))
+
+
+class TestBlockwiseJunkProjection:
+    def _check_agrees(self, module, a):
+        junk = junk_space(module.triple)
+        assert junk.dim > 0
+        report = curvature_report(module, a, junk=junk)
+        expected = lifted_svd_canonical(report.R, module, junk)
+        scale = frobenius_norm(report.R)
+        assert frobenius_norm(report.junk_canonical - expected) <= 1e-12 * scale
+        # the quotient is not trivial here: junk moves R
+        assert frobenius_norm(report.junk_canonical - report.R) >= 1e-3 * scale
+
+    def test_matches_lifted_svd_on_amp2(self):
+        rng = rng_for(59)
+        for _ in range(4):
+            module = random_module(rng, random_triple(rng, n=4, kind="amp2"),
+                                   m=2, allow_free=False)
+            self._check_agrees(module, random_connection(rng, module))
+
+    def test_matches_lifted_svd_on_ladder_rung(self):
+        module = ladder_module(1, 12, 8, 4)
+        self._check_agrees(module, random_connection(rng_for(61), module))
+
+    def test_numerically_zero_lifted_span_leaves_r(self):
+        # every lift P (E_kl (x) J) P is ~1e-17 here; an SVD cut relative to
+        # sigma_max once kept 23 noise directions and moved R by 0.76 ||R||
+        module = ladder_module(2, 16, 8, 6)
+        junk = junk_space(module.triple)
+        assert junk.dim > 0
+        report = curvature_report(module, random_connection(rng_for(61), module),
+                                  junk=junk)
+        r = report.R
+        assert frobenius_norm(report.junk_canonical - r) <= 1e-12 * frobenius_norm(r)
+        assert junk_coset_residual(r, 2 * r, module, junk=junk) == pytest.approx(1.0)
+
+    def test_coset_residual_matches_lifted_svd(self):
+        rng = rng_for(67)
+        st_ = random_triple(rng, n=4, kind="amp2")
+        module = random_module(rng, st_, m=2, allow_free=False)
+        junk = junk_space(st_)
+        r1 = curvature_direct(module, random_connection(rng, module))
+        r2 = curvature_direct(module, random_connection(rng, module))
+        x = r1 - r2
+        expected = frobenius_norm(lifted_svd_canonical(x, module, junk))
+        assert junk_coset_residual(r1, r2, module, junk=junk) == pytest.approx(
+            expected / max(1.0, frobenius_norm(x)), abs=1e-12)
+
+    def test_junk_is_a_bimodule(self):
+        # the hypothesis of the blockwise projection: b_i J b_j stays in Junk
+        rng = rng_for(71)
+        triples = [random_triple(rng, kind="diag") for _ in range(25)]
+        triples += [random_triple(rng, n=4, kind="amp2") for _ in range(25)]
+        triples += [ladder_module(k, *rung).triple for k, rung in
+                    enumerate(((6, 4, 4), (12, 8, 4), (16, 8, 6), (20, 10, 6)))]
+        worst, with_junk = 0.0, 0
+        for st_ in triples:
+            junk = junk_space(st_)
+            if junk.dim:
+                with_junk += 1
+                worst = max(worst, bimodule_defect(st_, junk))
+        assert with_junk >= 30
+        assert worst <= 1e-12
 
 
 class TestCorrespondence:

@@ -9,6 +9,7 @@ from ncgcurv.glinalg import (
     anticommutator,
     commutator,
     membership_residual,
+    orthonormality_defect,
     project_off,
     solve_kernel,
     spectral_norm,
@@ -161,6 +162,18 @@ class TestSubspaceBasis:
             for j, b2 in enumerate(basis):
                 assert np.vdot(b1, b2) == pytest.approx(
                     1.0 if i == j else 0.0, abs=1e-10)
+
+
+class TestOrthonormalityDefect:
+    def test_orthonormal_basis(self):
+        mats = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
+        assert orthonormality_defect(subspace_basis(mats)) <= 1e-14
+        assert orthonormality_defect([]) == 0.0
+
+    def test_reports_worst_gram_entry(self):
+        e00 = np.diag([1.0, 0.0])
+        assert orthonormality_defect([2.0 * e00]) == pytest.approx(3.0)
+        assert orthonormality_defect([e00, e00 + 0.5 * np.eye(2)]) == pytest.approx(1.5)
 
 
 class TestMembershipResidual:

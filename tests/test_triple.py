@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgcurv import SpectralTriple, c1_norm, c2_norm, validate
+from ncgcurv.generate import random_triple, rng_for
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import NotInAlgebraError, pi1_block
 
@@ -67,6 +68,21 @@ class TestAlgebraCoords:
         mat = two_point.assemble(coords)
         assert np.allclose(two_point.assemble(two_point.star_coords(coords)),
                            mat.conj().T, atol=1e-12)
+
+
+class TestPairProducts:
+    def test_entries_are_the_loop_products(self):
+        rng = rng_for(13)
+        for kind in ("diag", "amp2"):
+            st_ = random_triple(rng, n=4, kind=kind)
+            right = np.stack([st_.basis_stack, st_.dirac_commutators])
+            pp = st_.pair_products(right)
+            assert pp.shape == (2, st_.d, st_.d, st_.n, st_.n)
+            assert np.array_equal(pp[1], st_.pair_products(st_.dirac_commutators))
+            for k in range(2):
+                for p in range(st_.d):
+                    for q in range(st_.d):
+                        assert np.array_equal(pp[k, p, q], st_.basis[p] @ right[k, q])
 
 
 class TestDerivativeNorms:
