@@ -187,10 +187,9 @@ def ladder_module(idx, n, d, m):
 
 def bimodule_defect(st_, junk):
     """Largest distance of b_i J b_j from span Junk, over max(1, ||b_i J b_j||)."""
-    basis = np.stack(junk.basis).reshape(junk.dim, -1)
-    b = st_.basis_stack
-    prods = (b[:, None, None] @ np.stack(junk.basis)[None, :, None] @ b[None, None, :])
-    vecs = prods.reshape(-1, basis.shape[1])
+    j, b = np.stack(junk.basis), st_.basis_stack
+    vecs = (b[:, None, None] @ j[None, :, None] @ b[None, None, :]).reshape(-1, j[0].size)
+    basis = j.reshape(junk.dim, -1)
     off = vecs - (vecs @ basis.conj().T) @ basis
     return float(np.max(np.linalg.norm(off, axis=1)
                         / np.maximum(1.0, np.linalg.norm(vecs, axis=1))))
