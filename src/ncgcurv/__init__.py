@@ -26,10 +26,8 @@ from .fgpmod import (
     ProductOperator,
     ProjectiveModule,
     build_projector,
-    grassmann_product_operator,
     hermitian_residual,
     product_operator,
-    product_operator_sq_lift,
     represent_connection,
     spectrum,
     symmetrize_connection,
@@ -91,7 +89,6 @@ __all__ = [
     "external_product_defect",
     "external_product_defect_ungraded",
     "fibration_curvature",
-    "grassmann_product_operator",
     "heisenberg_frame",
     "hermitian_residual",
     "hopf_frame",
@@ -103,7 +100,6 @@ __all__ = [
     "membership_residual",
     "one_form_space",
     "product_operator",
-    "product_operator_sq_lift",
     "represent_connection",
     "right_mult",
     "second_fundamental_form",

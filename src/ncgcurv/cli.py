@@ -29,6 +29,7 @@ from .curvature import (
 )
 from .fgpmod import (
     InvariantViolation,
+    _require,
     connection_operators,
     product_operator,
     spectrum,
@@ -227,10 +228,8 @@ def _cmd_curvature(scen: Scenario, tol: float, rank_tol: float, seed: int, emit:
 def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "correspondence")
     vertical = _need(scen, "vertical", "correspondence")
-    checks = list(validate_vertical(vertical, tol))
-    for c in checks:  # a bad S aborts before the connection is evaluated
-        if not c.passed:
-            raise InvariantViolation(c)
+    checks = validate_vertical(vertical, tol)
+    _require(checks)  # a bad S aborts before the connection is evaluated
     ops = connection_operators(module, scen.connection, tol)
     corr = correspondence_curvature(module, ops, vertical, tol)
     residual = correspondence_decomposition_residual(module, ops, vertical, tol)

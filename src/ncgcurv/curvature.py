@@ -34,8 +34,8 @@ from .fgpmod import (
     Check,
     ConnectionForm,
     ConnectionOperators,
-    InvariantViolation,
     ProjectiveModule,
+    _require,
     connection_operators,
 )
 from .forms import FormSpace, junk_space
@@ -44,8 +44,10 @@ from .glinalg import (
     anticommutator,
     commutator,
     frobenius_norm,
+    parity_residual,
     relative_distance,
     spectral_norm,
+    support_residual,
 )
 from .triple import DEFAULT_TOL, SpectralTriple
 
@@ -131,21 +133,16 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
     ops = connection_operators(module, a, tol)
     direct = curvature_direct(module, ops)
     formula = curvature_formula(module, ops)
-    scale = max(1.0, frobenius_norm(direct))
-    route_residual = frobenius_norm(direct - formula) / scale
-
     if junk is None:
         junk = junk_space(module.triple, rank_tol)
-    G = module.grading
-    P = module.projector
     return CurvatureReport(
         R=direct,
-        route_residual=route_residual,
+        route_residual=frobenius_norm(direct - formula) / max(1.0, frobenius_norm(direct)),
         symmetry_residual=relative_distance(direct, direct.conj().T),
         norm=spectral_norm(direct),
         junk_canonical=direct - _junk_projection(direct, module, junk),
-        evenness_residual=frobenius_norm(G @ direct @ G - direct) / scale,
-        support_residual=frobenius_norm(P @ direct @ P - direct) / scale,
+        evenness_residual=parity_residual(module.grading, direct, odd=False),
+        support_residual=support_residual(module.projector, direct),
     )
 
 
@@ -185,20 +182,15 @@ class VerticalOperator:
 
 def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Check]:
     mat = s.assembled()
-    P = s.module.projector
-    G = s.module.grading
-    scale = max(1.0, frobenius_norm(mat))
     return [
         Check("vertical_selfadjoint", relative_distance(mat, mat.conj().T), tol),
-        Check("vertical_compressed", frobenius_norm(P @ mat @ P - mat) / scale, tol),
-        Check("vertical_odd", frobenius_norm(G @ mat @ G + mat) / scale, tol),
+        Check("vertical_compressed", support_residual(s.module.projector, mat), tol),
+        Check("vertical_odd", parity_residual(s.module.grading, mat, odd=True), tol),
     ]
 
 
 def _checked_vertical(s: VerticalOperator, tol: float) -> np.ndarray:
-    for c in validate_vertical(s, tol):
-        if not c.passed:
-            raise InvariantViolation(c)
+    _require(validate_vertical(s, tol))
     return s.assembled()
 
 

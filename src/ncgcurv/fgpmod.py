@@ -20,9 +20,10 @@ import numpy as np
 
 from .glinalg import (
     commutator,
-    frobenius_norm,
+    parity_residual,
     relative_distance,
     spectral_norm,
+    support_residual,
 )
 from .triple import Check, DEFAULT_TOL, SpectralTriple
 
@@ -34,10 +35,8 @@ __all__ = [
     "ProjectiveModule",
     "build_projector",
     "connection_operators",
-    "grassmann_product_operator",
     "hermitian_residual",
     "product_operator",
-    "product_operator_sq_lift",
     "represent_connection",
     "spectrum",
     "symmetrize_connection",
@@ -241,22 +240,16 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
     """Structural checks: ker(m) entries, grading support, compression, oddness."""
     checks = [Check("connection_ker_mult", a.mult_residual(), tol)]
 
-    odd_positions = ~module.even_mask
-    odd_mass = 0.0
-    if odd_positions.any():
-        odd_mass = float(np.max(np.linalg.norm(
-            a.entries[odd_positions].reshape(int(odd_positions.sum()), -1), axis=1)))
+    odd = a.entries[~module.even_mask].reshape(-1, module.triple.d ** 2)
+    odd_mass = float(np.linalg.norm(odd, axis=1).max(initial=0.0))
     scale = max(1.0, float(np.linalg.norm(a.entries)))
     checks.append(Check("connection_grading_support", odd_mass / scale, tol))
 
     a_d, _ = a.represented()
-    P = module.projector
-    G = module.grading
-    mscale = max(1.0, frobenius_norm(a_d))
     checks.append(Check("connection_compressed",
-                        frobenius_norm(P @ a_d @ P - a_d) / mscale, tol))
+                        support_residual(module.projector, a_d), tol))
     checks.append(Check("connection_odd",
-                        frobenius_norm(G @ a_d @ G + a_d) / mscale, tol))
+                        parity_residual(module.grading, a_d, odd=True), tol))
     return checks
 
 
@@ -312,7 +305,10 @@ def connection_operators(module: ProjectiveModule,
 
 @dataclass(frozen=True)
 class ProductOperator:
-    """An operator supported on range(P), odd for the module grading."""
+    """An operator supported on range(P), odd for the module grading.
+
+    Built by :func:`product_operator`, where ``a=None`` is the Grassmann connection.
+    """
 
     mat: np.ndarray
     projector: np.ndarray
@@ -322,12 +318,10 @@ class ProductOperator:
         return relative_distance(self.mat, self.mat.conj().T)
 
     def oddness_residual(self) -> float:
-        g = self.grading
-        return frobenius_norm(g @ self.mat @ g + self.mat) / max(1.0, frobenius_norm(self.mat))
+        return parity_residual(self.grading, self.mat, odd=True)
 
     def support_residual(self) -> float:
-        P = self.projector
-        return frobenius_norm(P @ self.mat @ P - self.mat) / max(1.0, frobenius_norm(self.mat))
+        return support_residual(self.projector, self.mat)
 
     def validate(self, tol: float = DEFAULT_TOL) -> list[Check]:
         return [
@@ -336,23 +330,14 @@ class ProductOperator:
         ]
 
 
-def grassmann_product_operator(module: ProjectiveModule) -> ProductOperator:
-    """P (Gamma (x) D) P: the product operator of the Grassmann connection."""
-    return product_operator(module)
-
-
 def product_operator(module: ProjectiveModule, a: ConnectionForm | None = None,
                      tol: float = DEFAULT_TOL) -> ProductOperator:
-    """P (Gamma (x) D) P + A_D for the connection Grassmann + A."""
+    """P (Gamma (x) D) P + A_D for the connection Grassmann + A.
+
+    ``a=None`` is the Grassmann connection, whose operator is P (Gamma (x) D) P.
+    """
     ops = connection_operators(module, a, tol)
     return ProductOperator(ops.m_op, module.projector, module.grading)
-
-
-def product_operator_sq_lift(module: ProjectiveModule, a: ConnectionForm | None = None,
-                             tol: float = DEFAULT_TOL) -> ProductOperator:
-    """P (1 (x) D^2) P + A_D2; no grading twist since D^2 is even."""
-    ops = connection_operators(module, a, tol)
-    return ProductOperator(ops.n_op, module.projector, module.grading)
 
 
 def spectrum(op: ProductOperator, tol: float = DEFAULT_TOL) -> list[float]:
@@ -362,9 +347,8 @@ def spectrum(op: ProductOperator, tol: float = DEFAULT_TOL) -> list[float]:
     if cols.shape[1] == 0:
         return []
     compressed = cols.conj().T @ op.mat @ cols
-    sym_defect = relative_distance(compressed, compressed.conj().T)
-    if sym_defect > tol:
-        raise InvariantViolation(Check("spectrum_symmetric_input", sym_defect, tol))
+    _require([Check("spectrum_symmetric_input",
+                    relative_distance(compressed, compressed.conj().T), tol)])
     return [float(v) for v in np.linalg.eigvalsh(compressed)]
 
 

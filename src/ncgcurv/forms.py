@@ -170,9 +170,7 @@ def right_mult(omega: UniversalOneForm, b_coeffs) -> UniversalOneForm:
 class FormSpace:
     """Frobenius-orthonormal basis of a space of represented forms."""
 
-    degree: str  # "one", "two" or "junk"
     basis: tuple[np.ndarray, ...]
-    rank_tol: float
 
     @property
     def dim(self) -> int:
@@ -189,14 +187,14 @@ class FormSpace:
 def one_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_j]} as an orthonormal FormSpace."""
     mats = st.pair_products(st.dirac_commutators).reshape(st.d * st.d, st.n, st.n)
-    return FormSpace("one", tuple(subspace_basis(mats, rank_tol)), rank_tol)
+    return FormSpace(tuple(subspace_basis(mats, rank_tol)))
 
 
 def two_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_i][D, b_j]}."""
     mats = [st.basis[k] @ st.dirac_commutators[i] @ st.dirac_commutators[j]
             for k in range(st.d) for i in range(st.d) for j in range(st.d)]
-    return FormSpace("two", tuple(subspace_basis(mats, rank_tol)), rank_tol)
+    return FormSpace(tuple(subspace_basis(mats, rank_tol)))
 
 
 def universal_form_basis(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
@@ -224,5 +222,5 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
     """
     kernel = kernel_one_forms(st, rank_tol)
     mats = [w.pi_d2() for w in kernel]
-    return FormSpace("junk", tuple(subspace_basis(mats, rank_tol)), rank_tol)
+    return FormSpace(tuple(subspace_basis(mats, rank_tol)))
 

@@ -38,7 +38,6 @@ from .triple import NotInAlgebraError, SpectralTriple
 __all__ = [
     "junk_lift_pair",
     "random_connection",
-    "random_connection_nonhermitian",
     "random_module",
     "random_triple",
     "random_universal_form",
@@ -225,7 +224,8 @@ def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
     """Two universal lifts with equal represented part.
 
     The second lift differs by a compressed combination of forms in
-    ker(m) intersect ker(pi_d), whose pi_d2 image is junk.
+    ker(m) intersect ker(pi_d), whose pi_d2 image is junk.  If that kernel is
+    empty the pair is ``(a, a)``, which checks nothing: draw another triple.
     """
     if a is None:
         a = random_connection(rng, module, hermitian=True, rank_tol=rank_tol)
@@ -234,13 +234,3 @@ def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
         return a, a
     bump = _random_table_over(rng, module, kernel).compressed()
     return a, replace(a + bump, hermitian=False)
-
-
-def random_connection_nonhermitian(rng: np.random.Generator,
-                                   module: ProjectiveModule,
-                                   rank_tol: float = DEFAULT_RANK_TOL) -> ConnectionForm:
-    """A deliberately non-symmetrized connection form (for negative tests)."""
-    basis = universal_form_basis(module.triple, rank_tol)
-    a = _random_table_over(rng, module, basis).compressed()
-    return replace(a, hermitian=False)
-

@@ -27,14 +27,15 @@ __all__ = [
     "commutator",
     "frobenius_inner",
     "frobenius_norm",
-    "grading_residuals",
     "membership_residual",
     "orthonormality_defect",
+    "parity_residual",
     "project_off",
     "relative_distance",
     "solve_kernel",
     "spectral_norm",
     "subspace_basis",
+    "support_residual",
 ]
 
 
@@ -57,16 +58,6 @@ def commutator(a, b) -> np.ndarray:
 
 def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
-
-
-def grading_residuals(g) -> dict:
-    """Relative residuals of the involution (g^2 = 1) and self-adjointness."""
-    g = as_complex_matrix(g)
-    eye = np.eye(g.shape[0])
-    return {
-        "involution": relative_distance(g @ g, eye),
-        "selfadjoint": relative_distance(g, g.conj().T),
-    }
 
 
 def spectral_norm(a) -> float:
@@ -92,6 +83,17 @@ def relative_distance(a, b) -> float:
     b = np.asarray(b, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     return float(np.linalg.norm(a - b)) / scale
+
+
+def support_residual(p, x) -> float:
+    """||p x p - x||_F / max(1, ||x||_F): how far x is from living on range(p)."""
+    return frobenius_norm(p @ x @ p - x) / max(1.0, frobenius_norm(x))
+
+
+def parity_residual(g, x, odd: bool) -> float:
+    """||g x g + x||_F (odd) or ||g x g - x||_F (even), over max(1, ||x||_F)."""
+    gxg = g @ x @ g
+    return frobenius_norm(gxg + x if odd else gxg - x) / max(1.0, frobenius_norm(x))
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -173,7 +175,8 @@ def solve_kernel(L, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
         return []
     if L.shape[0] == 0:
         return [np.eye(q, dtype=complex)[k] for k in range(q)]
-    _, s, vh = np.linalg.svd(L, full_matrices=True)
+    # A tall L gives the full q x q vh without full_matrices; a wide L needs it.
+    _, s, vh = np.linalg.svd(L, full_matrices=L.shape[0] < q)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:

@@ -22,7 +22,6 @@ from .curvature import (
 from .fgpmod import (
     ConnectionForm,
     ProjectiveModule,
-    grassmann_product_operator,
     hermitian_residual,
     product_operator,
 )
@@ -48,13 +47,14 @@ __all__ = [
 SCENARIOS_PER_FAMILY = 20
 
 
-def iter_connection_scenarios(seed: int, count: int, hermitian: bool = True
+def iter_connection_scenarios(seed: int, count: int
                               ) -> Iterator[tuple[SpectralTriple, ProjectiveModule, ConnectionForm]]:
+    """Seeded (triple, module, Hermitian connection) scenarios."""
     rng = generate.rng_for(seed)
     for _ in range(count):
         st = generate.random_triple(rng)
         module = generate.random_module(rng, st)
-        a = generate.random_connection(rng, module, hermitian=hermitian)
+        a = generate.random_connection(rng, module, hermitian=True)
         yield st, module, a
 
 
@@ -97,16 +97,20 @@ def junk_invariance_residuals(seed: int, count: int) -> tuple[list[float], list[
     """(coset membership, canonical-representative difference) over lift pairs.
 
     Triples are drawn junk-rich (algebra dimension at the cap, or the
-    amplified 2x2 algebra) so that the lifts genuinely differ.
+    amplified 2x2 algebra), and drawn again while ker(m) intersect ker(pi_d)
+    is empty, so that the two lifts genuinely differ.
     """
     rng = generate.rng_for(seed)
     coset, canonical = [], []
     for k in range(count):
-        if k % 3 == 2:
-            st = generate.random_triple(rng, n=4, kind="amp2")
-        else:
-            n = int(rng.integers(3, 7))
-            st = generate.random_triple(rng, n=n, d=min(4, n), kind="diag")
+        kernel = []
+        while not kernel:
+            if k % 3 == 2:
+                st = generate.random_triple(rng, n=4, kind="amp2")
+            else:
+                n = int(rng.integers(3, 7))
+                st = generate.random_triple(rng, n=n, d=min(4, n), kind="diag")
+            kernel = kernel_one_forms(st)
         module = generate.random_module(rng, st)
         a1, a2 = generate.junk_lift_pair(rng, module)
         junk = junk_space(st)
@@ -156,7 +160,7 @@ def grassmann_residuals(seed: int, count: int) -> tuple[list[float], list[float]
         st = generate.random_triple(rng)
         module = generate.random_module(rng, st)
         if k % 2 == 0:
-            op = grassmann_product_operator(module)
+            op = product_operator(module)
         else:
             a = generate.random_connection(rng, module, hermitian=True)
             op = product_operator(module, a)
@@ -168,7 +172,7 @@ def grassmann_residuals(seed: int, count: int) -> tuple[list[float], list[float]
 def hermitian_identity_residuals(seed: int, count: int) -> list[float]:
     """Hermitian-connection identity defect for symmetrized random forms."""
     out = []
-    for _, module, a in iter_connection_scenarios(seed, count, hermitian=True):
+    for _, module, a in iter_connection_scenarios(seed, count):
         out.append(hermitian_residual(module, a))
     return out
 

@@ -16,7 +16,7 @@ from ncgcurv.curvature import (
     curvature_direct,
     external_product_defect_ungraded,
 )
-from ncgcurv.fgpmod import grassmann_product_operator, product_operator
+from ncgcurv.fgpmod import product_operator
 from ncgcurv.forms import junk_space, one_form_space, two_form_space
 from ncgcurv.generate import random_connection, random_module, random_triple, rng_for
 from ncgcurv.glinalg import frobenius_norm, spectral_norm
@@ -112,7 +112,7 @@ def test_criterion_7_grassmann_symmetry():
     assert worst_odd <= 1e-10, f"grading defect {worst_odd:.3e} exceeds 1e-10"
     for name in ("two_point_module.json", "two_point_free_module.json"):
         scen = parse_scenario(ROOT / "fixtures" / name)
-        for op in (grassmann_product_operator(scen.module),
+        for op in (product_operator(scen.module),
                    product_operator(scen.module, scen.connection)):
             assert frobenius_norm(op.mat - op.mat.conj().T) <= 1e-10
             g = op.grading

@@ -13,9 +13,10 @@ from ncgcurv.curvature import (
     external_product_defect,
     external_product_defect_ungraded,
     junk_coset_residual,
+    validate_vertical,
     wac_diagnostic,
 )
-from ncgcurv import fgpmod
+from ncgcurv import fgpmod, generate, harness
 from ncgcurv.fgpmod import InvariantViolation, represent_connection, symmetrize_connection
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
@@ -156,6 +157,21 @@ class TestJunkCoset:
     def test_shape_mismatch(self, two_point_module):
         with pytest.raises(ValueError):
             junk_coset_residual(np.eye(2), np.eye(2), two_point_module)
+
+    def test_harness_lift_pairs_differ(self, monkeypatch):
+        # an empty ker(pi_d) makes junk_lift_pair return (a, a), which checks nothing
+        pairs = []
+        draw = generate.junk_lift_pair
+
+        def recording(*args, **kwargs):
+            pairs.append(draw(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(generate, "junk_lift_pair", recording)
+        harness.junk_invariance_residuals(10, 10)
+        assert len(pairs) == 10
+        for a1, a2 in pairs:
+            assert a1 is not a2
 
     def test_lifted_basis_empty_without_junk(self, two_point_module):
         assert junk_space(two_point_module.triple).dim == 0
@@ -302,6 +318,28 @@ class TestCorrespondence:
         s = VerticalOperator(free_module, entries)
         with pytest.raises(InvariantViolation):
             correspondence_curvature(free_module, None, s)
+
+    def test_even_vertical_fails_oddness(self, free_module):
+        entries = np.zeros((2, 2, 2), dtype=complex)
+        entries[0, 0, 0] = 1.0  # a Gamma-even slot holding the even identity
+        s = VerticalOperator(free_module, entries)
+        failed = [c.name for c in validate_vertical(s) if not c.passed]
+        assert failed == ["vertical_odd"]
+        with pytest.raises(InvariantViolation) as exc:
+            correspondence_curvature(free_module, None, s)
+        assert exc.value.check.name == "vertical_odd"
+
+    def test_vertical_off_range_fails_compression(self, two_point_module):
+        # P = diag(q, 1 - q) and q (1 - q) = 0, so P S P drops this odd block
+        entries = np.zeros((2, 2, 2), dtype=complex)
+        entries[0, 1, 0] = 1.0
+        entries[1, 0, 0] = 1.0
+        s = VerticalOperator(two_point_module, entries)
+        failed = [c.name for c in validate_vertical(s) if not c.passed]
+        assert failed == ["vertical_compressed"]
+        with pytest.raises(InvariantViolation) as exc:
+            wac_diagnostic(two_point_module, None, s)
+        assert exc.value.check.name == "vertical_compressed"
 
 
 class TestSingleEvaluation:

@@ -7,10 +7,9 @@ from ncgcurv.fgpmod import (
     ConnectionForm,
     InvariantViolation,
     build_projector,
-    grassmann_product_operator,
+    connection_operators,
     hermitian_residual,
     product_operator,
-    product_operator_sq_lift,
     represent_connection,
     spectrum,
     symmetrize_connection,
@@ -20,7 +19,6 @@ from ncgcurv.fgpmod import (
 from ncgcurv.forms import delta
 from ncgcurv.generate import (
     random_connection,
-    random_connection_nonhermitian,
     random_module,
     random_triple,
     rng_for,
@@ -67,7 +65,7 @@ class TestProjector:
 
 class TestGrassmannOperator:
     def test_free_module_is_graded_lift(self, free_module, two_point):
-        op = grassmann_product_operator(free_module)
+        op = product_operator(free_module)
         expected = np.kron(np.diag([1.0, -1.0]), two_point.dirac)
         assert np.allclose(op.mat, expected)
         assert spectrum(op) == pytest.approx([-1.0, -1.0, 1.0, 1.0])
@@ -75,13 +73,13 @@ class TestGrassmannOperator:
     def test_zero_module(self, two_point):
         p = np.zeros((2, 2, 2), dtype=complex)
         module = ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
-        op = grassmann_product_operator(module)
+        op = product_operator(module)
         assert not np.any(op.mat)
         assert spectrum(op) == []
 
     def test_diagonal_module_matches_hand_assembly(self, two_point_module):
         # direct assembly oracle: compress the graded lift by the projector
-        op = grassmann_product_operator(two_point_module)
+        op = product_operator(two_point_module)
         proj = np.diag([1.0, 0.0, 0.0, 1.0])
         lift = np.kron(np.diag([1.0, -1.0]), two_point_module.triple.dirac)
         assert np.allclose(op.mat, proj @ lift @ proj)
@@ -92,7 +90,7 @@ class TestGrassmannOperator:
     def test_symmetric_and_compressed(self, seed):
         rng = np.random.default_rng(seed)
         module = random_module(rng, random_triple(rng))
-        op = grassmann_product_operator(module)
+        op = product_operator(module)
         assert op.symmetry_residual() <= 1e-10
         assert op.support_residual() <= 1e-10
         assert op.oddness_residual() <= 1e-10
@@ -119,8 +117,8 @@ class TestGrassmannOperator:
         p[1, 1, 0] = 1
         mod1 = ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
         mod3 = ProjectiveModule(scaled, p, np.array([1.0, -1.0]))
-        s1 = np.array(spectrum(grassmann_product_operator(mod1)))
-        s3 = np.array(spectrum(grassmann_product_operator(mod3)))
+        s1 = np.array(spectrum(product_operator(mod1)))
+        s3 = np.array(spectrum(product_operator(mod3)))
         assert np.allclose(s3, 3.0 * s1)
 
 
@@ -171,7 +169,7 @@ class TestRepresentConnection:
         rng = np.random.default_rng(seed)
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_, allow_free=False)
-        a = random_connection_nonhermitian(rng, module)
+        a = random_connection(rng, module, hermitian=False)
         a_d, a_d2 = a.represented()
         c_d, c_d2 = a.compressed().represented()
         proj = module.projector
@@ -188,7 +186,7 @@ class TestRepresentConnection:
 
 class TestProductOperator:
     def test_zero_form_reduces_to_grassmann(self, two_point_module):
-        base = grassmann_product_operator(two_point_module)
+        base = product_operator(two_point_module)
         op = product_operator(two_point_module, zero_connection(two_point_module))
         assert np.allclose(op.mat, base.mat)
 
@@ -204,34 +202,34 @@ class TestProductOperator:
     def test_free_module_additivity(self, free_module):
         a = symmetrize_connection(delta_connection(free_module))
         a_d, _ = represent_connection(free_module, a)
-        base = grassmann_product_operator(free_module).mat
+        base = product_operator(free_module).mat
         op = product_operator(free_module, a)
         assert np.allclose(op.mat, base + a_d)
 
     def test_sq_lift_free_module(self, free_module, two_point):
-        op = product_operator_sq_lift(free_module)
-        assert np.allclose(op.mat, np.kron(np.eye(2), two_point.dirac @ two_point.dirac))
+        n_op = connection_operators(free_module).n_op
+        assert np.allclose(n_op, np.kron(np.eye(2), two_point.dirac @ two_point.dirac))
 
     def test_sq_lift_two_point_module(self, two_point_module):
-        op = product_operator_sq_lift(two_point_module)
-        assert np.allclose(op.mat, two_point_module.projector)
+        n_op = connection_operators(two_point_module).n_op
+        assert np.allclose(n_op, two_point_module.projector)
 
     def test_sq_lift_with_delta_entries(self, free_module, two_point):
         a = delta_connection(free_module)
-        op = product_operator_sq_lift(free_module, a)
+        n_op = connection_operators(free_module, a).n_op
         d2 = two_point.dirac @ two_point.dirac
         expected = np.kron(np.eye(2), d2).astype(complex)
         expected[:2, :2] += commutator(d2, two_point.basis[1])
-        assert np.allclose(op.mat, expected)
+        assert np.allclose(n_op, expected)
 
     def test_spectrum_rejects_nonsymmetric(self, free_module):
-        op = grassmann_product_operator(free_module)
+        op = product_operator(free_module)
         skew = type(op)(op.mat + 1j * np.eye(4), op.projector, op.grading)
         with pytest.raises(InvariantViolation):
             spectrum(skew)
 
     def test_spectrum_of_zero_operator(self, two_point_module):
-        op = grassmann_product_operator(two_point_module)
+        op = product_operator(two_point_module)
         # the compressed graded lift vanishes on this module; rank of P is 2
         assert spectrum(op) == pytest.approx([0.0, 0.0])
 
@@ -252,14 +250,14 @@ class TestHermitianResidual:
         rng = rng_for(2)
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_, m=2, allow_free=False)
-        a = random_connection_nonhermitian(rng, module)
+        a = random_connection(rng, module, hermitian=False)
         assert hermitian_residual(module, a) > 0.1
 
     def test_pairing_adjoint_is_involutive(self):
         rng = rng_for(19)
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_)
-        a = random_connection_nonhermitian(rng, module)
+        a = random_connection(rng, module, hermitian=False)
         again = a.pairing_adjoint().pairing_adjoint()
         assert np.allclose(again.entries, a.entries, atol=1e-10)
 
@@ -267,6 +265,6 @@ class TestHermitianResidual:
         rng = rng_for(23)
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_)
-        a = symmetrize_connection(random_connection_nonhermitian(rng, module))
+        a = symmetrize_connection(random_connection(rng, module, hermitian=False))
         a_d, _ = a.represented()
         assert frobenius_norm(a_d - a_d.conj().T) <= 1e-10

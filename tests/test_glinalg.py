@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgcurv import ProjectiveModule, SpectralTriple
-from ncgcurv.generate import random_module, random_triple
+from ncgcurv.forms import junk_space, kernel_one_forms
+from ncgcurv.generate import random_module, random_triple, rng_for
 from ncgcurv.glinalg import (
     adjoint,
     anticommutator,
     commutator,
+    frobenius_norm,
     membership_residual,
     orthonormality_defect,
+    parity_residual,
     project_off,
     solve_kernel,
     spectral_norm,
     subspace_basis,
+    support_residual,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -237,5 +241,59 @@ class TestSolveKernel:
         length = a @ b if rank else np.zeros((p, q), dtype=complex)
         kernel = solve_kernel(length)
         assert len(kernel) == q - rank
+        assert orthonormality_defect(kernel) <= 1e-12
         for v in kernel:
             assert np.linalg.norm(length @ v) <= 1e-9 * max(1.0, np.linalg.norm(length))
+
+    def test_thin_svd_spans_the_full_svd_kernel_on_the_ladder(self):
+        # The seed-7 (n, d) ladder triples: L is tall, so the thin SVD's vh is
+        # already square.  Its kernel must span what the full SVD's does.
+        rungs = ((6, 4), (12, 8), (16, 8), (20, 10))
+        for idx, ((n, d), junk_dim) in enumerate(zip(rungs, (2, 12, 8, 18))):
+            st_ = random_triple(rng_for(7 + idx), n=n, d=d, kind="diag")
+            kernel = np.array([w.coeffs.ravel() for w in kernel_one_forms(st_)])
+            reference = full_svd_kernel(st_)
+            assert kernel.shape == reference.shape
+            proj = kernel.T @ kernel.conj()
+            assert np.linalg.norm(proj - reference.T @ reference.conj()) <= 1e-12
+            assert junk_space(st_).dim == junk_dim
+
+
+def full_svd_kernel(st_, rank_tol=1e-9):
+    """Rows spanning ker(m) intersect ker(pi_d), from the full SVD of its map."""
+    pairs = st_.pair_products(np.stack([st_.basis_stack, st_.dirac_commutators]))
+    L = pairs.transpose(1, 2, 0, 3, 4).reshape(st_.d * st_.d, -1).T
+    _, s, vh = np.linalg.svd(L, full_matrices=True)
+    return vh[int(np.sum(s > rank_tol * s[0])):].conj()
+
+
+class TestCheckFormulas:
+    """support_residual and parity_residual, the shared operator checks."""
+
+    g = np.diag([1.0, -1.0])
+    odd = np.array([[0.0, 2.0], [2.0, 0.0]])
+    even = np.diag([3.0, -1.0])
+
+    def test_parity_residual_tells_odd_from_even(self):
+        assert parity_residual(self.g, self.odd, odd=True) == 0.0
+        assert parity_residual(self.g, self.odd, odd=False) > 0.0
+        assert parity_residual(self.g, self.even, odd=False) == 0.0
+        assert parity_residual(self.g, self.even, odd=True) > 0.0
+
+    def test_support_residual_zero_only_on_range(self):
+        p = np.diag([1.0, 0.0])
+        assert support_residual(p, np.diag([5.0, 0.0])) == 0.0
+        assert support_residual(p, self.odd) > 0.0
+
+    def test_norm_floor(self):
+        # relative above norm 1, absolute below it
+        p = np.diag([1.0, 0.0])
+        e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert support_residual(p, 4.0 * e01) == pytest.approx(1.0)
+        assert support_residual(p, 0.25 * e01) == pytest.approx(0.25)
+        small = 0.1 * self.odd
+        assert parity_residual(self.g, self.odd, odd=False) == pytest.approx(2.0)
+        assert parity_residual(self.g, small, odd=False) == pytest.approx(
+            2.0 * frobenius_norm(small))
+        assert parity_residual(self.g, 0.1 * self.even, odd=True) == pytest.approx(
+            2.0 * frobenius_norm(0.1 * self.even))
