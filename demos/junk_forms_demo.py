@@ -10,7 +10,7 @@ import numpy as np
 
 from ncgcurv import SpectralTriple
 from ncgcurv.forms import junk_space, kernel_one_forms, two_form_space
-from ncgcurv.glinalg import anticommutator, frobenius_norm
+from ncgcurv.glinalg import anticommutator, frobenius_norm, project_off
 
 gamma = np.diag([1.0, 1.0, -1.0])
 q1 = np.diag([1.0, 0.0, 0.0])
@@ -38,4 +38,4 @@ print("junk dimension:", junk.dim, "inside the", two.dim, "dimensional two-form 
 # Canonical representatives drop the junk component.
 m = w.pi_d2()
 print("\n|pi_D2(w)|            =", frobenius_norm(m))
-print("|pi_D2(w) mod junk|   =", frobenius_norm(junk.project_off(m)))
+print("|pi_D2(w) mod junk|   =", frobenius_norm(project_off(m, junk.basis)))

@@ -2,14 +2,19 @@
 """Exact brute-force verification of the two-point fixture values.
 
 Recomputes, in rational arithmetic with sympy and without importing the
-package, the represented form-space dimensions of the two-point triple and
-the curvature matrix of the projective-module fixture.  Prints a JSON
-object of the frozen expectations used by the test suite.
+package, the represented form-space dimensions of the two-point triple, the
+curvature matrix of the projective-module fixture, and every number of the
+curvature, product-spectrum and correspondence reports on
+fixtures/two_point_free_module.json.  Prints a JSON object of the frozen
+expectations used by the test suite.
 """
 
 import json
+from pathlib import Path
 
-from sympy import Matrix, Rational, eye, zeros
+from sympy import Matrix, Rational, eye, sqrt, zeros
+
+FREE_MODULE = Path(__file__).resolve().parents[1] / "fixtures" / "two_point_free_module.json"
 
 
 def comm(x, y):
@@ -30,6 +35,123 @@ def kron(a, b):
     for i in range(a.rows):
         for j in range(a.cols):
             out[i * b.rows:(i + 1) * b.rows, j * b.cols:(j + 1) * b.cols] = a[i, j] * b
+    return out
+
+
+def exact(x):
+    return Rational(str(x))
+
+
+def fro(m):
+    return sqrt(sum(abs(x) ** 2 for x in m))
+
+
+def hermitian_norm(m):
+    assert m == m.H, "spectral norm by eigenvalues needs a Hermitian matrix"
+    return max(abs(v) for v in m.eigenvals())
+
+
+def payload(m):
+    # the report layout: each entry as [real, imaginary]
+    return [[[float(part) for part in x.as_real_imag()] for x in m.row(i)]
+            for i in range(m.rows)]
+
+
+def free_module_reports(basis, dirac, junk_dim):
+    """The three module reports of the free-module fixture, value by value.
+
+    Every check residual is an identity of exact algebra, so each is 0 here.
+    """
+    assert junk_dim == 0, "the junk-canonical representative below is R itself"
+    scen = json.loads(FREE_MODULE.read_text(encoding="utf-8"))
+    assert [Matrix(b) for b in scen["triple"]["basis"]] == basis, "not the two-point triple"
+    assert Matrix(scen["triple"]["dirac"]) == dirac, "not the two-point triple"
+    n, d = dirac.rows, len(basis)
+    signs = scen["module"]["gamma_signs"]
+    m = len(signs)
+    gamma = Matrix(scen["triple"]["gamma"])
+
+    def assemble(table):
+        out = zeros(m * n, m * n)
+        for i in range(m):
+            for j in range(m):
+                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = sum(
+                    (exact(table[i][j][k]) * basis[k] for k in range(d)), zeros(n, n))
+        return out
+
+    def represented(right):
+        out = zeros(m * n, m * n)
+        for i in range(m):
+            for j in range(m):
+                c = scen["connection"]["entries"][i][j]
+                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = sum(
+                    (exact(c[k][l]) * basis[k] * right[l]
+                     for k in range(d) for l in range(d)), zeros(n, n))
+        return out
+
+    proj = assemble(scen["module"]["p"])
+    sign = Matrix.diag(*signs)
+    grading = kron(sign, gamma)
+    dt = kron(sign, dirac)
+    a_d = proj * represented([comm(dirac, b) for b in basis]) * proj
+    a_d2 = proj * represented([comm(dirac * dirac, b) for b in basis]) * proj
+    m_op = proj * dt * proj + a_d
+    n_op = proj * kron(eye(m), dirac * dirac) * proj + a_d2
+    curv = m_op * m_op - n_op
+    dp = comm(dt, proj)
+    formula = (proj * dp * dp * proj + a_d * a_d
+               + proj * (dt * a_d + a_d * dt) * proj - a_d2)
+    assert proj == eye(m * n), "the module is free, so M's spectrum is its spectrum on range(P)"
+
+    s_op = assemble(scen["vertical"]["entries"])
+    corr = (s_op + m_op) ** 2 - s_op * s_op - n_op
+    s_m = s_op * m_op + m_op * s_op
+    return {
+        "curvature": {
+            "checks": {
+                "route_residual": fro(curv - formula),
+                "curvature_even": fro(grading * curv * grading - curv),
+                "curvature_support": fro(proj * curv * proj - curv),
+                "curvature_symmetric": fro(curv - curv.H),
+            },
+            "values": {"norm": hermitian_norm(curv), "junk_dim": junk_dim},
+            "matrices": {"curvature": curv, "junk_canonical": curv},
+        },
+        "product-spectrum": {
+            "checks": {
+                "product_op_support": fro(proj * m_op * proj - m_op),
+                "product_op_odd": fro(grading * m_op * grading + m_op),
+                "product_op_symmetric": fro(m_op - m_op.H),
+            },
+            "values": {"rank": m * n,
+                       "spectrum": sorted(v for v, k in m_op.eigenvals().items()
+                                          for _ in range(k))},
+        },
+        "correspondence": {
+            "checks": {
+                "vertical_selfadjoint": fro(s_op - s_op.H),
+                "vertical_compressed": fro(proj * s_op * proj - s_op),
+                "vertical_odd": fro(grading * s_op * grading + s_op),
+                "correspondence_decomposition": fro(corr - curv - s_m),
+            },
+            "values": {"norm": hermitian_norm(corr),
+                       "wac_diagnostic": hermitian_norm(s_m) / (hermitian_norm(s_op) + 1)},
+            "matrices": {"correspondence_curvature": corr},
+        },
+    }
+
+
+def to_json(report):
+    out = {}
+    for part, entries in report.items():
+        out[part] = {}
+        for name, x in entries.items():
+            if isinstance(x, Matrix):
+                out[part][name] = payload(x)
+            elif isinstance(x, list):
+                out[part][name] = [float(v) for v in x]
+            else:
+                out[part][name] = float(x)
     return out
 
 
@@ -83,6 +205,8 @@ def main():
         "junk_dim": int(junk_dim),
         "curvature_diag": [int(curv[i, i]) for i in range(4)],
         "curvature_norm": int(norm),
+        "free_module": {cmd: to_json(rep)
+                        for cmd, rep in free_module_reports(basis, dirac, junk_dim).items()},
     }))
 
 

@@ -199,7 +199,9 @@ class ConnectionForm:
         return float(norms.max()) if norms.size else 0.0
 
     def compressed(self) -> "ConnectionForm":
-        """Exact universal compression P . C . P through the bimodule actions."""
+        """P . C . P at the universal level; serves only generate and the identity test.
+
+        :func:`represent_connection` compresses the represented pair instead."""
         p = self.module.p
         T = self.module.triple.mult_tensor
         right = np.einsum("klrq,ljm,qms->kjrs", self.entries, p, T)
@@ -255,14 +257,17 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
 
 def represent_connection(module: ProjectiveModule, a: ConnectionForm,
                          tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Validated, canonically compressed (A_D, A_D2) pair for a connection form.
+    """Validated (P A_D P, P A_D2 P) pair for a connection form.
 
-    The user-supplied table is checked against the structural invariants and
-    then compressed exactly at the universal level, so that the represented
-    pair is supported on the range of P.
+    pi_d and pi_d2 are A-bimodule maps on ker(m), so compressing after
+    representing equals representing P . C . P.  Off ker(m) the two differ by
+    terms of size connection_ker_mult * ||[D^k, P]||, and validation gates
+    connection_ker_mult at tol.
     """
     _require(validate_connection(module, a, tol))
-    return a.compressed().represented()
+    P = module.projector
+    a_d, a_d2 = a.represented()
+    return P @ a_d @ P, P @ a_d2 @ P
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .glinalg import (
     anticommutator,
     frobenius_norm,
     membership_residual,
-    project_off,
     relative_distance,
     solve_kernel,
     subspace_basis,
@@ -179,10 +178,6 @@ class FormSpace:
     def membership(self, mat) -> float:
         return membership_residual(mat, self.basis)
 
-    def project_off(self, mat) -> np.ndarray:
-        """mat minus its orthogonal projection onto the span."""
-        return project_off(mat, self.basis)
-
 
 def one_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_j]} as an orthonormal FormSpace."""
@@ -218,9 +213,10 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
 
     Pipeline: (1) the linear map c -> (sum c b_i b_j, sum c b_i [D, b_j]) on
     coefficient space, (2) its numerical kernel, (3) the span of pi_d2 over
-    that kernel.
+    that kernel, each form contracted with one shared b_i [D^2, b_j] stack.
     """
     kernel = kernel_one_forms(st, rank_tol)
-    mats = [w.pi_d2() for w in kernel]
+    pairs = st.pair_products(st.dirac_sq_commutators)
+    mats = [np.tensordot(w.coeffs, pairs, axes=2) for w in kernel]
     return FormSpace(tuple(subspace_basis(mats, rank_tol)))
 

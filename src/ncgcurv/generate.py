@@ -152,12 +152,9 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
         cut = int(np.argmax(gaps)) + 1
         cols = vecs[:, cut:]
         proj = cols @ cols.conj().T
-        proj_blocks = proj.reshape(m, n, m, n)
-        p = np.zeros((m, m, d), dtype=complex)
+        blocks = proj.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
         try:
-            for i in range(m):
-                for j in range(m):
-                    p[i, j] = st.coords(proj_blocks[i, :, j, :], tol=1e-7)
+            p = st.coords(blocks, tol=1e-7).reshape(m, m, d)
         except NotInAlgebraError:
             continue
         return ProjectiveModule(st, p, signs)

@@ -18,7 +18,6 @@ from .glinalg import (
     DEFAULT_RANK_TOL,
     as_complex_matrix,
     commutator,
-    frobenius_norm,
     relative_distance,
     spectral_norm,
 )
@@ -166,44 +165,49 @@ class SpectralTriple:
     @cached_property
     def mult_tensor(self) -> np.ndarray:
         """(d, d, d) structure constants: b_i b_j = sum_k T[i,j,k] b_k."""
-        T = np.empty((self.d, self.d, self.d), dtype=complex)
-        for i in range(self.d):
-            for j in range(self.d):
-                T[i, j] = self.coords(self.basis[i] @ self.basis[j],
-                                      context=f"b_{i} * b_{j}")
-        return T
+        prods = self.pair_products(self.basis_stack).reshape(-1, self.n, self.n)
+        T = self.coords(prods, context="b_i * b_j over flattened (i, j)")
+        return T.reshape(self.d, self.d, self.d)
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
         """(d, d) matrix S with b_k^* = sum_j S[j,k] b_j."""
-        S = np.empty((self.d, self.d), dtype=complex)
-        for k in range(self.d):
-            S[:, k] = self.coords(self.basis[k].conj().T, context=f"b_{k}^*")
-        return S
+        adjoints = self.basis_stack.conj().transpose(0, 2, 1)
+        return self.coords(adjoints, context="b_k^* over k").T.copy()  # C order, see coords
 
     # -- algebra coordinates ---------------------------------------------
 
     def assemble(self, coeffs) -> np.ndarray:
-        """Matrix of the algebra element with the given coefficient vector."""
+        """Algebra element of a coefficient vector, or (k, n, n) of a (k, d) stack."""
         c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (self.d,):
-            raise ValueError(f"coefficient vector must have length {self.d}, got {c.shape}")
-        return np.einsum("k,kab->ab", c, self.basis_stack)
+        if c.ndim not in (1, 2) or c.shape[-1] != self.d:
+            raise ValueError(f"coefficient vectors must have length {self.d}, got {c.shape}")
+        return np.einsum("...k,kab->...ab", c, self.basis_stack)
 
     def coords(self, mat, tol: float = DEFAULT_TOL, context: str = "") -> np.ndarray:
         """Least-squares coefficients of ``mat`` in the algebra basis.
 
-        Raises NotInAlgebraError (carrying the relative residual) when the
-        matrix is not in the span to within ``tol``.
+        ``mat`` is an n x n matrix, giving d coefficients, or a (k, n, n)
+        stack, giving (k, d) from one ``lstsq``.  Raises NotInAlgebraError
+        (carrying the relative residual, and for a stack the index of the
+        first failing matrix) when a matrix is not in the span within ``tol``.
         """
         mat = as_complex_matrix(mat)
-        if mat.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
-        c, *_ = np.linalg.lstsq(self._vec_basis, mat.ravel(), rcond=None)
-        residual = frobenius_norm(self.assemble(c) - mat) / max(1.0, frobenius_norm(mat))
-        if residual > tol:
-            raise NotInAlgebraError(residual, context)
-        return c
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (self.n, self.n):
+            raise ValueError(f"expected {self.n}x{self.n} matrices, got shape {mat.shape}")
+        vecs = mat.reshape(-1, self.n * self.n)
+        c, *_ = np.linalg.lstsq(self._vec_basis, vecs.T, rcond=None)
+        # C order: einsum and matmul round differently on strided operands,
+        # and the generated scenarios depend on these bits
+        c = c.T.copy()
+        defect = np.linalg.norm((self.assemble(c) - mat).reshape(vecs.shape), axis=1)
+        residual = defect / np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+        bad = np.flatnonzero(residual > tol)
+        if bad.size:
+            where = f"index {bad[0]}" if mat.ndim == 3 else ""
+            raise NotInAlgebraError(float(residual[bad[0]]),
+                                    ", ".join(filter(None, (context, where))))
+        return c if mat.ndim == 3 else c[0]
 
     def star_coords(self, coeffs) -> np.ndarray:
         """Coefficients of the adjoint of the element with coefficients ``coeffs``."""
@@ -286,16 +290,12 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
     margin = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     checks.append(Check("basis_independent", margin, rank_tol, op=">="))
 
-    def span_residual(mat: np.ndarray) -> float:
-        c, *_ = np.linalg.lstsq(st._vec_basis, mat.ravel(), rcond=None)
-        return relative_distance(st.assemble(c), mat)
+    def span_residual(mats: np.ndarray) -> float:
+        fits = st.assemble(st.coords(mats, tol=np.inf))
+        return max(relative_distance(f, m) for f, m in zip(fits, mats))
 
-    mult_res = 0.0
-    star_res = 0.0
-    for i in range(st.d):
-        star_res = max(star_res, span_residual(st.basis[i].conj().T))
-        for j in range(st.d):
-            mult_res = max(mult_res, span_residual(st.basis[i] @ st.basis[j]))
+    mult_res = span_residual(st.pair_products(st.basis_stack).reshape(-1, st.n, st.n))
+    star_res = span_residual(st.basis_stack.conj().transpose(0, 2, 1))
     checks.append(Check("algebra_closed_mult", mult_res, tol))
     checks.append(Check("algebra_closed_star", star_res, tol))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncgcurv import ProjectiveModule, SpectralTriple
+from ncgcurv.generate import random_module, random_triple, rng_for
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -59,6 +60,17 @@ def n3() -> SpectralTriple:
     q2 = np.diag([0.0, 1.0, 0.0])
     dirac = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     return SpectralTriple(gamma, (np.eye(3), q1, q2), dirac)
+
+
+@pytest.fixture(scope="session")
+def ladder_modules() -> list[ProjectiveModule]:
+    """Module of each size-ladder rung (n, d, m), drawn as the benchmark does."""
+    modules = []
+    for idx, (n, d, m) in enumerate(((6, 4, 4), (12, 8, 4), (16, 8, 6), (20, 10, 6))):
+        rng = rng_for(7 + idx)
+        st_ = random_triple(rng, n=n, d=d, kind="diag")
+        modules.append(random_module(rng, st_, m=m, allow_free=False))
+    return modules
 
 
 @pytest.fixture(scope="session")

@@ -194,13 +194,6 @@ def lifted_svd_canonical(r, module, junk, rank_tol=1e-9):
     return r - (vh.T @ (vh.conj() @ r.ravel())).reshape(r.shape)
 
 
-def ladder_module(idx, n, d, m):
-    """Triple and module of a size-ladder rung, drawn as the benchmark does."""
-    rng = rng_for(7 + idx)
-    st_ = random_triple(rng, n=n, d=d, kind="diag")
-    return random_module(rng, st_, m=m, allow_free=False)
-
-
 def bimodule_defect(st_, junk):
     """Largest distance of b_i J b_j from span Junk, over max(1, ||b_i J b_j||)."""
     j, b = np.stack(junk.basis), st_.basis_stack
@@ -229,14 +222,14 @@ class TestBlockwiseJunkProjection:
                                    m=2, allow_free=False)
             self._check_agrees(module, random_connection(rng, module))
 
-    def test_matches_lifted_svd_on_ladder_rung(self):
-        module = ladder_module(1, 12, 8, 4)
+    def test_matches_lifted_svd_on_ladder_rung(self, ladder_modules):
+        module = ladder_modules[1]
         self._check_agrees(module, random_connection(rng_for(61), module))
 
-    def test_numerically_zero_lifted_span_leaves_r(self):
+    def test_numerically_zero_lifted_span_leaves_r(self, ladder_modules):
         # every lift P (E_kl (x) J) P is ~1e-17 here; an SVD cut relative to
         # sigma_max once kept 23 noise directions and moved R by 0.76 ||R||
-        module = ladder_module(2, 16, 8, 6)
+        module = ladder_modules[2]
         junk = junk_space(module.triple)
         assert junk.dim > 0
         report = curvature_report(module, random_connection(rng_for(61), module),
@@ -257,13 +250,12 @@ class TestBlockwiseJunkProjection:
         assert junk_coset_residual(r1, r2, module, junk=junk) == pytest.approx(
             expected / max(1.0, frobenius_norm(x)), abs=1e-12)
 
-    def test_junk_is_a_bimodule(self):
+    def test_junk_is_a_bimodule(self, ladder_modules):
         # the hypothesis of the blockwise projection: b_i J b_j stays in Junk
         rng = rng_for(71)
         triples = [random_triple(rng, kind="diag") for _ in range(25)]
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(25)]
-        triples += [ladder_module(k, *rung).triple for k, rung in
-                    enumerate(((6, 4, 4), (12, 8, 4), (16, 8, 6), (20, 10, 6)))]
+        triples += [module.triple for module in ladder_modules]
         worst, with_junk = 0.0, 0
         for st_ in triples:
             junk = junk_space(st_)

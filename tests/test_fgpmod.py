@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgcurv import ProjectiveModule
+from ncgcurv.curvature import curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
     InvariantViolation,
@@ -175,6 +176,53 @@ class TestRepresentConnection:
         proj = module.projector
         assert np.allclose(c_d, proj @ a_d @ proj, atol=1e-10)
         assert np.allclose(c_d2, proj @ a_d2 @ proj, atol=1e-10)
+
+    def test_compresses_the_represented_pair(self):
+        rng = rng_for(17)
+        st_ = random_triple(rng, n=4, kind="amp2")
+        module = random_module(rng, st_, allow_free=False)
+        a = random_connection(rng, module)
+        a_d, a_d2 = a.represented()
+        proj = module.projector
+        r_d, r_d2 = represent_connection(module, a)
+        assert np.array_equal(r_d, proj @ a_d @ proj)
+        assert np.array_equal(r_d2, proj @ a_d2 @ proj)
+
+    def test_agrees_with_universal_compression(self, ladder_modules):
+        # P pi(C) P against pi(P C P): equal on ker(m), up to rounding
+        rng = rng_for(19)
+        modules = [random_module(rng, random_triple(rng, kind="diag"), allow_free=False)
+                   for _ in range(10)]
+        modules += [random_module(rng, random_triple(rng, n=4, kind="amp2"),
+                                  allow_free=False) for _ in range(10)]
+        for module in modules + ladder_modules:
+            a = random_connection(rng, module, hermitian=False)
+            for got, want in zip(represent_connection(module, a),
+                                 a.compressed().represented()):
+                assert frobenius_norm(got - want) <= 1e-12 * max(1.0, frobenius_norm(want))
+
+    def test_curvature_report_skips_universal_compression(self, monkeypatch):
+        rng = rng_for(23)
+        module = random_module(rng, random_triple(rng, n=4, kind="amp2"), allow_free=False)
+        a = random_connection(rng, module)
+        calls = []
+        compressed = ConnectionForm.compressed
+        monkeypatch.setattr(ConnectionForm, "compressed",
+                            lambda self: calls.append(1) or compressed(self))
+        curvature_report(module, a)
+        assert calls == []
+
+    def test_planted_bad_connections_still_raise(self, two_point_module):
+        # pi_d(1 (x) 1) = 0 but 1 (x) 1 is not in ker(m)
+        off_kernel = np.zeros((2, 2, 2, 2), dtype=complex)
+        off_kernel[0, 0, 0, 0] = 1.0
+        with pytest.raises(InvariantViolation) as err:
+            represent_connection(two_point_module, ConnectionForm(two_point_module, off_kernel))
+        assert err.value.check.name == "connection_ker_mult"
+        # delta(q) at (0, 0) represents to [D, q], which P = diag(q, 1 - q) cuts
+        with pytest.raises(InvariantViolation) as err:
+            represent_connection(two_point_module, delta_connection(two_point_module))
+        assert err.value.check.name == "connection_compressed"
 
     def test_validation_checks_pass_for_generated(self):
         rng = rng_for(11)

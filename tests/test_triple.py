@@ -58,6 +58,31 @@ class TestAlgebraCoords:
             two_point.coords(two_point.dirac)
         assert err.value.residual == pytest.approx(1.0, rel=1e-12)
 
+    def test_stack_solves_each_matrix(self):
+        # one lstsq for a stack gives the bits of one lstsq per matrix, in C
+        # order: einsums over strided tables round differently, which would
+        # move every generated connection
+        rng = rng_for(31)
+        for kind in ("diag", "amp2", "diag"):
+            st_ = random_triple(rng, n=4, kind=kind)
+            assert st_.mult_tensor.flags.c_contiguous and st_.star_matrix.flags.c_contiguous
+            for i in range(st_.d):
+                assert np.array_equal(st_.star_matrix[:, i],
+                                      st_.coords(st_.basis[i].conj().T))
+                for j in range(st_.d):
+                    assert np.array_equal(st_.mult_tensor[i, j],
+                                          st_.coords(st_.basis[i] @ st_.basis[j]))
+
+    def test_stack_names_first_failing_index(self, two_point):
+        q = two_point.basis[1]
+        stack = np.stack([q, two_point.dirac, q, two_point.dirac])
+        with pytest.raises(NotInAlgebraError, match="products, index 1") as err:
+            two_point.coords(stack, context="products")
+        assert err.value.residual == pytest.approx(1.0, rel=1e-12)
+        assert two_point.coords(stack[[0, 2]]).shape == (2, 2)
+        with pytest.raises(ValueError):
+            two_point.coords(np.zeros((1, 1, 2, 2)))
+
     def test_structure_constants(self, two_point):
         # q * q = q in the two-point algebra
         out = two_point.multiply_coords([0.0, 1.0], [0.0, 1.0])
