@@ -23,12 +23,11 @@ from .curvature import (
 )
 from .fgpmod import (
     ConnectionForm,
-    ProductOperator,
+    ConnectionOperators,
     ProjectiveModule,
     build_projector,
+    connection_operators,
     hermitian_residual,
-    product_operator,
-    represent_connection,
     spectrum,
     symmetrize_connection,
     zero_connection,
@@ -66,10 +65,10 @@ from .triple import SpectralTriple, c1_norm, c2_norm, validate
 
 __all__ = [
     "ConnectionForm",
+    "ConnectionOperators",
     "CurvatureReport",
     "FormSpace",
     "FramePoint",
-    "ProductOperator",
     "ProjectiveModule",
     "SpectralTriple",
     "UniversalOneForm",
@@ -80,6 +79,7 @@ __all__ = [
     "c1_norm",
     "c2_norm",
     "canned_frame",
+    "connection_operators",
     "correspondence_curvature",
     "correspondence_decomposition_residual",
     "curvature_direct",
@@ -99,8 +99,6 @@ __all__ = [
     "mean_curvature",
     "membership_residual",
     "one_form_space",
-    "product_operator",
-    "represent_connection",
     "right_mult",
     "second_fundamental_form",
     "solve_kernel",

@@ -31,13 +31,19 @@ from .fgpmod import (
     InvariantViolation,
     _require,
     connection_operators,
-    product_operator,
     spectrum,
     validate_connection,
     validate_module,
 )
 from .forms import junk_space, one_form_space, two_form_space
-from .glinalg import DEFAULT_RANK_TOL, orthonormality_defect, spectral_norm
+from .glinalg import (
+    DEFAULT_RANK_TOL,
+    orthonormality_defect,
+    parity_residual,
+    relative_distance,
+    spectral_norm,
+    support_residual,
+)
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
 from .triple import DEFAULT_TOL, Check, validate
@@ -260,10 +266,14 @@ def _cmd_external(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: 
 
 def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "product-spectrum")
-    op = product_operator(module, scen.connection, tol)
-    checks = op.validate(tol)
-    checks.append(Check("product_op_symmetric", op.symmetry_residual(), tol))
-    eigs = spectrum(op, tol)
+    ops = connection_operators(module, scen.connection, tol)
+    m_op = ops.m_op
+    checks = [
+        Check("product_op_support", support_residual(module.projector, m_op), tol),
+        Check("product_op_odd", parity_residual(module.grading, m_op, odd=True), tol),
+        Check("product_op_symmetric", relative_distance(m_op, m_op.conj().T), tol),
+    ]
+    eigs = spectrum(module, ops, tol)
     values = {"rank": len(eigs), "spectrum": [float(v) for v in eigs]}
     return checks, values, None, []
 

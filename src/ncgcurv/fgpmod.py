@@ -8,7 +8,10 @@ m x m table of universal coefficient tables.
 
 Assembled operators act on the product space C^m (x) C^n; the graded lift
 of the Dirac matrix is Gamma (x) D and the product operator of a connection
-is P (Gamma (x) D) P + A_D.
+is P (Gamma (x) D) P + A_D.  :func:`connection_operators` is the one place a
+connection is validated and represented: its :class:`ConnectionOperators`
+bundle is the one evaluated form that every operator, spectrum and curvature
+function reads.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ __all__ = [
     "ConnectionForm",
     "ConnectionOperators",
     "InvariantViolation",
-    "ProductOperator",
     "ProjectiveModule",
     "build_projector",
     "connection_operators",
     "hermitian_residual",
-    "product_operator",
-    "represent_connection",
     "spectrum",
     "symmetrize_connection",
     "validate_connection",
@@ -133,18 +133,6 @@ class ProjectiveModule:
         """(m, m) boolean mask of the Gamma-even entry positions."""
         return np.outer(self.signs, self.signs) > 0
 
-    def compress_algebra_table(self, table) -> np.ndarray:
-        """Coordinates of P . table . P for an (m, m, d) algebra table."""
-        table = np.asarray(table, dtype=complex)
-        T = self.triple.mult_tensor
-        right = np.einsum("kla,ljb,abc->kjc", table, self.p, T)
-        return np.einsum("ika,kjb,abc->ijc", self.p, right, T)
-
-    def star_algebra_table(self, table) -> np.ndarray:
-        """Blockwise adjoint of an (m, m, d) algebra table (star + transpose)."""
-        table = np.asarray(table, dtype=complex)
-        return np.einsum("jia,ba->ijb", np.conj(table), self.triple.star_matrix)
-
 
 def validate_module(module: ProjectiveModule, tol: float = DEFAULT_TOL) -> list[Check]:
     P = module.projector
@@ -198,16 +186,6 @@ class ConnectionForm:
         norms = np.linalg.norm(prods.reshape(self.module.m ** 2, -1), axis=1)
         return float(norms.max()) if norms.size else 0.0
 
-    def compressed(self) -> "ConnectionForm":
-        """P . C . P at the universal level; serves only generate and the identity test.
-
-        :func:`represent_connection` compresses the represented pair instead."""
-        p = self.module.p
-        T = self.module.triple.mult_tensor
-        right = np.einsum("klrq,ljm,qms->kjrs", self.entries, p, T)
-        out = np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
-        return replace(self, entries=out)
-
     def pairing_adjoint(self) -> "ConnectionForm":
         """Adjoint table C-dagger: transpose of entry positions, star on entries."""
         S = self.module.triple.star_matrix
@@ -237,9 +215,9 @@ def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
     return replace(sym, hermitian=True)
 
 
-def validate_connection(module: ProjectiveModule, a: ConnectionForm,
-                        tol: float = DEFAULT_TOL) -> list[Check]:
-    """Structural checks: ker(m) entries, grading support, compression, oddness."""
+def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndarray,
+                       tol: float) -> list[Check]:
+    """ker(m) entries, grading support, then compression and oddness of A_D."""
     checks = [Check("connection_ker_mult", a.mult_residual(), tol)]
 
     odd = a.entries[~module.even_mask].reshape(-1, module.triple.d ** 2)
@@ -247,7 +225,6 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
     scale = max(1.0, float(np.linalg.norm(a.entries)))
     checks.append(Check("connection_grading_support", odd_mass / scale, tol))
 
-    a_d, _ = a.represented()
     checks.append(Check("connection_compressed",
                         support_residual(module.projector, a_d), tol))
     checks.append(Check("connection_odd",
@@ -255,27 +232,19 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
     return checks
 
 
-def represent_connection(module: ProjectiveModule, a: ConnectionForm,
-                         tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (P A_D P, P A_D2 P) pair for a connection form.
-
-    pi_d and pi_d2 are A-bimodule maps on ker(m), so compressing after
-    representing equals representing P . C . P.  Off ker(m) the two differ by
-    terms of size connection_ker_mult * ||[D^k, P]||, and validation gates
-    connection_ker_mult at tol.
-    """
-    _require(validate_connection(module, a, tol))
-    P = module.projector
-    a_d, a_d2 = a.represented()
-    return P @ a_d @ P, P @ a_d2 @ P
+def validate_connection(module: ProjectiveModule, a: ConnectionForm,
+                        tol: float = DEFAULT_TOL) -> list[Check]:
+    """Structural checks: ker(m) entries, grading support, compression, oddness."""
+    return _connection_checks(module, a, a.represented()[0], tol)
 
 
 @dataclass(frozen=True)
 class ConnectionOperators:
-    """A connection evaluated once: its represented pair and its operators.
+    """The one evaluated form of a connection: its represented pair and operators.
 
-    m_op = P (Gamma (x) D) P + A_D is the product operator and
-    n_op = P (1 (x) D^2) P + A_D2 its lifted square.  Modulo junk, every
+    a_d = P A_D P and a_d2 = P A_D2 P are the compressed represented pair,
+    m_op = P (Gamma (x) D) P + a_d is the product operator and
+    n_op = P (1 (x) D^2) P + a_d2 its lifted square.  Modulo junk, every
     curvature quantity depends on the connection only through these.
     """
 
@@ -290,16 +259,24 @@ def connection_operators(module: ProjectiveModule,
                          tol: float = DEFAULT_TOL) -> ConnectionOperators:
     """Validate and represent ``a`` once; None or a zero form is the Grassmann connection.
 
+    Raises InvariantViolation on the first failing check of
+    :func:`validate_connection`.  pi_d and pi_d2 are A-bimodule maps on
+    ker(m), so compressing after representing equals representing P . C . P.
+    Off ker(m) the two differ by terms of size connection_ker_mult *
+    ||[D^k, P]||, and validation gates connection_ker_mult at tol.
+
     An already evaluated bundle is returned as it is, so a caller holding one
     can pass it to any function that takes a connection without re-validation.
     """
     if isinstance(a, ConnectionOperators):
         return a
+    P = module.projector
     if a is None or a.is_zero():
         a_d = a_d2 = np.zeros((module.dim, module.dim), dtype=complex)
     else:
-        a_d, a_d2 = represent_connection(module, a, tol)
-    P = module.projector
+        a_d, a_d2 = a.represented()
+        _require(_connection_checks(module, a, a_d, tol))
+        a_d, a_d2 = P @ a_d @ P, P @ a_d2 @ P
     return ConnectionOperators(
         a_d=a_d,
         a_d2=a_d2,
@@ -308,50 +285,16 @@ def connection_operators(module: ProjectiveModule,
     )
 
 
-@dataclass(frozen=True)
-class ProductOperator:
-    """An operator supported on range(P), odd for the module grading.
-
-    Built by :func:`product_operator`, where ``a=None`` is the Grassmann connection.
-    """
-
-    mat: np.ndarray
-    projector: np.ndarray
-    grading: np.ndarray
-
-    def symmetry_residual(self) -> float:
-        return relative_distance(self.mat, self.mat.conj().T)
-
-    def oddness_residual(self) -> float:
-        return parity_residual(self.grading, self.mat, odd=True)
-
-    def support_residual(self) -> float:
-        return support_residual(self.projector, self.mat)
-
-    def validate(self, tol: float = DEFAULT_TOL) -> list[Check]:
-        return [
-            Check("product_op_support", self.support_residual(), tol),
-            Check("product_op_odd", self.oddness_residual(), tol),
-        ]
-
-
-def product_operator(module: ProjectiveModule, a: ConnectionForm | None = None,
-                     tol: float = DEFAULT_TOL) -> ProductOperator:
-    """P (Gamma (x) D) P + A_D for the connection Grassmann + A.
-
-    ``a=None`` is the Grassmann connection, whose operator is P (Gamma (x) D) P.
-    """
-    ops = connection_operators(module, a, tol)
-    return ProductOperator(ops.m_op, module.projector, module.grading)
-
-
-def spectrum(op: ProductOperator, tol: float = DEFAULT_TOL) -> list[float]:
-    """Ascending eigenvalues of the operator restricted to range(P)."""
-    vals, vecs = np.linalg.eigh(op.projector)
+def spectrum(module: ProjectiveModule,
+             a: ConnectionForm | ConnectionOperators | None = None,
+             tol: float = DEFAULT_TOL) -> list[float]:
+    """Ascending eigenvalues of the product operator restricted to range(P)."""
+    m_op = connection_operators(module, a, tol).m_op
+    vals, vecs = np.linalg.eigh(module.projector)
     cols = vecs[:, vals > 0.5]
     if cols.shape[1] == 0:
         return []
-    compressed = cols.conj().T @ op.mat @ cols
+    compressed = cols.conj().T @ m_op @ cols
     _require([Check("spectrum_symmetric_input",
                     relative_distance(compressed, compressed.conj().T), tol)])
     return [float(v) for v in np.linalg.eigvalsh(compressed)]

@@ -189,6 +189,27 @@ def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
     return ConnectionForm(module, entries)
 
 
+def _compress_connection(a: ConnectionForm) -> ConnectionForm:
+    """P . C . P at the universal level: generated connections are compressed."""
+    p = a.module.p
+    T = a.module.triple.mult_tensor
+    right = np.einsum("klrq,ljm,qms->kjrs", a.entries, p, T)
+    out = np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
+    return replace(a, entries=out)
+
+
+def _compress_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarray:
+    """Coordinates of P . table . P for an (m, m, d) algebra table."""
+    T = module.triple.mult_tensor
+    right = np.einsum("kla,ljb,abc->kjc", table, module.p, T)
+    return np.einsum("ika,kjb,abc->ijc", module.p, right, T)
+
+
+def _star_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarray:
+    """Blockwise adjoint of an (m, m, d) algebra table (star + transpose)."""
+    return np.einsum("jia,ba->ijb", np.conj(table), module.triple.star_matrix)
+
+
 def random_connection(rng: np.random.Generator, module: ProjectiveModule,
                       hermitian: bool = True, rank_tol: float = DEFAULT_RANK_TOL) -> ConnectionForm:
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
@@ -196,7 +217,7 @@ def random_connection(rng: np.random.Generator, module: ProjectiveModule,
     a = _random_table_over(rng, module, basis)
     if hermitian:
         a = symmetrize_connection(a)
-    a = a.compressed()
+    a = _compress_connection(a)
     return replace(a, hermitian=hermitian)
 
 
@@ -210,8 +231,8 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
             for j in range(m):
                 if odd[i, j]:
                     table[i, j] = unit_disc(rng, (d,))
-        table = 0.5 * (table + module.star_algebra_table(table))
-        table = module.compress_algebra_table(table)
+        table = 0.5 * (table + _star_algebra_table(module, table))
+        table = _compress_algebra_table(module, table)
     return VerticalOperator(module, table)
 
 
@@ -229,5 +250,5 @@ def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
     kernel = kernel_one_forms(module.triple, rank_tol)
     if not kernel:
         return a, a
-    bump = _random_table_over(rng, module, kernel).compressed()
+    bump = _compress_connection(_random_table_over(rng, module, kernel))
     return a, replace(a + bump, hermitian=False)

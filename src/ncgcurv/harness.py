@@ -22,8 +22,8 @@ from .curvature import (
 from .fgpmod import (
     ConnectionForm,
     ProjectiveModule,
+    connection_operators,
     hermitian_residual,
-    product_operator,
 )
 from .forms import junk_space, kernel_one_forms, one_form_space, two_form_space
 from .glinalg import anticommutator, frobenius_norm, orthonormality_defect, spectral_norm
@@ -32,6 +32,7 @@ from .triple import Check, SpectralTriple, c1_norm, c2_norm
 __all__ = [
     "ajunkie_residuals",
     "correspondence_residuals",
+    "curvature_structure_residuals",
     "external_defect_ratios",
     "grassmann_residuals",
     "hermitian_identity_residuals",
@@ -159,13 +160,11 @@ def grassmann_residuals(seed: int, count: int) -> tuple[list[float], list[float]
     for k in range(count):
         st = generate.random_triple(rng)
         module = generate.random_module(rng, st)
-        if k % 2 == 0:
-            op = product_operator(module)
-        else:
-            a = generate.random_connection(rng, module, hermitian=True)
-            op = product_operator(module, a)
-        sym.append(frobenius_norm(op.mat - op.mat.conj().T))
-        odd.append(frobenius_norm(op.grading @ op.mat + op.mat @ op.grading))
+        a = None if k % 2 == 0 else generate.random_connection(rng, module, hermitian=True)
+        m_op = connection_operators(module, a).m_op
+        g = module.grading
+        sym.append(frobenius_norm(m_op - m_op.conj().T))
+        odd.append(frobenius_norm(g @ m_op + m_op @ g))
     return sym, odd
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncgcurv import ProjectiveModule, SpectralTriple
+from ncgcurv import ProjectiveModule, SpectralTriple, fgpmod
 from ncgcurv.generate import random_module, random_triple, rng_for
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +46,14 @@ def two_point_module(two_point) -> ProjectiveModule:
 
 
 @pytest.fixture
+def uneven_module(two_point) -> ProjectiveModule:
+    # p = (1/2) [[1, 1], [1, 1]] with signs (1, -1): a projection that mixes the grading
+    p = np.zeros((2, 2, 2), dtype=complex)
+    p[:, :, 0] = 0.5
+    return ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
+
+
+@pytest.fixture
 def free_module(two_point) -> ProjectiveModule:
     p = np.zeros((2, 2, 2), dtype=complex)
     p[0, 0, 0] = 1
@@ -60,6 +68,19 @@ def n3() -> SpectralTriple:
     q2 = np.diag([0.0, 1.0, 0.0])
     dirac = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     return SpectralTriple(gamma, (np.eye(3), q1, q2), dirac)
+
+
+@pytest.fixture
+def connection_evaluations(monkeypatch) -> list[str]:
+    """In call order: "represented" per ConnectionForm.represented, "checks" per validation."""
+    calls = []
+    represented = fgpmod.ConnectionForm.represented
+    checks = fgpmod._connection_checks
+    monkeypatch.setattr(fgpmod.ConnectionForm, "represented",
+                        lambda self: calls.append("represented") or represented(self))
+    monkeypatch.setattr(fgpmod, "_connection_checks",
+                        lambda *args: calls.append("checks") or checks(*args))
+    return calls
 
 
 @pytest.fixture(scope="session")

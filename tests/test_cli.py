@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from ncgcurv import fgpmod
 from ncgcurv.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from ncgcurv.scenario import ScenarioError, parse_scenario
 
@@ -82,19 +81,12 @@ class TestParsing:
 
 
 class TestSingleEvaluation:
-    def test_correspondence_validates_connection_once(self, fixtures_dir, monkeypatch):
-        calls = []
-        validate = fgpmod.validate_connection
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return validate(*args, **kwargs)
-
-        monkeypatch.setattr(fgpmod, "validate_connection", counting)
+    def test_correspondence_validates_connection_once(self, fixtures_dir,
+                                                      connection_evaluations):
         scen = parse_scenario(fixtures_dir / "two_point_free_module.json")
         assert not scen.connection.is_zero()
         assert run("correspondence", scen).passed
-        assert len(calls) == 1
+        assert connection_evaluations == ["represented", "checks"]
 
 
 class TestRun:

@@ -16,8 +16,8 @@ from ncgcurv.curvature import (
     validate_vertical,
     wac_diagnostic,
 )
-from ncgcurv import fgpmod, generate, harness
-from ncgcurv.fgpmod import InvariantViolation, represent_connection, symmetrize_connection
+from ncgcurv import generate, harness
+from ncgcurv.fgpmod import InvariantViolation, connection_operators, symmetrize_connection
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
     junk_lift_pair,
@@ -66,7 +66,8 @@ class TestFormulaRoute:
     def test_free_module_with_delta_form(self, free_module):
         # on a free module P = 1 and the formula is A^2 + [Dt, A]_+ - A_D2
         a = symmetrize_connection(delta_connection(free_module))
-        a_d, a_d2 = represent_connection(free_module, a)
+        ops = connection_operators(free_module, a)
+        a_d, a_d2 = ops.a_d, ops.a_d2
         dt = free_module.dirac_lift
         expected = a_d @ a_d + anticommutator(dt, a_d) - a_d2
         assert np.allclose(curvature_formula(free_module, a), expected, atol=1e-12)
@@ -95,6 +96,12 @@ class TestReport:
         assert report.norm == pytest.approx(1.0, abs=1e-12)
         # no junk on the two-point triple: the canonical representative is R
         assert np.allclose(report.junk_canonical, report.R)
+
+    def test_uneven_projector_gives_uneven_curvature(self, uneven_module):
+        report = curvature_report(uneven_module)
+        assert report.route_residual <= 1e-12
+        assert report.support_residual <= 1e-12
+        assert report.evenness_residual == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_structure_invariants_seeded(self):
         rng = rng_for(31)
@@ -298,9 +305,7 @@ class TestCorrespondence:
         a = random_connection(rng, module)
         s = random_vertical(rng, module)
         corr = correspondence_curvature(module, a, s)
-        from ncgcurv.fgpmod import product_operator
-
-        m_op = product_operator(module, a).mat
+        m_op = connection_operators(module, a).m_op
         expected = curvature_direct(module, a) + anticommutator(s.assembled(), m_op)
         assert np.allclose(corr, expected, atol=1e-10)
 
@@ -335,28 +340,21 @@ class TestCorrespondence:
 
 
 class TestSingleEvaluation:
-    def test_connection_validated_once_per_call(self, monkeypatch):
-        calls = []
-        validate = fgpmod.validate_connection
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return validate(*args, **kwargs)
-
-        monkeypatch.setattr(fgpmod, "validate_connection", counting)
+    def test_connection_validated_once_per_call(self, connection_evaluations):
+        calls = connection_evaluations
         rng = rng_for(23)
         module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
         a = random_connection(rng, module)
         s = random_vertical(rng, module)
-        assert not a.is_zero()
+        assert not a.is_zero() and calls == []
         curvature_report(module, a)
-        assert len(calls) == 1
+        assert calls == ["represented", "checks"]
         correspondence_decomposition_residual(module, a, s)
-        assert len(calls) == 2
-        ops = fgpmod.connection_operators(module, a)
-        assert fgpmod.connection_operators(module, ops) is ops
+        assert calls == ["represented", "checks"] * 2
+        ops = connection_operators(module, a)
+        assert connection_operators(module, ops) is ops
         assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
-        assert len(calls) == 4
+        assert calls == ["represented", "checks"] * 4
 
 
 class TestExternalProduct:

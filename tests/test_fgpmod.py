@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,21 +12,27 @@ from ncgcurv.fgpmod import (
     build_projector,
     connection_operators,
     hermitian_residual,
-    product_operator,
-    represent_connection,
     spectrum,
     symmetrize_connection,
     validate_connection,
+    validate_module,
     zero_connection,
 )
 from ncgcurv.forms import delta
+from ncgcurv import generate
 from ncgcurv.generate import (
     random_connection,
     random_module,
     random_triple,
     rng_for,
 )
-from ncgcurv.glinalg import commutator, frobenius_norm
+from ncgcurv.glinalg import (
+    commutator,
+    frobenius_norm,
+    parity_residual,
+    relative_distance,
+    support_residual,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -55,6 +63,17 @@ class TestProjector:
         with pytest.raises(InvariantViolation):
             build_projector(module)
 
+    def test_uneven_projector_fails_only_evenness(self, uneven_module):
+        checks = {c.name: c for c in validate_module(uneven_module)}
+        assert checks["projector_idempotent"].value == 0.0
+        assert checks["projector_selfadjoint"].value == 0.0
+        # ||G P G - P||_F = ||[[0, -1], [-1, 0]] (x) 1||_F = 2 over ||P||_F = sqrt(2)
+        assert checks["projector_even"].value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert [name for name, c in checks.items() if not c.passed] == ["projector_even"]
+        with pytest.raises(InvariantViolation) as err:
+            build_projector(uneven_module)
+        assert err.value.check.name == "projector_even"
+
     def test_shapes_enforced(self, two_point):
         with pytest.raises(ValueError):
             ProjectiveModule(two_point, np.zeros((2, 2, 3)), np.array([1.0, -1.0]))
@@ -66,35 +85,34 @@ class TestProjector:
 
 class TestGrassmannOperator:
     def test_free_module_is_graded_lift(self, free_module, two_point):
-        op = product_operator(free_module)
+        m_op = connection_operators(free_module).m_op
         expected = np.kron(np.diag([1.0, -1.0]), two_point.dirac)
-        assert np.allclose(op.mat, expected)
-        assert spectrum(op) == pytest.approx([-1.0, -1.0, 1.0, 1.0])
+        assert np.allclose(m_op, expected)
+        assert spectrum(free_module) == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
     def test_zero_module(self, two_point):
         p = np.zeros((2, 2, 2), dtype=complex)
         module = ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
-        op = product_operator(module)
-        assert not np.any(op.mat)
-        assert spectrum(op) == []
+        assert not np.any(connection_operators(module).m_op)
+        assert spectrum(module) == []
 
     def test_diagonal_module_matches_hand_assembly(self, two_point_module):
         # direct assembly oracle: compress the graded lift by the projector
-        op = product_operator(two_point_module)
+        m_op = connection_operators(two_point_module).m_op
         proj = np.diag([1.0, 0.0, 0.0, 1.0])
         lift = np.kron(np.diag([1.0, -1.0]), two_point_module.triple.dirac)
-        assert np.allclose(op.mat, proj @ lift @ proj)
-        assert op.symmetry_residual() <= 1e-12
+        assert np.allclose(m_op, proj @ lift @ proj)
+        assert relative_distance(m_op, m_op.conj().T) <= 1e-12
 
     @given(SEEDS)
     @settings(max_examples=25, deadline=None)
     def test_symmetric_and_compressed(self, seed):
         rng = np.random.default_rng(seed)
         module = random_module(rng, random_triple(rng))
-        op = product_operator(module)
-        assert op.symmetry_residual() <= 1e-10
-        assert op.support_residual() <= 1e-10
-        assert op.oddness_residual() <= 1e-10
+        m_op = connection_operators(module).m_op
+        assert relative_distance(m_op, m_op.conj().T) <= 1e-10
+        assert support_residual(module.projector, m_op) <= 1e-10
+        assert parity_residual(module.grading, m_op, odd=True) <= 1e-10
 
     @given(SEEDS)
     @settings(max_examples=25, deadline=None)
@@ -118,8 +136,8 @@ class TestGrassmannOperator:
         p[1, 1, 0] = 1
         mod1 = ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
         mod3 = ProjectiveModule(scaled, p, np.array([1.0, -1.0]))
-        s1 = np.array(spectrum(product_operator(mod1)))
-        s3 = np.array(spectrum(product_operator(mod3)))
+        s1 = np.array(spectrum(mod1))
+        s3 = np.array(spectrum(mod3))
         assert np.allclose(s3, 3.0 * s1)
 
 
@@ -138,9 +156,8 @@ class TestDiracLift:
 
 class TestRepresentConnection:
     def test_zero_connection(self, two_point_module):
-        a_d, a_d2 = represent_connection(two_point_module,
-                                         zero_connection(two_point_module))
-        assert not np.any(a_d) and not np.any(a_d2)
+        ops = connection_operators(two_point_module, zero_connection(two_point_module))
+        assert not np.any(ops.a_d) and not np.any(ops.a_d2)
 
     def test_delta_entries(self, free_module, two_point):
         a = delta_connection(free_module)
@@ -154,13 +171,13 @@ class TestRepresentConnection:
     def test_two_point_second_representation_vanishes(self, two_point_module):
         rng = rng_for(7)
         a = random_connection(rng, two_point_module)
-        _, a_d2 = represent_connection(two_point_module, a)
+        a_d2 = connection_operators(two_point_module, a).a_d2
         assert frobenius_norm(a_d2) <= 1e-12
 
     def test_grading_support_violation_raises(self, free_module):
         a = delta_connection(free_module, position=(0, 1))  # Gamma-odd slot
         with pytest.raises(InvariantViolation):
-            represent_connection(free_module, a)
+            connection_operators(free_module, a)
 
     @given(SEEDS)
     @settings(max_examples=20, deadline=None)
@@ -172,7 +189,7 @@ class TestRepresentConnection:
         module = random_module(rng, st_, allow_free=False)
         a = random_connection(rng, module, hermitian=False)
         a_d, a_d2 = a.represented()
-        c_d, c_d2 = a.compressed().represented()
+        c_d, c_d2 = generate._compress_connection(a).represented()
         proj = module.projector
         assert np.allclose(c_d, proj @ a_d @ proj, atol=1e-10)
         assert np.allclose(c_d2, proj @ a_d2 @ proj, atol=1e-10)
@@ -184,9 +201,9 @@ class TestRepresentConnection:
         a = random_connection(rng, module)
         a_d, a_d2 = a.represented()
         proj = module.projector
-        r_d, r_d2 = represent_connection(module, a)
-        assert np.array_equal(r_d, proj @ a_d @ proj)
-        assert np.array_equal(r_d2, proj @ a_d2 @ proj)
+        ops = connection_operators(module, a)
+        assert np.array_equal(ops.a_d, proj @ a_d @ proj)
+        assert np.array_equal(ops.a_d2, proj @ a_d2 @ proj)
 
     def test_agrees_with_universal_compression(self, ladder_modules):
         # P pi(C) P against pi(P C P): equal on ker(m), up to rounding
@@ -197,8 +214,9 @@ class TestRepresentConnection:
                                   allow_free=False) for _ in range(10)]
         for module in modules + ladder_modules:
             a = random_connection(rng, module, hermitian=False)
-            for got, want in zip(represent_connection(module, a),
-                                 a.compressed().represented()):
+            ops = connection_operators(module, a)
+            for got, want in zip((ops.a_d, ops.a_d2),
+                                 generate._compress_connection(a).represented()):
                 assert frobenius_norm(got - want) <= 1e-12 * max(1.0, frobenius_norm(want))
 
     def test_curvature_report_skips_universal_compression(self, monkeypatch):
@@ -206,9 +224,9 @@ class TestRepresentConnection:
         module = random_module(rng, random_triple(rng, n=4, kind="amp2"), allow_free=False)
         a = random_connection(rng, module)
         calls = []
-        compressed = ConnectionForm.compressed
-        monkeypatch.setattr(ConnectionForm, "compressed",
-                            lambda self: calls.append(1) or compressed(self))
+        compressed = generate._compress_connection
+        monkeypatch.setattr(generate, "_compress_connection",
+                            lambda a: calls.append(1) or compressed(a))
         curvature_report(module, a)
         assert calls == []
 
@@ -217,11 +235,11 @@ class TestRepresentConnection:
         off_kernel = np.zeros((2, 2, 2, 2), dtype=complex)
         off_kernel[0, 0, 0, 0] = 1.0
         with pytest.raises(InvariantViolation) as err:
-            represent_connection(two_point_module, ConnectionForm(two_point_module, off_kernel))
+            connection_operators(two_point_module, ConnectionForm(two_point_module, off_kernel))
         assert err.value.check.name == "connection_ker_mult"
         # delta(q) at (0, 0) represents to [D, q], which P = diag(q, 1 - q) cuts
         with pytest.raises(InvariantViolation) as err:
-            represent_connection(two_point_module, delta_connection(two_point_module))
+            connection_operators(two_point_module, delta_connection(two_point_module))
         assert err.value.check.name == "connection_compressed"
 
     def test_validation_checks_pass_for_generated(self):
@@ -234,25 +252,24 @@ class TestRepresentConnection:
 
 class TestProductOperator:
     def test_zero_form_reduces_to_grassmann(self, two_point_module):
-        base = product_operator(two_point_module)
-        op = product_operator(two_point_module, zero_connection(two_point_module))
-        assert np.allclose(op.mat, base.mat)
+        base = connection_operators(two_point_module).m_op
+        m_op = connection_operators(two_point_module, zero_connection(two_point_module)).m_op
+        assert np.allclose(m_op, base)
 
     def test_hermitian_connection_gives_symmetric_operator(self):
         rng = rng_for(13)
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_)
         a = random_connection(rng, module, hermitian=True)
-        op = product_operator(module, a)
-        assert op.symmetry_residual() <= 1e-10
-        assert op.oddness_residual() <= 1e-10
+        m_op = connection_operators(module, a).m_op
+        assert relative_distance(m_op, m_op.conj().T) <= 1e-10
+        assert parity_residual(module.grading, m_op, odd=True) <= 1e-10
 
     def test_free_module_additivity(self, free_module):
         a = symmetrize_connection(delta_connection(free_module))
-        a_d, _ = represent_connection(free_module, a)
-        base = product_operator(free_module).mat
-        op = product_operator(free_module, a)
-        assert np.allclose(op.mat, base + a_d)
+        ops = connection_operators(free_module, a)
+        base = connection_operators(free_module).m_op
+        assert np.allclose(ops.m_op, base + ops.a_d)
 
     def test_sq_lift_free_module(self, free_module, two_point):
         n_op = connection_operators(free_module).n_op
@@ -271,15 +288,14 @@ class TestProductOperator:
         assert np.allclose(n_op, expected)
 
     def test_spectrum_rejects_nonsymmetric(self, free_module):
-        op = product_operator(free_module)
-        skew = type(op)(op.mat + 1j * np.eye(4), op.projector, op.grading)
+        ops = connection_operators(free_module)
+        skew = replace(ops, m_op=ops.m_op + 1j * np.eye(4))
         with pytest.raises(InvariantViolation):
-            spectrum(skew)
+            spectrum(free_module, skew)
 
     def test_spectrum_of_zero_operator(self, two_point_module):
-        op = product_operator(two_point_module)
         # the compressed graded lift vanishes on this module; rank of P is 2
-        assert spectrum(op) == pytest.approx([0.0, 0.0])
+        assert spectrum(two_point_module) == pytest.approx([0.0, 0.0])
 
 
 class TestHermitianResidual:

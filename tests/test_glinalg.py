@@ -143,6 +143,14 @@ class TestSubspaceBasis:
         with pytest.raises(ValueError):
             subspace_basis([np.eye(2), np.eye(3)])
 
+    def test_phase_fixed_by_first_non_negligible_entry(self):
+        # row-major entries: negligible 1e-10, then 0.1i, then the peak 2;
+        # the 0.1i entry, not the peak, is made real positive
+        m = np.array([[1e-10, 0.1j], [0.0, 2.0]])
+        (b,) = subspace_basis([m])
+        assert b[0, 1].real > 0.0 and abs(b[0, 1].imag) <= 1e-15
+        assert np.abs(b - (-1j) * m / np.linalg.norm(m)).max() <= 1e-15
+
     @given(SEEDS)
     @settings(max_examples=30, deadline=None)
     def test_idempotent(self, seed):

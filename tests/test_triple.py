@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgcurv import SpectralTriple, c1_norm, c2_norm, validate
-from ncgcurv.generate import random_triple, rng_for
+from ncgcurv.generate import random_triple, rng_for, unit_disc
 from ncgcurv.scenario import parse_scenario
-from ncgcurv.triple import NotInAlgebraError, pi1_block
+from ncgcurv.glinalg import spectral_norm
+from ncgcurv.triple import NotInAlgebraError, pi1_block, pi2_block
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -130,6 +131,26 @@ class TestDerivativeNorms:
         assert c1_norm(two_point, [0.0, 1.0]) == pytest.approx(expected, rel=1e-12)
         assert np.allclose(pi1_block(two_point, q), block)
         assert c2_norm(two_point, [0.0, 1.0]) >= c1_norm(two_point, [0.0, 1.0]) - 1e-10
+
+    def test_pi2_block_exact(self, two_point):
+        # D^2 = 1, so [D^2, q] = 0, and (D + i) q (D + i)^-1 = [[1, i], [-i, 1]] / 2
+        q = two_point.basis[1]
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[:2, :2] = [[0.5, 0.5j], [-0.5j, 0.5]]
+        expected[2:, 2:] = q
+        assert np.abs(pi2_block(two_point, q) - expected).max() <= 1e-15
+
+    def test_c2_norm_takes_the_adjoint_term(self):
+        # on the two-point triple D + i is sqrt(2) times a unitary, so c2 = c1
+        # there; this seeded element has ||pi2(a*)|| strictly the largest term
+        rng = rng_for(15)
+        st_ = random_triple(rng)
+        coeffs = unit_disc(rng, (st_.d,))
+        a = st_.assemble(coeffs)
+        adjoint_term = spectral_norm(pi2_block(st_, a.conj().T))
+        others = (spectral_norm(pi1_block(st_, a)), spectral_norm(pi2_block(st_, a)))
+        assert adjoint_term > max(others) + 0.05
+        assert c2_norm(st_, coeffs) == adjoint_term
 
     @given(SEEDS)
     @settings(max_examples=40, deadline=None)
