@@ -19,6 +19,12 @@ projectors, and proj_V o C projects onto C(V) = span{P (E_kl (x) J) P}.  It
 is applied block by block, each n x n block of PXP projected onto the
 orthonormal junk basis, with no lift and no SVD.
 
+A :class:`CurvatureReport` computes R, both routes and the four residuals
+when it is made; its spectral ``norm`` and its ``junk_canonical``
+representative (with the junk space, if none was given) are computed on first
+read and then cached, so a caller that only checks the route identity pays
+for neither.
+
 The module also evaluates the correspondence curvature with a vertical
 operator S, its decomposition R + [S (x) 1, M]_+, junk-coset comparisons,
 and the external-product vanishing defect for pairs of triples.
@@ -26,7 +32,8 @@ and the external-product vanishing defect for pairs of triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,34 +122,52 @@ class CurvatureReport:
     canonical representative is R minus its Frobenius projection onto the
     lifted junk span C(V) = P (M_m (x) Junk) P, taken blockwise as
     proj_V(P R P) (see the module docstring).
+
+    R and the four residuals are computed by :func:`curvature_report`.
+    ``norm`` and ``junk_canonical`` are computed on first read and cached;
+    ``junk_canonical`` builds the junk space of ``module.triple`` at
+    ``rank_tol`` only when the report was given none.
     """
 
     R: np.ndarray
     route_residual: float
     symmetry_residual: float
-    norm: float
-    junk_canonical: np.ndarray
     evenness_residual: float
     support_residual: float
+    module: ProjectiveModule = field(repr=False)
+    junk: FormSpace | None = field(repr=False)
+    rank_tol: float = field(repr=False)
+
+    @cached_property
+    def norm(self) -> float:
+        """Spectral norm of R."""
+        return spectral_norm(self.R)
+
+    @cached_property
+    def junk_canonical(self) -> np.ndarray:
+        """R minus its projection onto the lifted junk span."""
+        junk = self.junk
+        if junk is None:
+            junk = junk_space(self.module.triple, self.rank_tol)
+        return self.R - _junk_projection(self.R, self.module, junk)
 
 
 def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
                      junk: FormSpace | None = None, tol: float = DEFAULT_TOL,
                      rank_tol: float = DEFAULT_RANK_TOL) -> CurvatureReport:
-    """Both curvature routes, their defect, and the junk-coset representative."""
+    """Both curvature routes and their defect; norm and junk representative on read."""
     ops = connection_operators(module, a, tol)
     direct = curvature_direct(module, ops)
     formula = curvature_formula(module, ops)
-    if junk is None:
-        junk = junk_space(module.triple, rank_tol)
     return CurvatureReport(
         R=direct,
         route_residual=frobenius_norm(direct - formula) / max(1.0, frobenius_norm(direct)),
         symmetry_residual=relative_distance(direct, direct.conj().T),
-        norm=spectral_norm(direct),
-        junk_canonical=direct - _junk_projection(direct, module, junk),
         evenness_residual=parity_residual(module.grading, direct, odd=False),
         support_residual=support_residual(module.projector, direct),
+        module=module,
+        junk=junk,
+        rank_tol=rank_tol,
     )
 
 

@@ -16,7 +16,7 @@ from ncgcurv.curvature import (
     validate_vertical,
     wac_diagnostic,
 )
-from ncgcurv import generate, harness
+from ncgcurv import curvature, generate, harness
 from ncgcurv.fgpmod import InvariantViolation, connection_operators, symmetrize_connection
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
@@ -355,6 +355,91 @@ class TestSingleEvaluation:
         assert connection_operators(module, ops) is ops
         assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
         assert calls == ["represented", "checks"] * 4
+
+
+@pytest.fixture
+def curvature_calls(monkeypatch) -> dict[str, int]:
+    """Calls of junk_space and spectral_norm made through the curvature module."""
+    calls = {"junk_space": 0, "spectral_norm": 0}
+    for name in calls:
+        real = getattr(curvature, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, name, counted)
+    return calls
+
+
+def eager_reference(module, a):
+    """R, its spectral norm and junk representative, with np.kron lifts."""
+    st_ = module.triple
+    ops = connection_operators(module, a)
+    P = module.projector
+    m_op = P @ np.kron(np.diag(module.signs), st_.dirac) @ P + ops.a_d
+    n_op = P @ np.kron(np.eye(module.m), st_.dirac_sq) @ P + ops.a_d2
+    r = m_op @ m_op - n_op
+    junk = junk_space(st_)
+    return r, spectral_norm(r), r - curvature._junk_projection(r, module, junk)
+
+
+class TestLazyReport:
+    def _module_and_connection(self):
+        rng = rng_for(59)
+        module = random_module(rng, random_triple(rng, n=4, kind="amp2"),
+                               m=2, allow_free=False)
+        return module, random_connection(rng, module)
+
+    def test_route_residual_needs_no_junk_and_no_norm(self, curvature_calls):
+        module, a = self._module_and_connection()
+        report = curvature_report(module, a)
+        assert report.route_residual <= 1e-10
+        assert report.symmetry_residual <= 1e-10
+        assert report.evenness_residual <= 1e-10
+        assert report.support_residual <= 1e-10
+        assert curvature_calls == {"junk_space": 0, "spectral_norm": 0}
+
+    def test_junk_space_built_once_on_first_read(self, curvature_calls):
+        module, a = self._module_and_connection()
+        report = curvature_report(module, a)
+        assert curvature_calls["junk_space"] == 0
+        first = report.junk_canonical
+        assert curvature_calls["junk_space"] == 1
+        assert report.junk_canonical is first
+        assert curvature_calls["junk_space"] == 1
+
+        junk = junk_space(module.triple)
+        given = curvature_report(module, a, junk=junk)
+        assert np.array_equal(given.junk_canonical, first)
+        assert curvature_calls == {"junk_space": 1, "spectral_norm": 0}
+
+    def test_norm_computed_once_on_first_read(self, curvature_calls):
+        module, a = self._module_and_connection()
+        report = curvature_report(module, a)
+        assert curvature_calls["spectral_norm"] == 0
+        assert report.norm == report.norm
+        assert curvature_calls == {"junk_space": 0, "spectral_norm": 1}
+
+    def test_lazy_fields_match_eager_reference(self, ladder_modules):
+        rng = rng_for(59)
+        cases = []
+        for _ in range(4):
+            module = random_module(rng, random_triple(rng, n=4, kind="amp2"),
+                                   m=2, allow_free=False)
+            cases.append((module, random_connection(rng, module)))
+        cases += [(module, random_connection(rng_for(61), module))
+                  for module in ladder_modules]
+        moved = 0
+        for module, a in cases:
+            r, norm, canonical = eager_reference(module, a)
+            report = curvature_report(module, a)
+            assert report.R.tobytes() == r.tobytes()
+            assert report.norm == norm
+            assert report.junk_canonical.tobytes() == canonical.tobytes()
+            moved += frobenius_norm(canonical - r) >= 1e-3 * frobenius_norm(r)
+        # junk moves R in the amp2 cases and on two ladder rungs
+        assert moved == 6
 
 
 class TestExternalProduct:

@@ -31,6 +31,7 @@ from ncgcurv.glinalg import (
     frobenius_norm,
     parity_residual,
     relative_distance,
+    spectral_norm,
     support_residual,
 )
 
@@ -152,6 +153,47 @@ class TestDiracLift:
         lift, grading = module.dirac_lift, module.grading
         assert np.linalg.norm(grading @ lift + lift @ grading) <= 1e-12 * max(
             1.0, np.linalg.norm(lift))
+
+
+def kron_lifts(module):
+    """Each ProjectiveModule lift with its np.kron reference."""
+    st_ = module.triple
+    signs, eye_m = np.diag(module.signs), np.eye(module.m)
+    return [
+        (module.grading, np.kron(signs, st_.gamma)),
+        (module.sign_lift, np.kron(signs, np.eye(st_.n))),
+        (module.dirac_lift, np.kron(signs, st_.dirac)),
+        (module.dirac_plain_lift, np.kron(eye_m, st_.dirac)),
+        (module.dirac_sq_lift_free, np.kron(eye_m, st_.dirac_sq)),
+    ]
+
+
+def assert_lifts_are_kron(module):
+    for lift, reference in kron_lifts(module):
+        assert lift.dtype == reference.dtype
+        assert np.array_equal(lift, reference)
+        assert lift.tobytes() == reference.tobytes()
+
+
+class TestBlockLifts:
+    """The broadcast lifts hold exactly the entries of np.kron."""
+
+    def test_free_and_single_generator_modules(self, free_module, two_point):
+        assert_lifts_are_kron(free_module)
+        for sign in (1.0, -1.0):
+            p = np.zeros((1, 1, 2), dtype=complex)
+            p[0, 0, 1] = 1.0
+            assert_lifts_are_kron(ProjectiveModule(two_point, p, np.array([sign])))
+
+    def test_seeded_mixed_sign_modules(self):
+        rng = rng_for(71)
+        mixed = 0
+        for kind in ("diag", "amp2") * 10:
+            module = random_module(rng, random_triple(rng, n=4, kind=kind),
+                                   m=int(rng.integers(2, 5)))
+            mixed += len(set(module.signs)) == 2
+            assert_lifts_are_kron(module)
+        assert mixed >= 10
 
 
 class TestRepresentConnection:
@@ -316,6 +358,26 @@ class TestHermitianResidual:
         module = random_module(rng, st_, m=2, allow_free=False)
         a = random_connection(rng, module, hermitian=False)
         assert hermitian_residual(module, a) > 0.1
+
+    def test_matches_blockwise_spectral_norms(self):
+        # reference: the largest spectral norm over the m^2 blocks, one at a time
+        def blockwise(module, a):
+            P, n = module.projector, module.triple.n
+            W = commutator(module.dirac_lift, P)
+            if a is not None:
+                W = W + a.represented()[0]
+            res = (module.sign_lift @ P @ W - module.sign_lift @ W.conj().T @ P
+                   - commutator(module.dirac_plain_lift, P))
+            blocks = res.reshape(module.m, n, module.m, n)
+            return max(spectral_norm(blocks[i, :, j, :])
+                       for i in range(module.m) for j in range(module.m))
+
+        rng = rng_for(73)
+        for hermitian in (True, False) * 5:
+            module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
+            a = random_connection(rng, module, hermitian=hermitian)
+            assert hermitian_residual(module, a) == blockwise(module, a)
+            assert hermitian_residual(module) == blockwise(module, None)
 
     def test_pairing_adjoint_is_involutive(self):
         rng = rng_for(19)
