@@ -16,7 +16,8 @@ dirac = np.array([[0.0, 1.0], [1.0, 0.0]])
 st = SpectralTriple(gamma, (np.eye(2), q), dirac)
 
 # Every structural invariant is a numerical check with a residual.
-print(validate(st))
+for check in validate(st):
+    print(check)
 
 # The universal differential of q represents to the commutator [D, q].
 dq = delta(st, [0.0, 1.0])

@@ -25,12 +25,10 @@ from .fgpmod import (
     ConnectionForm,
     ConnectionOperators,
     ProjectiveModule,
-    build_projector,
     connection_operators,
     hermitian_residual,
     spectrum,
     symmetrize_connection,
-    zero_connection,
 )
 from .forms import (
     FormSpace,
@@ -44,7 +42,6 @@ from .forms import (
     two_form_space,
 )
 from .glinalg import (
-    adjoint,
     membership_residual,
     solve_kernel,
     spectral_norm,
@@ -74,8 +71,6 @@ __all__ = [
     "UniversalOneForm",
     "VerticalOperator",
     "__version__",
-    "adjoint",
-    "build_projector",
     "c1_norm",
     "c2_norm",
     "canned_frame",
@@ -110,5 +105,4 @@ __all__ = [
     "two_form_space",
     "validate",
     "warped_torus_frame",
-    "zero_connection",
 ]

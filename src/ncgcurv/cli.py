@@ -44,7 +44,7 @@ from .glinalg import (
     spectral_norm,
     support_residual,
 )
-from .scenario import Scenario, ScenarioError, parse_scenario
+from .scenario import Scenario, ScenarioError, _tolerance, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
 from .triple import DEFAULT_TOL, Check, validate
 
@@ -168,7 +168,7 @@ def _need(scen: Scenario, attr: str, command: str):
 
 
 def _cmd_validate(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
-    checks = list(validate(scen.triple, tol, rank_tol).checks)
+    checks = validate(scen.triple, tol, rank_tol)
     values = {"n": scen.triple.n, "d": scen.triple.d}
     if scen.module is not None:
         checks += validate_module(scen.module, tol)
@@ -179,7 +179,7 @@ def _cmd_validate(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: 
         checks += validate_vertical(scen.vertical, tol)
     if scen.triple2 is not None:
         checks += [Check("triple2." + c.name, c.value, c.threshold, c.op)
-                   for c in validate(scen.triple2, tol, rank_tol).checks]
+                   for c in validate(scen.triple2, tol, rank_tol)]
     return checks, values, None, []
 
 
@@ -331,6 +331,8 @@ def run(command: str, scen: Scenario | None, tol: float | None = None,
     if command != "selftest" and scen is None:
         raise ScenarioError(f"{command}: a scenario file is required")
 
+    tol = None if tol is None else _tolerance(tol, "--tol")
+    rank_tol = None if rank_tol is None else _tolerance(rank_tol, "--rank-tol")
     if scen is not None:
         tol = scen.residual_tol if tol is None else tol
         rank_tol = scen.rank_tol if rank_tol is None else rank_tol

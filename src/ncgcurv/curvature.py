@@ -253,19 +253,21 @@ def wac_diagnostic(module: ProjectiveModule,
     return spectral_norm(anticommutator(s_mat, m_op)) / (spectral_norm(s_mat) + 1.0)
 
 
-def external_product_defect(st1: SpectralTriple, st2: SpectralTriple) -> np.ndarray:
-    """(D1 (x) 1 + gamma1 (x) D2)^2 - D1^2 (x) 1 - 1 (x) D2^2 on H1 (x) H2."""
+def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,
+                       left: np.ndarray) -> np.ndarray:
+    """(D1 (x) 1 + left (x) D2)^2 - D1^2 (x) 1 - 1 (x) D2^2, left acting on H1."""
     eye1 = np.eye(st1.n)
     eye2 = np.eye(st2.n)
-    tensor_sum = np.kron(st1.dirac, eye2) + np.kron(st1.gamma, st2.dirac)
+    tensor_sum = np.kron(st1.dirac, eye2) + np.kron(left, st2.dirac)
     return (tensor_sum @ tensor_sum
             - np.kron(st1.dirac_sq, eye2) - np.kron(eye1, st2.dirac_sq))
+
+
+def external_product_defect(st1: SpectralTriple, st2: SpectralTriple) -> np.ndarray:
+    """(D1 (x) 1 + gamma1 (x) D2)^2 - D1^2 (x) 1 - 1 (x) D2^2 on H1 (x) H2."""
+    return _tensor_sum_defect(st1, st2, st1.gamma)
 
 
 def external_product_defect_ungraded(st1: SpectralTriple, st2: SpectralTriple) -> np.ndarray:
     """Negative control: the same defect with the ungraded lift 1 (x) D2."""
-    eye1 = np.eye(st1.n)
-    eye2 = np.eye(st2.n)
-    tensor_sum = np.kron(st1.dirac, eye2) + np.kron(eye1, st2.dirac)
-    return (tensor_sum @ tensor_sum
-            - np.kron(st1.dirac_sq, eye2) - np.kron(eye1, st2.dirac_sq))
+    return _tensor_sum_defect(st1, st2, np.eye(st1.n))

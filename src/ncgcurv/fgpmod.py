@@ -8,10 +8,10 @@ m x m table of universal coefficient tables.
 
 Assembled operators act on the product space C^m (x) C^n; the graded lift
 of the Dirac matrix is Gamma (x) D and the product operator of a connection
-is P (Gamma (x) D) P + A_D.  :func:`connection_operators` is the one place a
-connection is validated and represented: its :class:`ConnectionOperators`
-bundle is the one evaluated form that every operator, spectrum and curvature
-function reads.
+is P (Gamma (x) D) P + A_D.  Every operator, spectrum and curvature function
+reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`.
+:func:`validate_connection` (checks without raising) and
+:func:`hermitian_residual` (the raw, uncompressed A_D) represent a form too.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ __all__ = [
     "ConnectionOperators",
     "InvariantViolation",
     "ProjectiveModule",
-    "build_projector",
     "connection_operators",
     "hermitian_residual",
     "spectrum",
     "symmetrize_connection",
     "validate_connection",
     "validate_module",
-    "zero_connection",
 ]
 
 
@@ -149,12 +147,6 @@ def validate_module(module: ProjectiveModule, tol: float = DEFAULT_TOL) -> list[
     ]
 
 
-def build_projector(module: ProjectiveModule, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Assemble and check P; raises InvariantViolation on a bad projection."""
-    _require(validate_module(module, tol))
-    return module.projector
-
-
 @dataclass(frozen=True)
 class ConnectionForm:
     """Endomorphism-valued universal one-form: m x m table of coefficient tables."""
@@ -207,11 +199,6 @@ class ConnectionForm:
         return replace(self, entries=self.entries * scalar)
 
     __rmul__ = __mul__
-
-
-def zero_connection(module: ProjectiveModule) -> ConnectionForm:
-    d = module.triple.d
-    return ConnectionForm(module, np.zeros((module.m, module.m, d, d)), hermitian=True)
 
 
 def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
@@ -314,7 +301,8 @@ def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None
 
     with nabla the Grassmann connection plus ``a``; the Grassmann part
     satisfies the identity exactly, so the residual isolates the defect of
-    the added form.  Returns the max spectral norm over the (i, j) blocks.
+    the added form, taken as given: raw A_D, not P A_D P, and unchecked.
+    Returns the max spectral norm over the (i, j) blocks.
     """
     P = module.projector
     G = module.sign_lift

@@ -78,18 +78,10 @@ class UniversalOneForm:
             raise ValueError("forms live over different triples")
         return self._like(self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "UniversalOneForm") -> "UniversalOneForm":
-        if other.triple is not self.triple:
-            raise ValueError("forms live over different triples")
-        return self._like(self.coeffs - other.coeffs)
-
     def __mul__(self, scalar: complex) -> "UniversalOneForm":
         return self._like(self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "UniversalOneForm":
-        return self._like(-self.coeffs)
 
     # -- calculus -------------------------------------------------------------
 

@@ -32,7 +32,6 @@ import numpy as np
 from .curvature import VerticalOperator
 from .fgpmod import ConnectionForm, ProjectiveModule, symmetrize_connection
 from .forms import UniversalOneForm, kernel_one_forms, universal_form_basis
-from .glinalg import DEFAULT_RANK_TOL
 from .triple import NotInAlgebraError, SpectralTriple
 
 __all__ = [
@@ -161,10 +160,9 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
     return ProjectiveModule(st, _free_table(m, st.d), signs)
 
 
-def random_universal_form(rng: np.random.Generator, st: SpectralTriple,
-                          rank_tol: float = DEFAULT_RANK_TOL) -> UniversalOneForm:
+def random_universal_form(rng: np.random.Generator, st: SpectralTriple) -> UniversalOneForm:
     """Random element of ker(m): a universal one-form with unit-disc weights."""
-    basis = universal_form_basis(st, rank_tol)
+    basis = universal_form_basis(st)
     coeffs = np.zeros((st.d, st.d), dtype=complex)
     if basis:
         weights = unit_disc(rng, (len(basis),))
@@ -211,9 +209,9 @@ def _star_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarr
 
 
 def random_connection(rng: np.random.Generator, module: ProjectiveModule,
-                      hermitian: bool = True, rank_tol: float = DEFAULT_RANK_TOL) -> ConnectionForm:
+                      hermitian: bool = True) -> ConnectionForm:
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
-    basis = universal_form_basis(module.triple, rank_tol)
+    basis = universal_form_basis(module.triple)
     a = _random_table_over(rng, module, basis)
     if hermitian:
         a = symmetrize_connection(a)
@@ -237,8 +235,7 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
 
 
 def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
-                   a: ConnectionForm | None = None,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> tuple[ConnectionForm, ConnectionForm]:
+                   a: ConnectionForm | None = None) -> tuple[ConnectionForm, ConnectionForm]:
     """Two universal lifts with equal represented part.
 
     The second lift differs by a compressed combination of forms in
@@ -246,8 +243,8 @@ def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
     empty the pair is ``(a, a)``, which checks nothing: draw another triple.
     """
     if a is None:
-        a = random_connection(rng, module, hermitian=True, rank_tol=rank_tol)
-    kernel = kernel_one_forms(module.triple, rank_tol)
+        a = random_connection(rng, module, hermitian=True)
+    kernel = kernel_one_forms(module.triple)
     if not kernel:
         return a, a
     bump = _compress_connection(_random_table_over(rng, module, kernel))

@@ -21,11 +21,9 @@ DEFAULT_RANK_TOL = 1e-9
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "adjoint",
     "anticommutator",
     "as_complex_matrix",
     "commutator",
-    "frobenius_inner",
     "frobenius_norm",
     "membership_residual",
     "orthonormality_defect",
@@ -47,11 +45,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
-
-
 def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
@@ -70,11 +63,6 @@ def spectral_norm(a) -> float:
 
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def frobenius_inner(a, b) -> complex:
-    """Frobenius inner product trace(a^* b), conjugate-linear in ``a``."""
-    return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
 def relative_distance(a, b) -> float:
@@ -140,7 +128,7 @@ def project_off(a, basis: Sequence[np.ndarray]) -> np.ndarray:
     for b in basis:
         if np.shape(b) != a.shape:
             raise ValueError(f"shape mismatch in project_off: {np.shape(b)} vs {a.shape}")
-        r -= frobenius_inner(b, a) * np.asarray(b)
+        r -= complex(np.vdot(np.asarray(b, dtype=complex), a)) * np.asarray(b)
     return r
 
 

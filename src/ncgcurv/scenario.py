@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,14 @@ class ScenarioError(ValueError):
 
 def _fail(path: str, message: str) -> "ScenarioError":
     return ScenarioError(f"{path}: {message}")
+
+
+def _tolerance(value, path: str) -> float:
+    """A finite positive number: with inf every check passes, with NaN every one fails."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 < value <= sys.float_info.max):
+        raise _fail(path, f"expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _complex(node, path: str) -> complex:
@@ -194,6 +203,9 @@ def _parse_frame(node, path: str) -> tuple[FramePoint, bool]:
     dim = node["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise _fail(f"{path}.dim", f"expected an integer >= 2, got {dim!r}")
+    dim_fiber = node["dim_fiber"]
+    if not isinstance(dim_fiber, int) or isinstance(dim_fiber, bool):
+        raise _fail(f"{path}.dim_fiber", f"expected an integer, got {dim_fiber!r}")
     c = np.zeros((dim, dim, dim))
     table = node["c"]
     if not isinstance(table, list) or len(table) != dim:
@@ -206,7 +218,7 @@ def _parse_frame(node, path: str) -> tuple[FramePoint, bool]:
             raise _fail(f"{path}.c[{k}]", "structure constants must be real")
         c[k] = mat.real
     try:
-        return FramePoint(dim, node["dim_fiber"], c), False
+        return FramePoint(dim, dim_fiber, c), False
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
 
@@ -278,11 +290,9 @@ def parse_scenario(source) -> Scenario:
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances: expected an object")
-    residual_tol = tolerances.get("residual_tol", DEFAULT_TOL)
-    rank_tol = tolerances.get("rank_tol", DEFAULT_RANK_TOL)
-    for name, value in (("residual_tol", residual_tol), ("rank_tol", rank_tol)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise ScenarioError(f"tolerances.{name}: expected a positive number")
+    residual_tol = _tolerance(tolerances.get("residual_tol", DEFAULT_TOL),
+                              "tolerances.residual_tol")
+    rank_tol = _tolerance(tolerances.get("rank_tol", DEFAULT_RANK_TOL), "tolerances.rank_tol")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -296,8 +306,8 @@ def parse_scenario(source) -> Scenario:
         triple2=triple2,
         frame=frame,
         frame_is_canned=frame_is_canned,
-        residual_tol=float(residual_tol),
-        rank_tol=float(rank_tol),
+        residual_tol=residual_tol,
+        rank_tol=rank_tol,
         seed=seed,
         digest=scenario_digest(raw),
     )

@@ -26,7 +26,6 @@ __all__ = [
     "Check",
     "NotInAlgebraError",
     "SpectralTriple",
-    "ValidationReport",
     "c1_norm",
     "c2_norm",
     "pi1_block",
@@ -66,22 +65,6 @@ class Check:
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return f"{status:4s}  {self.name:<28s} {self.value:.3e} {self.op} {self.threshold:.3e}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.checks)
 
 
 @dataclass(frozen=True)
@@ -269,7 +252,7 @@ def c2_norm(st: SpectralTriple, coeffs) -> float:
 
 
 def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
-             rank_tol: float = DEFAULT_RANK_TOL) -> ValidationReport:
+             rank_tol: float = DEFAULT_RANK_TOL) -> list[Check]:
     """Check every triple invariant, reporting one residual per check."""
     checks: list[Check] = []
     g = st.gamma
@@ -299,4 +282,4 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
     checks.append(Check("algebra_closed_mult", mult_res, tol))
     checks.append(Check("algebra_closed_star", star_res, tol))
 
-    return ValidationReport(tuple(checks))
+    return checks

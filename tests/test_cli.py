@@ -181,6 +181,36 @@ class TestExitCodes:
             assert main([command, str(path)]) == EXIT_INPUT_ERROR
             assert "module" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["residual_tol", "rank_tol"])
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "0", "-1"])
+    def test_bad_scenario_tolerance_exit_two(self, fixtures_dir, tmp_path, capsys,
+                                             field, value):
+        # p[0][0] = [0, 0.5] is no projection: an infinite residual_tol would pass it
+        payload = json.loads((fixtures_dir / "two_point_module.json").read_text())
+        payload["module"]["p"][0][0] = [0, 0.5]
+        payload["tolerances"][field] = "BAD"
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(payload).replace('"BAD"', value), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("input error: tolerances." + field)
+
+    @pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "0", "-1"])
+    def test_bad_cli_tolerance_exit_two(self, fixtures_dir, capsys, flag, value):
+        path = str(fixtures_dir / "two_point_module.json")
+        assert main(["validate", path, flag, value]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error: " + flag)
+
+    @pytest.mark.parametrize("dim_fiber", [1.5, True])
+    def test_non_integer_dim_fiber_exit_two(self, tmp_path, capsys, dim_fiber):
+        payload = json.loads(json.dumps(TWO_POINT))
+        payload["frame"] = {"dim": 3, "dim_fiber": dim_fiber,
+                            "c": np.zeros((3, 3, 3)).tolist()}
+        path = write_scenario(tmp_path, payload)
+        assert main(["submersion", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error: frame.dim_fiber")
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -9,14 +9,12 @@ from ncgcurv.curvature import curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
     InvariantViolation,
-    build_projector,
     connection_operators,
     hermitian_residual,
     spectrum,
     symmetrize_connection,
     validate_connection,
     validate_module,
-    zero_connection,
 )
 from ncgcurv.forms import delta
 from ncgcurv import generate
@@ -51,18 +49,19 @@ def delta_connection(module, position=(0, 0), element=None):
 
 class TestProjector:
     def test_free_module(self, free_module):
-        assert np.allclose(build_projector(free_module), np.eye(4))
+        assert all(c.passed for c in validate_module(free_module))
+        assert np.allclose(free_module.projector, np.eye(4))
 
     def test_two_point_module(self, two_point_module):
-        assert np.allclose(build_projector(two_point_module),
-                           np.diag([1.0, 0.0, 0.0, 1.0]))
+        assert all(c.passed for c in validate_module(two_point_module))
+        assert np.allclose(two_point_module.projector, np.diag([1.0, 0.0, 0.0, 1.0]))
 
-    def test_non_idempotent_raises(self, two_point):
+    def test_non_idempotent_fails_validation(self, two_point):
         p = np.zeros((1, 1, 2), dtype=complex)
         p[0, 0] = [2.0, 0.0]  # 2 * identity is not a projection
         module = ProjectiveModule(two_point, p, np.array([1.0]))
-        with pytest.raises(InvariantViolation):
-            build_projector(module)
+        failed = [c.name for c in validate_module(module) if not c.passed]
+        assert failed == ["projector_idempotent"]
 
     def test_uneven_projector_fails_only_evenness(self, uneven_module):
         checks = {c.name: c for c in validate_module(uneven_module)}
@@ -71,9 +70,6 @@ class TestProjector:
         # ||G P G - P||_F = ||[[0, -1], [-1, 0]] (x) 1||_F = 2 over ||P||_F = sqrt(2)
         assert checks["projector_even"].value == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert [name for name, c in checks.items() if not c.passed] == ["projector_even"]
-        with pytest.raises(InvariantViolation) as err:
-            build_projector(uneven_module)
-        assert err.value.check.name == "projector_even"
 
     def test_shapes_enforced(self, two_point):
         with pytest.raises(ValueError):
@@ -198,7 +194,9 @@ class TestBlockLifts:
 
 class TestRepresentConnection:
     def test_zero_connection(self, two_point_module):
-        ops = connection_operators(two_point_module, zero_connection(two_point_module))
+        # an all-zero table, as a parsed scenario can hold, is the Grassmann connection
+        zero = ConnectionForm(two_point_module, np.zeros((2, 2, 2, 2)))
+        ops = connection_operators(two_point_module, zero)
         assert not np.any(ops.a_d) and not np.any(ops.a_d2)
 
     def test_delta_entries(self, free_module, two_point):
@@ -295,7 +293,8 @@ class TestRepresentConnection:
 class TestProductOperator:
     def test_zero_form_reduces_to_grassmann(self, two_point_module):
         base = connection_operators(two_point_module).m_op
-        m_op = connection_operators(two_point_module, zero_connection(two_point_module)).m_op
+        zero = ConnectionForm(two_point_module, np.zeros((2, 2, 2, 2)))
+        m_op = connection_operators(two_point_module, zero).m_op
         assert np.allclose(m_op, base)
 
     def test_hermitian_connection_gives_symmetric_operator(self):

@@ -6,8 +6,8 @@ from ncgcurv import ProjectiveModule, SpectralTriple
 from ncgcurv.forms import junk_space, kernel_one_forms
 from ncgcurv.generate import random_module, random_triple, rng_for
 from ncgcurv.glinalg import (
-    adjoint,
     anticommutator,
+    as_complex_matrix,
     commutator,
     frobenius_norm,
     membership_residual,
@@ -27,21 +27,10 @@ def rand_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-class TestAdjoint:
-    def test_identity(self):
-        assert np.allclose(adjoint(np.eye(3)), np.eye(3))
-
-    def test_nilpotent(self):
-        a = np.array([[0, 1j], [0, 0]])
-        assert np.allclose(adjoint(a), np.array([[0, 0], [-1j, 0]]))
-
-    def test_real_symmetric_dirac(self):
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(adjoint(d), d)
-
+class TestAsComplexMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            adjoint(np.array([[np.nan, 0], [0, 0]]))
+            as_complex_matrix(np.array([[np.nan, 0], [0, 0]]))
 
 
 class TestGradedCommutator:
