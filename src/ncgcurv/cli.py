@@ -44,7 +44,7 @@ from .glinalg import (
     spectral_norm,
     support_residual,
 )
-from .scenario import Scenario, ScenarioError, _tolerance, parse_scenario
+from .scenario import Scenario, ScenarioError, _seed, _tolerance, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
 from .triple import DEFAULT_TOL, Check, validate
 
@@ -333,6 +333,7 @@ def run(command: str, scen: Scenario | None, tol: float | None = None,
 
     tol = None if tol is None else _tolerance(tol, "--tol")
     rank_tol = None if rank_tol is None else _tolerance(rank_tol, "--rank-tol")
+    seed = None if seed is None else _seed(seed, "--seed")
     if scen is not None:
         tol = scen.residual_tol if tol is None else tol
         rank_tol = scen.rank_tol if rank_tol is None else rank_tol

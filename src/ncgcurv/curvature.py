@@ -109,9 +109,8 @@ def _junk_projection(x: np.ndarray, module: ProjectiveModule,
     P = module.projector
     m, n = module.m, module.triple.n
     blocks = (P @ x @ P).reshape(m, n, m, n)
-    basis = np.stack(junk.basis)
-    coeffs = np.einsum("qab,iajb->ijq", basis.conj(), blocks)
-    return np.einsum("ijq,qab->iajb", coeffs, basis).reshape(module.dim, module.dim)
+    coeffs = np.einsum("qab,iajb->ijq", junk.basis.conj(), blocks)
+    return np.einsum("ijq,qab->iajb", coeffs, junk.basis).reshape(module.dim, module.dim)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class ProjectiveModule:
     def assemble_table(self, table) -> np.ndarray:
         """Assemble an (m, m, d) table of algebra coordinates to an mn x mn matrix."""
         table = np.asarray(table, dtype=complex)
-        blocks = np.einsum("ijk,kab->iajb", table, self.triple.basis_stack)
+        blocks = np.einsum("ijk,kab->iajb", table, self.triple.basis)
         return blocks.reshape(self.dim, self.dim)
 
     @cached_property
@@ -179,7 +179,7 @@ class ConnectionForm:
     def mult_residual(self) -> float:
         """Max ker(m)-defect over the entry tables."""
         st = self.module.triple
-        prods = np.tensordot(self.entries, st.pair_products(st.basis_stack), axes=2)
+        prods = np.tensordot(self.entries, st.pair_products(st.basis), axes=2)
         norms = np.linalg.norm(prods.reshape(self.module.m ** 2, -1), axis=1)
         return float(norms.max()) if norms.size else 0.0
 

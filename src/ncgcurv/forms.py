@@ -87,7 +87,7 @@ class UniversalOneForm:
 
     def mult_residual(self) -> float:
         """||sum c[i,j] b_i b_j||_F: membership defect in ker(m)."""
-        return frobenius_norm(self._paired(self.triple.basis_stack))
+        return frobenius_norm(self._paired(self.triple.basis))
 
     def pi_d(self) -> np.ndarray:
         """Represented one-form sum c[i,j] b_i [D, b_j]."""
@@ -120,7 +120,7 @@ class UniversalOneForm:
         """||sum c[i,j] [D, b_i] b_j||_F (the redundant junk condition)."""
         st = self.triple
         out = np.einsum("ij,iab,jbc->ac", self.coeffs, st.dirac_commutators,
-                        st.basis_stack)
+                        st.basis)
         return frobenius_norm(out)
 
     def star(self) -> "UniversalOneForm":
@@ -159,9 +159,12 @@ def right_mult(omega: UniversalOneForm, b_coeffs) -> UniversalOneForm:
 
 @dataclass(frozen=True)
 class FormSpace:
-    """Frobenius-orthonormal basis of a space of represented forms."""
+    """Frobenius-orthonormal basis of a space of represented forms.
 
-    basis: tuple[np.ndarray, ...]
+    ``basis`` is a (dim, n, n) stack, as returned by :func:`subspace_basis`.
+    """
+
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -174,19 +177,18 @@ class FormSpace:
 def one_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_j]} as an orthonormal FormSpace."""
     mats = st.pair_products(st.dirac_commutators).reshape(st.d * st.d, st.n, st.n)
-    return FormSpace(tuple(subspace_basis(mats, rank_tol)))
+    return FormSpace(subspace_basis(mats, rank_tol))
 
 
 def two_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_i][D, b_j]}."""
-    mats = [st.basis[k] @ st.dirac_commutators[i] @ st.dirac_commutators[j]
-            for k in range(st.d) for i in range(st.d) for j in range(st.d)]
-    return FormSpace(tuple(subspace_basis(mats, rank_tol)))
+    mats = st.pair_products(st.dirac_commutators)[:, :, None] @ st.dirac_commutators
+    return FormSpace(subspace_basis(mats.reshape(-1, st.n, st.n), rank_tol))
 
 
 def universal_form_basis(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
     """Orthonormal coefficient-table basis of ker(m), the universal one-forms."""
-    cols = st.pair_products(st.basis_stack).reshape(st.d * st.d, -1).T
+    cols = st.pair_products(st.basis).reshape(st.d * st.d, -1).T
     return [UniversalOneForm(st, v.reshape(st.d, st.d))
             for v in solve_kernel(cols, rank_tol)]
 
@@ -194,7 +196,7 @@ def universal_form_basis(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL)
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
     """Basis of ker(m) intersect ker(pi_d): universal forms representing to zero."""
     # column (i, j) stacks vec(b_i b_j) over vec(b_i [D, b_j])
-    pairs = st.pair_products(np.stack([st.basis_stack, st.dirac_commutators]))
+    pairs = st.pair_products(np.stack([st.basis, st.dirac_commutators]))
     L = pairs.transpose(1, 2, 0, 3, 4).reshape(st.d * st.d, -1).T
     return [UniversalOneForm(st, v.reshape(st.d, st.d))
             for v in solve_kernel(L, rank_tol)]
@@ -210,5 +212,5 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
     kernel = kernel_one_forms(st, rank_tol)
     pairs = st.pair_products(st.dirac_sq_commutators)
     mats = [np.tensordot(w.coeffs, pairs, axes=2) for w in kernel]
-    return FormSpace(tuple(subspace_basis(mats, rank_tol)))
+    return FormSpace(subspace_basis(np.reshape(mats, (-1, st.n, st.n)), rank_tol))
 

@@ -57,25 +57,21 @@ def unit_disc(rng: np.random.Generator, shape) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-def _diag_projection_basis(rng: np.random.Generator, n: int, d: int) -> list[np.ndarray]:
+def _diag_projection_basis(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     perm = rng.permutation(n)
     cuts = np.sort(rng.choice(np.arange(1, n), size=d - 1, replace=False)) if d > 1 else []
-    groups = np.split(perm, cuts)
-    basis = [np.eye(n, dtype=complex)]
-    for g in groups[1:]:
-        proj = np.zeros((n, n), dtype=complex)
-        proj[g, g] = 1.0
-        basis.append(proj)
+    basis = np.zeros((d, n, n), dtype=complex)
+    basis[0] = np.eye(n)
+    for k, g in enumerate(np.split(perm, cuts)[1:], start=1):
+        basis[k, g, g] = 1.0
     return basis
 
 
-def _amplified_m2_basis() -> list[np.ndarray]:
-    eye2 = np.eye(2)
-    units = [np.zeros((2, 2)) for _ in range(3)]
-    units[0][0, 0] = 1.0  # E11
-    units[1][0, 1] = 1.0  # E12
-    units[2][1, 0] = 1.0  # E21
-    return [np.eye(4, dtype=complex)] + [np.kron(eye2, u).astype(complex) for u in units]
+def _amplified_m2_basis() -> np.ndarray:
+    units = np.zeros((4, 2, 2), dtype=complex)
+    units[0] = np.eye(2)
+    units[1, 0, 0] = units[2, 0, 1] = units[3, 1, 0] = 1.0  # E11, E12, E21
+    return np.kron(np.eye(2), units)  # 1 (x) unit, one 4x4 matrix per unit
 
 
 def random_triple(rng: np.random.Generator, n: int | None = None,
@@ -102,7 +98,7 @@ def random_triple(rng: np.random.Generator, n: int | None = None,
         basis = _diag_projection_basis(rng, n, d)
     else:
         raise ValueError(f"unknown triple kind {kind!r}")
-    return SpectralTriple(gamma, tuple(basis), dirac)
+    return SpectralTriple(gamma, basis, dirac)
 
 
 def _random_signs(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -141,7 +137,7 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
                 else:
                     table[i, j] = c
                     table[j, i] = st.star_coords(c)
-        blocks = np.einsum("ijk,kab->iajb", table, st.basis_stack)
+        blocks = np.einsum("ijk,kab->iajb", table, st.basis)
         h = blocks.reshape(m * n, m * n)
         h = 0.5 * (h + h.conj().T)
         vals, vecs = np.linalg.eigh(h)
@@ -234,16 +230,15 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
     return VerticalOperator(module, table)
 
 
-def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
-                   a: ConnectionForm | None = None) -> tuple[ConnectionForm, ConnectionForm]:
-    """Two universal lifts with equal represented part.
+def junk_lift_pair(rng: np.random.Generator,
+                   module: ProjectiveModule) -> tuple[ConnectionForm, ConnectionForm]:
+    """A random Hermitian connection and a second universal lift of it.
 
     The second lift differs by a compressed combination of forms in
     ker(m) intersect ker(pi_d), whose pi_d2 image is junk.  If that kernel is
     empty the pair is ``(a, a)``, which checks nothing: draw another triple.
     """
-    if a is None:
-        a = random_connection(rng, module, hermitian=True)
+    a = random_connection(rng, module, hermitian=True)
     kernel = kernel_one_forms(module.triple)
     if not kernel:
         return a, a

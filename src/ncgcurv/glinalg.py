@@ -95,27 +95,21 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
     return v * np.conj(phase)
 
 
-def subspace_basis(mats: Sequence[np.ndarray], rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the span of ``mats``.
+def subspace_basis(mats, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Frobenius-orthonormal basis of the span of a (k, ...) stack ``mats``.
 
     Vectorizes the matrices row-major, takes a singular value decomposition,
     and keeps the right-singular directions with sigma > rank_tol * sigma_max.
-    Returns a (possibly empty) list of matrices of the common input shape,
-    pairwise orthonormal for trace(a^* b).
+    Returns a (rank, ...) stack of the input's matrix shape, possibly with
+    rank 0, pairwise orthonormal for trace(a^* b).
     """
-    mats = [as_complex_matrix(m) for m in mats]
-    if not mats:
-        return []
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ValueError(f"shape mismatch in subspace_basis: {m.shape} vs {shape}")
-    rows = np.stack([m.ravel() for m in mats])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return [_normalize_phase(vh[k]).reshape(shape) for k in range(rank)]
+    mats = as_complex_matrix(mats)
+    if not len(mats):
+        return mats
+    _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    rows = np.array([_normalize_phase(v) for v in vh[:rank]], dtype=complex)
+    return rows.reshape(rank, *mats.shape[1:])
 
 
 def project_off(a, basis: Sequence[np.ndarray]) -> np.ndarray:

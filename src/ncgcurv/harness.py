@@ -214,8 +214,9 @@ def _max(values: list[float]) -> float:
     return max(values) if values else 0.0
 
 
-def selftest(seed: int, count: int = SCENARIOS_PER_FAMILY) -> list[Check]:
+def selftest(seed: int) -> list[Check]:
     """Run every invariant family at its pinned tolerance; one check per line."""
+    count = SCENARIOS_PER_FAMILY
     route = route_equality_residuals(seed, count)
     structure = curvature_structure_residuals(seed + 1, count)
     ajunkie = ajunkie_residuals(seed + 2, 2 * count)

@@ -43,6 +43,12 @@ def _tolerance(value, path: str) -> float:
     return float(value)
 
 
+def _seed(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise _fail(path, "expected a nonnegative integer")
+    return value
+
+
 def _complex(node, path: str) -> complex:
     if isinstance(node, bool):
         raise _fail(path, "expected a number or [re, im] pair, got a boolean")
@@ -54,33 +60,34 @@ def _complex(node, path: str) -> complex:
     raise _fail(path, f"expected a number or [re, im] pair, got {node!r}")
 
 
-def _vector(node, path: str, length: int | None = None) -> np.ndarray:
-    if not isinstance(node, list):
-        raise _fail(path, "expected an array")
-    vec = np.array([_complex(x, f"{path}[{k}]") for k, x in enumerate(node)])
-    if length is not None and vec.shape != (length,):
-        raise _fail(path, f"expected length {length}, got {len(vec)}")
-    return vec
+def _array(node, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested arrays of complex scalars, checked level by level against ``shape``."""
+
+    def nested(node, path: str, shape: tuple[int, ...]):
+        if not shape:
+            return _complex(node, path)
+        if not isinstance(node, list) or not node:
+            raise _fail(path, "expected a nonempty array")
+        if len(node) != shape[0]:
+            raise _fail(path, f"expected length {shape[0]}, got {len(node)}")
+        return [nested(x, f"{path}[{k}]", shape[1:]) for k, x in enumerate(node)]
+
+    return np.array(nested(node, path, shape), dtype=complex)
 
 
-def _matrix(node, path: str, square: bool = True) -> np.ndarray:
+def _matrix(node, path: str) -> np.ndarray:
+    """A square matrix whose size is read from the input."""
     if not isinstance(node, list) or not node:
         raise _fail(path, "expected a nonempty array of rows")
-    rows = []
-    width = None
     for r, row in enumerate(node):
         if not isinstance(row, list):
             raise _fail(f"{path}[{r}]", "expected an array row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise _fail(f"{path}[{r}]",
-                        f"ragged matrix: row has length {len(row)}, expected {width}")
-        rows.append([_complex(x, f"{path}[{r}][{k}]") for k, x in enumerate(row)])
-    mat = np.array(rows)
-    if square and mat.shape[0] != mat.shape[1]:
-        raise _fail(path, f"expected a square matrix, got shape {mat.shape}")
-    return mat
+        if len(row) != len(node[0]):
+            raise _fail(f"{path}[{r}]", f"ragged matrix: row has length {len(row)}, "
+                                        f"expected {len(node[0])}")
+    if len(node) != len(node[0]):
+        raise _fail(path, f"expected a square matrix, got shape {(len(node), len(node[0]))}")
+    return _array(node, path, (len(node), len(node)))
 
 
 def _parse_triple(node, path: str) -> SpectralTriple:
@@ -93,35 +100,13 @@ def _parse_triple(node, path: str) -> SpectralTriple:
     n = gamma.shape[0]
     if "n" in node and node["n"] != n:
         raise _fail(f"{path}.n", f"declared n={node['n']} but gamma is {n}x{n}")
-    if not isinstance(node["basis"], list) or not node["basis"]:
-        raise _fail(f"{path}.basis", "expected a nonempty array of matrices")
-    basis = []
-    for k, b in enumerate(node["basis"]):
-        mat = _matrix(b, f"{path}.basis[{k}]")
-        if mat.shape != (n, n):
-            raise _fail(f"{path}.basis[{k}]",
-                        f"expected a {n}x{n} matrix, got {mat.shape}")
-        basis.append(mat)
-    dirac = _matrix(node["dirac"], f"{path}.dirac")
-    if dirac.shape != (n, n):
-        raise _fail(f"{path}.dirac", f"expected a {n}x{n} matrix, got {dirac.shape}")
+    d = len(node["basis"]) if isinstance(node["basis"], list) else 0
+    basis = _array(node["basis"], f"{path}.basis", (d, n, n))
+    dirac = _array(node["dirac"], f"{path}.dirac", (n, n))
     try:
-        return SpectralTriple(gamma, tuple(basis), dirac)
+        return SpectralTriple(gamma, basis, dirac)
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
-
-
-def _parse_coeff_table(node, path: str, m: int, d: int) -> np.ndarray:
-    """(m, m) outer grid whose cells are flat length-d coefficient arrays."""
-    if not isinstance(node, list) or len(node) != m:
-        raise _fail(path, f"expected {m} rows of coefficient vectors")
-    out = np.zeros((m, m, d), dtype=complex)
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != m:
-            raise _fail(f"{path}[{i}]", f"expected {m} coefficient vectors")
-        for j, cell in enumerate(row):
-            out[i, j] = _vector(cell, f"{path}[{i}][{j}]", d)
-    return out
 
 
 def _parse_module(node, path: str, st: SpectralTriple) -> ProjectiveModule:
@@ -137,9 +122,10 @@ def _parse_module(node, path: str, st: SpectralTriple) -> ProjectiveModule:
     if "m" in node and node["m"] != m:
         raise _fail(f"{path}.m", f"declared m={node['m']} but gamma_signs has {m}")
     for k, s in enumerate(signs):
-        if s not in (1, -1):
-            raise _fail(f"{path}.gamma_signs[{k}]", f"expected +1 or -1, got {s!r}")
-    p = _parse_coeff_table(node["p"], f"{path}.p", m, st.d)
+        # an integer: JSON true and 1.0 compare equal to 1 but are not signs
+        if type(s) is not int or s not in (1, -1):
+            raise _fail(f"{path}.gamma_signs[{k}]", f"expected the integer 1 or -1, got {s!r}")
+    p = _array(node["p"], f"{path}.p", (m, m, st.d))
     try:
         return ProjectiveModule(st, p, np.array(signs, dtype=float))
     except ValueError as exc:
@@ -155,19 +141,7 @@ def _parse_connection(node, path: str, module: ProjectiveModule) -> ConnectionFo
     if not isinstance(hermitian, bool):
         raise _fail(f"{path}.hermitian", "expected a boolean")
     m, d = module.m, module.triple.d
-    grid = node["entries"]
-    if not isinstance(grid, list) or len(grid) != m:
-        raise _fail(f"{path}.entries", f"expected {m} rows of {d}x{d} tables")
-    entries = np.zeros((m, m, d, d), dtype=complex)
-    for i, row in enumerate(grid):
-        if not isinstance(row, list) or len(row) != m:
-            raise _fail(f"{path}.entries[{i}]", f"expected {m} tables")
-        for j, cell in enumerate(row):
-            tab = _matrix(cell, f"{path}.entries[{i}][{j}]")
-            if tab.shape != (d, d):
-                raise _fail(f"{path}.entries[{i}][{j}]",
-                            f"expected a {d}x{d} coefficient table, got {tab.shape}")
-            entries[i, j] = tab
+    entries = _array(node["entries"], f"{path}.entries", (m, m, d, d))
     try:
         return ConnectionForm(module, entries, hermitian=hermitian)
     except ValueError as exc:
@@ -177,8 +151,8 @@ def _parse_connection(node, path: str, module: ProjectiveModule) -> ConnectionFo
 def _parse_vertical(node, path: str, module: ProjectiveModule) -> VerticalOperator:
     if not isinstance(node, dict) or "entries" not in node:
         raise _fail(path, "expected an object with an 'entries' table")
-    entries = _parse_coeff_table(node["entries"], f"{path}.entries",
-                                 module.m, module.triple.d)
+    m, d = module.m, module.triple.d
+    entries = _array(node["entries"], f"{path}.entries", (m, m, d))
     try:
         return VerticalOperator(module, entries)
     except ValueError as exc:
@@ -206,19 +180,13 @@ def _parse_frame(node, path: str) -> tuple[FramePoint, bool]:
     dim_fiber = node["dim_fiber"]
     if not isinstance(dim_fiber, int) or isinstance(dim_fiber, bool):
         raise _fail(f"{path}.dim_fiber", f"expected an integer, got {dim_fiber!r}")
-    c = np.zeros((dim, dim, dim))
-    table = node["c"]
-    if not isinstance(table, list) or len(table) != dim:
-        raise _fail(f"{path}.c", f"expected {dim} slices")
-    for k, slab in enumerate(table):
-        mat = _matrix(slab, f"{path}.c[{k}]")
-        if mat.shape != (dim, dim):
-            raise _fail(f"{path}.c[{k}]", f"expected {dim}x{dim}, got {mat.shape}")
-        if np.any(np.abs(mat.imag) > 0):
-            raise _fail(f"{path}.c[{k}]", "structure constants must be real")
-        c[k] = mat.real
+    c = _array(node["c"], f"{path}.c", (dim, dim, dim))
+    complex_at = np.argwhere(c.imag != 0)
+    if complex_at.size:
+        raise _fail(f"{path}.c" + "".join(f"[{k}]" for k in complex_at[0]),
+                    "structure constants must be real")
     try:
-        return FramePoint(dim, dim_fiber, c), False
+        return FramePoint(dim, dim_fiber, c.real.copy()), False
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
 
@@ -294,9 +262,7 @@ def parse_scenario(source) -> Scenario:
                               "tolerances.residual_tol")
     rank_tol = _tolerance(tolerances.get("rank_tol", DEFAULT_RANK_TOL), "tolerances.rank_tol")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioError("seed: expected a nonnegative integer")
+    seed = _seed(raw.get("seed", 0), "seed")
 
     return Scenario(
         triple=st,

@@ -73,7 +73,8 @@ class SpectralTriple:
 
     Fields:
         gamma: n x n self-adjoint involution.
-        basis: tuple of n x n matrices spanning the algebra, basis[0] = identity.
+        basis: (d, n, n) complex array of the matrices spanning the algebra,
+            basis[0] = identity.
         dirac: n x n self-adjoint matrix, odd with respect to gamma.
 
     Shape consistency is enforced at construction; the numerical invariants
@@ -82,23 +83,21 @@ class SpectralTriple:
     """
 
     gamma: np.ndarray
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     dirac: np.ndarray
 
     def __post_init__(self):
         gamma = as_complex_matrix(self.gamma)
         dirac = as_complex_matrix(self.dirac)
-        basis = tuple(as_complex_matrix(b) for b in self.basis)
+        basis = as_complex_matrix(self.basis)
         if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
             raise ValueError("gamma must be square")
         n = gamma.shape[0]
         if dirac.shape != (n, n):
             raise ValueError(f"dirac must be {n}x{n}, got {dirac.shape}")
-        if not basis:
-            raise ValueError("algebra basis must be nonempty")
-        for k, b in enumerate(basis):
-            if b.shape != (n, n):
-                raise ValueError(f"basis[{k}] must be {n}x{n}, got {b.shape}")
+        if basis.ndim != 3 or basis.shape[1:] != (n, n) or not len(basis):
+            raise ValueError(f"basis must be a nonempty (d, {n}, {n}) stack, "
+                             f"got {basis.shape}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "dirac", dirac)
         object.__setattr__(self, "basis", basis)
@@ -112,11 +111,6 @@ class SpectralTriple:
         return len(self.basis)
 
     # -- cached derived arrays -------------------------------------------
-
-    @cached_property
-    def basis_stack(self) -> np.ndarray:
-        """(d, n, n) stack of the algebra basis."""
-        return np.stack(self.basis)
 
     @cached_property
     def dirac_sq(self) -> np.ndarray:
@@ -138,24 +132,24 @@ class SpectralTriple:
         Not cached: kept on every triple it would cost d times the memory of
         the commutator stacks, for a product that takes d^2 small matmuls.
         """
-        return self.basis_stack[:, None] @ right[..., None, :, :, :]
+        return self.basis[:, None] @ right[..., None, :, :, :]
 
     @cached_property
     def _vec_basis(self) -> np.ndarray:
         # (n^2, d) matrix with columns vec(b_k); used for coordinate solves.
-        return self.basis_stack.reshape(self.d, -1).T
+        return self.basis.reshape(self.d, -1).T
 
     @cached_property
     def mult_tensor(self) -> np.ndarray:
         """(d, d, d) structure constants: b_i b_j = sum_k T[i,j,k] b_k."""
-        prods = self.pair_products(self.basis_stack).reshape(-1, self.n, self.n)
+        prods = self.pair_products(self.basis).reshape(-1, self.n, self.n)
         T = self.coords(prods, context="b_i * b_j over flattened (i, j)")
         return T.reshape(self.d, self.d, self.d)
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
         """(d, d) matrix S with b_k^* = sum_j S[j,k] b_j."""
-        adjoints = self.basis_stack.conj().transpose(0, 2, 1)
+        adjoints = self.basis.conj().transpose(0, 2, 1)
         return self.coords(adjoints, context="b_k^* over k").T.copy()  # C order, see coords
 
     # -- algebra coordinates ---------------------------------------------
@@ -165,7 +159,7 @@ class SpectralTriple:
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim not in (1, 2) or c.shape[-1] != self.d:
             raise ValueError(f"coefficient vectors must have length {self.d}, got {c.shape}")
-        return np.einsum("...k,kab->...ab", c, self.basis_stack)
+        return np.einsum("...k,kab->...ab", c, self.basis)
 
     def coords(self, mat, tol: float = DEFAULT_TOL, context: str = "") -> np.ndarray:
         """Least-squares coefficients of ``mat`` in the algebra basis.
@@ -268,7 +262,7 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
     even_res = max(relative_distance(g @ b @ g, b) for b in st.basis)
     checks.append(Check("basis_even", even_res, tol))
 
-    stacked = st.basis_stack.reshape(st.d, -1)
+    stacked = st.basis.reshape(st.d, -1)
     s = np.linalg.svd(stacked, compute_uv=False)
     margin = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     checks.append(Check("basis_independent", margin, rank_tol, op=">="))
@@ -277,8 +271,8 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
         fits = st.assemble(st.coords(mats, tol=np.inf))
         return max(relative_distance(f, m) for f, m in zip(fits, mats))
 
-    mult_res = span_residual(st.pair_products(st.basis_stack).reshape(-1, st.n, st.n))
-    star_res = span_residual(st.basis_stack.conj().transpose(0, 2, 1))
+    mult_res = span_residual(st.pair_products(st.basis).reshape(-1, st.n, st.n))
+    star_res = span_residual(st.basis.conj().transpose(0, 2, 1))
     checks.append(Check("algebra_closed_mult", mult_res, tol))
     checks.append(Check("algebra_closed_star", star_res, tol))
 

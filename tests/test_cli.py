@@ -1,10 +1,13 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ncgcurv.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from ncgcurv.scenario import ScenarioError, parse_scenario
+from ncgcurv.submersion import canned_frame
 
 
 def write_scenario(tmp_path, payload, name="scen.json"):
@@ -21,6 +24,53 @@ TWO_POINT = {
     },
     "seed": 1,
 }
+
+
+# Replacements for any node of an array field, then edits of a list node.
+MUTATIONS = {
+    "boolean": lambda node: True,
+    "string": lambda node: "x",
+    "null": lambda node: None,
+    "empty list": lambda node: [],
+    "NaN": lambda node: float("nan"),
+}
+LIST_MUTATIONS = {
+    "last element dropped": lambda node: node[:-1],
+    "last element duplicated": lambda node: node + node[-1:],
+}
+ARRAY_SECTIONS = ("triple", "triple2", "module", "connection", "vertical", "frame")
+# The triple's basis length d sizes the tables of the sections read after it.
+SIZED_BY = {"triple": ("module", "connection", "vertical")}
+
+
+def _array_nodes(node, path):
+    """Every node of a nested array field with its path, outermost first."""
+    yield path, node
+    if isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _array_nodes(child, path + (k,))
+
+
+def malformed_variants(scenarios):
+    """(label, sections an error may name, scenario) for every mutated array node."""
+    for name, raw in scenarios:
+        for section in ARRAY_SECTIONS:
+            fields = raw.get(section, {})
+            for key, field in fields.items():
+                if not isinstance(field, list):
+                    continue
+                for path, node in _array_nodes(field, (section, key)):
+                    edits = dict(MUTATIONS)
+                    if isinstance(node, list) and node:
+                        edits.update(LIST_MUTATIONS)
+                    for kind, mutate in edits.items():
+                        variant = copy.deepcopy(raw)
+                        target = variant
+                        for step in path[:-1]:
+                            target = target[step]
+                        target[path[-1]] = mutate(node)
+                        yield (f"{name} {path}: {kind}",
+                               (section,) + SIZED_BY.get(section, ()), variant)
 
 
 class TestParsing:
@@ -78,6 +128,29 @@ class TestParsing:
         p1 = write_scenario(tmp_path, TWO_POINT, "a.json")
         p2 = write_scenario(tmp_path, TWO_POINT, "b.json")
         assert parse_scenario(p1).digest == parse_scenario(p2).digest
+
+    def test_malformed_arrays_rejected_in_their_section(self, fixtures_dir):
+        # no fixture has explicit structure constants, so add a frame that does
+        heisenberg = canned_frame("heisenberg")
+        explicit = json.loads(json.dumps(TWO_POINT))
+        explicit["frame"] = {"dim": heisenberg.dim_total, "dim_fiber": heisenberg.dim_fiber,
+                             "c": heisenberg.c.tolist()}
+        scenarios = [(path.name, json.loads(path.read_text()))
+                     for path in sorted(fixtures_dir.glob("*.json"))]
+        scenarios.append(("explicit frame", explicit))
+        failures, count = [], 0
+        for label, sections, variant in malformed_variants(scenarios):
+            count += 1
+            try:
+                parse_scenario(variant)
+            except ScenarioError as exc:
+                named = re.match(r"[a-z0-9_]*", str(exc)).group()
+                if named not in sections:
+                    failures.append(f"{label}: {exc}")
+            except Exception as exc:  # any other exception is a parser defect
+                failures.append(f"{label}: {exc!r}")
+        assert count > 2000
+        assert not failures, "\n".join(failures[:20])
 
 
 class TestSingleEvaluation:
@@ -210,6 +283,20 @@ class TestExitCodes:
         path = write_scenario(tmp_path, payload)
         assert main(["submersion", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("input error: frame.dim_fiber")
+
+    @pytest.mark.parametrize("sign", [True, 1.0, [1, 0]])
+    def test_non_integer_gamma_sign_exit_two(self, fixtures_dir, tmp_path, capsys, sign):
+        payload = json.loads((fixtures_dir / "two_point_module.json").read_text())
+        payload["module"]["gamma_signs"][0] = sign
+        path = write_scenario(tmp_path, payload)
+        assert main(["validate", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error: module.gamma_signs[0]")
+
+    def test_negative_seed_exit_two(self, fixtures_dir, capsys):
+        assert main(["selftest", "--seed", "-1"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error: --seed")
+        path = str(fixtures_dir / "two_point.json")
+        assert main(["validate", path, "--seed", "-1"]) == EXIT_INPUT_ERROR
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -203,7 +203,7 @@ def lifted_svd_canonical(r, module, junk, rank_tol=1e-9):
 
 def bimodule_defect(st_, junk):
     """Largest distance of b_i J b_j from span Junk, over max(1, ||b_i J b_j||)."""
-    j, b = np.stack(junk.basis), st_.basis_stack
+    j, b = junk.basis, st_.basis
     vecs = (b[:, None, None] @ j[None, :, None] @ b[None, None, :]).reshape(-1, j[0].size)
     basis = j.reshape(junk.dim, -1)
     off = vecs - (vecs @ basis.conj().T) @ basis

@@ -173,6 +173,13 @@ class TestFormSpaces:
         assert junk_space(st_scalar).dim == 0
         assert universal_form_basis(st_scalar) == []
 
+    def test_bases_are_stacks(self, two_point, n3):
+        # the zero-dimensional junk space of the two-point triple included
+        for st_ in (two_point, n3):
+            for space in (one_form_space(st_), two_form_space(st_), junk_space(st_)):
+                assert space.basis.shape == (space.dim, st_.n, st_.n)
+                assert space.basis.dtype == complex
+
     def test_universal_forms_dimension(self, two_point):
         # ker(m) has dimension d^2 - d when the basis spans a unital algebra
         assert len(universal_form_basis(two_point)) == 2

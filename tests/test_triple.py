@@ -97,7 +97,7 @@ class TestPairProducts:
         rng = rng_for(13)
         for kind in ("diag", "amp2"):
             st_ = random_triple(rng, n=4, kind=kind)
-            right = np.stack([st_.basis_stack, st_.dirac_commutators])
+            right = np.stack([st_.basis, st_.dirac_commutators])
             pp = st_.pair_products(right)
             assert pp.shape == (2, st_.d, st_.d, st_.n, st_.n)
             assert np.array_equal(pp[1], st_.pair_products(st_.dirac_commutators))
