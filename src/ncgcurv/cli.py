@@ -28,8 +28,6 @@ from .curvature import (
     wac_diagnostic,
 )
 from .fgpmod import (
-    InvariantViolation,
-    _require,
     connection_operators,
     spectrum,
     validate_connection,
@@ -46,7 +44,7 @@ from .glinalg import (
 )
 from .scenario import Scenario, ScenarioError, _seed, _tolerance, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
-from .triple import DEFAULT_TOL, Check, validate
+from .triple import DEFAULT_TOL, Check, InvariantViolation, _require, validate
 
 __all__ = ["ResultDocument", "main", "run"]
 

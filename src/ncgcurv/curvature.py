@@ -38,11 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from .fgpmod import (
-    Check,
     ConnectionForm,
     ConnectionOperators,
     ProjectiveModule,
-    _require,
     connection_operators,
 )
 from .forms import FormSpace, junk_space
@@ -56,7 +54,7 @@ from .glinalg import (
     spectral_norm,
     support_residual,
 )
-from .triple import DEFAULT_TOL, SpectralTriple
+from .triple import DEFAULT_TOL, Check, SpectralTriple, _require
 
 __all__ = [
     "CurvatureReport",
@@ -113,7 +111,7 @@ def _junk_projection(x: np.ndarray, module: ProjectiveModule,
     return np.einsum("ijq,qab->iajb", coeffs, junk.basis).reshape(module.dim, module.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
     """Curvature of a connection with residual diagnostics.
 
@@ -184,7 +182,7 @@ def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule
     return frobenius_norm(x - _junk_projection(x, module, junk)) / max(1.0, frobenius_norm(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerticalOperator:
     """m x m table of algebra coordinates assembling to an odd compressed S."""
 

@@ -27,12 +27,11 @@ from .glinalg import (
     relative_distance,
     support_residual,
 )
-from .triple import Check, DEFAULT_TOL, SpectralTriple
+from .triple import Check, DEFAULT_TOL, SpectralTriple, _require
 
 __all__ = [
     "ConnectionForm",
     "ConnectionOperators",
-    "InvariantViolation",
     "ProjectiveModule",
     "connection_operators",
     "hermitian_residual",
@@ -43,27 +42,13 @@ __all__ = [
 ]
 
 
-class InvariantViolation(ValueError):
-    """A structural invariant of a module, connection or operator failed."""
-
-    def __init__(self, check: Check):
-        self.check = check
-        super().__init__(f"invariant violated: {check}")
-
-
-def _require(checks: list[Check]) -> None:
-    for c in checks:
-        if not c.passed:
-            raise InvariantViolation(c)
-
-
 def _block_lift(left: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Kronecker product left (x) x of square matrices, by broadcasting."""
     dim = left.shape[0] * x.shape[0]
     return (left[:, None, :, None] * x[None, :, None, :]).reshape(dim, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveModule:
     """Projection entries p[i, j] as algebra coordinates, plus generator signs."""
 
@@ -147,7 +132,7 @@ def validate_module(module: ProjectiveModule, tol: float = DEFAULT_TOL) -> list[
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionForm:
     """Endomorphism-valued universal one-form: m x m table of coefficient tables."""
 
@@ -230,7 +215,7 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
     return _connection_checks(module, a, a.represented()[0], tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionOperators:
     """The one evaluated form of a connection: its represented pair and operators.
 

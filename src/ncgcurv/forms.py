@@ -31,7 +31,7 @@ from .glinalg import (
     solve_kernel,
     subspace_basis,
 )
-from .triple import DEFAULT_TOL, SpectralTriple
+from .triple import DEFAULT_TOL, SpectralTriple, _require, _unit_first_check
 
 __all__ = [
     "FormSpace",
@@ -52,7 +52,7 @@ class InternalConsistencyError(RuntimeError):
     """An identity that holds exactly in the calculus failed numerically."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniversalOneForm:
     """Coefficient table over basis pairs: sum c[i,j] b_i (x) b_j."""
 
@@ -157,7 +157,7 @@ def right_mult(omega: UniversalOneForm, b_coeffs) -> UniversalOneForm:
     return UniversalOneForm(st, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormSpace:
     """Frobenius-orthonormal basis of a space of represented forms.
 
@@ -203,14 +203,24 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
-    """Junk two-forms: the pi_d2 image of the kernel of pi_d.
+    """Junk two-forms: the pi_d2 image of ker(m) intersect ker(pi_d).
 
-    Pipeline: (1) the linear map c -> (sum c b_i b_j, sum c b_i [D, b_j]) on
-    coefficient space, (2) its numerical kernel, (3) the span of pi_d2 over
-    that kernel, each form contracted with one shared b_i [D^2, b_j] stack.
+    With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m),
+    represented by pi_d = b_i [D, b_j] and pi_d2 = b_i [D^2, b_j].  So the
+    junk space is the span of sum x_ij b_i [D^2, b_j] over the kernel x of
+    the n^2 x d(d-1) matrix of the b_i [D, b_j], and no rows of m are needed.
+    Raises InvariantViolation (``basis_unit_first``) when basis[0] is not the
+    identity, since these coordinates are then not a basis of ker(m).
     """
-    kernel = kernel_one_forms(st, rank_tol)
-    pairs = st.pair_products(st.dirac_sq_commutators)
-    mats = [np.tensordot(w.coeffs, pairs, axes=2) for w in kernel]
-    return FormSpace(subspace_basis(np.reshape(mats, (-1, st.n, st.n)), rank_tol))
-
+    _require([_unit_first_check(st)])
+    # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
+    # round-off pi_d2 images subspace_basis would normalize into unit "junk"
+    q = st.d * (st.d - 1)
+    pi_d, pi_d2 = st.pair_products(np.stack([st.dirac_commutators[1:],
+                                             st.dirac_sq_commutators[1:]])
+                                   ).reshape(2, q, st.n * st.n)
+    kernel = solve_kernel(pi_d.T, rank_tol)
+    # form by form, so each image has the bits of that form's own pi_d2
+    # (one stacked matmul rounds differently)
+    mats = [x @ pi_d2 for x in kernel]
+    return FormSpace(subspace_basis(np.reshape(mats, (len(kernel), st.n, st.n)), rank_tol))

@@ -98,8 +98,10 @@ def _parse_triple(node, path: str) -> SpectralTriple:
             raise _fail(path, f"missing required field {key!r}")
     gamma = _matrix(node["gamma"], f"{path}.gamma")
     n = gamma.shape[0]
-    if "n" in node and node["n"] != n:
-        raise _fail(f"{path}.n", f"declared n={node['n']} but gamma is {n}x{n}")
+    # an integer: JSON true and 2.0 compare equal to 1 and 2 but are not sizes
+    if "n" in node and (type(node["n"]) is not int or node["n"] != n):
+        raise _fail(f"{path}.n", f"declared n={node['n']!r}, expected the integer {n} "
+                                 f"(gamma is {n}x{n})")
     d = len(node["basis"]) if isinstance(node["basis"], list) else 0
     basis = _array(node["basis"], f"{path}.basis", (d, n, n))
     dirac = _array(node["dirac"], f"{path}.dirac", (n, n))
@@ -119,8 +121,9 @@ def _parse_module(node, path: str, st: SpectralTriple) -> ProjectiveModule:
     if not isinstance(signs, list) or not signs:
         raise _fail(f"{path}.gamma_signs", "expected a nonempty array of +1/-1")
     m = len(signs)
-    if "m" in node and node["m"] != m:
-        raise _fail(f"{path}.m", f"declared m={node['m']} but gamma_signs has {m}")
+    if "m" in node and (type(node["m"]) is not int or node["m"] != m):
+        raise _fail(f"{path}.m", f"declared m={node['m']!r}, expected the integer {m} "
+                                 f"(gamma_signs has {m})")
     for k, s in enumerate(signs):
         # an integer: JSON true and 1.0 compare equal to 1 but are not signs
         if type(s) is not int or s not in (1, -1):

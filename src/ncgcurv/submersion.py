@@ -38,7 +38,7 @@ __all__ = [
 ANTISYM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePoint:
     """Structure constants of an orthonormal frame split vertical/horizontal."""
 
@@ -91,7 +91,7 @@ def fibration_curvature(fp: FramePoint) -> np.ndarray:
     return np.transpose(omega, (1, 2, 0))  # (i, j, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubmersionInvariants:
     S_pi: np.ndarray
     k: np.ndarray

@@ -24,6 +24,7 @@ from .glinalg import (
 
 __all__ = [
     "Check",
+    "InvariantViolation",
     "NotInAlgebraError",
     "SpectralTriple",
     "c1_norm",
@@ -67,7 +68,21 @@ class Check:
         return f"{status:4s}  {self.name:<28s} {self.value:.3e} {self.op} {self.threshold:.3e}"
 
 
-@dataclass(frozen=True)
+class InvariantViolation(ValueError):
+    """A structural invariant of a triple, module, connection or operator failed."""
+
+    def __init__(self, check: Check):
+        self.check = check
+        super().__init__(f"invariant violated: {check}")
+
+
+def _require(checks: list[Check]) -> None:
+    for c in checks:
+        if not c.passed:
+            raise InvariantViolation(c)
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralTriple:
     """(algebra basis, grading, Dirac) on a Hilbert space of dimension n.
 
@@ -245,6 +260,11 @@ def c2_norm(st: SpectralTriple, coeffs) -> float:
 # -- validation ----------------------------------------------------------
 
 
+def _unit_first_check(st: SpectralTriple, tol: float = DEFAULT_TOL) -> Check:
+    """basis[0] is the identity, which the delta coordinates of forms rely on."""
+    return Check("basis_unit_first", relative_distance(st.basis[0], np.eye(st.n)), tol)
+
+
 def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
              rank_tol: float = DEFAULT_RANK_TOL) -> list[Check]:
     """Check every triple invariant, reporting one residual per check."""
@@ -256,8 +276,7 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
                         relative_distance(st.dirac, st.dirac.conj().T), tol))
     checks.append(Check("dirac_odd",
                         relative_distance(g @ st.dirac @ g, -st.dirac), tol))
-    checks.append(Check("basis_unit_first",
-                        relative_distance(st.basis[0], np.eye(st.n)), tol))
+    checks.append(_unit_first_check(st, tol))
 
     even_res = max(relative_distance(g @ b @ g, b) for b in st.basis)
     checks.append(Check("basis_even", even_res, tol))

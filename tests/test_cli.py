@@ -25,6 +25,15 @@ TWO_POINT = {
     "seed": 1,
 }
 
+TWO_POINT_MODULE = {
+    **TWO_POINT,
+    "module": {"gamma_signs": [1, -1], "p": [[[0, 1], [0, 0]], [[0, 0], [1, -1]]]},
+}
+ONE_POINT = {
+    "triple": {"gamma": [[1]], "basis": [[[1]]], "dirac": [[0]]},
+    "module": {"gamma_signs": [1], "p": [[[1]]]},
+}
+
 
 # Replacements for any node of an array field, then edits of a list node.
 MUTATIONS = {
@@ -123,6 +132,16 @@ class TestParsing:
         assert scen.connection is None
         doc = run("curvature", scen)
         assert doc.passed  # A defaults to zero
+
+    def test_distinct_parses_compare_unequal(self, fixtures_dir):
+        # array-holding dataclasses compare by identity, not field by field
+        path = fixtures_dir / "two_point_free_module.json"
+        a, b = parse_scenario(path), parse_scenario(path)
+        for x, y in ((a.triple, b.triple), (a.module, b.module),
+                     (a.connection, b.connection), (a.vertical, b.vertical)):
+            assert x == x
+            assert x != y
+        assert a != b
 
     def test_digest_is_content_hash(self, tmp_path):
         p1 = write_scenario(tmp_path, TWO_POINT, "a.json")
@@ -292,6 +311,19 @@ class TestExitCodes:
         assert main(["validate", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("input error: module.gamma_signs[0]")
 
+    @pytest.mark.parametrize("section, key", [("triple", "n"), ("module", "m")])
+    @pytest.mark.parametrize("payload, value", [(TWO_POINT_MODULE, 2.0), (ONE_POINT, True)])
+    def test_non_integer_declared_size_exit_two(self, tmp_path, capsys, section, key,
+                                                payload, value):
+        # 2.0 == 2 and True == 1, the sizes of each payload, but neither is an integer
+        payload = json.loads(json.dumps(payload))
+        size = int(value)
+        payload[section][key] = size
+        assert main(["validate", write_scenario(tmp_path, payload)]) == EXIT_OK
+        payload[section][key] = value
+        assert main(["validate", write_scenario(tmp_path, payload)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"input error: {section}.{key}")
+
     def test_negative_seed_exit_two(self, fixtures_dir, capsys):
         assert main(["selftest", "--seed", "-1"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("input error: --seed")
@@ -302,6 +334,23 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(path)]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("fixture, command", [("n3_junk.json", "junk"),
+                                                  ("two_point_module.json", "curvature")])
+    def test_basis_not_unit_first_exit_one(self, fixtures_dir, tmp_path, capsys,
+                                           fixture, command):
+        # the junk space is built on b_0 = 1; swapping b_0 and b_1 (and the
+        # module's coordinates with them) must fail that check, not mislead
+        payload = json.loads((fixtures_dir / fixture).read_text())
+        basis = payload["triple"]["basis"]
+        basis[0], basis[1] = basis[1], basis[0]
+        for row in payload.get("module", {}).get("p", []):
+            for entry in row:
+                entry[0], entry[1] = entry[1], entry[0]
+        assert main([command, write_scenario(tmp_path, payload)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert re.search(r"^  FAIL  basis_unit_first ", out, re.MULTILINE)
+        assert "junk_dim" not in out
 
     def test_invariant_violation_exit_one(self, tmp_path, capsys):
         # a connection placed on a grading-odd slot fails its invariant

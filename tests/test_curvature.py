@@ -17,7 +17,7 @@ from ncgcurv.curvature import (
     wac_diagnostic,
 )
 from ncgcurv import curvature, generate, harness
-from ncgcurv.fgpmod import InvariantViolation, connection_operators, symmetrize_connection
+from ncgcurv.fgpmod import connection_operators, symmetrize_connection
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
     junk_lift_pair,
@@ -28,6 +28,7 @@ from ncgcurv.generate import (
     rng_for,
 )
 from ncgcurv.glinalg import anticommutator, commutator, frobenius_norm, spectral_norm
+from ncgcurv.triple import InvariantViolation
 
 from test_fgpmod import delta_connection
 

@@ -8,7 +8,6 @@ from ncgcurv import ProjectiveModule
 from ncgcurv.curvature import curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
-    InvariantViolation,
     connection_operators,
     hermitian_residual,
     spectrum,
@@ -32,6 +31,7 @@ from ncgcurv.glinalg import (
     spectral_norm,
     support_residual,
 )
+from ncgcurv.triple import InvariantViolation
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -21,8 +21,10 @@ from ncgcurv.glinalg import (
     frobenius_norm,
     membership_residual,
     project_off,
+    solve_kernel,
     subspace_basis,
 )
+from ncgcurv.triple import InvariantViolation
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -213,9 +215,15 @@ class TestJunk:
                                                         abs=1e-10)
 
 
+def _projector(basis: np.ndarray, n: int) -> np.ndarray:
+    """Orthogonal projector onto the span of an orthonormal (k, n, n) stack."""
+    vecs = np.reshape(basis, (len(basis), n * n))
+    return vecs.T @ vecs.conj()
+
+
 class TestJunkSpacePairStack:
     def test_pair_products_built_once(self, n3, ladder_modules, monkeypatch):
-        # one stack for the kernel and one for pi_d2, not one per kernel form
+        # one stack holds both b_i [D, b_j] and b_i [D^2, b_j], for all forms
         triples = [n3] + [module.triple for module in ladder_modules]
         kernel_dims = [len(kernel_one_forms(st_)) for st_ in triples]
         calls = []
@@ -225,7 +233,7 @@ class TestJunkSpacePairStack:
         for st_ in triples:
             calls.clear()
             junk_space(st_)
-            assert len(calls) <= 2
+            assert len(calls) == 1
         assert max(kernel_dims) > 2
 
     def test_bit_identical_to_per_form_reference(self, n3, ladder_modules):
@@ -235,11 +243,44 @@ class TestJunkSpacePairStack:
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(10)]
         for st_ in triples:
             basis = junk_space(st_).basis
-            # pi_d2 evaluated form by form, each with its own pair stack
-            reference = subspace_basis([w.pi_d2() for w in kernel_one_forms(st_)])
+            # the kernel over the forms b_i delta(b_j), j >= 1, then pi_d2 of
+            # each kernel form contracted alone with its own b_i [D^2, b_j] stack
+            d = st_.d
+            pi_d = st_.pair_products(st_.dirac_commutators[1:]).reshape(d * (d - 1), st_.n ** 2)
+            mats = [np.tensordot(x.reshape(d, d - 1),
+                                 st_.pair_products(st_.dirac_sq_commutators[1:]), axes=2)
+                    for x in solve_kernel(pi_d.T)]
+            reference = subspace_basis(np.reshape(mats, (len(mats), st_.n, st_.n)))
             assert len(basis) == len(reference)
             for got, want in zip(basis, reference):
                 assert np.array_equal(got, want)
+
+    def test_span_agrees_with_kernel_one_forms_route(self, ladder_modules):
+        # the old route: pi_d2 over the kernel of the m-rows stacked on pi_d
+        rng = rng_for(31)
+        triples = [module.triple for module in ladder_modules]
+        triples += [random_triple(rng, kind="diag") for _ in range(200)]
+        triples += [random_triple(rng, n=4, kind="amp2") for _ in range(100)]
+        dims = []
+        for st_ in triples:
+            basis = junk_space(st_).basis
+            reference = subspace_basis([w.pi_d2() for w in kernel_one_forms(st_)])
+            assert len(basis) == len(reference)
+            gap = np.linalg.norm(_projector(basis, st_.n) - _projector(reference, st_.n), 2)
+            assert gap <= 1e-12
+            dims.append(len(basis))
+        assert min(dims) == 0 and max(dims) > 2
+
+    def test_refuses_basis_not_unit_first(self, n3):
+        # with b_0 != 1 the forms b_i delta(b_j) are no basis of ker(m)
+        swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
+        with pytest.raises(InvariantViolation) as err:
+            junk_space(swapped)
+        assert err.value.check.name == "basis_unit_first"
+        assert not err.value.check.passed
+        # the kernel route still sees the two junk forms of n3
+        reference = subspace_basis([w.pi_d2() for w in kernel_one_forms(swapped)])
+        assert len(reference) == junk_space(n3).dim == 2
 
 
 class TestProjectModJunk:
