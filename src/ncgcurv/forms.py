@@ -1,7 +1,7 @@
 """Universal and represented differential forms over a spectral triple.
 
 Universal one-forms are coefficient tables c over basis pairs, standing for
-sum_{ij} c[i,j] b_i (x) b_j inside the kernel of the multiplication map.
+sum_{ij} c[i,j] b_i (x) b_j inside the kernel ker(m) of the multiplication map.
 They are represented on the Hilbert space by
 
     pi_d : b_i (x) b_j  ->  b_i [D, b_j]          (one-forms)
@@ -12,8 +12,13 @@ tied together exactly by
 
     sum c[i,j] [D, b_i][D, b_j] = [D, pi_d(w)]_+ - pi_d2(w),
 
-which :meth:`UniversalOneForm.two_form` cross-checks on every call.  Junk
-two-forms are the pi_d2 image of the forms that represent to zero.
+which :meth:`UniversalOneForm.two_form` cross-checks on every call.
+
+With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m) (the
+delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
+The kernel of the n^2 x d(d-1) matrix of the b_i [D, b_j] gives the forms that
+represent to zero; junk two-forms are its pi_d2 image.  A basis[0] that is not
+the identity raises InvariantViolation (``basis_unit_first``).
 """
 
 from __future__ import annotations
@@ -186,40 +191,40 @@ def two_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> Fo
     return FormSpace(subspace_basis(mats.reshape(-1, st.n, st.n), rank_tol))
 
 
-def universal_form_basis(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
-    """Orthonormal coefficient-table basis of ker(m), the universal one-forms."""
-    cols = st.pair_products(st.basis).reshape(st.d * st.d, -1).T
-    return [UniversalOneForm(st, v.reshape(st.d, st.d))
-            for v in solve_kernel(cols, rank_tol)]
+def _delta_forms(st: SpectralTriple, xs) -> list[UniversalOneForm]:
+    """Forms sum x[i, j] b_i delta(b_j), j >= 1, one per row x (tables e_ij - T[i, j] e_0)."""
+    x = np.reshape(xs, (len(xs), st.d, st.d - 1))
+    c = np.zeros((len(x), st.d, st.d), dtype=complex)
+    c[:, :, 1:] = x
+    c[:, :, 0] = -np.einsum("kij,ijl->kl", x, st.mult_tensor[:, 1:])
+    return [UniversalOneForm(st, t) for t in c]
 
 
-def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
-    """Basis of ker(m) intersect ker(pi_d): universal forms representing to zero."""
-    # column (i, j) stacks vec(b_i b_j) over vec(b_i [D, b_j])
-    pairs = st.pair_products(np.stack([st.basis, st.dirac_commutators]))
-    L = pairs.transpose(1, 2, 0, 3, 4).reshape(st.d * st.d, -1).T
-    return [UniversalOneForm(st, v.reshape(st.d, st.d))
-            for v in solve_kernel(L, rank_tol)]
+def universal_form_basis(st: SpectralTriple) -> list[UniversalOneForm]:
+    """The delta basis b_i delta(b_j), j >= 1, of ker(m); not orthonormal."""
+    _require([_unit_first_check(st)])
+    return _delta_forms(st, np.eye(st.d * (st.d - 1)))
 
 
-def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
-    """Junk two-forms: the pi_d2 image of ker(m) intersect ker(pi_d).
-
-    With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m),
-    represented by pi_d = b_i [D, b_j] and pi_d2 = b_i [D^2, b_j].  So the
-    junk space is the span of sum x_ij b_i [D^2, b_j] over the kernel x of
-    the n^2 x d(d-1) matrix of the b_i [D, b_j], and no rows of m are needed.
-    Raises InvariantViolation (``basis_unit_first``) when basis[0] is not the
-    identity, since these coordinates are then not a basis of ker(m).
-    """
+def _delta_kernel(st: SpectralTriple, rank_tol: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j], and the rows b_i [D^2, b_j]."""
     _require([_unit_first_check(st)])
     # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
     # round-off pi_d2 images subspace_basis would normalize into unit "junk"
-    q = st.d * (st.d - 1)
     pi_d, pi_d2 = st.pair_products(np.stack([st.dirac_commutators[1:],
                                              st.dirac_sq_commutators[1:]])
-                                   ).reshape(2, q, st.n * st.n)
-    kernel = solve_kernel(pi_d.T, rank_tol)
+                                   ).reshape(2, st.d * (st.d - 1), st.n * st.n)
+    return solve_kernel(pi_d.T, rank_tol), pi_d2
+
+
+def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
+    """Basis of ker(m) intersect ker(pi_d), orthonormal in delta-basis coordinates."""
+    return _delta_forms(st, _delta_kernel(st, rank_tol)[0])
+
+
+def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
+    """Junk two-forms: the pi_d2 image of ker(m) intersect ker(pi_d)."""
+    kernel, pi_d2 = _delta_kernel(st, rank_tol)
     # form by form, so each image has the bits of that form's own pi_d2
     # (one stacked matmul rounds differently)
     mats = [x @ pi_d2 for x in kernel]

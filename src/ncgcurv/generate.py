@@ -16,9 +16,10 @@ distribution:
     signs appear when m >= 2, with probability 0.8); the projection is a
     spectral cut of a random self-adjoint element of M_m(A) at its largest
     interior eigenvalue gap, or the free module with probability 0.2.
-  * Connection tables: unit-disc coefficient combinations of a ker(m) basis
-    on the grading-even positions, pairing-symmetrized when Hermitian is
-    requested, then compressed by the projection.
+  * Connection tables: unit-disc combinations of the delta basis
+    b_i delta(b_j), j >= 1, of ker(m) (not orthonormal) on the grading-even
+    positions, pairing-symmetrized when Hermitian is requested, then
+    compressed by the projection.
   * Vertical operators: grading-odd algebra tables, symmetrized and
     compressed.
 """
@@ -157,29 +158,21 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
 
 
 def random_universal_form(rng: np.random.Generator, st: SpectralTriple) -> UniversalOneForm:
-    """Random element of ker(m): a universal one-form with unit-disc weights."""
+    """Random element of ker(m): unit-disc weights on its basis b_i delta(b_j)."""
     basis = universal_form_basis(st)
-    coeffs = np.zeros((st.d, st.d), dtype=complex)
-    if basis:
-        weights = unit_disc(rng, (len(basis),))
-        for w, form in zip(weights, basis):
-            coeffs = coeffs + w * form.coeffs
-    return UniversalOneForm(st, coeffs)
+    weights = unit_disc(rng, (len(basis),))
+    return UniversalOneForm(st, sum((w * f.coeffs for w, f in zip(weights, basis)),
+                                    np.zeros((st.d, st.d), dtype=complex)))
 
 
 def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
                        form_basis: list[UniversalOneForm]) -> ConnectionForm:
     m, d = module.m, module.triple.d
     entries = np.zeros((m, m, d, d), dtype=complex)
-    if form_basis:
-        even = module.even_mask
-        for i in range(m):
-            for j in range(m):
-                if not even[i, j]:
-                    continue
-                weights = unit_disc(rng, (len(form_basis),))
-                for w, form in zip(weights, form_basis):
-                    entries[i, j] += w * form.coeffs
+    for i, j in zip(*np.nonzero(module.even_mask)):  # row-major draw order
+        weights = unit_disc(rng, (len(form_basis),))
+        for w, form in zip(weights, form_basis):
+            entries[i, j] += w * form.coeffs
     return ConnectionForm(module, entries)
 
 
@@ -221,10 +214,8 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
     table = np.zeros((m, m, d), dtype=complex)
     odd = ~module.even_mask
     if odd.any():
-        for i in range(m):
-            for j in range(m):
-                if odd[i, j]:
-                    table[i, j] = unit_disc(rng, (d,))
+        for i, j in zip(*np.nonzero(odd)):
+            table[i, j] = unit_disc(rng, (d,))
         table = 0.5 * (table + _star_algebra_table(module, table))
         table = _compress_algebra_table(module, table)
     return VerticalOperator(module, table)

@@ -95,6 +95,11 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
     return v * np.conj(phase)
 
 
+def _kept_rank(s: np.ndarray, rank_tol: float) -> int:
+    """Number of singular values (descending) above rank_tol * sigma_max."""
+    return int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
+
+
 def subspace_basis(mats, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Frobenius-orthonormal basis of the span of a (k, ...) stack ``mats``.
 
@@ -107,7 +112,7 @@ def subspace_basis(mats, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if not len(mats):
         return mats
     _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    rank = _kept_rank(s, rank_tol)
     rows = np.array([_normalize_phase(v) for v in vh[:rank]], dtype=complex)
     return rows.reshape(rank, *mats.shape[1:])
 
@@ -159,9 +164,5 @@ def solve_kernel(L, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
         return [np.eye(q, dtype=complex)[k] for k in range(q)]
     # A tall L gives the full q x q vh without full_matrices; a wide L needs it.
     _, s, vh = np.linalg.svd(L, full_matrices=L.shape[0] < q)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * s[0]))
     # Null vectors are columns of V, i.e. conjugated rows of vh.
-    return [_normalize_phase(np.conj(vh[k])) for k in range(rank, q)]
+    return [_normalize_phase(np.conj(vh[k])) for k in range(_kept_rank(s, rank_tol), q)]

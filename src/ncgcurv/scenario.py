@@ -170,6 +170,9 @@ def _parse_frame(node, path: str) -> tuple[FramePoint, bool]:
         params = node.get("params", {})
         if not isinstance(params, dict):
             raise _fail(f"{path}.params", "expected an object of parameters")
+        for key, value in params.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise _fail(f"{path}.params.{key}", f"expected a number, got {value!r}")
         try:
             return canned_frame(name, **params), True
         except (TypeError, ValueError) as exc:

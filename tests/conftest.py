@@ -14,6 +14,50 @@ FIXTURES = ROOT / "fixtures"
 ORACLES = ROOT / "oracles"
 
 
+def full_svd_kernel(st_, rank_tol=1e-9) -> np.ndarray:
+    """Rows spanning ker(m) intersect ker(pi_d), from the full SVD of its 2n^2 x d^2 map.
+
+    The test-local reference of the route that ``kernel_one_forms`` took
+    before the delta basis: column (i, j) stacks vec(b_i b_j) over
+    vec(b_i [D, b_j]).  Rows are flattened d x d coefficient tables.
+    """
+    pairs = st_.pair_products(np.stack([st_.basis, st_.dirac_commutators]))
+    return _full_svd_null_rows(pairs.transpose(1, 2, 0, 3, 4).reshape(st_.d ** 2, -1).T, rank_tol)
+
+
+def svd_universal_form_basis(st_, rank_tol=1e-9) -> np.ndarray:
+    """Rows spanning ker(m), from the SVD of the n^2 x d^2 matrix of m.
+
+    The test-local reference of the route that ``universal_form_basis`` took
+    before the delta basis.
+    """
+    return _full_svd_null_rows(st_.pair_products(st_.basis).reshape(st_.d ** 2, -1).T, rank_tol)
+
+
+def _full_svd_null_rows(L: np.ndarray, rank_tol: float) -> np.ndarray:
+    _, s, vh = np.linalg.svd(L, full_matrices=True)
+    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    return vh[rank:].conj()
+
+
+def span_gap(rows, reference) -> float:
+    """Spectral norm of the difference of the projectors onto two row spans.
+
+    Each (k, q) array is orthonormalised by a QR of its transpose first, so
+    neither needs orthonormal rows.
+    """
+    def projector(a):
+        q, _ = np.linalg.qr(np.asarray(a).T)
+        return q @ q.conj().T
+
+    return float(np.linalg.norm(projector(rows) - projector(reference), 2))
+
+
+def form_tables(forms, d: int) -> np.ndarray:
+    """(k, d^2) array of the flattened coefficient tables of k universal forms."""
+    return np.reshape([w.coeffs for w in forms], (len(forms), d * d))
+
+
 def run_oracle(name: str) -> dict:
     """Run one of the shipped brute-force oracle scripts and parse its JSON."""
     out = subprocess.run(

@@ -303,6 +303,18 @@ class TestExitCodes:
         assert main(["submersion", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("input error: frame.dim_fiber")
 
+    @pytest.mark.parametrize("frame, name, value", [
+        ("hopf", "lam", True), ("hopf", "lam", "2"), ("warped_torus", "f", True)])
+    def test_non_number_frame_param_exit_two(self, tmp_path, capsys, frame, name, value):
+        # True would run as 1 and "2" failed inside the frame builder, naming no field
+        params = {"hopf": {"lam": 2}, "warped_torus": {"f": 2, "fprime": 0.5}}[frame]
+        payload = json.loads(json.dumps(TWO_POINT))
+        payload["frame"] = {"canned": frame, "params": params}
+        assert main(["submersion", write_scenario(tmp_path, payload)]) == EXIT_OK
+        payload["frame"]["params"][name] = value
+        assert main(["submersion", write_scenario(tmp_path, payload)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"input error: frame.params.{name}")
+
     @pytest.mark.parametrize("sign", [True, 1.0, [1, 0]])
     def test_non_integer_gamma_sign_exit_two(self, fixtures_dir, tmp_path, capsys, sign):
         payload = json.loads((fixtures_dir / "two_point_module.json").read_text())

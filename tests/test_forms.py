@@ -26,6 +26,8 @@ from ncgcurv.glinalg import (
 )
 from ncgcurv.triple import InvariantViolation
 
+from conftest import form_tables, full_svd_kernel, span_gap, svd_universal_form_basis
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -256,7 +258,7 @@ class TestJunkSpacePairStack:
                 assert np.array_equal(got, want)
 
     def test_span_agrees_with_kernel_one_forms_route(self, ladder_modules):
-        # the old route: pi_d2 over the kernel of the m-rows stacked on pi_d
+        # the SVD route: pi_d2 over the kernel of the m-rows stacked on pi_d
         rng = rng_for(31)
         triples = [module.triple for module in ladder_modules]
         triples += [random_triple(rng, kind="diag") for _ in range(200)]
@@ -264,7 +266,8 @@ class TestJunkSpacePairStack:
         dims = []
         for st_ in triples:
             basis = junk_space(st_).basis
-            reference = subspace_basis([w.pi_d2() for w in kernel_one_forms(st_)])
+            reference = subspace_basis([_svd_kernel_form(st_, row).pi_d2()
+                                        for row in full_svd_kernel(st_)])
             assert len(basis) == len(reference)
             gap = np.linalg.norm(_projector(basis, st_.n) - _projector(reference, st_.n), 2)
             assert gap <= 1e-12
@@ -274,13 +277,53 @@ class TestJunkSpacePairStack:
     def test_refuses_basis_not_unit_first(self, n3):
         # with b_0 != 1 the forms b_i delta(b_j) are no basis of ker(m)
         swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
-        with pytest.raises(InvariantViolation) as err:
-            junk_space(swapped)
-        assert err.value.check.name == "basis_unit_first"
-        assert not err.value.check.passed
-        # the kernel route still sees the two junk forms of n3
-        reference = subspace_basis([w.pi_d2() for w in kernel_one_forms(swapped)])
+        for route in (junk_space, kernel_one_forms, universal_form_basis):
+            with pytest.raises(InvariantViolation) as err:
+                route(swapped)
+            assert err.value.check.name == "basis_unit_first"
+            assert not err.value.check.passed
+        # the SVD route, which needs no unit first, still sees the two junk forms of n3
+        reference = subspace_basis([_svd_kernel_form(swapped, row).pi_d2()
+                                    for row in full_svd_kernel(swapped)])
         assert len(reference) == junk_space(n3).dim == 2
+
+
+def _svd_kernel_form(st_, row: np.ndarray) -> UniversalOneForm:
+    return UniversalOneForm(st_, row.reshape(st_.d, st_.d))
+
+
+class TestDeltaBasis:
+    """ker(m) in the coordinates b_i delta(b_j), j >= 1, against the SVD routes."""
+
+    def test_spans_agree_with_svd_routes(self, ladder_modules):
+        rng = rng_for(37)
+        triples = [module.triple for module in ladder_modules]
+        triples += [random_triple(rng, kind="diag") for _ in range(200)]
+        triples += [random_triple(rng, n=4, kind="amp2") for _ in range(100)]
+        kernel_dims = []
+        for st_ in triples:
+            for forms, reference in (
+                    (universal_form_basis(st_), svd_universal_form_basis(st_)),
+                    (kernel_one_forms(st_), full_svd_kernel(st_))):
+                assert len(forms) == len(reference)
+                assert span_gap(form_tables(forms, st_.d), reference) <= 1e-12
+            kernel_dims.append(len(reference))
+        assert min(kernel_dims) == 0 and max(kernel_dims) > 2
+
+    def test_basis_tables_are_b_i_delta_b_j(self, n3, ladder_modules):
+        rng = rng_for(41)
+        triples = [n3] + [module.triple for module in ladder_modules]
+        triples += [random_triple(rng, n=4, kind="amp2") for _ in range(3)]
+        for st_ in triples:
+            basis = universal_form_basis(st_)
+            pairs = [(i, j) for i in range(st_.d) for j in range(1, st_.d)]
+            assert len(basis) == len(pairs)
+            eye = np.eye(st_.d)
+            for w, (i, j) in zip(basis, pairs):
+                assert w.mult_residual() <= 1e-12
+                assert np.array_equal(w.pi_d(), st_.basis[i] @ st_.dirac_commutators[j])
+                want = left_mult(eye[i], delta(st_, eye[j])).coeffs
+                assert np.linalg.norm(w.coeffs - want) <= 1e-12
 
 
 class TestProjectModJunk:

@@ -20,6 +20,8 @@ from ncgcurv.glinalg import (
     support_residual,
 )
 
+from conftest import form_tables, full_svd_kernel, span_gap
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -243,25 +245,17 @@ class TestSolveKernel:
             assert np.linalg.norm(length @ v) <= 1e-9 * max(1.0, np.linalg.norm(length))
 
     def test_thin_svd_spans_the_full_svd_kernel_on_the_ladder(self):
-        # The seed-7 (n, d) ladder triples: L is tall, so the thin SVD's vh is
-        # already square.  Its kernel must span what the full SVD's does.
+        # The seed-7 (n, d) ladder triples.  The kernel forms are tables of the
+        # non-orthonormal basis b_i delta(b_j), so both spans are compared
+        # after a QR.
         rungs = ((6, 4), (12, 8), (16, 8), (20, 10))
         for idx, ((n, d), junk_dim) in enumerate(zip(rungs, (2, 12, 8, 18))):
             st_ = random_triple(rng_for(7 + idx), n=n, d=d, kind="diag")
-            kernel = np.array([w.coeffs.ravel() for w in kernel_one_forms(st_)])
+            kernel = kernel_one_forms(st_)
             reference = full_svd_kernel(st_)
-            assert kernel.shape == reference.shape
-            proj = kernel.T @ kernel.conj()
-            assert np.linalg.norm(proj - reference.T @ reference.conj()) <= 1e-12
+            assert len(kernel) == len(reference)
+            assert span_gap(form_tables(kernel, d), reference) <= 1e-12
             assert junk_space(st_).dim == junk_dim
-
-
-def full_svd_kernel(st_, rank_tol=1e-9):
-    """Rows spanning ker(m) intersect ker(pi_d), from the full SVD of its map."""
-    pairs = st_.pair_products(np.stack([st_.basis, st_.dirac_commutators]))
-    L = pairs.transpose(1, 2, 0, 3, 4).reshape(st_.d * st_.d, -1).T
-    _, s, vh = np.linalg.svd(L, full_matrices=True)
-    return vh[int(np.sum(s > rank_tol * s[0])):].conj()
 
 
 class TestCheckFormulas:
