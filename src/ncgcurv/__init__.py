@@ -36,9 +36,7 @@ from .forms import (
     delta,
     junk_space,
     kernel_one_forms,
-    left_mult,
     one_form_space,
-    right_mult,
     two_form_space,
 )
 from .glinalg import (
@@ -90,11 +88,9 @@ __all__ = [
     "junk_coset_residual",
     "junk_space",
     "kernel_one_forms",
-    "left_mult",
     "mean_curvature",
     "membership_residual",
     "one_form_space",
-    "right_mult",
     "second_fundamental_form",
     "solve_kernel",
     "spectral_norm",

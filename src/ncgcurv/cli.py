@@ -4,12 +4,14 @@ Every command takes a scenario file and emits a ResultDocument, as text or
 JSON.  Serialization is byte-identical for a fixed scenario, seed and
 package version: floats are printed with 17 significant digits and all key
 orders are fixed.  Exit codes: 0 all checks passed, 1 some check failed,
-2 malformed input.
+2 malformed input.  ``main()`` reuses one argument parser per process: it is
+built on the first call, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -19,13 +21,13 @@ import numpy as np
 from . import __version__, harness
 from .curvature import (
     SIGN_CONVENTION_NOTE,
-    correspondence_curvature,
-    correspondence_decomposition_residual,
+    _correspondence,
+    _decomposition_residual,
+    _wac,
     curvature_report,
     external_product_defect,
     external_product_defect_ungraded,
     validate_vertical,
-    wac_diagnostic,
 )
 from .fgpmod import (
     connection_operators,
@@ -234,14 +236,12 @@ def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, seed: int, 
     vertical = _need(scen, "vertical", "correspondence")
     checks = validate_vertical(vertical, tol)
     _require(checks)  # a bad S aborts before the connection is evaluated
+    s_mat = vertical.assembled()  # validated once, here
     ops = connection_operators(module, scen.connection, tol)
-    corr = correspondence_curvature(module, ops, vertical, tol)
-    residual = correspondence_decomposition_residual(module, ops, vertical, tol)
-    checks.append(Check("correspondence_decomposition", residual, tol))
-    values = {
-        "norm": spectral_norm(corr),
-        "wac_diagnostic": wac_diagnostic(module, ops, vertical, tol),
-    }
+    corr = _correspondence(s_mat, ops)
+    checks.append(Check("correspondence_decomposition",
+                        _decomposition_residual(module, s_mat, ops), tol))
+    values = {"norm": spectral_norm(corr), "wac_diagnostic": _wac(s_mat, ops)}
     matrices = {"correspondence_curvature": _matrix_payload(corr)} if emit else None
     return checks, values, matrices, [SIGN_CONVENTION_NOTE]
 
@@ -360,7 +360,9 @@ def run(command: str, scen: Scenario | None, tol: float | None = None,
     return doc
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and then reused."""
     parser = argparse.ArgumentParser(
         prog="ncgcurv",
         description="Curvature workbench for finite-dimensional spectral triples.",
@@ -382,7 +384,11 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--emit-matrices", action="store_true",
                          help="include matrix payloads in the report")
         cmd.add_argument("--format", choices=("text", "json"), default="text")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         scen = parse_scenario(args.scenario) if args.scenario is not None else None

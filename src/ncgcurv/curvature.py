@@ -221,12 +221,21 @@ def _correspondence(s_mat: np.ndarray, ops: ConnectionOperators) -> np.ndarray:
     return total @ total - s_mat @ s_mat - ops.n_op
 
 
+def _decomposition_residual(module: ProjectiveModule, s_mat: np.ndarray,
+                            ops: ConnectionOperators) -> float:
+    return frobenius_norm(_correspondence(s_mat, ops) - curvature_direct(module, ops)
+                          - anticommutator(s_mat, ops.m_op))
+
+
+def _wac(s_mat: np.ndarray, ops: ConnectionOperators) -> float:
+    return spectral_norm(anticommutator(s_mat, ops.m_op)) / (spectral_norm(s_mat) + 1.0)
+
+
 def correspondence_curvature(module: ProjectiveModule,
                              a: ConnectionForm | ConnectionOperators | None,
                              s: VerticalOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(S + M)^2 - S^2 - N: the defect of the tensor sum from respecting squares."""
-    s_mat = _checked_vertical(s, tol)
-    return _correspondence(s_mat, connection_operators(module, a, tol))
+    return _correspondence(_checked_vertical(s, tol), connection_operators(module, a, tol))
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,
@@ -234,20 +243,15 @@ def correspondence_decomposition_residual(module: ProjectiveModule,
                                           s: VerticalOperator,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
-    s_mat = _checked_vertical(s, tol)
-    ops = connection_operators(module, a, tol)
-    corr = _correspondence(s_mat, ops)
-    return frobenius_norm(corr - curvature_direct(module, ops)
-                          - anticommutator(s_mat, ops.m_op))
+    return _decomposition_residual(module, _checked_vertical(s, tol),
+                                   connection_operators(module, a, tol))
 
 
 def wac_diagnostic(module: ProjectiveModule,
                    a: ConnectionForm | ConnectionOperators | None,
                    s: VerticalOperator, tol: float = DEFAULT_TOL) -> float:
     """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
-    s_mat = _checked_vertical(s, tol)
-    m_op = connection_operators(module, a, tol).m_op
-    return spectral_norm(anticommutator(s_mat, m_op)) / (spectral_norm(s_mat) + 1.0)
+    return _wac(_checked_vertical(s, tol), connection_operators(module, a, tol))
 
 
 def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,

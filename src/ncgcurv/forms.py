@@ -45,9 +45,7 @@ __all__ = [
     "delta",
     "junk_space",
     "kernel_one_forms",
-    "left_mult",
     "one_form_space",
-    "right_mult",
     "two_form_space",
     "universal_form_basis",
 ]
@@ -128,12 +126,6 @@ class UniversalOneForm:
                         st.basis)
         return frobenius_norm(out)
 
-    def star(self) -> "UniversalOneForm":
-        """Involution (x (x) y)^* = y^* (x) x^*, re-expanded in the basis."""
-        S = self.triple.star_matrix
-        out = np.einsum("ij,aj,bi->ab", np.conj(self.coeffs), S, S)
-        return self._like(out)
-
 
 def delta(st: SpectralTriple, b_coeffs) -> UniversalOneForm:
     """Universal differential delta(b) = 1 (x) b - b (x) 1."""
@@ -144,22 +136,6 @@ def delta(st: SpectralTriple, b_coeffs) -> UniversalOneForm:
     c[0, :] += b
     c[:, 0] -= b
     return UniversalOneForm(st, c)
-
-
-def left_mult(a_coeffs, omega: UniversalOneForm) -> UniversalOneForm:
-    """Left module action a * omega, products re-expanded in the basis."""
-    st = omega.triple
-    a = np.asarray(a_coeffs, dtype=complex)
-    out = np.einsum("l,lik,ij->kj", a, st.mult_tensor, omega.coeffs)
-    return UniversalOneForm(st, out)
-
-
-def right_mult(omega: UniversalOneForm, b_coeffs) -> UniversalOneForm:
-    """Right module action omega * b."""
-    st = omega.triple
-    b = np.asarray(b_coeffs, dtype=complex)
-    out = np.einsum("ij,m,jmk->ik", omega.coeffs, b, st.mult_tensor)
-    return UniversalOneForm(st, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +200,11 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Junk two-forms: the pi_d2 image of ker(m) intersect ker(pi_d)."""
-    kernel, pi_d2 = _delta_kernel(st, rank_tol)
+    return _junk_from_kernel(st, *_delta_kernel(st, rank_tol), rank_tol)
+
+
+def _junk_from_kernel(st: SpectralTriple, kernel: list[np.ndarray], pi_d2: np.ndarray,
+                      rank_tol: float) -> FormSpace:
     # form by form, so each image has the bits of that form's own pi_d2
     # (one stacked matmul rounds differently)
     mats = [x @ pi_d2 for x in kernel]

@@ -1,13 +1,20 @@
+import argparse
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ncgcurv import cli, curvature
 from ncgcurv.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from ncgcurv.scenario import ScenarioError, parse_scenario
 from ncgcurv.submersion import canned_frame
+
+from conftest import ROOT
 
 
 def write_scenario(tmp_path, payload, name="scen.json"):
@@ -179,6 +186,20 @@ class TestSingleEvaluation:
         assert not scen.connection.is_zero()
         assert run("correspondence", scen).passed
         assert connection_evaluations == ["represented", "checks"]
+
+    def test_correspondence_validates_vertical_once(self, fixtures_dir, monkeypatch):
+        calls = []
+        check = curvature.validate_vertical
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "validate_vertical", counting)
+        monkeypatch.setattr(cli, "validate_vertical", counting)
+        scen = parse_scenario(fixtures_dir / "two_point_free_module.json")
+        assert run("correspondence", scen).passed
+        assert len(calls) == 1
 
 
 class TestRun:
@@ -404,3 +425,65 @@ class TestDeterminism:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 16
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the cached parser before and after, so the test sees a first call."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_flags_do_not_leak_into_the_next_call(self, fixtures_dir, capsys,
+                                                  fresh_parser):
+        path = str(fixtures_dir / "two_point_module.json")
+        assert main(["curvature", path]) == EXIT_OK
+        first = capsys.readouterr()
+        assert main(["curvature", path, "--emit-matrices", "--seed", "3",
+                     "--tol", "1e-6", "--format", "json"]) == EXIT_OK
+        flagged = capsys.readouterr().out
+        assert '"seed":3' in flagged and '"matrices"' in flagged
+        assert main(["curvature", path]) == EXIT_OK
+        assert capsys.readouterr() == first
+
+    def test_valid_call_after_argparse_rejection(self, fixtures_dir, capsys,
+                                                 fresh_parser):
+        path = str(fixtures_dir / "two_point.json")
+        assert main(["validate", path]) == EXIT_OK
+        first = capsys.readouterr()
+        for bad in (["validate", path, "--tol", "abc"], ["frobnicate", path], []):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        assert main(["validate", path]) == EXIT_OK
+        assert capsys.readouterr() == first
+
+    def test_parser_built_once_across_calls(self, fixtures_dir, capsys, monkeypatch,
+                                            fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for command in ("validate", "forms", "junk", "validate"):
+            assert main([command, str(fixtures_dir / "two_point.json")]) == EXIT_OK
+        assert built.count("ncgcurv") == 1
+        assert cli._parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        code = ("import ncgcurv.cli as cli; print(cli._parser.cache_info().misses); "
+                "cli.main(['validate', 'fixtures/two_point.json']); "
+                "print(cli._parser.cache_info().misses)")
+        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                             capture_output=True, text=True, check=True)
+        lines = out.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "1")

@@ -16,7 +16,7 @@ from ncgcurv.curvature import (
     validate_vertical,
     wac_diagnostic,
 )
-from ncgcurv import curvature, generate, harness
+from ncgcurv import curvature, forms, generate, glinalg, harness
 from ncgcurv.fgpmod import connection_operators, symmetrize_connection
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
@@ -167,19 +167,34 @@ class TestJunkCoset:
             junk_coset_residual(np.eye(2), np.eye(2), two_point_module)
 
     def test_harness_lift_pairs_differ(self, monkeypatch):
-        # an empty ker(pi_d) makes junk_lift_pair return (a, a), which checks nothing
+        # an empty ker(pi_d) makes junk_lift_pair return (a, a), which checks nothing;
+        # the harness passes its kernel to the private step that draws the pair
         pairs = []
-        draw = generate.junk_lift_pair
+        draw = generate._junk_lift_pair
 
         def recording(*args, **kwargs):
             pairs.append(draw(*args, **kwargs))
             return pairs[-1]
 
-        monkeypatch.setattr(generate, "junk_lift_pair", recording)
+        monkeypatch.setattr(generate, "_junk_lift_pair", recording)
         harness.junk_invariance_residuals(10, 10)
         assert len(pairs) == 10
         for a1, a2 in pairs:
             assert a1 is not a2
+
+    def test_harness_solves_each_kernel_once(self, monkeypatch):
+        # one solve per drawn triple: the redraw test, the lift pair and the
+        # junk space share it (three solves per scenario would be 15)
+        calls = []
+        solve = glinalg.solve_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(forms, "solve_kernel", counting)
+        harness.junk_invariance_residuals(0, 5)
+        assert 5 <= len(calls) <= 10
 
     def test_lifted_basis_empty_without_junk(self, two_point_module):
         assert junk_space(two_point_module.triple).dim == 0
@@ -316,6 +331,17 @@ class TestCorrespondence:
         s = VerticalOperator(free_module, entries)
         with pytest.raises(InvariantViolation):
             correspondence_curvature(free_module, None, s)
+
+    @pytest.mark.parametrize("function", [correspondence_curvature,
+                                          correspondence_decomposition_residual,
+                                          wac_diagnostic])
+    def test_each_function_rejects_raw_bad_vertical(self, free_module, function):
+        entries = np.zeros((2, 2, 2), dtype=complex)
+        entries[0, 1, 0] = 1.0  # not self-adjoint: missing the (1, 0) block
+        s = VerticalOperator(free_module, entries)
+        with pytest.raises(InvariantViolation) as exc:
+            function(free_module, None, s)
+        assert exc.value.check.name == "vertical_selfadjoint"
 
     def test_even_vertical_fails_oddness(self, free_module):
         entries = np.zeros((2, 2, 2), dtype=complex)

@@ -29,3 +29,14 @@ def test_package_exports_are_its_imports():
                 for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert sorted(ncgcurv.__all__) == sorted(imported | {"__version__"})
+
+
+def test_test_only_helpers_stay_in_the_tests():
+    # the bimodule actions and the form involution have no caller outside
+    # tests/, so tests/test_forms.py defines them for itself
+    from ncgcurv import forms
+
+    moved = {"left_mult", "right_mult"}
+    assert moved.isdisjoint(set(ncgcurv.__all__) | set(forms.__all__))
+    assert [n for n in moved if hasattr(forms, n)] == []
+    assert not hasattr(forms.UniversalOneForm, "star")

@@ -9,9 +9,7 @@ from ncgcurv.forms import (
     delta,
     junk_space,
     kernel_one_forms,
-    left_mult,
     one_form_space,
-    right_mult,
     two_form_space,
     universal_form_basis,
 )
@@ -27,6 +25,32 @@ from ncgcurv.glinalg import (
 from ncgcurv.triple import InvariantViolation
 
 from conftest import form_tables, full_svd_kernel, span_gap, svd_universal_form_basis
+
+
+# The bimodule actions and the involution on universal one-forms.  Only these
+# tests use them, to pin the calculus by hand expansions.
+
+def left_mult(a_coeffs, omega: UniversalOneForm) -> UniversalOneForm:
+    """Left module action a * omega, products re-expanded in the basis."""
+    st_ = omega.triple
+    out = np.einsum("l,lik,ij->kj", np.asarray(a_coeffs, dtype=complex), st_.mult_tensor,
+                    omega.coeffs)
+    return UniversalOneForm(st_, out)
+
+
+def right_mult(omega: UniversalOneForm, b_coeffs) -> UniversalOneForm:
+    """Right module action omega * b."""
+    st_ = omega.triple
+    out = np.einsum("ij,m,jmk->ik", omega.coeffs, np.asarray(b_coeffs, dtype=complex),
+                    st_.mult_tensor)
+    return UniversalOneForm(st_, out)
+
+
+def star(omega: UniversalOneForm) -> UniversalOneForm:
+    """Involution (x (x) y)^* = y^* (x) x^*, re-expanded in the basis."""
+    S = omega.triple.star_matrix
+    return UniversalOneForm(omega.triple,
+                            np.einsum("ij,aj,bi->ab", np.conj(omega.coeffs), S, S))
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -353,9 +377,9 @@ class TestStar:
     def test_involution(self, n3):
         rng = rng_for(4)
         w = random_universal_form(rng, n3)
-        assert np.allclose(w.star().star().coeffs, w.coeffs, atol=1e-12)
+        assert np.allclose(star(star(w)).coeffs, w.coeffs, atol=1e-12)
 
     def test_compatible_with_representation(self, n3):
         rng = rng_for(5)
         w = random_universal_form(rng, n3)
-        assert np.allclose(w.star().pi_d(), w.pi_d().conj().T, atol=1e-12)
+        assert np.allclose(star(w).pi_d(), w.pi_d().conj().T, atol=1e-12)
