@@ -211,8 +211,7 @@ def _cmd_junk(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool
 def _cmd_curvature(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "curvature")
     junk = junk_space(scen.triple, rank_tol)
-    report = curvature_report(module, scen.connection, junk=junk,
-                              tol=tol, rank_tol=rank_tol)
+    report = curvature_report(module, scen.connection, junk=junk, tol=tol)
     checks = [
         Check("route_residual", report.route_residual, tol),
         Check("curvature_even", report.evenness_residual, tol),
@@ -272,7 +271,7 @@ def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float, seed: int
         Check("product_op_symmetric", relative_distance(m_op, m_op.conj().T), tol),
     ]
     eigs = spectrum(module, ops, tol)
-    values = {"rank": len(eigs), "spectrum": [float(v) for v in eigs]}
+    values = {"rank": len(eigs), "spectrum": eigs}
     return checks, values, None, []
 
 
@@ -287,12 +286,13 @@ def _cmd_submersion(scen: Scenario, tol: float, rank_tol: float, seed: int, emit
         Check("second_fundamental_symmetric", sym, 1e-12),
         Check("fibration_curvature_antisymmetric", antisym, 1e-12),
     ]
+    jacobi = jacobi_residual(frame)
     if scen.frame_is_canned:
-        checks.append(Check("jacobi_identity", jacobi_residual(frame), 1e-12))
+        checks.append(Check("jacobi_identity", jacobi, 1e-12))
     values = {
         "dim_total": frame.dim_total,
         "dim_fiber": frame.dim_fiber,
-        "jacobi_residual": jacobi_residual(frame),
+        "jacobi_residual": jacobi,
         "second_fundamental_form": _tensor_payload(inv.S_pi),
         "mean_curvature": _tensor_payload(inv.k),
         "fibration_curvature": _tensor_payload(inv.Omega),

@@ -45,7 +45,6 @@ from .fgpmod import (
 )
 from .forms import FormSpace, junk_space
 from .glinalg import (
-    DEFAULT_RANK_TOL,
     anticommutator,
     commutator,
     frobenius_norm,
@@ -122,8 +121,8 @@ class CurvatureReport:
 
     R and the four residuals are computed by :func:`curvature_report`.
     ``norm`` and ``junk_canonical`` are computed on first read and cached;
-    ``junk_canonical`` builds the junk space of ``module.triple`` at
-    ``rank_tol`` only when the report was given none.
+    ``junk_canonical`` reads ``junk_space(module.triple)`` only when the
+    report was given no junk.
     """
 
     R: np.ndarray
@@ -133,7 +132,6 @@ class CurvatureReport:
     support_residual: float
     module: ProjectiveModule = field(repr=False)
     junk: FormSpace | None = field(repr=False)
-    rank_tol: float = field(repr=False)
 
     @cached_property
     def norm(self) -> float:
@@ -143,15 +141,13 @@ class CurvatureReport:
     @cached_property
     def junk_canonical(self) -> np.ndarray:
         """R minus its projection onto the lifted junk span."""
-        junk = self.junk
-        if junk is None:
-            junk = junk_space(self.module.triple, self.rank_tol)
+        junk = self.junk if self.junk is not None else junk_space(self.module.triple)
         return self.R - _junk_projection(self.R, self.module, junk)
 
 
 def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
-                     junk: FormSpace | None = None, tol: float = DEFAULT_TOL,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> CurvatureReport:
+                     junk: FormSpace | None = None,
+                     tol: float = DEFAULT_TOL) -> CurvatureReport:
     """Both curvature routes and their defect; norm and junk representative on read."""
     ops = connection_operators(module, a, tol)
     direct = curvature_direct(module, ops)
@@ -164,20 +160,18 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
         support_residual=support_residual(module.projector, direct),
         module=module,
         junk=junk,
-        rank_tol=rank_tol,
     )
 
 
 def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule,
-                        junk: FormSpace | None = None,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> float:
+                        junk: FormSpace | None = None) -> float:
     """Distance of R1 - R2 from the lifted junk span, over max(1, ||R1 - R2||)."""
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
     if r1.shape != r2.shape or r1.shape != (module.dim, module.dim):
         raise ValueError("curvature matrices must both live on the module space")
     if junk is None:
-        junk = junk_space(module.triple, rank_tol)
+        junk = junk_space(module.triple)
     x = r1 - r2
     return frobenius_norm(x - _junk_projection(x, module, junk)) / max(1.0, frobenius_norm(x))
 

@@ -17,12 +17,14 @@ which :meth:`UniversalOneForm.two_form` cross-checks on every call.
 With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m) (the
 delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
 The kernel of the n^2 x d(d-1) matrix of the b_i [D, b_j] gives the forms that
-represent to zero; junk two-forms are its pi_d2 image.  A basis[0] that is not
-the identity raises InvariantViolation (``basis_unit_first``).
+represent to zero; junk two-forms are its pi_d2 image.  The kernel is solved
+once per (triple, rank_tol) and kept while the triple lives.  A basis[0] that
+is not the identity raises InvariantViolation (``basis_unit_first``).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +184,28 @@ def universal_form_basis(st: SpectralTriple) -> list[UniversalOneForm]:
     return _delta_forms(st, np.eye(st.d * (st.d - 1)))
 
 
+# kernel rows and their pi_d2 images per triple and rank_tol; keyed by identity
+# (eq=False), so an entry goes with its triple and a copy.copy starts cold
+_KERNELS = weakref.WeakKeyDictionary()
+
+
 def _delta_kernel(st: SpectralTriple, rank_tol: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j], and the rows b_i [D^2, b_j]."""
-    _require([_unit_first_check(st)])
-    # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
-    # round-off pi_d2 images subspace_basis would normalize into unit "junk"
-    pi_d, pi_d2 = st.pair_products(np.stack([st.dirac_commutators[1:],
-                                             st.dirac_sq_commutators[1:]])
-                                   ).reshape(2, st.d * (st.d - 1), st.n * st.n)
-    return solve_kernel(pi_d.T, rank_tol), pi_d2
+    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j] and its pi_d2 images, solved once."""
+    cached = _KERNELS.get(st, {}).get(rank_tol)
+    if cached is None:
+        _require([_unit_first_check(st)])
+        # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
+        # round-off pi_d2 images subspace_basis would normalize into unit "junk"
+        pi_d, pi_d2 = st.pair_products(np.stack([st.dirac_commutators[1:],
+                                                 st.dirac_sq_commutators[1:]])
+                                       ).reshape(2, st.d * (st.d - 1), st.n * st.n)
+        kernel = solve_kernel(pi_d.T, rank_tol)
+        # form by form, so each image has the bits of that form's own pi_d2
+        # (one stacked matmul rounds differently)
+        images = np.reshape([x @ pi_d2 for x in kernel], (len(kernel), st.n, st.n))
+        images.setflags(write=False)  # shared by every junk_space of this triple
+        cached = _KERNELS.setdefault(st, {})[rank_tol] = kernel, images
+    return cached
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
@@ -200,12 +215,4 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Junk two-forms: the pi_d2 image of ker(m) intersect ker(pi_d)."""
-    return _junk_from_kernel(st, *_delta_kernel(st, rank_tol), rank_tol)
-
-
-def _junk_from_kernel(st: SpectralTriple, kernel: list[np.ndarray], pi_d2: np.ndarray,
-                      rank_tol: float) -> FormSpace:
-    # form by form, so each image has the bits of that form's own pi_d2
-    # (one stacked matmul rounds differently)
-    mats = [x @ pi_d2 for x in kernel]
-    return FormSpace(subspace_basis(np.reshape(mats, (len(kernel), st.n, st.n)), rank_tol))
+    return FormSpace(subspace_basis(_delta_kernel(st, rank_tol)[1], rank_tol))

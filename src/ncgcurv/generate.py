@@ -229,11 +229,7 @@ def junk_lift_pair(rng: np.random.Generator,
     ker(m) intersect ker(pi_d), whose pi_d2 image is junk.  If that kernel is
     empty the pair is ``(a, a)``, which checks nothing: draw another triple.
     """
-    return _junk_lift_pair(rng, module, kernel_one_forms(module.triple))
-
-
-def _junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
-                    kernel: list[UniversalOneForm]) -> tuple[ConnectionForm, ConnectionForm]:
+    kernel = kernel_one_forms(module.triple)
     a = random_connection(rng, module, hermitian=True)
     if not kernel:
         return a, a

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import forms, generate
+from . import generate
 from .curvature import (
     correspondence_decomposition_residual,
     curvature_report,
@@ -111,10 +111,10 @@ def junk_invariance_residuals(seed: int, count: int) -> tuple[list[float], list[
             else:
                 n = int(rng.integers(3, 7))
                 st = generate.random_triple(rng, n=n, d=min(4, n), kind="diag")
-            kernel, pi_d2 = forms._delta_kernel(st, forms.DEFAULT_RANK_TOL)  # solved once
+            kernel = kernel_one_forms(st)  # solved once, then read from the memo
         module = generate.random_module(rng, st)
-        a1, a2 = generate._junk_lift_pair(rng, module, forms._delta_forms(st, kernel))
-        junk = forms._junk_from_kernel(st, kernel, pi_d2, forms.DEFAULT_RANK_TOL)
+        a1, a2 = generate.junk_lift_pair(rng, module)
+        junk = junk_space(st)
         rep1 = curvature_report(module, a1, junk=junk)
         rep2 = curvature_report(module, a2, junk=junk)
         coset.append(junk_coset_residual(rep1.R, rep2.R, module, junk=junk))

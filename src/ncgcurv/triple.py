@@ -206,11 +206,6 @@ class SpectralTriple:
         c = np.asarray(coeffs, dtype=complex)
         return self.star_matrix @ np.conj(c)
 
-    def multiply_coords(self, c1, c2) -> np.ndarray:
-        """Coefficients of the product of two algebra elements."""
-        return np.einsum("i,j,ijk->k", np.asarray(c1, dtype=complex),
-                         np.asarray(c2, dtype=complex), self.mult_tensor)
-
     @cached_property
     def _resolvent(self) -> np.ndarray:
         # (D + i)^{-1}; always defined since D is (meant to be) self-adjoint.

@@ -241,6 +241,16 @@ class TestRun:
         assert doc.values["fibration_curvature"][0][1][0] == pytest.approx(-1.0)
         assert any("index conventions" in note for note in doc.notes)
 
+    def test_submersion_evaluates_jacobi_once(self, fixtures_dir, monkeypatch):
+        calls = []
+        jacobi = cli.jacobi_residual
+        monkeypatch.setattr(cli, "jacobi_residual",
+                            lambda frame: calls.append(1) or jacobi(frame))
+        doc = run("submersion", parse_scenario(fixtures_dir / "heisenberg.json"))
+        assert doc.passed and len(calls) == 1
+        assert [c.value for c in doc.checks if c.name == "jacobi_identity"] \
+            == [doc.values["jacobi_residual"]]
+
     def test_correspondence_fixture(self, fixtures_dir):
         doc = run("correspondence",
                   parse_scenario(fixtures_dir / "two_point_free_module.json"))

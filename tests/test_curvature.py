@@ -168,15 +168,15 @@ class TestJunkCoset:
 
     def test_harness_lift_pairs_differ(self, monkeypatch):
         # an empty ker(pi_d) makes junk_lift_pair return (a, a), which checks nothing;
-        # the harness passes its kernel to the private step that draws the pair
+        # the harness redraws the triple until the kernel is non-empty
         pairs = []
-        draw = generate._junk_lift_pair
+        draw = generate.junk_lift_pair
 
         def recording(*args, **kwargs):
             pairs.append(draw(*args, **kwargs))
             return pairs[-1]
 
-        monkeypatch.setattr(generate, "_junk_lift_pair", recording)
+        monkeypatch.setattr(generate, "junk_lift_pair", recording)
         harness.junk_invariance_residuals(10, 10)
         assert len(pairs) == 10
         for a1, a2 in pairs:
@@ -195,6 +195,15 @@ class TestJunkCoset:
         monkeypatch.setattr(forms, "solve_kernel", counting)
         harness.junk_invariance_residuals(0, 5)
         assert 5 <= len(calls) <= 10
+
+    def test_junk_membership_solves_each_kernel_once(self, monkeypatch):
+        # junk_space and kernel_one_forms of one triple share one solve
+        calls = []
+        solve = glinalg.solve_kernel
+        monkeypatch.setattr(forms, "solve_kernel",
+                            lambda *args: calls.append(1) or solve(*args))
+        harness.junk_membership_residuals(0, 5)
+        assert len(calls) == 5
 
     def test_lifted_basis_empty_without_junk(self, two_point_module):
         assert junk_space(two_point_module.triple).dim == 0

@@ -1,8 +1,12 @@
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgcurv import SpectralTriple
+from ncgcurv import SpectralTriple, forms
 from ncgcurv.forms import (
     InternalConsistencyError,
     UniversalOneForm,
@@ -249,7 +253,8 @@ def _projector(basis: np.ndarray, n: int) -> np.ndarray:
 
 class TestJunkSpacePairStack:
     def test_pair_products_built_once(self, n3, ladder_modules, monkeypatch):
-        # one stack holds both b_i [D, b_j] and b_i [D^2, b_j], for all forms
+        # one stack holds both b_i [D, b_j] and b_i [D^2, b_j], for all forms;
+        # each copy is a cold triple, so its kernel is really solved here
         triples = [n3] + [module.triple for module in ladder_modules]
         kernel_dims = [len(kernel_one_forms(st_)) for st_ in triples]
         calls = []
@@ -258,7 +263,7 @@ class TestJunkSpacePairStack:
                             lambda self, right: calls.append(1) or pair_products(self, right))
         for st_ in triples:
             calls.clear()
-            junk_space(st_)
+            junk_space(copy.copy(st_))
             assert len(calls) == 1
         assert max(kernel_dims) > 2
 
@@ -310,6 +315,62 @@ class TestJunkSpacePairStack:
         reference = subspace_basis([_svd_kernel_form(swapped, row).pi_d2()
                                     for row in full_svd_kernel(swapped)])
         assert len(reference) == junk_space(n3).dim == 2
+
+
+class TestKernelMemo:
+    """ker(m) intersect ker(pi_d) is solved once per (triple, rank_tol)."""
+
+    @staticmethod
+    def _counting_solves(monkeypatch) -> list:
+        calls = []
+        solve = forms.solve_kernel
+        monkeypatch.setattr(forms, "solve_kernel",
+                            lambda *args: calls.append(args[1:]) or solve(*args))
+        return calls
+
+    def test_one_solve_per_rank_tol(self, monkeypatch):
+        st_ = random_triple(rng_for(47), n=4, kind="amp2")
+        calls = self._counting_solves(monkeypatch)
+        kernel = kernel_one_forms(st_)
+        junk = junk_space(st_)
+        assert len(kernel) > 0 and junk.dim > 0
+        assert len(calls) == 1
+        kernel_one_forms(st_, 1e-6)
+        junk_space(st_, 1e-6)
+        assert calls == [(1e-9,), (1e-6,)]
+        # read from the memo, the results are those of a fresh solve
+        fresh = copy.copy(st_)
+        for got, want in zip(kernel, kernel_one_forms(fresh)):
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(junk.basis, junk_space(fresh).basis)
+        assert np.array_equal(junk_space(st_).basis, junk.basis)
+        assert len(calls) == 3
+
+    def test_shared_images_are_read_only(self, n3):
+        _, images = forms._delta_kernel(n3, 1e-9)
+        assert len(images) == 2 and not images.flags.writeable
+
+    def test_entry_freed_with_its_triple_and_not_copied(self, monkeypatch):
+        st_ = random_triple(rng_for(47), n=4, kind="amp2")
+        junk_space(st_)
+        assert st_ in forms._KERNELS
+        twin = copy.copy(st_)
+        assert twin not in forms._KERNELS
+        calls = self._counting_solves(monkeypatch)
+        junk_space(twin)
+        assert len(calls) == 1
+        images = weakref.ref(forms._delta_kernel(st_, 1e-9)[1])
+        triple = weakref.ref(st_)
+        del st_, twin
+        gc.collect()
+        assert triple() is None and images() is None
+
+    def test_refused_triple_raises_every_call_and_is_never_stored(self, n3):
+        swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
+        for route in (junk_space, kernel_one_forms, junk_space, kernel_one_forms):
+            with pytest.raises(InvariantViolation, match="basis_unit_first"):
+                route(swapped)
+            assert swapped not in forms._KERNELS
 
 
 def _svd_kernel_form(st_, row: np.ndarray) -> UniversalOneForm:
