@@ -38,6 +38,7 @@ from .fgpmod import (
 from .forms import junk_space, one_form_space, two_form_space
 from .glinalg import (
     DEFAULT_RANK_TOL,
+    membership_residual,
     orthonormality_defect,
     parity_residual,
     relative_distance,
@@ -198,7 +199,7 @@ def _cmd_junk(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool
     one = one_form_space(scen.triple, rank_tol)
     two = two_form_space(scen.triple, rank_tol)
     junk = junk_space(scen.triple, rank_tol)
-    member = max((two.membership(j) for j in junk.basis), default=0.0)
+    member = max((membership_residual(j, two.basis) for j in junk.basis), default=0.0)
     checks = [Check("junk_inside_two_forms", member, tol)]
     values = {
         "one_form_dim": one.dim,

@@ -41,6 +41,7 @@ from .fgpmod import (
     ConnectionForm,
     ConnectionOperators,
     ProjectiveModule,
+    _require_same_module,
     connection_operators,
 )
 from .forms import FormSpace, junk_space
@@ -205,7 +206,9 @@ def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Che
     ]
 
 
-def _checked_vertical(s: VerticalOperator, tol: float) -> np.ndarray:
+def _checked_vertical(module: ProjectiveModule, s: VerticalOperator,
+                      tol: float) -> np.ndarray:
+    _require_same_module(module, s)
     _require(validate_vertical(s, tol))
     return s.assembled()
 
@@ -229,7 +232,8 @@ def correspondence_curvature(module: ProjectiveModule,
                              a: ConnectionForm | ConnectionOperators | None,
                              s: VerticalOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(S + M)^2 - S^2 - N: the defect of the tensor sum from respecting squares."""
-    return _correspondence(_checked_vertical(s, tol), connection_operators(module, a, tol))
+    return _correspondence(_checked_vertical(module, s, tol),
+                           connection_operators(module, a, tol))
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,
@@ -237,7 +241,7 @@ def correspondence_decomposition_residual(module: ProjectiveModule,
                                           s: VerticalOperator,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
-    return _decomposition_residual(module, _checked_vertical(s, tol),
+    return _decomposition_residual(module, _checked_vertical(module, s, tol),
                                    connection_operators(module, a, tol))
 
 
@@ -245,7 +249,7 @@ def wac_diagnostic(module: ProjectiveModule,
                    a: ConnectionForm | ConnectionOperators | None,
                    s: VerticalOperator, tol: float = DEFAULT_TOL) -> float:
     """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
-    return _wac(_checked_vertical(s, tol), connection_operators(module, a, tol))
+    return _wac(_checked_vertical(module, s, tol), connection_operators(module, a, tol))
 
 
 def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,

@@ -4,7 +4,9 @@ A module is a projection-valued m x m table of algebra elements together
 with a diagonal +/-1 grading of the generators.  The standard frame x_i =
 p e_i is fixed throughout; connections are supplied as the Grassmann
 connection plus an endomorphism-valued universal one-form, stored as an
-m x m table of universal coefficient tables.
+m x m table of universal coefficient tables.  A :class:`ConnectionForm` is
+built once, from a finished table: tables are added, scaled and compressed as
+plain (m, m, d, d) arrays, and a form is read only over its own module.
 
 Assembled operators act on the product space C^m (x) C^n; the graded lift
 of the Dirac matrix is Gamma (x) D and the product operator of a connection
@@ -174,22 +176,16 @@ class ConnectionForm:
         out = np.einsum("jipq,aq,bp->ijab", np.conj(self.entries), S, S)
         return replace(self, entries=out)
 
-    def __add__(self, other: "ConnectionForm") -> "ConnectionForm":
-        if other.module is not self.module:
-            raise ValueError("connection forms live over different modules")
-        return replace(self, entries=self.entries + other.entries,
-                       hermitian=self.hermitian and other.hermitian)
-
-    def __mul__(self, scalar: complex) -> "ConnectionForm":
-        return replace(self, entries=self.entries * scalar)
-
-    __rmul__ = __mul__
-
 
 def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
     """Average with the pairing adjoint; used to manufacture Hermitian test forms."""
-    sym = 0.5 * (a + a.pairing_adjoint())
-    return replace(sym, hermitian=True)
+    return replace(a, entries=(a.entries + a.pairing_adjoint().entries) * 0.5, hermitian=True)
+
+
+def _require_same_module(module: ProjectiveModule, x) -> None:
+    """A connection form or vertical operator is read only over its own module."""
+    if x.module is not module:
+        raise ValueError(f"{type(x).__name__} lives over another module")
 
 
 def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndarray,
@@ -212,6 +208,7 @@ def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndar
 def validate_connection(module: ProjectiveModule, a: ConnectionForm,
                         tol: float = DEFAULT_TOL) -> list[Check]:
     """Structural checks: ker(m) entries, grading support, compression, oddness."""
+    _require_same_module(module, a)
     return _connection_checks(module, a, a.represented()[0], tol)
 
 
@@ -247,6 +244,8 @@ def connection_operators(module: ProjectiveModule,
     """
     if isinstance(a, ConnectionOperators):
         return a
+    if a is not None:
+        _require_same_module(module, a)
     P = module.projector
     if a is None or a.is_zero():
         a_d = a_d2 = np.zeros((module.dim, module.dim), dtype=complex)
@@ -293,9 +292,10 @@ def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None
     G = module.sign_lift
     E = module.dirac_plain_lift
     W = commutator(module.dirac_lift, P)
-    if a is not None and not a.is_zero():
-        a_d, _ = a.represented()
-        W = W + a_d
+    if a is not None:
+        _require_same_module(module, a)
+        if not a.is_zero():
+            W = W + a.represented()[0]
     res = G @ P @ W - G @ W.conj().T @ P - commutator(E, P)
     n = module.triple.n
     blocks = res.reshape(module.m, n, module.m, n).transpose(0, 2, 1, 3)

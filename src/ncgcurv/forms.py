@@ -17,9 +17,10 @@ which :meth:`UniversalOneForm.two_form` cross-checks on every call.
 With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m) (the
 delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
 The kernel of the n^2 x d(d-1) matrix of the b_i [D, b_j] gives the forms that
-represent to zero; junk two-forms are its pi_d2 image.  The kernel is solved
-once per (triple, rank_tol) and kept while the triple lives.  A basis[0] that
-is not the identity raises InvariantViolation (``basis_unit_first``).
+represent to zero; junk two-forms are its pi_d2 image.  The kernel alone is
+solved once per (triple, rank_tol) and kept while the triple lives;
+:func:`junk_space` forms the pi_d2 images on each call.  A basis[0] that is not
+the identity raises InvariantViolation (``basis_unit_first``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .glinalg import (
     DEFAULT_RANK_TOL,
     anticommutator,
     frobenius_norm,
-    membership_residual,
     relative_distance,
     solve_kernel,
     subspace_basis,
@@ -72,23 +72,6 @@ class UniversalOneForm:
         if c.size and not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
-
-    # -- linear structure ---------------------------------------------------
-
-    def _like(self, coeffs) -> "UniversalOneForm":
-        return UniversalOneForm(self.triple, coeffs)
-
-    def __add__(self, other: "UniversalOneForm") -> "UniversalOneForm":
-        if other.triple is not self.triple:
-            raise ValueError("forms live over different triples")
-        return self._like(self.coeffs + other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "UniversalOneForm":
-        return self._like(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    # -- calculus -------------------------------------------------------------
 
     def mult_residual(self) -> float:
         """||sum c[i,j] b_i b_j||_F: membership defect in ker(m)."""
@@ -153,9 +136,6 @@ class FormSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def membership(self, mat) -> float:
-        return membership_residual(mat, self.basis)
-
 
 def one_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Span of {b_k [D, b_j]} as an orthonormal FormSpace."""
@@ -184,35 +164,34 @@ def universal_form_basis(st: SpectralTriple) -> list[UniversalOneForm]:
     return _delta_forms(st, np.eye(st.d * (st.d - 1)))
 
 
-# kernel rows and their pi_d2 images per triple and rank_tol; keyed by identity
-# (eq=False), so an entry goes with its triple and a copy.copy starts cold
+# kernel vectors per triple and rank_tol; keyed by identity (eq=False), so an
+# entry goes with its triple and a copy.copy starts cold.  junk_space forms the
+# pi_d2 images itself, so a kernel-only caller never pays for them.
 _KERNELS = weakref.WeakKeyDictionary()
 
 
-def _delta_kernel(st: SpectralTriple, rank_tol: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j] and its pi_d2 images, solved once."""
-    cached = _KERNELS.get(st, {}).get(rank_tol)
-    if cached is None:
+def _delta_kernel(st: SpectralTriple, rank_tol: float) -> list[np.ndarray]:
+    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j], solved once."""
+    kernel = _KERNELS.get(st, {}).get(rank_tol)
+    if kernel is None:
         _require([_unit_first_check(st)])
         # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
         # round-off pi_d2 images subspace_basis would normalize into unit "junk"
-        pi_d, pi_d2 = st.pair_products(np.stack([st.dirac_commutators[1:],
-                                                 st.dirac_sq_commutators[1:]])
-                                       ).reshape(2, st.d * (st.d - 1), st.n * st.n)
-        kernel = solve_kernel(pi_d.T, rank_tol)
-        # form by form, so each image has the bits of that form's own pi_d2
-        # (one stacked matmul rounds differently)
-        images = np.reshape([x @ pi_d2 for x in kernel], (len(kernel), st.n, st.n))
-        images.setflags(write=False)  # shared by every junk_space of this triple
-        cached = _KERNELS.setdefault(st, {})[rank_tol] = kernel, images
-    return cached
+        pi_d = st.pair_products(st.dirac_commutators[1:]).reshape(st.d * (st.d - 1), st.n * st.n)
+        kernel = _KERNELS.setdefault(st, {})[rank_tol] = solve_kernel(pi_d.T, rank_tol)
+    return kernel
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
     """Basis of ker(m) intersect ker(pi_d), orthonormal in delta-basis coordinates."""
-    return _delta_forms(st, _delta_kernel(st, rank_tol)[0])
+    return _delta_forms(st, _delta_kernel(st, rank_tol))
 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Junk two-forms: the pi_d2 image of ker(m) intersect ker(pi_d)."""
-    return FormSpace(subspace_basis(_delta_kernel(st, rank_tol)[1], rank_tol))
+    kernel = _delta_kernel(st, rank_tol)
+    pi_d2 = st.pair_products(st.dirac_sq_commutators[1:]).reshape(st.d * (st.d - 1), st.n * st.n)
+    # form by form, so each image has the bits of that form's own pi_d2
+    # (one stacked matmul rounds differently)
+    images = np.reshape([x @ pi_d2 for x in kernel], (len(kernel), st.n, st.n))
+    return FormSpace(subspace_basis(images, rank_tol))

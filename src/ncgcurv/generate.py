@@ -26,8 +26,6 @@ distribution:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .curvature import VerticalOperator
@@ -166,23 +164,22 @@ def random_universal_form(rng: np.random.Generator, st: SpectralTriple) -> Unive
 
 
 def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
-                       form_basis: list[UniversalOneForm]) -> ConnectionForm:
+                       form_basis: list[UniversalOneForm]) -> np.ndarray:
     m, d = module.m, module.triple.d
     entries = np.zeros((m, m, d, d), dtype=complex)
     for i, j in zip(*np.nonzero(module.even_mask)):  # row-major draw order
         weights = unit_disc(rng, (len(form_basis),))
         for w, form in zip(weights, form_basis):
             entries[i, j] += w * form.coeffs
-    return ConnectionForm(module, entries)
+    return entries
 
 
-def _compress_connection(a: ConnectionForm) -> ConnectionForm:
-    """P . C . P at the universal level: generated connections are compressed."""
-    p = a.module.p
-    T = a.module.triple.mult_tensor
-    right = np.einsum("klrq,ljm,qms->kjrs", a.entries, p, T)
-    out = np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
-    return replace(a, entries=out)
+def _compress_connection(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
+    """P . C . P at the universal level: generated connection tables are compressed."""
+    p = module.p
+    T = module.triple.mult_tensor
+    right = np.einsum("klrq,ljm,qms->kjrs", entries, p, T)
+    return np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
 
 
 def _compress_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarray:
@@ -200,12 +197,10 @@ def _star_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarr
 def random_connection(rng: np.random.Generator, module: ProjectiveModule,
                       hermitian: bool = True) -> ConnectionForm:
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
-    basis = universal_form_basis(module.triple)
-    a = _random_table_over(rng, module, basis)
+    entries = _random_table_over(rng, module, universal_form_basis(module.triple))
     if hermitian:
-        a = symmetrize_connection(a)
-    a = _compress_connection(a)
-    return replace(a, hermitian=hermitian)
+        entries = symmetrize_connection(ConnectionForm(module, entries)).entries
+    return ConnectionForm(module, _compress_connection(module, entries), hermitian)
 
 
 def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> VerticalOperator:
@@ -233,5 +228,5 @@ def junk_lift_pair(rng: np.random.Generator,
     a = random_connection(rng, module, hermitian=True)
     if not kernel:
         return a, a
-    bump = _compress_connection(_random_table_over(rng, module, kernel))
-    return a, replace(a + bump, hermitian=False)
+    bump = _compress_connection(module, _random_table_over(rng, module, kernel))
+    return a, ConnectionForm(module, a.entries + bump)

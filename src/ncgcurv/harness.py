@@ -26,7 +26,13 @@ from .fgpmod import (
     hermitian_residual,
 )
 from .forms import junk_space, kernel_one_forms, one_form_space, two_form_space
-from .glinalg import anticommutator, frobenius_norm, orthonormality_defect, spectral_norm
+from .glinalg import (
+    anticommutator,
+    frobenius_norm,
+    membership_residual,
+    orthonormality_defect,
+    spectral_norm,
+)
 from .triple import Check, SpectralTriple, c1_norm, c2_norm
 
 __all__ = [
@@ -184,14 +190,9 @@ def junk_membership_residuals(seed: int, count: int) -> tuple[list[float], list[
         st = generate.random_triple(rng)
         two = two_form_space(st)
         junk = junk_space(st)
-        worst = 0.0
-        for j_mat in junk.basis:
-            worst = max(worst, two.membership(j_mat))
-        membership.append(worst)
-        worst3 = 0.0
-        for omega in kernel_one_forms(st):
-            worst3 = max(worst3, omega.third_junk_residual())
-        third.append(worst3)
+        membership.append(max((membership_residual(j, two.basis) for j in junk.basis), default=0.0))
+        third.append(max((omega.third_junk_residual() for omega in kernel_one_forms(st)),
+                         default=0.0))
     return membership, third
 
 

@@ -17,7 +17,14 @@ from ncgcurv.curvature import (
     wac_diagnostic,
 )
 from ncgcurv import curvature, forms, generate, glinalg, harness
-from ncgcurv.fgpmod import connection_operators, symmetrize_connection
+from ncgcurv.fgpmod import (
+    ConnectionForm,
+    ProjectiveModule,
+    connection_operators,
+    hermitian_residual,
+    symmetrize_connection,
+    validate_connection,
+)
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
     junk_lift_pair,
@@ -391,6 +398,37 @@ class TestSingleEvaluation:
         assert connection_operators(module, ops) is ops
         assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
         assert calls == ["represented", "checks"] * 4
+
+
+# each call reads a connection form or a vertical operator against a module
+MODULE_READS = {
+    "connection_operators": lambda m, a, s: connection_operators(m, a),
+    "zero_form": lambda m, a, s: connection_operators(
+        m, ConnectionForm(a.module, np.zeros_like(a.entries))),
+    "validate_connection": lambda m, a, s: validate_connection(m, a),
+    "hermitian_residual": lambda m, a, s: hermitian_residual(m, a),
+    "curvature_direct": lambda m, a, s: curvature_direct(m, a),
+    "correspondence_curvature": lambda m, a, s: correspondence_curvature(m, None, s),
+    "correspondence_decomposition_residual":
+        lambda m, a, s: correspondence_decomposition_residual(m, None, s),
+    "wac_diagnostic": lambda m, a, s: wac_diagnostic(m, None, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_READS))
+def test_form_over_another_module_raises(name):
+    # the same projection table over a triple with D doubled: a connection
+    # over it passed every check against the first module, with the wrong R
+    st1 = random_triple(rng_for(5), n=4, kind="amp2")
+    st2 = SpectralTriple(st1.gamma, st1.basis, 2 * st1.dirac)
+    m1 = random_module(rng_for(5), st1, m=2, allow_free=False)
+    m2 = ProjectiveModule(st2, m1.p, m1.signs)
+    rng = rng_for(6)
+    a2, s2 = random_connection(rng, m2), random_vertical(rng, m2)
+    read = MODULE_READS[name]
+    read(m2, a2, s2)  # over its own module
+    with pytest.raises(ValueError, match="lives over another module"):
+        read(m1, a2, s2)
 
 
 @pytest.fixture

@@ -34,7 +34,9 @@ def test_package_exports_are_its_imports():
 def test_test_only_helpers_stay_in_the_tests():
     # the bimodule actions, the form involution and the coordinate product
     # have no caller outside tests/, so tests/test_forms.py and
-    # tests/test_triple.py define them for themselves
+    # tests/test_triple.py define them for themselves; the form arithmetic
+    # (tables are composed as arrays) and FormSpace.membership (an alias of
+    # glinalg.membership_residual) are gone altogether
     from ncgcurv import forms
 
     moved = {"left_mult", "right_mult", "multiply_coords"}
@@ -42,3 +44,6 @@ def test_test_only_helpers_stay_in_the_tests():
     assert [n for n in moved if hasattr(forms, n)] == []
     assert not hasattr(forms.UniversalOneForm, "star")
     assert not hasattr(ncgcurv.SpectralTriple, "multiply_coords")
+    for cls in (forms.UniversalOneForm, ncgcurv.ConnectionForm):
+        assert [n for n in ("__add__", "__mul__", "__rmul__") if hasattr(cls, n)] == []
+    assert not hasattr(forms.FormSpace, "membership")

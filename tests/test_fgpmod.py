@@ -18,6 +18,7 @@ from ncgcurv.fgpmod import (
 from ncgcurv.forms import delta
 from ncgcurv import generate
 from ncgcurv.generate import (
+    junk_lift_pair,
     random_connection,
     random_module,
     random_triple,
@@ -229,7 +230,8 @@ class TestRepresentConnection:
         module = random_module(rng, st_, allow_free=False)
         a = random_connection(rng, module, hermitian=False)
         a_d, a_d2 = a.represented()
-        c_d, c_d2 = generate._compress_connection(a).represented()
+        compressed = ConnectionForm(module, generate._compress_connection(module, a.entries))
+        c_d, c_d2 = compressed.represented()
         proj = module.projector
         assert np.allclose(c_d, proj @ a_d @ proj, atol=1e-10)
         assert np.allclose(c_d2, proj @ a_d2 @ proj, atol=1e-10)
@@ -255,8 +257,8 @@ class TestRepresentConnection:
         for module in modules + ladder_modules:
             a = random_connection(rng, module, hermitian=False)
             ops = connection_operators(module, a)
-            for got, want in zip((ops.a_d, ops.a_d2),
-                                 generate._compress_connection(a).represented()):
+            compressed = ConnectionForm(module, generate._compress_connection(module, a.entries))
+            for got, want in zip((ops.a_d, ops.a_d2), compressed.represented()):
                 assert frobenius_norm(got - want) <= 1e-12 * max(1.0, frobenius_norm(want))
 
     def test_curvature_report_skips_universal_compression(self, monkeypatch):
@@ -266,7 +268,7 @@ class TestRepresentConnection:
         calls = []
         compressed = generate._compress_connection
         monkeypatch.setattr(generate, "_compress_connection",
-                            lambda a: calls.append(1) or compressed(a))
+                            lambda *args: calls.append(1) or compressed(*args))
         curvature_report(module, a)
         assert calls == []
 
@@ -393,3 +395,26 @@ class TestHermitianResidual:
         a = symmetrize_connection(random_connection(rng, module, hermitian=False))
         a_d, _ = a.represented()
         assert frobenius_norm(a_d - a_d.conj().T) <= 1e-10
+
+
+class TestGeneratedConnectionForms:
+    """Generation composes tables as arrays and builds each returned form once."""
+
+    def test_forms_built_per_generated_connection(self, monkeypatch):
+        rng = rng_for(47)
+        module = random_module(rng, random_triple(rng, n=4, kind="amp2"), allow_free=False)
+        built = []
+        post_init = ConnectionForm.__post_init__
+        monkeypatch.setattr(ConnectionForm, "__post_init__",
+                            lambda self: built.append(self.hermitian) or post_init(self))
+        # the table, its pairing adjoint, the average, the compressed result
+        a = random_connection(rng, module, hermitian=True)
+        assert a.hermitian and len(built) == 4
+        built.clear()
+        assert not random_connection(rng, module, hermitian=False).hermitian
+        assert built == [False]
+        built.clear()
+        a1, a2 = junk_lift_pair(rng, module)
+        assert a1.hermitian and not a2.hermitian
+        assert not np.array_equal(a1.entries, a2.entries)
+        assert len(built) == 4 + 1  # a Hermitian connection, then one second lift

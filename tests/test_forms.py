@@ -71,7 +71,7 @@ class TestDelta:
     def test_linearity(self, two_point):
         a = delta(two_point, [0.0, 0.5j])
         b = delta(two_point, [0.0, 1.0])
-        assert np.allclose(a.coeffs, (0.5j * b).coeffs)
+        assert np.allclose(a.coeffs, 0.5j * b.coeffs)
 
     def test_always_in_kernel_of_mult(self, n3):
         rng = rng_for(0)
@@ -121,7 +121,8 @@ class TestMultResidual:
         assert w.mult_residual() == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_sum_of_deltas(self, n3):
-        w = delta(n3, [0.0, 1.0, 0.0]) + delta(n3, [0.0, 0.0, 2.0])
+        w = UniversalOneForm(n3, delta(n3, [0.0, 1.0, 0.0]).coeffs
+                             + delta(n3, [0.0, 0.0, 2.0]).coeffs)
         assert w.mult_residual() <= 1e-12
 
 
@@ -159,7 +160,7 @@ class TestTwoForm:
         assert not np.any(delta(two_point, [1.0, 0.0]).two_form())
 
     def test_zero_form(self, two_point):
-        w = 0.0 * delta(two_point, [0.0, 1.0])
+        w = UniversalOneForm(two_point, 0.0 * delta(two_point, [0.0, 1.0]).coeffs)
         assert not np.any(w.two_form())
 
     def test_consistency_guard_fires(self, n3):
@@ -231,7 +232,7 @@ class TestJunk:
     def test_junk_inside_two_forms(self, n3):
         two = two_form_space(n3)
         for j in junk_space(n3).basis:
-            assert two.membership(j) <= 1e-8
+            assert membership_residual(j, two.basis) <= 1e-8
 
     def test_third_condition_follows(self, n3):
         for w in kernel_one_forms(n3):
@@ -253,18 +254,21 @@ def _projector(basis: np.ndarray, n: int) -> np.ndarray:
 
 class TestJunkSpacePairStack:
     def test_pair_products_built_once(self, n3, ladder_modules, monkeypatch):
-        # one stack holds both b_i [D, b_j] and b_i [D^2, b_j], for all forms;
-        # each copy is a cold triple, so its kernel is really solved here
+        # one pair-product call per stack, b_i [D, b_j] for the kernel and
+        # b_i [D^2, b_j] for the images, and no pi_d2 stack on a kernel-only
+        # call; each copy is a cold triple, so its kernel is really solved here
         triples = [n3] + [module.triple for module in ladder_modules]
         kernel_dims = [len(kernel_one_forms(st_)) for st_ in triples]
-        calls = []
-        pair_products = SpectralTriple.pair_products
-        monkeypatch.setattr(SpectralTriple, "pair_products",
-                            lambda self, right: calls.append(1) or pair_products(self, right))
+        calls = _recording_pair_products(monkeypatch)
         for st_ in triples:
+            pi_d, pi_d2 = st_.dirac_commutators[1:], st_.dirac_sq_commutators[1:]
             calls.clear()
             junk_space(copy.copy(st_))
-            assert len(calls) == 1
+            assert len(calls) == 2
+            assert np.array_equal(calls[0], pi_d) and np.array_equal(calls[1], pi_d2)
+            calls.clear()
+            kernel_one_forms(copy.copy(st_))
+            assert len(calls) == 1 and np.array_equal(calls[0], pi_d)
         assert max(kernel_dims) > 2
 
     def test_bit_identical_to_per_form_reference(self, n3, ladder_modules):
@@ -346,9 +350,20 @@ class TestKernelMemo:
         assert np.array_equal(junk_space(st_).basis, junk.basis)
         assert len(calls) == 3
 
-    def test_shared_images_are_read_only(self, n3):
-        _, images = forms._delta_kernel(n3, 1e-9)
-        assert len(images) == 2 and not images.flags.writeable
+    def test_cold_kernel_only_call_builds_only_the_pi_d_stack(self, ladder_modules,
+                                                              monkeypatch):
+        # the memo holds the kernel alone, so kernel_one_forms on a cold triple
+        # multiplies out the (d - 1, n, n) stack of [D, b_j] and nothing else
+        triples = [random_triple(rng_for(47), n=4, kind="amp2")]
+        triples += [module.triple for module in ladder_modules]
+        for st_ in triples:
+            # structure constants cached first, as generation leaves them
+            assert st_.mult_tensor.shape == (st_.d,) * 3
+        calls = _recording_pair_products(monkeypatch)
+        for st_ in triples:
+            calls.clear()
+            kernel_one_forms(copy.copy(st_))
+            assert [c.shape for c in calls] == [(st_.d - 1, st_.n, st_.n)]
 
     def test_entry_freed_with_its_triple_and_not_copied(self, monkeypatch):
         st_ = random_triple(rng_for(47), n=4, kind="amp2")
@@ -359,11 +374,11 @@ class TestKernelMemo:
         calls = self._counting_solves(monkeypatch)
         junk_space(twin)
         assert len(calls) == 1
-        images = weakref.ref(forms._delta_kernel(st_, 1e-9)[1])
+        vector = weakref.ref(forms._delta_kernel(st_, 1e-9)[0])
         triple = weakref.ref(st_)
         del st_, twin
         gc.collect()
-        assert triple() is None and images() is None
+        assert triple() is None and vector() is None
 
     def test_refused_triple_raises_every_call_and_is_never_stored(self, n3):
         swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
@@ -371,6 +386,15 @@ class TestKernelMemo:
             with pytest.raises(InvariantViolation, match="basis_unit_first"):
                 route(swapped)
             assert swapped not in forms._KERNELS
+
+
+def _recording_pair_products(monkeypatch) -> list:
+    """Record the right-hand stack of every SpectralTriple.pair_products call."""
+    calls = []
+    pair_products = SpectralTriple.pair_products
+    monkeypatch.setattr(SpectralTriple, "pair_products",
+                        lambda self, right: calls.append(right) or pair_products(self, right))
+    return calls
 
 
 def _svd_kernel_form(st_, row: np.ndarray) -> UniversalOneForm:
