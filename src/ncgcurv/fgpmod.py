@@ -172,14 +172,22 @@ class ConnectionForm:
 
     def pairing_adjoint(self) -> "ConnectionForm":
         """Adjoint table C-dagger: transpose of entry positions, star on entries."""
-        S = self.module.triple.star_matrix
-        out = np.einsum("jipq,aq,bp->ijab", np.conj(self.entries), S, S)
-        return replace(self, entries=out)
+        return replace(self, entries=_pairing_adjoint(self.module, self.entries))
+
+
+def _pairing_adjoint(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
+    S = module.triple.star_matrix
+    return np.einsum("jipq,aq,bp->ijab", np.conj(entries), S, S)
+
+
+def _symmetrized(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
+    """Average of an (m, m, d, d) table with its pairing adjoint, as arrays."""
+    return (entries + _pairing_adjoint(module, entries)) * 0.5
 
 
 def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
     """Average with the pairing adjoint; used to manufacture Hermitian test forms."""
-    return replace(a, entries=(a.entries + a.pairing_adjoint().entries) * 0.5, hermitian=True)
+    return replace(a, entries=_symmetrized(a.module, a.entries), hermitian=True)
 
 
 def _require_same_module(module: ProjectiveModule, x) -> None:

@@ -53,6 +53,25 @@ def span_gap(rows, reference) -> float:
     return float(np.linalg.norm(projector(rows) - projector(reference), 2))
 
 
+def even_unitary(rng, gamma: np.ndarray) -> np.ndarray:
+    """Random unitary commuting with the grading: exp(iH) for an even Hermitian H."""
+    n = len(gamma)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    h = h + gamma @ h @ gamma
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
+def conjugated(st_: SpectralTriple, u: np.ndarray) -> SpectralTriple:
+    """U st U*: the same grading, basis and Dirac conjugated by an even unitary U.
+
+    basis[0] becomes the identity only up to rounding, so junk_space takes its
+    SVD route on the copy.
+    """
+    return SpectralTriple(st_.gamma, u @ st_.basis @ u.conj().T, u @ st_.dirac @ u.conj().T)
+
+
 def form_tables(forms, d: int) -> np.ndarray:
     """(k, d^2) array of the flattened coefficient tables of k universal forms."""
     return np.reshape([w.coeffs for w in forms], (len(forms), d * d))

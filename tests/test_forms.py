@@ -22,13 +22,21 @@ from ncgcurv.glinalg import (
     anticommutator,
     frobenius_norm,
     membership_residual,
+    orthonormality_defect,
     project_off,
     solve_kernel,
     subspace_basis,
 )
 from ncgcurv.triple import InvariantViolation
 
-from conftest import form_tables, full_svd_kernel, span_gap, svd_universal_form_basis
+from conftest import (
+    conjugated,
+    even_unitary,
+    form_tables,
+    full_svd_kernel,
+    span_gap,
+    svd_universal_form_basis,
+)
 
 
 # The bimodule actions and the involution on universal one-forms.  Only these
@@ -252,12 +260,22 @@ def _projector(basis: np.ndarray, n: int) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
+def _svd_route_triples(rng, n3, ladder_modules) -> list[SpectralTriple]:
+    """Conjugates of n3 and the ladder triples by even unitaries: no closed form."""
+    return [conjugated(st_, even_unitary(rng, st_.gamma))
+            for st_ in [n3] + [module.triple for module in ladder_modules]]
+
+
 class TestJunkSpacePairStack:
+    """The SVD route of junk_space, on triples that are no commutative projection basis."""
+
     def test_pair_products_built_once(self, n3, ladder_modules, monkeypatch):
         # one pair-product call per stack, b_i [D, b_j] for the kernel and
         # b_i [D^2, b_j] for the images, and no pi_d2 stack on a kernel-only
         # call; each copy is a cold triple, so its kernel is really solved here
-        triples = [n3] + [module.triple for module in ladder_modules]
+        rng = rng_for(43)
+        triples = _svd_route_triples(rng, n3, ladder_modules)
+        triples += [random_triple(rng, n=4, kind="amp2") for _ in range(3)]
         kernel_dims = [len(kernel_one_forms(st_)) for st_ in triples]
         calls = _recording_pair_products(monkeypatch)
         for st_ in triples:
@@ -273,11 +291,13 @@ class TestJunkSpacePairStack:
 
     def test_bit_identical_to_per_form_reference(self, n3, ladder_modules):
         rng = rng_for(29)
-        triples = [n3] + [module.triple for module in ladder_modules]
-        triples += [random_triple(rng, kind="diag") for _ in range(10)]
+        triples = _svd_route_triples(rng, n3, ladder_modules)
+        triples += [conjugated(st_, even_unitary(rng, st_.gamma))
+                    for st_ in (random_triple(rng, kind="diag") for _ in range(10))]
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(10)]
         for st_ in triples:
             basis = junk_space(st_).basis
+            assert st_ in forms._KERNELS  # the SVD route was taken
             # the kernel over the forms b_i delta(b_j), j >= 1, then pi_d2 of
             # each kernel form contracted alone with its own b_i [D^2, b_j] stack
             d = st_.d
@@ -310,15 +330,132 @@ class TestJunkSpacePairStack:
     def test_refuses_basis_not_unit_first(self, n3):
         # with b_0 != 1 the forms b_i delta(b_j) are no basis of ker(m)
         swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
-        for route in (junk_space, kernel_one_forms, universal_form_basis):
+        svd_route = lambda st_: forms._junk_space_svd(st_, 1e-9)  # noqa: E731
+        for route in (junk_space, svd_route, kernel_one_forms, universal_form_basis):
             with pytest.raises(InvariantViolation) as err:
                 route(swapped)
             assert err.value.check.name == "basis_unit_first"
             assert not err.value.check.passed
+        # a diagonal 0/1 basis[0] that is not 1 is refused on the closed-form path too
+        for route in (junk_space, kernel_one_forms):
+            with pytest.raises(InvariantViolation, match="basis_unit_first"):
+                route(SpectralTriple(n3.gamma, [np.diag([1.0, 1, 0]), *n3.basis[1:]], n3.dirac))
         # the SVD route, which needs no unit first, still sees the two junk forms of n3
         reference = subspace_basis([_svd_kernel_form(swapped, row).pi_d2()
                                     for row in full_svd_kernel(swapped)])
         assert len(reference) == junk_space(n3).dim == 2
+
+
+class TestClosedFormJunk:
+    """junk_space of a commutative projection basis: the blocks e_k D^2 e_l."""
+
+    @staticmethod
+    def _recording_routes(monkeypatch) -> list[str]:
+        calls = []
+        for name in ("solve_kernel", "subspace_basis"):
+            monkeypatch.setattr(forms, name, lambda *args, _f=getattr(forms, name), _n=name:
+                                calls.append(_n) or _f(*args))
+        pair_products = SpectralTriple.pair_products
+        monkeypatch.setattr(SpectralTriple, "pair_products",
+                            lambda self, right: calls.append("pair_products")
+                            or pair_products(self, right))
+        return calls
+
+    def test_cold_call_runs_no_svd_and_no_pair_products(self, n3, ladder_modules,
+                                                        monkeypatch):
+        triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
+        triples += [random_triple(rng_for(53), kind="diag") for _ in range(20)]
+        calls = self._recording_routes(monkeypatch)
+        dims = [junk_space(st_).dim for st_ in triples]
+        assert calls == []
+        assert not any(st_ in forms._KERNELS for st_ in triples)
+        assert dims[:5] == [2, 2, 12, 8, 18]
+        # the recorder does record the SVD route
+        forms._junk_space_svd(copy.copy(n3), 1e-9)
+        assert calls == ["pair_products", "solve_kernel", "pair_products", "subspace_basis"]
+
+    def test_agrees_with_svd_route(self):
+        rng = rng_for(59)
+        dims = []
+        for _ in range(1000):
+            n = int(rng.integers(2, 9))
+            st_ = random_triple(rng, n=n, d=int(rng.integers(1, min(6, n) + 1)), kind="diag")
+            fast = junk_space(st_)
+            assert st_ not in forms._KERNELS
+            reference = forms._junk_space_svd(st_, 1e-9)
+            assert fast.dim == reference.dim
+            assert fast.basis.shape == (fast.dim, n, n) and fast.basis.dtype == complex
+            gap = np.linalg.norm(_projector(fast.basis, n) - _projector(reference.basis, n), 2)
+            assert gap <= 1e-12
+            assert orthonormality_defect(fast.basis) <= 1e-14
+            dims.append(fast.dim)
+        assert min(dims) == 0 and max(dims) > 10
+
+    def test_conjugated_copy_takes_svd_route_and_covaries(self, n3, ladder_modules):
+        rng = rng_for(61)
+        triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
+        triples += [random_triple(rng, kind="diag") for _ in range(50)]
+        for st_ in triples:
+            u = even_unitary(rng, st_.gamma)
+            twin = conjugated(st_, u)
+            junk, twin_junk = junk_space(st_), junk_space(twin)
+            assert st_ not in forms._KERNELS and twin in forms._KERNELS
+            assert twin_junk.dim == junk.dim
+            # vec(U J U*) = (U (x) conj U) vec(J) for row-major vec
+            w = np.kron(u, u.conj())
+            moved = w @ _projector(junk.basis, st_.n) @ w.conj().T
+            assert np.linalg.norm(moved - _projector(twin_junk.basis, st_.n), 2) <= 1e-12
+
+    def test_block_below_margin_falls_back(self):
+        # e_1 = diag(1, 0, 0, 1, 0, 0) and e_2 = diag(0, 1, 0, 0, 1, 0) each
+        # meet both grading halves, so e_1 D e_2 holds the entries W[0, 1] and
+        # conj W[1, 0]; with W[1, 0] = 0, a planted W[0, 1] = 0 makes it an
+        # exact zero block with e_1 D^2 e_2 != 0, and 1e-12 one nonzero entry
+        # below sqrt(rank_tol) ||D||_F, too near the cut to decide
+        gamma = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        basis = np.stack([np.eye(6), np.diag([1.0, 0, 0, 1, 0, 0]), np.diag([0, 1.0, 0, 0, 1, 0])])
+        dims = []
+        for planted in (0.0, 1e-12, 1e-200):  # |1e-200|^2 underflows to 0
+            w = np.array([[1.0, planted, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+            dirac = np.block([[np.zeros((3, 3)), w], [w.T, np.zeros((3, 3))]])
+            st_ = SpectralTriple(gamma, basis, dirac)
+            junk = junk_space(st_)
+            assert (st_ in forms._KERNELS) == bool(planted)
+            reference = forms._junk_space_svd(copy.copy(st_), 1e-9)
+            assert junk.dim == reference.dim
+            gap = np.linalg.norm(_projector(junk.basis, 6) - _projector(reference.basis, 6), 2)
+            assert gap <= 1e-12
+            if planted:
+                assert np.array_equal(junk.basis, reference.basis)
+            dims.append(junk.dim)
+        assert dims[0] == dims[1] == dims[2] > 0
+
+    def test_blocks_in_row_major_order(self, n3, ladder_modules):
+        for st_ in [n3] + [module.triple for module in ladder_modules]:
+            e = [st_.basis[0] - st_.basis[1:].sum(0)] + list(st_.basis[1:])
+            want = []
+            for k, ek in enumerate(e):
+                for l, el in enumerate(e):
+                    block = ek @ st_.dirac_sq @ el
+                    if k != l and not np.any(ek @ st_.dirac @ el) and np.any(block):
+                        want.append(block / np.linalg.norm(block))
+            got = junk_space(st_).basis
+            assert len(got) == len(want) > 0
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_gate_negatives_take_svd_route(self, n3):
+        one_ulp = n3.basis.copy()
+        one_ulp[0, 0, 0] = np.nextafter(1.0, 2.0)
+        off_diagonal = n3.basis.copy()
+        off_diagonal[1, 0, 1] = 1e-300
+        # q1 + q2 and q1 overlap, and span the same algebra as q1 and q2
+        overlapping = np.stack([n3.basis[0], n3.basis[1] + n3.basis[2], n3.basis[1]])
+        for basis in (one_ulp, off_diagonal, overlapping):
+            st_ = SpectralTriple(n3.gamma, basis, n3.dirac)
+            junk = junk_space(st_)
+            assert st_ in forms._KERNELS
+            assert np.array_equal(junk.basis, forms._junk_space_svd(copy.copy(st_), 1e-9).basis)
+            assert junk.dim == junk_space(n3).dim == 2
 
 
 class TestKernelMemo:

@@ -16,7 +16,9 @@ captures, as (stdout, stderr, exit code):
 * a hash of the arrays of 40 seeded generated scenarios (triple, module,
   junk lift pair and vertical operator).
 
-The outputs that differ are listed, and the exit code is 1 if any does.
+The outputs that differ are listed, each differing stdout or stderr with the
+first line where the two sides part (cut to a window around the first
+differing character), and the exit code is 1 if any output differs.
 """
 
 from __future__ import annotations
@@ -101,6 +103,51 @@ def run_capture(root: Path) -> dict[str, list]:
     return json.loads(proc.stdout)
 
 
+def first_difference(a: str, b: str, width: int = 100) -> tuple[str, str]:
+    """The first line where texts ``a`` and ``b`` differ, one per side.
+
+    Each is "line N: <text>", cut to ``width`` characters from the same start
+    column, ``width // 2`` before the first differing character; a side that
+    has no such line reads "line N: (no line)".
+    """
+    lines_a, lines_b = a.split("\n"), b.split("\n")
+    k = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+             min(len(lines_a), len(lines_b)))
+    x, y = (lines[k] if k < len(lines) else None for lines in (lines_a, lines_b))
+    col = next((i for i, (p, q) in enumerate(zip(x or "", y or "")) if p != q),
+               min(len(x or ""), len(y or "")))
+    start = max(0, col - width // 2)
+
+    def clip(line: str | None) -> str:
+        if line is None:
+            return f"line {k + 1}: (no line)"
+        cut = line[start:start + width]
+        return (f"line {k + 1}: {'...' if start else ''}{cut}"
+                f"{'...' if start + width < len(line) else ''}")
+
+    return clip(x), clip(y)
+
+
+def describe(label: str, a: list | None, b: list | None) -> list[str]:
+    """Report lines for one output captured on both sides; empty if it repeats.
+
+    The first line names the parts that differ; each differing stdout or
+    stderr follows with its :func:`first_difference`, this side first.
+    """
+    if a == b:
+        return []
+    if a is None or b is None:
+        return [f"  {label}: missing"]
+    names = ("stdout", "stderr", "exit code")
+    parts = [part for part, x, y in zip(names, a, b) if x != y]
+    lines = [f"  {label}: {', '.join(parts)}"]
+    for part, x, y in zip(names[:2], a, b):
+        if x != y:
+            here, other = first_difference(x, y)
+            lines += [f"    {part} here:  {here}", f"    {part} other: {other}"]
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--capture":
         print(json.dumps(capture(Path(argv[1]))))
@@ -111,17 +158,12 @@ def main(argv: list[str]) -> int:
     here = Path(__file__).resolve().parents[1]
     other = Path(argv[0]).resolve()
     mine, theirs = run_capture(here), run_capture(other)
-    differ = []
-    for label in sorted(set(mine) | set(theirs)):
-        a, b = mine.get(label), theirs.get(label)
-        if a != b:
-            parts = ("missing",) if a is None or b is None else [
-                part for part, x, y in zip(("stdout", "stderr", "exit code"), a, b) if x != y]
-            differ.append(f"  {label}: {', '.join(parts)}")
+    differ = [lines for label in sorted(set(mine) | set(theirs))
+              if (lines := describe(label, mine.get(label), theirs.get(label)))]
     print(f"{len(set(mine) | set(theirs))} outputs compared with {other}: "
           f"{len(differ)} differ")
-    for line in differ:
-        print(line)
+    for lines in differ:
+        print("\n".join(lines))
     return 1 if differ else 0
 
 
