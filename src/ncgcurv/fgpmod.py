@@ -37,6 +37,7 @@ __all__ = [
     "ProjectiveModule",
     "connection_operators",
     "hermitian_residual",
+    "pairing_adjoint_entries",
     "spectrum",
     "symmetrize_connection",
     "validate_connection",
@@ -172,22 +173,19 @@ class ConnectionForm:
 
     def pairing_adjoint(self) -> "ConnectionForm":
         """Adjoint table C-dagger: transpose of entry positions, star on entries."""
-        return replace(self, entries=_pairing_adjoint(self.module, self.entries))
+        return replace(self, entries=pairing_adjoint_entries(self.module, self.entries))
 
 
-def _pairing_adjoint(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
+def pairing_adjoint_entries(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
+    """The pairing adjoint of an (m, m, d, d) entry table, as an array."""
     S = module.triple.star_matrix
     return np.einsum("jipq,aq,bp->ijab", np.conj(entries), S, S)
 
 
-def _symmetrized(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
-    """Average of an (m, m, d, d) table with its pairing adjoint, as arrays."""
-    return (entries + _pairing_adjoint(module, entries)) * 0.5
-
-
 def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
     """Average with the pairing adjoint; used to manufacture Hermitian test forms."""
-    return replace(a, entries=_symmetrized(a.module, a.entries), hermitian=True)
+    entries = (a.entries + pairing_adjoint_entries(a.module, a.entries)) * 0.5
+    return replace(a, entries=entries, hermitian=True)
 
 
 def _require_same_module(module: ProjectiveModule, x) -> None:

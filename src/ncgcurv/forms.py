@@ -18,15 +18,14 @@ With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m) (the
 delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
 The kernel of the n^2 x d(d-1) matrix of the b_i [D, b_j] gives the forms that
 represent to zero; junk two-forms are its pi_d2 image.  The kernel alone is
-solved once per (triple, rank_tol) and kept while the triple lives.  A
-basis[0] that is not the identity raises InvariantViolation
-(``basis_unit_first``).
+solved once per (triple, rank_tol) and kept while the triple lives.  A basis[0]
+that is not the identity raises InvariantViolation (``basis_unit_first``).
 
 A basis of exactly 1, then diagonal 0/1 projections with disjoint supports
-(every fixture and ``diag`` generated triple) has minimal projections
-e_0 = 1 - sum b_k, e_k = b_k, and junk is the span of e_k D^2 e_l over the pairs
-k != l with e_k D e_l exactly 0: no SVD, no memo.  A nonzero block under
-sqrt(rank_tol) ||D||_F (or ||D^2||_F), like any other basis, takes the SVD route.
+(every fixture and ``diag`` triple) has minimal projections e_0 = 1 - sum b_k,
+e_k = b_k; its junk is the span of the e_k D^2 e_l, k != l, with e_k D e_l exactly
+0: no SVD, no memo.  A nonzero block under sqrt(rank_tol) ||D||_F (or ||D^2||_F),
+like any other basis, takes the SVD route.
 """
 
 from __future__ import annotations
@@ -193,30 +192,24 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
     return _delta_forms(st, _delta_kernel(st, rank_tol))
 
 
-def _minimal_projections(st: SpectralTriple) -> np.ndarray | None:
-    """(d, n) 0/1 rows of e_0 = 1 - sum b_k and e_k = b_k, or None unless basis[0]
-    is exactly 1 and basis[1:] exactly diagonal 0/1 with disjoint supports."""
-    diag = np.diagonal(st.basis, axis1=1, axis2=2)
-    e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])  # 0/1 iff disjoint supports
-    exact = np.array_equal(st.basis, diag[..., None] * np.eye(st.n)) and np.all(diag[0] == 1)
-    return e.real if exact and np.all((e == 0) | (e == 1)) else None
-
-
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d): closed form or SVD."""
-    e = _minimal_projections(st)
-    if e is None:
+    diag = np.diagonal(st.basis, axis1=1, axis2=2)
+    e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])  # rows e_0 = 1 - sum b_k, e_k = b_k
+    if not (np.array_equal(st.basis, diag[..., None] * np.eye(st.n)) and np.all(diag[0] == 1)
+            and np.all((e == 0) | (e == 1))):  # 0/1 rows iff disjoint supports
         return _junk_space_svd(st, rank_tol)
-    keep = ~np.eye(len(e), dtype=bool)
+    e, keep = e.real, ~np.eye(st.d, dtype=bool)
     # keep the pairs with e_k D e_l = 0, then of those e_k D^2 e_l != 0; row-major
     for m, kept_if_nonzero in ((st.dirac, False), (st.dirac_sq, True)):
-        sq = e @ np.abs(m) ** 2 @ e.T  # squared block norms, summing to ||m||_F^2
         nonzero = e @ (m != 0) @ e.T > 0  # exact where sq may underflow
+        m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])  # exact rescale: max |m| < 1
+        sq = e @ np.abs(m) ** 2 @ e.T  # squared block norms, summing to ||m||_F^2
         if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
             return _junk_space_svd(st, rank_tol)
         keep &= nonzero == kept_if_nonzero
-    k, l = np.nonzero(keep)
-    return FormSpace(e[k, :, None] * e[l, None, :] * st.dirac_sq / np.sqrt(sq[k, l])[:, None, None])
+    k, l = np.nonzero(keep)  # m is now the rescaled D^2
+    return FormSpace(e[k, :, None] * e[l, None, :] * m / np.sqrt(sq[k, l])[:, None, None])
 
 
 def _junk_space_svd(st: SpectralTriple, rank_tol: float) -> FormSpace:

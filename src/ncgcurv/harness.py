@@ -67,16 +67,22 @@ def iter_connection_scenarios(seed: int, count: int
 
 def route_equality_residuals(seed: int, count: int) -> list[float]:
     """Relative defect between the direct and closed-formula curvature routes."""
-    return [curvature_report(module, a).route_residual
-            for _, module, a in iter_connection_scenarios(seed, count)]
+    out = []
+    for _, module, a in iter_connection_scenarios(seed, count):
+        report = curvature_report(module, a)
+        out.append(report.route_residual)
+    return out
 
 
 def curvature_structure_residuals(seed: int, count: int) -> dict[str, list[float]]:
     """Evenness, support and symmetry residuals of seeded curvature outputs."""
-    reports = [curvature_report(module, a) for _, module, a in iter_connection_scenarios(seed, count)]
-    return {"even": [r.evenness_residual for r in reports],
-            "support": [r.support_residual for r in reports],
-            "symmetric": [r.symmetry_residual for r in reports]}
+    out = {"even": [], "support": [], "symmetric": []}
+    for _, module, a in iter_connection_scenarios(seed, count):
+        report = curvature_report(module, a)
+        out["even"].append(report.evenness_residual)
+        out["support"].append(report.support_residual)
+        out["symmetric"].append(report.symmetry_residual)
+    return out
 
 
 def ajunkie_residuals(seed: int, count: int) -> list[float]:
@@ -170,7 +176,10 @@ def grassmann_residuals(seed: int, count: int) -> tuple[list[float], list[float]
 
 def hermitian_identity_residuals(seed: int, count: int) -> list[float]:
     """Hermitian-connection identity defect for symmetrized random forms."""
-    return [hermitian_residual(module, a) for _, module, a in iter_connection_scenarios(seed, count)]
+    out = []
+    for _, module, a in iter_connection_scenarios(seed, count):
+        out.append(hermitian_residual(module, a))
+    return out
 
 
 def junk_membership_residuals(seed: int, count: int) -> tuple[list[float], list[float]]:

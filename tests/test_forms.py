@@ -430,6 +430,27 @@ class TestClosedFormJunk:
             dims.append(junk.dim)
         assert dims[0] == dims[1] == dims[2] > 0
 
+    def test_uniformly_tiny_or_huge_d_keeps_the_closed_form(self, n3, ladder_modules):
+        # |D^2|^2 of a D near 1e-100 underflows and of a D near 1e100 overflows;
+        # block norms of an exactly rescaled copy decide the same pairs, and a
+        # power-of-two scale leaves every bit of the basis as it was
+        for st_ in [n3] + [copy.copy(module.triple) for module in ladder_modules]:
+            junk = junk_space(st_)
+            for scale in (1e-100, 1e100, 2.0 ** -330, 2.0 ** 330):
+                scaled = SpectralTriple(st_.gamma, st_.basis, st_.dirac * scale)
+                fast = junk_space(scaled)
+                assert scaled not in forms._KERNELS
+                assert np.all(np.isfinite(fast.basis)) and fast.dim == junk.dim > 0
+                assert orthonormality_defect(fast.basis) <= 1e-14
+                reference = forms._junk_space_svd(scaled, 1e-9)
+                gap = np.linalg.norm(_projector(fast.basis, st_.n)
+                                     - _projector(reference.basis, st_.n), 2)
+                assert reference.dim == junk.dim and gap <= 1e-12
+                if scale in (2.0 ** -330, 2.0 ** 330):
+                    assert np.array_equal(fast.basis, junk.basis)
+                else:
+                    assert np.allclose(fast.basis, junk.basis, rtol=0, atol=1e-15)
+
     def test_blocks_in_row_major_order(self, n3, ladder_modules):
         for st_ in [n3] + [module.triple for module in ladder_modules]:
             e = [st_.basis[0] - st_.basis[1:].sum(0)] + list(st_.basis[1:])
