@@ -21,9 +21,7 @@ import numpy as np
 from . import __version__, harness
 from .curvature import (
     SIGN_CONVENTION_NOTE,
-    _correspondence,
-    _decomposition_residual,
-    _wac,
+    correspondence_report,
     curvature_report,
     external_product_defect,
     external_product_defect_ungraded,
@@ -47,7 +45,7 @@ from .glinalg import (
 )
 from .scenario import Scenario, ScenarioError, _seed, _tolerance, parse_scenario
 from .submersion import submersion_invariants, jacobi_residual
-from .triple import DEFAULT_TOL, Check, InvariantViolation, _require, validate
+from .triple import DEFAULT_TOL, Check, InvariantViolation, validate
 
 __all__ = ["ResultDocument", "main", "run"]
 
@@ -234,15 +232,11 @@ def _cmd_curvature(scen: Scenario, tol: float, rank_tol: float, seed: int, emit:
 def _cmd_correspondence(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool):
     module = _need(scen, "module", "correspondence")
     vertical = _need(scen, "vertical", "correspondence")
-    checks = validate_vertical(vertical, tol)
-    _require(checks)  # a bad S aborts before the connection is evaluated
-    s_mat = vertical.assembled()  # validated once, here
-    ops = connection_operators(module, scen.connection, tol)
-    corr = _correspondence(s_mat, ops)
-    checks.append(Check("correspondence_decomposition",
-                        _decomposition_residual(module, s_mat, ops), tol))
-    values = {"norm": spectral_norm(corr), "wac_diagnostic": _wac(s_mat, ops)}
-    matrices = {"correspondence_curvature": _matrix_payload(corr)} if emit else None
+    corr = correspondence_report(module, scen.connection, vertical, tol)
+    checks = corr.vertical_checks + [
+        Check("correspondence_decomposition", corr.decomposition_residual, tol)]
+    values = {"norm": spectral_norm(corr.curvature), "wac_diagnostic": corr.wac}
+    matrices = {"correspondence_curvature": _matrix_payload(corr.curvature)} if emit else None
     return checks, values, matrices, [SIGN_CONVENTION_NOTE]
 
 

@@ -26,8 +26,8 @@ read and then cached, so a caller that only checks the route identity pays
 for neither.
 
 The module also evaluates the correspondence curvature with a vertical
-operator S, its decomposition R + [S (x) 1, M]_+, junk-coset comparisons,
-and the external-product vanishing defect for pairs of triples.
+operator S and its decomposition R + [S (x) 1, M]_+ (a CorrespondenceReport),
+junk-coset comparisons and the external-product defect for pairs of triples.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ from .glinalg import (
 from .triple import DEFAULT_TOL, Check, SpectralTriple, _require
 
 __all__ = [
+    "CorrespondenceReport",
     "CurvatureReport",
     "SIGN_CONVENTION_NOTE",
     "VerticalOperator",
     "correspondence_curvature",
+    "correspondence_report",
     "correspondence_decomposition_residual",
     "curvature_direct",
     "curvature_formula",
@@ -193,12 +195,14 @@ class VerticalOperator:
             raise ValueError("vertical operator coefficients must be finite")
         object.__setattr__(self, "entries", e)
 
-    def assembled(self) -> np.ndarray:
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """S assembled as an mn x mn matrix, on first read."""
         return self.module.assemble_table(self.entries)
 
 
 def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Check]:
-    mat = s.assembled()
+    mat = s.matrix
     return [
         Check("vertical_selfadjoint", relative_distance(mat, mat.conj().T), tol),
         Check("vertical_compressed", support_residual(s.module.projector, mat), tol),
@@ -206,34 +210,44 @@ def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Che
     ]
 
 
-def _checked_vertical(module: ProjectiveModule, s: VerticalOperator,
-                      tol: float) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class CorrespondenceReport:
+    """(S + M)^2 - S^2 - N with its defect ||corr - (R + [S, M]_+)||_F (exact
+    algebra) and the checks S passed; ``wac`` is computed on first read."""
+
+    curvature: np.ndarray
+    decomposition_residual: float
+    vertical_checks: list[Check]
+    s_mat: np.ndarray = field(repr=False)
+    m_op: np.ndarray = field(repr=False)
+
+    @cached_property
+    def wac(self) -> float:
+        """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
+        return (spectral_norm(anticommutator(self.s_mat, self.m_op))
+                / (spectral_norm(self.s_mat) + 1.0))
+
+
+def correspondence_report(module: ProjectiveModule,
+                          a: ConnectionForm | ConnectionOperators | None,
+                          s: VerticalOperator, tol: float = DEFAULT_TOL) -> CorrespondenceReport:
+    """S checked and the connection evaluated, once each; a bad S raises first."""
     _require_same_module(module, s)
-    _require(validate_vertical(s, tol))
-    return s.assembled()
-
-
-def _correspondence(s_mat: np.ndarray, ops: ConnectionOperators) -> np.ndarray:
-    total = s_mat + ops.m_op
-    return total @ total - s_mat @ s_mat - ops.n_op
-
-
-def _decomposition_residual(module: ProjectiveModule, s_mat: np.ndarray,
-                            ops: ConnectionOperators) -> float:
-    return frobenius_norm(_correspondence(s_mat, ops) - curvature_direct(module, ops)
-                          - anticommutator(s_mat, ops.m_op))
-
-
-def _wac(s_mat: np.ndarray, ops: ConnectionOperators) -> float:
-    return spectral_norm(anticommutator(s_mat, ops.m_op)) / (spectral_norm(s_mat) + 1.0)
+    checks = validate_vertical(s, tol)
+    _require(checks)
+    ops = connection_operators(module, a, tol)
+    total = s.matrix + ops.m_op
+    corr = total @ total - s.matrix @ s.matrix - ops.n_op
+    residual = frobenius_norm(corr - curvature_direct(module, ops)
+                              - anticommutator(s.matrix, ops.m_op))
+    return CorrespondenceReport(corr, residual, checks, s.matrix, ops.m_op)
 
 
 def correspondence_curvature(module: ProjectiveModule,
                              a: ConnectionForm | ConnectionOperators | None,
                              s: VerticalOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(S + M)^2 - S^2 - N: the defect of the tensor sum from respecting squares."""
-    return _correspondence(_checked_vertical(module, s, tol),
-                           connection_operators(module, a, tol))
+    return correspondence_report(module, a, s, tol).curvature
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,
@@ -241,15 +255,14 @@ def correspondence_decomposition_residual(module: ProjectiveModule,
                                           s: VerticalOperator,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
-    return _decomposition_residual(module, _checked_vertical(module, s, tol),
-                                   connection_operators(module, a, tol))
+    return correspondence_report(module, a, s, tol).decomposition_residual
 
 
 def wac_diagnostic(module: ProjectiveModule,
                    a: ConnectionForm | ConnectionOperators | None,
                    s: VerticalOperator, tol: float = DEFAULT_TOL) -> float:
     """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
-    return _wac(_checked_vertical(module, s, tol), connection_operators(module, a, tol))
+    return correspondence_report(module, a, s, tol).wac
 
 
 def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,

@@ -34,7 +34,7 @@ def report(num: int, detail: str) -> None:
 
 def test_criterion_1_route_equality():
     t0 = time.perf_counter()
-    residuals = harness.route_equality_residuals(SEED, 200)
+    (residuals,) = harness.residuals("route_equality", SEED, 200)
     elapsed = time.perf_counter() - t0
     worst = max(residuals)
     assert len(residuals) == 200
@@ -44,7 +44,7 @@ def test_criterion_1_route_equality():
 
 
 def test_criterion_2_two_form_identity():
-    residuals = harness.ajunkie_residuals(SEED + 1, 200)
+    (residuals,) = harness.residuals("ajunkie", SEED + 1, 200)
     worst = max(residuals)
     assert len(residuals) == 200
     assert worst <= 1e-9, f"two-form identity residual {worst:.3e} exceeds 1e-9"
@@ -52,7 +52,7 @@ def test_criterion_2_two_form_identity():
 
 
 def test_criterion_3_junk_invariance():
-    coset, canonical = harness.junk_invariance_residuals(SEED + 2, 50)
+    coset, canonical = harness.residuals("junk_invariance", SEED + 2, 50)
     assert len(coset) == 50
     worst_coset = max(coset)
     worst_canonical = max(canonical)
@@ -64,7 +64,7 @@ def test_criterion_3_junk_invariance():
 
 
 def test_criterion_4_correspondence_decomposition():
-    residuals = harness.correspondence_residuals(SEED + 3, 100)
+    (residuals,) = harness.residuals("correspondence", SEED + 3, 100)
     worst = max(residuals)
     assert len(residuals) == 100
     assert worst <= 1e-10, f"decomposition residual {worst:.3e} exceeds 1e-10"
@@ -72,7 +72,7 @@ def test_criterion_4_correspondence_decomposition():
 
 
 def test_criterion_5_external_product():
-    ratios = harness.external_defect_ratios(SEED + 4, 20)
+    (ratios,) = harness.residuals("external_product", SEED + 4, 20)
     worst = max(ratios)
     assert len(ratios) == 20
     assert worst <= 1e-12, f"external defect ratio {worst:.3e} exceeds 1e-12"
@@ -105,7 +105,7 @@ def test_criterion_6_two_point_fixture(two_point_oracle):
 
 
 def test_criterion_7_grassmann_symmetry():
-    sym, odd = harness.grassmann_residuals(SEED + 5, 100)
+    sym, odd = harness.residuals("grassmann", SEED + 5, 100)
     assert len(sym) == 100
     worst_sym, worst_odd = max(sym), max(odd)
     assert worst_sym <= 1e-10, f"symmetry defect {worst_sym:.3e} exceeds 1e-10"

@@ -184,7 +184,7 @@ class TestJunkCoset:
             return pairs[-1]
 
         monkeypatch.setattr(generate, "junk_lift_pair", recording)
-        harness.junk_invariance_residuals(10, 10)
+        harness.residuals("junk_invariance", 10, 10)
         assert len(pairs) == 10
         for a1, a2 in pairs:
             assert a1 is not a2
@@ -200,7 +200,7 @@ class TestJunkCoset:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(forms, "solve_kernel", counting)
-        harness.junk_invariance_residuals(0, 5)
+        harness.residuals("junk_invariance", 0, 5)
         assert 5 <= len(calls) <= 10
 
     def test_junk_membership_solves_each_kernel_once(self, monkeypatch):
@@ -209,7 +209,7 @@ class TestJunkCoset:
         solve = glinalg.solve_kernel
         monkeypatch.setattr(forms, "solve_kernel",
                             lambda *args: calls.append(1) or solve(*args))
-        harness.junk_membership_residuals(0, 5)
+        harness.residuals("junk_membership", 0, 5)
         assert len(calls) == 5
 
     def test_lifted_basis_empty_without_junk(self, two_point_module):
@@ -338,7 +338,7 @@ class TestCorrespondence:
         s = random_vertical(rng, module)
         corr = correspondence_curvature(module, a, s)
         m_op = connection_operators(module, a).m_op
-        expected = curvature_direct(module, a) + anticommutator(s.assembled(), m_op)
+        expected = curvature_direct(module, a) + anticommutator(s.matrix, m_op)
         assert np.allclose(corr, expected, atol=1e-10)
 
     def test_invalid_vertical_rejected(self, free_module):

@@ -3,6 +3,7 @@
 import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +72,27 @@ def test_compare_outputs_shows_the_first_differing_lines():
                                         "x" * 300 + "2" + "y" * 300, width=20)
     assert here == "line 1: ..." + "x" * 10 + "1" + "y" * 9 + "..."
     assert other == "line 1: ..." + "x" * 10 + "2" + "y" * 9 + "..."
+
+
+def test_compare_outputs_names_every_moved_check():
+    # three checks of one selftest report move: each is named, in text and
+    # in JSON (where the whole report is one line), with both sides
+    from ncgcurv.cli import run
+
+    tool = _compare_outputs()
+    doc = run("selftest", None, seed=7)
+    moved = ["junk_coset", "junk_canonical_unique", "junk_in_two_forms"]
+    other = replace(doc, checks=[replace(c, value=2 * c.value) if c.name in moved else c
+                                 for c in doc.checks],
+                    values={**doc.values, "seed": 8})
+    keys = [f"checks.{name}" for name in moved] + ["values.seed"]
+    for render in ("to_text", "to_json"):
+        here, there = getattr(doc, render)(), getattr(other, render)()
+        lines = tool.describe("selftest", [here, "", 0], [there, "", 0])
+        assert lines[0] == "  selftest: stdout"
+        named = [line.split()[1] for line in lines[1:]]
+        assert named == [key for key in keys for _ in range(2)]
+        assert [line.split()[2] for line in lines[1:]] == ["here:", "other:"] * len(keys)
+    # a side that is not a report falls back to the first differing line
+    lines = tool.describe("selftest", [doc.to_text(), "", 0], ["oops\n", "", 0])
+    assert lines[1] == "    stdout here:  line 1: command:  selftest"

@@ -16,9 +16,12 @@ captures, as (stdout, stderr, exit code):
 * a hash of the arrays of 40 seeded generated scenarios (triple, module,
   junk lift pair and vertical operator).
 
-The outputs that differ are listed, each differing stdout or stderr with the
-first line where the two sides part (cut to a window around the first
-differing character), and the exit code is 1 if any output differs.
+The outputs that differ are listed, and the exit code is 1 if any differs.
+When both sides of a differing stdout or stderr parse as a report (text or
+JSON), every check, value, matrix or header field whose bytes differ is
+named, with both sides; otherwise the first line where the two sides part is
+shown.  Each shown text is cut to a window around its first differing
+character.
 """
 
 from __future__ import annotations
@@ -103,36 +106,105 @@ def run_capture(root: Path) -> dict[str, list]:
     return json.loads(proc.stdout)
 
 
+def clip_pair(x: str | None, y: str | None, width: int = 100,
+              missing: str = "(missing)") -> tuple[str, str]:
+    """``x`` and ``y`` cut to ``width`` characters from the same start column,
+    ``width // 2`` before their first differing character; None reads ``missing``."""
+    col = next((i for i, (p, q) in enumerate(zip(x or "", y or "")) if p != q),
+               min(len(x or ""), len(y or "")))
+    start = max(0, col - width // 2)
+
+    def clip(text: str | None) -> str:
+        if text is None:
+            return missing
+        cut = text[start:start + width]
+        return f"{'...' if start else ''}{cut}{'...' if start + width < len(text) else ''}"
+
+    return clip(x), clip(y)
+
+
 def first_difference(a: str, b: str, width: int = 100) -> tuple[str, str]:
     """The first line where texts ``a`` and ``b`` differ, one per side.
 
-    Each is "line N: <text>", cut to ``width`` characters from the same start
-    column, ``width // 2`` before the first differing character; a side that
-    has no such line reads "line N: (no line)".
+    Each is "line N: <text>", cut by :func:`clip_pair`; a side that has no
+    such line reads "line N: (no line)".
     """
     lines_a, lines_b = a.split("\n"), b.split("\n")
     k = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
              min(len(lines_a), len(lines_b)))
     x, y = (lines[k] if k < len(lines) else None for lines in (lines_a, lines_b))
-    col = next((i for i, (p, q) in enumerate(zip(x or "", y or "")) if p != q),
-               min(len(x or ""), len(y or "")))
-    start = max(0, col - width // 2)
+    return tuple(f"line {k + 1}: {side}" for side in clip_pair(x, y, width, "(no line)"))
 
-    def clip(line: str | None) -> str:
-        if line is None:
-            return f"line {k + 1}: (no line)"
-        cut = line[start:start + width]
-        return (f"line {k + 1}: {'...' if start else ''}{cut}"
-                f"{'...' if start + width < len(line) else ''}")
 
-    return clip(x), clip(y)
+REPORT_SECTIONS = ("checks", "values", "matrices")
+
+
+def report_entries(text: str) -> dict[str, str] | None:
+    """The named parts of a CLI report, or None if ``text`` is not one.
+
+    Keys are "checks.<name>", "values.<name>" and "matrices.<name>", and the
+    field name for the rest: a text report maps each to its line, a JSON
+    report to that part re-serialized.
+    """
+    entries: dict[str, str] = {}
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and "command" in doc:
+        for key, value in doc.items():
+            if key == "checks":
+                for check in value:
+                    entries[f"checks.{check['name']}"] = json.dumps(check)
+            elif key in REPORT_SECTIONS:
+                for name, part in value.items():
+                    entries[f"{key}.{name}"] = json.dumps(part)
+            else:
+                entries[key] = json.dumps(value)
+        return entries
+    lines = text.rstrip("\n").split("\n")
+    if not (lines[0].startswith("command:") and lines[-1].startswith("result:")):
+        return None
+    section = None
+    for line in lines:
+        if not line.startswith("  "):
+            label = line.split(":", 1)[0]
+            section = label if line == f"{label}:" and label in REPORT_SECTIONS else None
+            if section is None:
+                entries[label] = line
+        elif section == "checks":
+            entries[f"checks.{line.split()[1]}"] = line
+        else:
+            entries[f"{section}.{line.split(' = ', 1)[0].strip()}"] = line
+    return entries
+
+
+def differences(part: str, x: str, y: str) -> list[str]:
+    """Report lines for one differing stdout or stderr, this side first.
+
+    When both sides parse as reports, each check, value, matrix or field
+    whose bytes differ is named; otherwise, or when only the layout differs,
+    the :func:`first_difference` is shown.
+    """
+    here, other = report_entries(x), report_entries(y)
+    if here is not None and other is not None:
+        keys = [*here, *(key for key in other if key not in here)]
+        moved = [key for key in keys if here.get(key) != other.get(key)]
+        if moved:
+            lines = []
+            for key in moved:
+                h, o = clip_pair(here.get(key), other.get(key))
+                lines += [f"{part} {key} here:  {h}", f"{part} {key} other: {o}"]
+            return lines
+    h, o = first_difference(x, y)
+    return [f"{part} here:  {h}", f"{part} other: {o}"]
 
 
 def describe(label: str, a: list | None, b: list | None) -> list[str]:
     """Report lines for one output captured on both sides; empty if it repeats.
 
     The first line names the parts that differ; each differing stdout or
-    stderr follows with its :func:`first_difference`, this side first.
+    stderr follows with its :func:`differences`.
     """
     if a == b:
         return []
@@ -143,8 +215,7 @@ def describe(label: str, a: list | None, b: list | None) -> list[str]:
     lines = [f"  {label}: {', '.join(parts)}"]
     for part, x, y in zip(names[:2], a, b):
         if x != y:
-            here, other = first_difference(x, y)
-            lines += [f"    {part} here:  {here}", f"    {part} other: {other}"]
+            lines += [f"    {line}" for line in differences(part, x, y)]
     return lines
 
 
