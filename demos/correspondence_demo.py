@@ -5,14 +5,8 @@
 # (S + M)^2 - S^2 - N, and it always decomposes as R + [S, M]_+.  The same
 # defect vanishes identically for the external product of two triples.
 
-from ncgcurv import (
-    correspondence_curvature,
-    correspondence_decomposition_residual,
-    external_product_defect,
-    external_product_defect_ungraded,
-    spectral_norm,
-)
-from ncgcurv.curvature import wac_diagnostic
+from ncgcurv import external_product_defect, external_product_defect_ungraded, spectral_norm
+from ncgcurv.curvature import correspondence_report
 from ncgcurv.generate import random_connection, random_module, random_triple, random_vertical, rng_for
 
 rng = rng_for(424242)
@@ -21,11 +15,10 @@ module = random_module(rng, st, m=3)
 a = random_connection(rng, module, hermitian=True)
 s = random_vertical(rng, module)
 
-corr = correspondence_curvature(module, a, s)
-print("correspondence curvature norm:", spectral_norm(corr))
-print("decomposition residual: %.2e" % correspondence_decomposition_residual(module, a, s))
-print("anticommutator diagnostic |[S, M]_+| / (|S| + 1):",
-      round(wac_diagnostic(module, a, s), 6))
+corr = correspondence_report(module, a, s)
+print("correspondence curvature norm:", spectral_norm(corr.curvature))
+print("decomposition residual: %.2e" % corr.decomposition_residual)
+print("anticommutator diagnostic |[S, M]_+| / (|S| + 1):", round(corr.wac, 6))
 
 # External product of two triples: the graded tensor sum respects squares
 # on the nose; dropping the grading twist breaks it.

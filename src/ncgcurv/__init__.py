@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .curvature import (
     CurvatureReport,
     VerticalOperator,
-    correspondence_curvature,
     correspondence_decomposition_residual,
     curvature_direct,
     curvature_formula,
@@ -73,7 +72,6 @@ __all__ = [
     "c2_norm",
     "canned_frame",
     "connection_operators",
-    "correspondence_curvature",
     "correspondence_decomposition_residual",
     "curvature_direct",
     "curvature_formula",

@@ -43,7 +43,7 @@ from .glinalg import (
     spectral_norm,
     support_residual,
 )
-from .scenario import Scenario, ScenarioError, _seed, _tolerance, parse_scenario
+from .scenario import Scenario, ScenarioError, parse_scenario, settings
 from .submersion import submersion_invariants, jacobi_residual
 from .triple import DEFAULT_TOL, Check, InvariantViolation, validate
 
@@ -324,17 +324,7 @@ def run(command: str, scen: Scenario | None, tol: float | None = None,
     if command != "selftest" and scen is None:
         raise ScenarioError(f"{command}: a scenario file is required")
 
-    tol = None if tol is None else _tolerance(tol, "--tol")
-    rank_tol = None if rank_tol is None else _tolerance(rank_tol, "--rank-tol")
-    seed = None if seed is None else _seed(seed, "--seed")
-    if scen is not None:
-        tol = scen.residual_tol if tol is None else tol
-        rank_tol = scen.rank_tol if rank_tol is None else rank_tol
-        seed = scen.seed if seed is None else seed
-    tol = DEFAULT_TOL if tol is None else tol
-    rank_tol = DEFAULT_RANK_TOL if rank_tol is None else rank_tol
-    seed = 0 if seed is None else seed
-
+    tol, rank_tol, seed = settings(scen, tol, rank_tol, seed)
     doc = ResultDocument(
         command=command,
         scenario_digest=scen.digest if scen is not None else "none",

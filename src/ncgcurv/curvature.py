@@ -26,8 +26,10 @@ read and then cached, so a caller that only checks the route identity pays
 for neither.
 
 The module also evaluates the correspondence curvature with a vertical
-operator S and its decomposition R + [S (x) 1, M]_+ (a CorrespondenceReport),
-junk-coset comparisons and the external-product defect for pairs of triples.
+operator S and its decomposition R + [S (x) 1, M]_+: one
+:func:`correspondence_report` holds the curvature, the residual and [S, M]_+,
+from which ``wac`` is read.  It also gives junk-coset comparisons and the
+external-product defect for pairs of triples.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "CurvatureReport",
     "SIGN_CONVENTION_NOTE",
     "VerticalOperator",
-    "correspondence_curvature",
     "correspondence_report",
     "correspondence_decomposition_residual",
     "curvature_direct",
@@ -71,7 +72,6 @@ __all__ = [
     "external_product_defect_ungraded",
     "junk_coset_residual",
     "validate_vertical",
-    "wac_diagnostic",
 ]
 
 SIGN_CONVENTION_NOTE = (
@@ -213,19 +213,19 @@ def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Che
 @dataclass(frozen=True, eq=False)
 class CorrespondenceReport:
     """(S + M)^2 - S^2 - N with its defect ||corr - (R + [S, M]_+)||_F (exact
-    algebra) and the checks S passed; ``wac`` is computed on first read."""
+    algebra), the checks S passed, S and [S, M]_+; ``wac`` is computed on
+    first read."""
 
     curvature: np.ndarray
     decomposition_residual: float
     vertical_checks: list[Check]
     s_mat: np.ndarray = field(repr=False)
-    m_op: np.ndarray = field(repr=False)
+    s_m: np.ndarray = field(repr=False)  # [S, M]_+
 
     @cached_property
     def wac(self) -> float:
         """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
-        return (spectral_norm(anticommutator(self.s_mat, self.m_op))
-                / (spectral_norm(self.s_mat) + 1.0))
+        return spectral_norm(self.s_m) / (spectral_norm(self.s_mat) + 1.0)
 
 
 def correspondence_report(module: ProjectiveModule,
@@ -238,16 +238,9 @@ def correspondence_report(module: ProjectiveModule,
     ops = connection_operators(module, a, tol)
     total = s.matrix + ops.m_op
     corr = total @ total - s.matrix @ s.matrix - ops.n_op
-    residual = frobenius_norm(corr - curvature_direct(module, ops)
-                              - anticommutator(s.matrix, ops.m_op))
-    return CorrespondenceReport(corr, residual, checks, s.matrix, ops.m_op)
-
-
-def correspondence_curvature(module: ProjectiveModule,
-                             a: ConnectionForm | ConnectionOperators | None,
-                             s: VerticalOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(S + M)^2 - S^2 - N: the defect of the tensor sum from respecting squares."""
-    return correspondence_report(module, a, s, tol).curvature
+    s_m = anticommutator(s.matrix, ops.m_op)
+    residual = frobenius_norm(corr - curvature_direct(module, ops) - s_m)
+    return CorrespondenceReport(corr, residual, checks, s.matrix, s_m)
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,
@@ -256,13 +249,6 @@ def correspondence_decomposition_residual(module: ProjectiveModule,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
     return correspondence_report(module, a, s, tol).decomposition_residual
-
-
-def wac_diagnostic(module: ProjectiveModule,
-                   a: ConnectionForm | ConnectionOperators | None,
-                   s: VerticalOperator, tol: float = DEFAULT_TOL) -> float:
-    """||[S, M]_+|| / (||S|| + 1), echoing the relative-bound condition."""
-    return correspondence_report(module, a, s, tol).wac
 
 
 def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,

@@ -171,13 +171,10 @@ class ConnectionForm:
         norms = np.linalg.norm(prods.reshape(self.module.m ** 2, -1), axis=1)
         return float(norms.max()) if norms.size else 0.0
 
-    def pairing_adjoint(self) -> "ConnectionForm":
-        """Adjoint table C-dagger: transpose of entry positions, star on entries."""
-        return replace(self, entries=pairing_adjoint_entries(self.module, self.entries))
-
 
 def pairing_adjoint_entries(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
-    """The pairing adjoint of an (m, m, d, d) entry table, as an array."""
+    """Adjoint table C-dagger of an (m, m, d, d) entry table: transpose of entry
+    positions, star on entries."""
     S = module.triple.star_matrix
     return np.einsum("jipq,aq,bp->ijab", np.conj(entries), S, S)
 

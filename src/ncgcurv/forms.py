@@ -12,7 +12,9 @@ tied together exactly by
 
     sum c[i,j] [D, b_i][D, b_j] = [D, pi_d(w)]_+ - pi_d2(w),
 
-which :meth:`UniversalOneForm.two_form` cross-checks on every call.
+whose defect over max(1, ||left side||_F) is
+:meth:`UniversalOneForm.two_form_defect`; :meth:`UniversalOneForm.two_form`
+cross-checks it on every call.
 
 With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m) (the
 delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
@@ -39,7 +41,6 @@ from .glinalg import (
     DEFAULT_RANK_TOL,
     anticommutator,
     frobenius_norm,
-    relative_distance,
     solve_kernel,
     subspace_basis,
 )
@@ -93,17 +94,25 @@ class UniversalOneForm:
     def _paired(self, right: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coeffs, self.triple.pair_products(right), axes=2)
 
-    def two_form(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Represented two-form sum c[i,j] [D, b_i][D, b_j].
-
-        Cross-checked against [D, pi_d]_+ - pi_d2, which must agree exactly;
-        a relative defect above ``tol`` raises InternalConsistencyError.
-        """
+    def _two_form(self) -> tuple[np.ndarray, float]:
+        """sum c[i,j] [D, b_i][D, b_j] and its :meth:`two_form_defect`."""
         st = self.triple
         direct = np.einsum("ij,iab,jbc->ac", self.coeffs, st.dirac_commutators,
                            st.dirac_commutators)
-        via_anticom = anticommutator(st.dirac, self.pi_d()) - self.pi_d2()
-        defect = relative_distance(direct, via_anticom)
+        other = anticommutator(st.dirac, self.pi_d()) - self.pi_d2()
+        return direct, frobenius_norm(direct - other) / max(1.0, frobenius_norm(direct))
+
+    def two_form_defect(self) -> float:
+        """||T - ([D, pi_d]_+ - pi_d2)||_F / max(1, ||T||_F), T = sum c[i,j] [D, b_i][D, b_j]."""
+        return self._two_form()[1]
+
+    def two_form(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Represented two-form sum c[i,j] [D, b_i][D, b_j].
+
+        Raises InternalConsistencyError when :meth:`two_form_defect` (exactly
+        0 in the calculus) exceeds ``tol``.
+        """
+        direct, defect = self._two_form()
         if defect > tol:
             raise InternalConsistencyError(
                 f"two-form identity defect {defect:.3e} exceeds {tol:.3e}")

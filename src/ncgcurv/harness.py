@@ -26,7 +26,6 @@ from .curvature import (
 from .fgpmod import connection_operators, hermitian_residual
 from .forms import junk_space, kernel_one_forms, one_form_space, two_form_space
 from .glinalg import (
-    anticommutator,
     frobenius_norm,
     membership_residual,
     orthonormality_defect,
@@ -70,11 +69,7 @@ def _draw_universal_form(rng, k):
 
 
 def _measure_ajunkie(st, omega):
-    """Defect of sum c [D,b_i][D,b_j] = [D, pi_d(w)]_+ - pi_d2(w), relative."""
-    direct = np.einsum("ij,iab,jbc->ac", omega.coeffs, st.dirac_commutators,
-                       st.dirac_commutators)
-    other = anticommutator(st.dirac, omega.pi_d()) - omega.pi_d2()
-    return (frobenius_norm(direct - other) / max(1.0, frobenius_norm(direct)),)
+    return (omega.two_form_defect(),)
 
 
 def _draw_lift_pair(rng, k):

@@ -5,7 +5,12 @@ module, connection, vertical-operator, second-triple and frame-point data,
 plus tolerances and a seed.  Complex scalars are written as two-element
 arrays [re, im] (a bare number means a real scalar); matrices are nested
 row-major arrays; algebra elements are flat coefficient arrays over the
-declared basis order.
+declared basis order.  Every section is read through one object check
+(``_object``) and built through one guard (``_built``) that turns the
+constructor's error into a :class:`ScenarioError` at the section's path.
+
+:func:`settings` resolves the tolerances and the seed of a run: a checked
+override wins over the scenario's value, which wins over the default.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .glinalg import DEFAULT_RANK_TOL
 from .submersion import FramePoint, canned_frame
 from .triple import DEFAULT_TOL, SpectralTriple
 
-__all__ = ["Scenario", "ScenarioError", "parse_scenario", "scenario_digest"]
+__all__ = ["Scenario", "ScenarioError", "parse_scenario", "scenario_digest", "settings"]
 
 
 class ScenarioError(ValueError):
@@ -90,12 +95,26 @@ def _matrix(node, path: str) -> np.ndarray:
     return _array(node, path, (len(node), len(node)))
 
 
-def _parse_triple(node, path: str) -> SpectralTriple:
+def _object(node, path: str, *required: str) -> dict:
+    """A JSON object holding every ``required`` field."""
     if not isinstance(node, dict):
         raise _fail(path, "expected an object")
-    for key in ("gamma", "basis", "dirac"):
+    for key in required:
         if key not in node:
             raise _fail(path, f"missing required field {key!r}")
+    return node
+
+
+def _built(path: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``; its TypeError or ValueError becomes a ScenarioError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise _fail(path, str(exc)) from exc
+
+
+def _parse_triple(node, path: str) -> SpectralTriple:
+    _object(node, path, "gamma", "basis", "dirac")
     gamma = _matrix(node["gamma"], f"{path}.gamma")
     n = gamma.shape[0]
     # an integer: JSON true and 2.0 compare equal to 1 and 2 but are not sizes
@@ -105,19 +124,11 @@ def _parse_triple(node, path: str) -> SpectralTriple:
     d = len(node["basis"]) if isinstance(node["basis"], list) else 0
     basis = _array(node["basis"], f"{path}.basis", (d, n, n))
     dirac = _array(node["dirac"], f"{path}.dirac", (n, n))
-    try:
-        return SpectralTriple(gamma, basis, dirac)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _built(path, SpectralTriple, gamma, basis, dirac)
 
 
 def _parse_module(node, path: str, st: SpectralTriple) -> ProjectiveModule:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
-    for key in ("gamma_signs", "p"):
-        if key not in node:
-            raise _fail(path, f"missing required field {key!r}")
-    signs = node["gamma_signs"]
+    signs = _object(node, path, "gamma_signs", "p")["gamma_signs"]
     if not isinstance(signs, list) or not signs:
         raise _fail(f"{path}.gamma_signs", "expected a nonempty array of +1/-1")
     m = len(signs)
@@ -129,26 +140,16 @@ def _parse_module(node, path: str, st: SpectralTriple) -> ProjectiveModule:
         if type(s) is not int or s not in (1, -1):
             raise _fail(f"{path}.gamma_signs[{k}]", f"expected the integer 1 or -1, got {s!r}")
     p = _array(node["p"], f"{path}.p", (m, m, st.d))
-    try:
-        return ProjectiveModule(st, p, np.array(signs, dtype=float))
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _built(path, ProjectiveModule, st, p, np.array(signs, dtype=float))
 
 
 def _parse_connection(node, path: str, module: ProjectiveModule) -> ConnectionForm:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
-    if "entries" not in node:
-        raise _fail(path, "missing required field 'entries'")
-    hermitian = node.get("hermitian", False)
+    hermitian = _object(node, path, "entries").get("hermitian", False)
     if not isinstance(hermitian, bool):
         raise _fail(f"{path}.hermitian", "expected a boolean")
     m, d = module.m, module.triple.d
     entries = _array(node["entries"], f"{path}.entries", (m, m, d, d))
-    try:
-        return ConnectionForm(module, entries, hermitian=hermitian)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _built(path, ConnectionForm, module, entries, hermitian)
 
 
 def _parse_vertical(node, path: str, module: ProjectiveModule) -> VerticalOperator:
@@ -156,30 +157,19 @@ def _parse_vertical(node, path: str, module: ProjectiveModule) -> VerticalOperat
         raise _fail(path, "expected an object with an 'entries' table")
     m, d = module.m, module.triple.d
     entries = _array(node["entries"], f"{path}.entries", (m, m, d))
-    try:
-        return VerticalOperator(module, entries)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _built(path, VerticalOperator, module, entries)
 
 
 def _parse_frame(node, path: str) -> tuple[FramePoint, bool]:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
-    if "canned" in node:
-        name = node["canned"]
+    if "canned" in _object(node, path):
         params = node.get("params", {})
         if not isinstance(params, dict):
             raise _fail(f"{path}.params", "expected an object of parameters")
         for key, value in params.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise _fail(f"{path}.params.{key}", f"expected a number, got {value!r}")
-        try:
-            return canned_frame(name, **params), True
-        except (TypeError, ValueError) as exc:
-            raise _fail(path, str(exc)) from exc
-    for key in ("dim", "dim_fiber", "c"):
-        if key not in node:
-            raise _fail(path, f"missing required field {key!r}")
+        return _built(path, canned_frame, node["canned"], **params), True
+    _object(node, path, "dim", "dim_fiber", "c")
     dim = node["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise _fail(f"{path}.dim", f"expected an integer >= 2, got {dim!r}")
@@ -191,10 +181,7 @@ def _parse_frame(node, path: str) -> tuple[FramePoint, bool]:
     if complex_at.size:
         raise _fail(f"{path}.c" + "".join(f"[{k}]" for k in complex_at[0]),
                     "structure constants must be real")
-    try:
-        return FramePoint(dim, dim_fiber, c.real.copy()), False
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _built(path, FramePoint, dim, dim_fiber, c.real.copy()), False
 
 
 @dataclass(frozen=True)
@@ -283,3 +270,15 @@ def parse_scenario(source) -> Scenario:
         seed=seed,
         digest=scenario_digest(raw),
     )
+
+
+def settings(scen: Scenario | None, tol, rank_tol, seed) -> tuple[float, float, int]:
+    """(tol, rank_tol, seed): an override (None for none), checked, wins over the
+    scenario's value, which wins over the default."""
+    if scen is None:
+        base = DEFAULT_TOL, DEFAULT_RANK_TOL, 0
+    else:
+        base = scen.residual_tol, scen.rank_tol, scen.seed
+    return (base[0] if tol is None else _tolerance(tol, "--tol"),
+            base[1] if rank_tol is None else _tolerance(rank_tol, "--rank-tol"),
+            base[2] if seed is None else _seed(seed, "--seed"))

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from ncgcurv import SpectralTriple
 from ncgcurv.curvature import (
     VerticalOperator,
-    correspondence_curvature,
     correspondence_decomposition_residual,
+    correspondence_report,
     curvature_direct,
     curvature_formula,
     curvature_report,
@@ -14,9 +14,8 @@ from ncgcurv.curvature import (
     external_product_defect_ungraded,
     junk_coset_residual,
     validate_vertical,
-    wac_diagnostic,
 )
-from ncgcurv import curvature, forms, generate, glinalg, harness
+from ncgcurv import cli, curvature, forms, generate, glinalg, harness
 from ncgcurv.fgpmod import (
     ConnectionForm,
     ProjectiveModule,
@@ -35,6 +34,7 @@ from ncgcurv.generate import (
     rng_for,
 )
 from ncgcurv.glinalg import anticommutator, commutator, frobenius_norm, spectral_norm
+from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
 from test_fgpmod import delta_connection
@@ -308,7 +308,7 @@ class TestBlockwiseJunkProjection:
 class TestCorrespondence:
     def test_zero_vertical_reduces_to_curvature(self, two_point_module):
         s = VerticalOperator(two_point_module, np.zeros((2, 2, 2)))
-        corr = correspondence_curvature(two_point_module, None, s)
+        corr = correspondence_report(two_point_module, None, s).curvature
         assert np.allclose(corr, curvature_direct(two_point_module), atol=1e-12)
 
     def test_anticommuting_vertical_on_free_module(self, free_module):
@@ -317,9 +317,9 @@ class TestCorrespondence:
         entries[0, 1, 0] = 1.0
         entries[1, 0, 0] = 1.0
         s = VerticalOperator(free_module, entries)
-        corr = correspondence_curvature(free_module, None, s)
-        assert frobenius_norm(corr) <= 1e-12
-        assert wac_diagnostic(free_module, None, s) <= 1e-12
+        report = correspondence_report(free_module, None, s)
+        assert frobenius_norm(report.curvature) <= 1e-12
+        assert report.wac <= 1e-12
 
     def test_generic_decomposition(self):
         rng = rng_for(47)
@@ -336,21 +336,26 @@ class TestCorrespondence:
         module = random_module(rng, st_, m=2)
         a = random_connection(rng, module)
         s = random_vertical(rng, module)
-        corr = correspondence_curvature(module, a, s)
+        report = correspondence_report(module, a, s)
         m_op = connection_operators(module, a).m_op
-        expected = curvature_direct(module, a) + anticommutator(s.matrix, m_op)
-        assert np.allclose(corr, expected, atol=1e-10)
+        assert np.array_equal(report.s_m, anticommutator(s.matrix, m_op))
+        expected = curvature_direct(module, a) + report.s_m
+        assert np.allclose(report.curvature, expected, atol=1e-10)
 
     def test_invalid_vertical_rejected(self, free_module):
         entries = np.zeros((2, 2, 2), dtype=complex)
         entries[0, 1, 0] = 1.0  # not self-adjoint: missing the (1, 0) block
         s = VerticalOperator(free_module, entries)
         with pytest.raises(InvariantViolation):
-            correspondence_curvature(free_module, None, s)
+            correspondence_report(free_module, None, s)
 
-    @pytest.mark.parametrize("function", [correspondence_curvature,
-                                          correspondence_decomposition_residual,
-                                          wac_diagnostic])
+    # each id names the report value the correspondence command prints
+    @pytest.mark.parametrize("function", [
+        pytest.param(lambda *args: correspondence_report(*args).curvature,
+                     id="correspondence_curvature"),
+        correspondence_decomposition_residual,
+        pytest.param(lambda *args: correspondence_report(*args).wac, id="wac_diagnostic"),
+    ])
     def test_each_function_rejects_raw_bad_vertical(self, free_module, function):
         entries = np.zeros((2, 2, 2), dtype=complex)
         entries[0, 1, 0] = 1.0  # not self-adjoint: missing the (1, 0) block
@@ -366,7 +371,7 @@ class TestCorrespondence:
         failed = [c.name for c in validate_vertical(s) if not c.passed]
         assert failed == ["vertical_odd"]
         with pytest.raises(InvariantViolation) as exc:
-            correspondence_curvature(free_module, None, s)
+            correspondence_report(free_module, None, s)
         assert exc.value.check.name == "vertical_odd"
 
     def test_vertical_off_range_fails_compression(self, two_point_module):
@@ -378,7 +383,7 @@ class TestCorrespondence:
         failed = [c.name for c in validate_vertical(s) if not c.passed]
         assert failed == ["vertical_compressed"]
         with pytest.raises(InvariantViolation) as exc:
-            wac_diagnostic(two_point_module, None, s)
+            correspondence_report(two_point_module, None, s).wac
         assert exc.value.check.name == "vertical_compressed"
 
 
@@ -399,6 +404,16 @@ class TestSingleEvaluation:
         assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
         assert calls == ["represented", "checks"] * 4
 
+    def test_correspondence_anticommutator_once(self, fixtures_dir, monkeypatch):
+        # the residual and wac both read the report's one [S, M]_+
+        calls = []
+        anticommutator = curvature.anticommutator
+        monkeypatch.setattr(curvature, "anticommutator",
+                            lambda *args: calls.append(1) or anticommutator(*args))
+        scen = parse_scenario(fixtures_dir / "two_point_free_module.json")
+        assert cli.run("correspondence", scen).passed
+        assert len(calls) == 1
+
 
 # each call reads a connection form or a vertical operator against a module
 MODULE_READS = {
@@ -408,10 +423,10 @@ MODULE_READS = {
     "validate_connection": lambda m, a, s: validate_connection(m, a),
     "hermitian_residual": lambda m, a, s: hermitian_residual(m, a),
     "curvature_direct": lambda m, a, s: curvature_direct(m, a),
-    "correspondence_curvature": lambda m, a, s: correspondence_curvature(m, None, s),
+    "correspondence_curvature": lambda m, a, s: correspondence_report(m, None, s).curvature,
     "correspondence_decomposition_residual":
         lambda m, a, s: correspondence_decomposition_residual(m, None, s),
-    "wac_diagnostic": lambda m, a, s: wac_diagnostic(m, None, s),
+    "wac_diagnostic": lambda m, a, s: correspondence_report(m, None, s).wac,
 }
 
 

@@ -36,8 +36,10 @@ def test_test_only_helpers_stay_in_the_tests():
     # have no caller outside tests/, so tests/test_forms.py and
     # tests/test_triple.py define them for themselves; the form arithmetic
     # (tables are composed as arrays) and FormSpace.membership (an alias of
-    # glinalg.membership_residual) are gone altogether
-    from ncgcurv import forms
+    # glinalg.membership_residual) are gone altogether, as are the
+    # correspondence wrappers (callers read one correspondence_report) and
+    # ConnectionForm.pairing_adjoint (pairing_adjoint_entries is the one spelling)
+    from ncgcurv import curvature, forms
 
     moved = {"left_mult", "right_mult", "multiply_coords"}
     assert moved.isdisjoint(set(ncgcurv.__all__) | set(forms.__all__))
@@ -47,3 +49,27 @@ def test_test_only_helpers_stay_in_the_tests():
     for cls in (forms.UniversalOneForm, ncgcurv.ConnectionForm):
         assert [n for n in ("__add__", "__mul__", "__rmul__") if hasattr(cls, n)] == []
     assert not hasattr(forms.FormSpace, "membership")
+    wrappers = {"correspondence_curvature", "wac_diagnostic"}
+    assert wrappers.isdisjoint(set(ncgcurv.__all__) | set(curvature.__all__))
+    assert [n for n in wrappers if hasattr(curvature, n)] == []
+    assert not hasattr(ncgcurv.ConnectionForm, "pairing_adjoint")
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reads the library through public names only: no `_name` is
+    # imported from an ncgcurv module, nor read off an imported one
+    from ncgcurv import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.split(".")[0] == "ncgcurv")]
+    names = {alias.asname or alias.name for node in imports for alias in node.names}
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    imported = [alias.name for node in imports for alias in node.names if private(alias.name)]
+    read = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in names and private(node.attr)]
+    assert imported == [] and read == []

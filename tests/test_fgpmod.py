@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,13 @@ from ncgcurv.fgpmod import (
     ConnectionForm,
     connection_operators,
     hermitian_residual,
+    pairing_adjoint_entries,
     spectrum,
     symmetrize_connection,
     validate_connection,
     validate_module,
 )
-from ncgcurv.forms import delta
+from ncgcurv.forms import delta, universal_form_basis
 from ncgcurv import generate
 from ncgcurv.generate import (
     junk_lift_pair,
@@ -23,6 +25,7 @@ from ncgcurv.generate import (
     random_module,
     random_triple,
     rng_for,
+    unit_disc,
 )
 from ncgcurv.glinalg import (
     commutator,
@@ -215,6 +218,16 @@ class TestRepresentConnection:
         a_d2 = connection_operators(two_point_module, a).a_d2
         assert frobenius_norm(a_d2) <= 1e-12
 
+    @pytest.mark.parametrize("odd, even, value", [(3.0, 4.0, 3 / 5), (0.375, 0.5, 0.375)])
+    def test_grading_support_value(self, free_module, odd, even, value):
+        # odd mass over max(1, ||table||_F): ||table||_F is 5, or 5/8 under the floor
+        entries = np.zeros((2, 2, 2, 2), dtype=complex)
+        entries[0, 1, 0, 1] = odd  # Gamma-odd slot
+        entries[0, 0, 0, 1] = even
+        checks = validate_connection(free_module, ConnectionForm(free_module, entries))
+        support = next(c for c in checks if c.name == "connection_grading_support")
+        assert support.value == value
+
     def test_grading_support_violation_raises(self, free_module):
         a = delta_connection(free_module, position=(0, 1))  # Gamma-odd slot
         with pytest.raises(InvariantViolation):
@@ -385,8 +398,16 @@ class TestHermitianResidual:
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_)
         a = random_connection(rng, module, hermitian=False)
-        again = a.pairing_adjoint().pairing_adjoint()
-        assert np.allclose(again.entries, a.entries, atol=1e-10)
+        again = pairing_adjoint_entries(module, pairing_adjoint_entries(module, a.entries))
+        assert np.allclose(again, a.entries, atol=1e-10)
+
+    def test_symmetrize_is_idempotent(self):
+        rng = rng_for(29)
+        for _ in range(20):
+            module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
+            once = symmetrize_connection(random_connection(rng, module, hermitian=False))
+            twice = symmetrize_connection(once)
+            assert frobenius_norm(twice.entries - once.entries) <= 1e-14 * frobenius_norm(once.entries)
 
     def test_symmetrize_makes_represented_selfadjoint(self):
         rng = rng_for(23)
@@ -418,3 +439,20 @@ class TestGeneratedConnectionForms:
         assert a1.hermitian and not a2.hermitian
         assert not np.array_equal(a1.entries, a2.entries)
         assert built == [True, False]  # a Hermitian connection, then one second lift
+
+    def test_hermitian_draw_replays(self):
+        # redone by hand from a copy of the stream: unit-disc weights over the
+        # delta basis in each even slot, the average with the pairing adjoint,
+        # then P . C . P
+        for seed in range(50):
+            rng = rng_for(seed)
+            module = random_module(rng, random_triple(rng))
+            replay = copy.deepcopy(rng)
+            a = random_connection(rng, module, hermitian=True)
+            basis = universal_form_basis(module.triple)
+            entries = np.zeros_like(a.entries)
+            for i, j in zip(*np.nonzero(module.even_mask)):
+                for w, form in zip(unit_disc(replay, (len(basis),)), basis):
+                    entries[i, j] += w * form.coeffs
+            entries = 0.5 * (entries + pairing_adjoint_entries(module, entries))
+            assert np.array_equal(a.entries, generate._compress_connection(module, entries))
