@@ -40,6 +40,7 @@ __all__ = [
     "pairing_adjoint_entries",
     "spectrum",
     "symmetrize_connection",
+    "symmetrized_entries",
     "validate_connection",
     "validate_module",
 ]
@@ -179,10 +180,14 @@ def pairing_adjoint_entries(module: ProjectiveModule, entries: np.ndarray) -> np
     return np.einsum("jipq,aq,bp->ijab", np.conj(entries), S, S)
 
 
+def symmetrized_entries(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
+    """Average of an (m, m, d, d) entry table with its pairing adjoint."""
+    return (entries + pairing_adjoint_entries(module, entries)) * 0.5
+
+
 def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
     """Average with the pairing adjoint; used to manufacture Hermitian test forms."""
-    entries = (a.entries + pairing_adjoint_entries(a.module, a.entries)) * 0.5
-    return replace(a, entries=entries, hermitian=True)
+    return replace(a, entries=symmetrized_entries(a.module, a.entries), hermitian=True)
 
 
 def _require_same_module(module: ProjectiveModule, x) -> None:

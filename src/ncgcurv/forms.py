@@ -19,20 +19,19 @@ cross-checks it on every call.
 With b_0 = 1 the forms b_i delta(b_j), j >= 1, are a basis of ker(m) (the
 delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
 The kernel of the n^2 x d(d-1) matrix of the b_i [D, b_j] gives the forms that
-represent to zero; junk two-forms are its pi_d2 image.  The kernel alone is
-solved once per (triple, rank_tol) and kept while the triple lives.  A basis[0]
-that is not the identity raises InvariantViolation (``basis_unit_first``).
+represent to zero; junk two-forms are its pi_d2 image.  Each call solves the
+kernel afresh: the module keeps no state between calls.  A basis[0] that is not
+the identity raises InvariantViolation (``basis_unit_first``).
 
 A basis of exactly 1, then diagonal 0/1 projections with disjoint supports
 (every fixture and ``diag`` triple) has minimal projections e_0 = 1 - sum b_k,
 e_k = b_k; its junk is the span of the e_k D^2 e_l, k != l, with e_k D e_l exactly
-0: no SVD, no memo.  A nonzero block under sqrt(rank_tol) ||D||_F (or ||D^2||_F),
+0: no SVD and no kernel.  A nonzero block under sqrt(rank_tol) ||D||_F (or ||D^2||_F),
 like any other basis, takes the SVD route.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,22 +177,13 @@ def universal_form_basis(st: SpectralTriple) -> list[UniversalOneForm]:
     return _delta_forms(st, np.eye(st.d * (st.d - 1)))
 
 
-# kernel vectors per triple and rank_tol, for kernel_one_forms and the SVD route
-# of junk_space (the closed form neither reads nor fills it); keyed by identity
-# (eq=False), so an entry goes with its triple and a copy.copy starts cold.
-_KERNELS = weakref.WeakKeyDictionary()
-
-
 def _delta_kernel(st: SpectralTriple, rank_tol: float) -> list[np.ndarray]:
-    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j], solved once."""
-    kernel = _KERNELS.get(st, {}).get(rank_tol)
-    if kernel is None:
-        _require([_unit_first_check(st)])
-        # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
-        # round-off pi_d2 images subspace_basis would normalize into unit "junk"
-        pi_d = st.pair_products(st.dirac_commutators[1:]).reshape(st.d * (st.d - 1), st.n * st.n)
-        kernel = _KERNELS.setdefault(st, {})[rank_tol] = solve_kernel(pi_d.T, rank_tol)
-    return kernel
+    """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j]."""
+    _require([_unit_first_check(st)])
+    # j >= 1 only: [D, 1] = 0 would put b_i (x) 1 in the kernel, whose
+    # round-off pi_d2 images subspace_basis would normalize into unit "junk"
+    pi_d = st.pair_products(st.dirac_commutators[1:]).reshape(st.d * (st.d - 1), st.n * st.n)
+    return solve_kernel(pi_d.T, rank_tol)
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:

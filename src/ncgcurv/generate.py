@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import VerticalOperator
-from .fgpmod import ConnectionForm, ProjectiveModule, pairing_adjoint_entries
+from .fgpmod import ConnectionForm, ProjectiveModule, symmetrized_entries
 from .forms import UniversalOneForm, kernel_one_forms, universal_form_basis
 from .triple import NotInAlgebraError, SpectralTriple
 
@@ -199,7 +199,7 @@ def random_connection(rng: np.random.Generator, module: ProjectiveModule,
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
     entries = _random_table_over(rng, module, universal_form_basis(module.triple))
     if hermitian:
-        entries = (entries + pairing_adjoint_entries(module, entries)) * 0.5
+        entries = symmetrized_entries(module, entries)
     return ConnectionForm(module, _compress_connection(module, entries), hermitian)
 
 

@@ -82,7 +82,7 @@ def _draw_lift_pair(rng, k):
         else:
             n = int(rng.integers(3, 7))
             st = generate.random_triple(rng, n=n, d=min(4, n), kind="diag")
-        kernel = kernel_one_forms(st)  # solved once, then read from the memo
+        kernel = kernel_one_forms(st)
     module = generate.random_module(rng, st)
     return (module, *generate.junk_lift_pair(rng, module))
 

@@ -153,10 +153,8 @@ def _parse_connection(node, path: str, module: ProjectiveModule) -> ConnectionFo
 
 
 def _parse_vertical(node, path: str, module: ProjectiveModule) -> VerticalOperator:
-    if not isinstance(node, dict) or "entries" not in node:
-        raise _fail(path, "expected an object with an 'entries' table")
     m, d = module.m, module.triple.d
-    entries = _array(node["entries"], f"{path}.entries", (m, m, d))
+    entries = _array(_object(node, path, "entries")["entries"], f"{path}.entries", (m, m, d))
     return _built(path, VerticalOperator, module, entries)
 
 

@@ -128,6 +128,17 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="module"):
             parse_scenario(write_scenario(tmp_path, payload))
 
+    @pytest.mark.parametrize("vertical, message", [
+        ([[0, 1], [1, 0]], "vertical: expected an object"),
+        ({"table": [[0, 1], [1, 0]]}, "vertical: missing required field 'entries'"),
+    ])
+    def test_malformed_vertical_named(self, fixtures_dir, vertical, message):
+        payload = json.loads((fixtures_dir / "two_point_free_module.json").read_text())
+        payload["vertical"] = vertical
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(payload)
+        assert str(err.value) == message
+
     def test_bad_tolerance_rejected(self, tmp_path):
         payload = json.loads(json.dumps(TWO_POINT))
         payload["tolerances"] = {"residual_tol": -1.0}

@@ -15,7 +15,7 @@ from ncgcurv.curvature import (
     junk_coset_residual,
     validate_vertical,
 )
-from ncgcurv import cli, curvature, forms, generate, glinalg, harness
+from ncgcurv import cli, curvature, generate, harness
 from ncgcurv.fgpmod import (
     ConnectionForm,
     ProjectiveModule,
@@ -188,29 +188,6 @@ class TestJunkCoset:
         assert len(pairs) == 10
         for a1, a2 in pairs:
             assert a1 is not a2
-
-    def test_harness_solves_each_kernel_once(self, monkeypatch):
-        # one solve per drawn triple: the redraw test, the lift pair and the
-        # junk space share it (three solves per scenario would be 15)
-        calls = []
-        solve = glinalg.solve_kernel
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(forms, "solve_kernel", counting)
-        harness.residuals("junk_invariance", 0, 5)
-        assert 5 <= len(calls) <= 10
-
-    def test_junk_membership_solves_each_kernel_once(self, monkeypatch):
-        # junk_space and kernel_one_forms of one triple share one solve
-        calls = []
-        solve = glinalg.solve_kernel
-        monkeypatch.setattr(forms, "solve_kernel",
-                            lambda *args: calls.append(1) or solve(*args))
-        harness.residuals("junk_membership", 0, 5)
-        assert len(calls) == 5
 
     def test_lifted_basis_empty_without_junk(self, two_point_module):
         assert junk_space(two_point_module.triple).dim == 0

@@ -55,6 +55,19 @@ def test_test_only_helpers_stay_in_the_tests():
     assert not hasattr(ncgcurv.ConnectionForm, "pairing_adjoint")
 
 
+def test_forms_keeps_no_kernel_memo():
+    # forms is pure functions: each call solves its own kernel, and no
+    # process-wide table keyed by triple survives between calls
+    from ncgcurv import forms
+
+    assert not hasattr(forms, "_KERNELS")
+    tree = ast.parse(Path(forms.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "weakref" not in imported
+
+
 def test_cli_imports_no_private_name():
     # the CLI reads the library through public names only: no `_name` is
     # imported from an ncgcurv module, nor read off an imported one

@@ -1,6 +1,4 @@
 import copy
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -271,8 +269,7 @@ class TestJunkSpacePairStack:
 
     def test_pair_products_built_once(self, n3, ladder_modules, monkeypatch):
         # one pair-product call per stack, b_i [D, b_j] for the kernel and
-        # b_i [D^2, b_j] for the images, and no pi_d2 stack on a kernel-only
-        # call; each copy is a cold triple, so its kernel is really solved here
+        # b_i [D^2, b_j] for the images, and no pi_d2 stack on a kernel-only call
         rng = rng_for(43)
         triples = _svd_route_triples(rng, n3, ladder_modules)
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(3)]
@@ -281,23 +278,24 @@ class TestJunkSpacePairStack:
         for st_ in triples:
             pi_d, pi_d2 = st_.dirac_commutators[1:], st_.dirac_sq_commutators[1:]
             calls.clear()
-            junk_space(copy.copy(st_))
+            junk_space(st_)
             assert len(calls) == 2
             assert np.array_equal(calls[0], pi_d) and np.array_equal(calls[1], pi_d2)
             calls.clear()
-            kernel_one_forms(copy.copy(st_))
+            kernel_one_forms(st_)
             assert len(calls) == 1 and np.array_equal(calls[0], pi_d)
         assert max(kernel_dims) > 2
 
-    def test_bit_identical_to_per_form_reference(self, n3, ladder_modules):
+    def test_bit_identical_to_per_form_reference(self, n3, ladder_modules, monkeypatch):
         rng = rng_for(29)
         triples = _svd_route_triples(rng, n3, ladder_modules)
         triples += [conjugated(st_, even_unitary(rng, st_.gamma))
                     for st_ in (random_triple(rng, kind="diag") for _ in range(10))]
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(10)]
+        routed = _recording_svd_route(monkeypatch)
         for st_ in triples:
             basis = junk_space(st_).basis
-            assert st_ in forms._KERNELS  # the SVD route was taken
+            assert st_ in routed  # the SVD route was taken
             # the kernel over the forms b_i delta(b_j), j >= 1, then pi_d2 of
             # each kernel form contracted alone with its own b_i [D^2, b_j] stack
             d = st_.d
@@ -345,6 +343,27 @@ class TestJunkSpacePairStack:
                                     for row in full_svd_kernel(swapped)])
         assert len(reference) == junk_space(n3).dim == 2
 
+    def test_refused_triple_raises_every_call(self, n3):
+        swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
+        for route in (junk_space, kernel_one_forms, junk_space, kernel_one_forms):
+            with pytest.raises(InvariantViolation, match="basis_unit_first"):
+                route(swapped)
+
+    def test_cold_kernel_only_call_builds_only_the_pi_d_stack(self, ladder_modules,
+                                                              monkeypatch):
+        # kernel_one_forms multiplies out the (d - 1, n, n) stack of [D, b_j]
+        # and nothing else
+        triples = [random_triple(rng_for(47), n=4, kind="amp2")]
+        triples += [module.triple for module in ladder_modules]
+        for st_ in triples:
+            # structure constants cached first, as generation leaves them
+            assert st_.mult_tensor.shape == (st_.d,) * 3
+        calls = _recording_pair_products(monkeypatch)
+        for st_ in triples:
+            calls.clear()
+            kernel_one_forms(copy.copy(st_))
+            assert [c.shape for c in calls] == [(st_.d - 1, st_.n, st_.n)]
+
 
 class TestClosedFormJunk:
     """junk_space of a commutative projection basis: the blocks e_k D^2 e_l."""
@@ -365,23 +384,25 @@ class TestClosedFormJunk:
                                                         monkeypatch):
         triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
         triples += [random_triple(rng_for(53), kind="diag") for _ in range(20)]
+        routed = _recording_svd_route(monkeypatch)
         calls = self._recording_routes(monkeypatch)
         dims = [junk_space(st_).dim for st_ in triples]
         assert calls == []
-        assert not any(st_ in forms._KERNELS for st_ in triples)
+        assert routed == []
         assert dims[:5] == [2, 2, 12, 8, 18]
         # the recorder does record the SVD route
         forms._junk_space_svd(copy.copy(n3), 1e-9)
         assert calls == ["pair_products", "solve_kernel", "pair_products", "subspace_basis"]
 
-    def test_agrees_with_svd_route(self):
+    def test_agrees_with_svd_route(self, monkeypatch):
         rng = rng_for(59)
+        routed = _recording_svd_route(monkeypatch)
         dims = []
         for _ in range(1000):
             n = int(rng.integers(2, 9))
             st_ = random_triple(rng, n=n, d=int(rng.integers(1, min(6, n) + 1)), kind="diag")
             fast = junk_space(st_)
-            assert st_ not in forms._KERNELS
+            assert st_ not in routed
             reference = forms._junk_space_svd(st_, 1e-9)
             assert fast.dim == reference.dim
             assert fast.basis.shape == (fast.dim, n, n) and fast.basis.dtype == complex
@@ -391,22 +412,24 @@ class TestClosedFormJunk:
             dims.append(fast.dim)
         assert min(dims) == 0 and max(dims) > 10
 
-    def test_conjugated_copy_takes_svd_route_and_covaries(self, n3, ladder_modules):
+    def test_conjugated_copy_takes_svd_route_and_covaries(self, n3, ladder_modules,
+                                                         monkeypatch):
         rng = rng_for(61)
+        routed = _recording_svd_route(monkeypatch)
         triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
         triples += [random_triple(rng, kind="diag") for _ in range(50)]
         for st_ in triples:
             u = even_unitary(rng, st_.gamma)
             twin = conjugated(st_, u)
             junk, twin_junk = junk_space(st_), junk_space(twin)
-            assert st_ not in forms._KERNELS and twin in forms._KERNELS
+            assert st_ not in routed and twin in routed
             assert twin_junk.dim == junk.dim
             # vec(U J U*) = (U (x) conj U) vec(J) for row-major vec
             w = np.kron(u, u.conj())
             moved = w @ _projector(junk.basis, st_.n) @ w.conj().T
             assert np.linalg.norm(moved - _projector(twin_junk.basis, st_.n), 2) <= 1e-12
 
-    def test_block_below_margin_falls_back(self):
+    def test_block_below_margin_falls_back(self, monkeypatch):
         # e_1 = diag(1, 0, 0, 1, 0, 0) and e_2 = diag(0, 1, 0, 0, 1, 0) each
         # meet both grading halves, so e_1 D e_2 holds the entries W[0, 1] and
         # conj W[1, 0]; with W[1, 0] = 0, a planted W[0, 1] = 0 makes it an
@@ -414,13 +437,14 @@ class TestClosedFormJunk:
         # below sqrt(rank_tol) ||D||_F, too near the cut to decide
         gamma = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
         basis = np.stack([np.eye(6), np.diag([1.0, 0, 0, 1, 0, 0]), np.diag([0, 1.0, 0, 0, 1, 0])])
+        routed = _recording_svd_route(monkeypatch)
         dims = []
         for planted in (0.0, 1e-12, 1e-200):  # |1e-200|^2 underflows to 0
             w = np.array([[1.0, planted, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
             dirac = np.block([[np.zeros((3, 3)), w], [w.T, np.zeros((3, 3))]])
             st_ = SpectralTriple(gamma, basis, dirac)
             junk = junk_space(st_)
-            assert (st_ in forms._KERNELS) == bool(planted)
+            assert (st_ in routed) == bool(planted)
             reference = forms._junk_space_svd(copy.copy(st_), 1e-9)
             assert junk.dim == reference.dim
             gap = np.linalg.norm(_projector(junk.basis, 6) - _projector(reference.basis, 6), 2)
@@ -430,16 +454,18 @@ class TestClosedFormJunk:
             dims.append(junk.dim)
         assert dims[0] == dims[1] == dims[2] > 0
 
-    def test_uniformly_tiny_or_huge_d_keeps_the_closed_form(self, n3, ladder_modules):
+    def test_uniformly_tiny_or_huge_d_keeps_the_closed_form(self, n3, ladder_modules,
+                                                           monkeypatch):
         # |D^2|^2 of a D near 1e-100 underflows and of a D near 1e100 overflows;
         # block norms of an exactly rescaled copy decide the same pairs, and a
         # power-of-two scale leaves every bit of the basis as it was
+        routed = _recording_svd_route(monkeypatch)
         for st_ in [n3] + [copy.copy(module.triple) for module in ladder_modules]:
             junk = junk_space(st_)
             for scale in (1e-100, 1e100, 2.0 ** -330, 2.0 ** 330):
                 scaled = SpectralTriple(st_.gamma, st_.basis, st_.dirac * scale)
                 fast = junk_space(scaled)
-                assert scaled not in forms._KERNELS
+                assert scaled not in routed
                 assert np.all(np.isfinite(fast.basis)) and fast.dim == junk.dim > 0
                 assert orthonormality_defect(fast.basis) <= 1e-14
                 reference = forms._junk_space_svd(scaled, 1e-9)
@@ -464,86 +490,29 @@ class TestClosedFormJunk:
             assert len(got) == len(want) > 0
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
-    def test_gate_negatives_take_svd_route(self, n3):
+    def test_gate_negatives_take_svd_route(self, n3, monkeypatch):
         one_ulp = n3.basis.copy()
         one_ulp[0, 0, 0] = np.nextafter(1.0, 2.0)
         off_diagonal = n3.basis.copy()
         off_diagonal[1, 0, 1] = 1e-300
         # q1 + q2 and q1 overlap, and span the same algebra as q1 and q2
         overlapping = np.stack([n3.basis[0], n3.basis[1] + n3.basis[2], n3.basis[1]])
+        routed = _recording_svd_route(monkeypatch)
         for basis in (one_ulp, off_diagonal, overlapping):
             st_ = SpectralTriple(n3.gamma, basis, n3.dirac)
             junk = junk_space(st_)
-            assert st_ in forms._KERNELS
+            assert st_ in routed
             assert np.array_equal(junk.basis, forms._junk_space_svd(copy.copy(st_), 1e-9).basis)
             assert junk.dim == junk_space(n3).dim == 2
 
 
-class TestKernelMemo:
-    """ker(m) intersect ker(pi_d) is solved once per (triple, rank_tol)."""
-
-    @staticmethod
-    def _counting_solves(monkeypatch) -> list:
-        calls = []
-        solve = forms.solve_kernel
-        monkeypatch.setattr(forms, "solve_kernel",
-                            lambda *args: calls.append(args[1:]) or solve(*args))
-        return calls
-
-    def test_one_solve_per_rank_tol(self, monkeypatch):
-        st_ = random_triple(rng_for(47), n=4, kind="amp2")
-        calls = self._counting_solves(monkeypatch)
-        kernel = kernel_one_forms(st_)
-        junk = junk_space(st_)
-        assert len(kernel) > 0 and junk.dim > 0
-        assert len(calls) == 1
-        kernel_one_forms(st_, 1e-6)
-        junk_space(st_, 1e-6)
-        assert calls == [(1e-9,), (1e-6,)]
-        # read from the memo, the results are those of a fresh solve
-        fresh = copy.copy(st_)
-        for got, want in zip(kernel, kernel_one_forms(fresh)):
-            assert np.array_equal(got.coeffs, want.coeffs)
-        assert np.array_equal(junk.basis, junk_space(fresh).basis)
-        assert np.array_equal(junk_space(st_).basis, junk.basis)
-        assert len(calls) == 3
-
-    def test_cold_kernel_only_call_builds_only_the_pi_d_stack(self, ladder_modules,
-                                                              monkeypatch):
-        # the memo holds the kernel alone, so kernel_one_forms on a cold triple
-        # multiplies out the (d - 1, n, n) stack of [D, b_j] and nothing else
-        triples = [random_triple(rng_for(47), n=4, kind="amp2")]
-        triples += [module.triple for module in ladder_modules]
-        for st_ in triples:
-            # structure constants cached first, as generation leaves them
-            assert st_.mult_tensor.shape == (st_.d,) * 3
-        calls = _recording_pair_products(monkeypatch)
-        for st_ in triples:
-            calls.clear()
-            kernel_one_forms(copy.copy(st_))
-            assert [c.shape for c in calls] == [(st_.d - 1, st_.n, st_.n)]
-
-    def test_entry_freed_with_its_triple_and_not_copied(self, monkeypatch):
-        st_ = random_triple(rng_for(47), n=4, kind="amp2")
-        junk_space(st_)
-        assert st_ in forms._KERNELS
-        twin = copy.copy(st_)
-        assert twin not in forms._KERNELS
-        calls = self._counting_solves(monkeypatch)
-        junk_space(twin)
-        assert len(calls) == 1
-        vector = weakref.ref(forms._delta_kernel(st_, 1e-9)[0])
-        triple = weakref.ref(st_)
-        del st_, twin
-        gc.collect()
-        assert triple() is None and vector() is None
-
-    def test_refused_triple_raises_every_call_and_is_never_stored(self, n3):
-        swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
-        for route in (junk_space, kernel_one_forms, junk_space, kernel_one_forms):
-            with pytest.raises(InvariantViolation, match="basis_unit_first"):
-                route(swapped)
-            assert swapped not in forms._KERNELS
+def _recording_svd_route(monkeypatch) -> list[SpectralTriple]:
+    """Record every triple that junk_space sends to its SVD route."""
+    routed = []
+    svd = forms._junk_space_svd
+    monkeypatch.setattr(forms, "_junk_space_svd",
+                        lambda st_, rank_tol: routed.append(st_) or svd(st_, rank_tol))
+    return routed
 
 
 def _recording_pair_products(monkeypatch) -> list:
