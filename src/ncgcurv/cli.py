@@ -38,7 +38,6 @@ from .glinalg import (
     DEFAULT_RANK_TOL,
     membership_residual,
     orthonormality_defect,
-    parity_residual,
     relative_distance,
     spectral_norm,
     support_residual,
@@ -262,7 +261,7 @@ def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float, seed: int
     m_op = ops.m_op
     checks = [
         Check("product_op_support", support_residual(module.projector, m_op), tol),
-        Check("product_op_odd", parity_residual(module.grading, m_op, odd=True), tol),
+        Check("product_op_odd", module.parity_residual(m_op, odd=True), tol),
         Check("product_op_symmetric", relative_distance(m_op, m_op.conj().T), tol),
     ]
     eigs = spectrum(module, ops, tol)

@@ -19,11 +19,11 @@ projectors, and proj_V o C projects onto C(V) = span{P (E_kl (x) J) P}.  It
 is applied block by block, each n x n block of PXP projected onto the
 orthonormal junk basis, with no lift and no SVD.
 
-A :class:`CurvatureReport` computes R, both routes and the four residuals
-when it is made; its spectral ``norm`` and its ``junk_canonical``
-representative (with the junk space, if none was given) are computed on first
-read and then cached, so a caller that only checks the route identity pays
-for neither.
+A :class:`CurvatureReport` computes R (the direct route) when it is made and
+keeps the connection's operator bundle; the formula route with the four
+residuals, the spectral ``norm`` and the ``junk_canonical`` representative
+(with the junk space, if none was given) are computed on first read and then
+cached, so a caller pays only for what it reads.
 
 The module also evaluates the correspondence curvature with a vertical
 operator S and its decomposition R + [S (x) 1, M]_+: one
@@ -51,7 +51,6 @@ from .glinalg import (
     anticommutator,
     commutator,
     frobenius_norm,
-    parity_residual,
     relative_distance,
     spectral_norm,
     support_residual,
@@ -122,19 +121,34 @@ class CurvatureReport:
     lifted junk span C(V) = P (M_m (x) Junk) P, taken blockwise as
     proj_V(P R P) (see the module docstring).
 
-    R and the four residuals are computed by :func:`curvature_report`.
-    ``norm`` and ``junk_canonical`` are computed on first read and cached;
+    R is computed by :func:`curvature_report` from ``ops``, the connection's
+    bundle; the residuals, ``norm`` and ``junk_canonical`` on first read, cached;
     ``junk_canonical`` reads ``junk_space(module.triple)`` only when the
     report was given no junk.
     """
 
     R: np.ndarray
-    route_residual: float
-    symmetry_residual: float
-    evenness_residual: float
-    support_residual: float
+    ops: ConnectionOperators = field(repr=False)
     module: ProjectiveModule = field(repr=False)
     junk: FormSpace | None = field(repr=False)
+
+    @cached_property
+    def route_residual(self) -> float:
+        """||R - formula route||_F / max(1, ||R||_F)."""
+        formula = curvature_formula(self.module, self.ops)
+        return frobenius_norm(self.R - formula) / max(1.0, frobenius_norm(self.R))
+
+    @cached_property
+    def symmetry_residual(self) -> float:
+        return relative_distance(self.R, self.R.conj().T)
+
+    @cached_property
+    def evenness_residual(self) -> float:
+        return self.module.parity_residual(self.R, odd=False)
+
+    @cached_property
+    def support_residual(self) -> float:
+        return support_residual(self.module.projector, self.R)  # the glinalg function
 
     @cached_property
     def norm(self) -> float:
@@ -151,19 +165,9 @@ class CurvatureReport:
 def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
                      junk: FormSpace | None = None,
                      tol: float = DEFAULT_TOL) -> CurvatureReport:
-    """Both curvature routes and their defect; norm and junk representative on read."""
+    """The connection checked and R computed; residuals, norm and junk representative on read."""
     ops = connection_operators(module, a, tol)
-    direct = curvature_direct(module, ops)
-    formula = curvature_formula(module, ops)
-    return CurvatureReport(
-        R=direct,
-        route_residual=frobenius_norm(direct - formula) / max(1.0, frobenius_norm(direct)),
-        symmetry_residual=relative_distance(direct, direct.conj().T),
-        evenness_residual=parity_residual(module.grading, direct, odd=False),
-        support_residual=support_residual(module.projector, direct),
-        module=module,
-        junk=junk,
-    )
+    return CurvatureReport(R=curvature_direct(module, ops), ops=ops, module=module, junk=junk)
 
 
 def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule,
@@ -206,7 +210,7 @@ def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Che
     return [
         Check("vertical_selfadjoint", relative_distance(mat, mat.conj().T), tol),
         Check("vertical_compressed", support_residual(s.module.projector, mat), tol),
-        Check("vertical_odd", parity_residual(s.module.grading, mat, odd=True), tol),
+        Check("vertical_odd", s.module.parity_residual(mat, odd=True), tol),
     ]
 
 

@@ -25,9 +25,9 @@ import numpy as np
 
 from .glinalg import (
     commutator,
+    frobenius_norm,
     parity_residual,
     relative_distance,
-    support_residual,
 )
 from .triple import Check, DEFAULT_TOL, SpectralTriple, _require
 
@@ -99,6 +99,15 @@ class ProjectiveModule:
     def grading(self) -> np.ndarray:
         """Gamma (x) gamma on the product space."""
         return _block_lift(np.diag(self.signs), self.triple.gamma)
+
+    def parity_residual(self, x: np.ndarray, odd: bool) -> float:
+        """glinalg.parity_residual for the grading.  A diagonal grading g of +/-1
+        gives g x g = (g g^T) o x exactly; any other gamma takes the matmuls."""
+        if self.triple.gamma_signs is None:
+            return parity_residual(self.grading, x, odd)
+        g = np.outer(self.signs, self.triple.gamma_signs).ravel()
+        gxg = np.outer(g, g) * x
+        return frobenius_norm(gxg + x if odd else gxg - x) / max(1.0, frobenius_norm(x))
 
     @cached_property
     def sign_lift(self) -> np.ndarray:
@@ -197,8 +206,8 @@ def _require_same_module(module: ProjectiveModule, x) -> None:
 
 
 def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndarray,
-                       tol: float) -> list[Check]:
-    """ker(m) entries, grading support, then compression and oddness of A_D."""
+                       compressed: np.ndarray, tol: float) -> list[Check]:
+    """ker(m) entries, grading support, then compression and oddness of A_D (P A_D P given)."""
     checks = [Check("connection_ker_mult", a.mult_residual(), tol)]
 
     odd = a.entries[~module.even_mask].reshape(-1, module.triple.d ** 2)
@@ -206,10 +215,9 @@ def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndar
     scale = max(1.0, float(np.linalg.norm(a.entries)))
     checks.append(Check("connection_grading_support", odd_mass / scale, tol))
 
-    checks.append(Check("connection_compressed",
-                        support_residual(module.projector, a_d), tol))
-    checks.append(Check("connection_odd",
-                        parity_residual(module.grading, a_d, odd=True), tol))
+    checks.append(Check("connection_compressed", frobenius_norm(compressed - a_d)
+                        / max(1.0, frobenius_norm(a_d)), tol))  # glinalg.support_residual
+    checks.append(Check("connection_odd", module.parity_residual(a_d, odd=True), tol))
     return checks
 
 
@@ -217,7 +225,8 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
                         tol: float = DEFAULT_TOL) -> list[Check]:
     """Structural checks: ker(m) entries, grading support, compression, oddness."""
     _require_same_module(module, a)
-    return _connection_checks(module, a, a.represented()[0], tol)
+    a_d = a.represented()[0]
+    return _connection_checks(module, a, a_d, module.projector @ a_d @ module.projector, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,9 +267,9 @@ def connection_operators(module: ProjectiveModule,
     if a is None or a.is_zero():
         a_d = a_d2 = np.zeros((module.dim, module.dim), dtype=complex)
     else:
-        a_d, a_d2 = a.represented()
-        _require(_connection_checks(module, a, a_d, tol))
-        a_d, a_d2 = P @ a_d @ P, P @ a_d2 @ P
+        raw, a_d2 = a.represented()
+        a_d, a_d2 = P @ raw @ P, P @ a_d2 @ P
+        _require(_connection_checks(module, a, raw, a_d, tol))
     return ConnectionOperators(
         a_d=a_d,
         a_d2=a_d2,

@@ -193,12 +193,13 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d): closed form or SVD."""
-    diag = np.diagonal(st.basis, axis1=1, axis2=2)
-    e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])  # rows e_0 = 1 - sum b_k, e_k = b_k
-    if not (np.array_equal(st.basis, diag[..., None] * np.eye(st.n)) and np.all(diag[0] == 1)
-            and np.all((e == 0) | (e == 1))):  # 0/1 rows iff disjoint supports
+    diag = st.basis_diagonal
+    if diag is None:
         return _junk_space_svd(st, rank_tol)
-    e, keep = e.real, ~np.eye(st.d, dtype=bool)
+    e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])  # rows e_0 = 1 - sum b_k, e_k = b_k
+    if not (np.all(diag[0] == 1) and np.all((e == 0) | (e == 1))):  # 0/1 iff disjoint supports
+        return _junk_space_svd(st, rank_tol)
+    keep = ~np.eye(st.d, dtype=bool)
     # keep the pairs with e_k D e_l = 0, then of those e_k D^2 e_l != 0; row-major
     for m, kept_if_nonzero in ((st.dirac, False), (st.dirac_sq, True)):
         nonzero = e @ (m != 0) @ e.T > 0  # exact where sq may underflow

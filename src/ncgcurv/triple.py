@@ -141,12 +141,28 @@ class SpectralTriple:
         """(d, n, n) stack of [D^2, b_k]."""
         return np.stack([commutator(self.dirac_sq, b) for b in self.basis])
 
+    @cached_property
+    def gamma_signs(self) -> np.ndarray | None:
+        """diag(gamma) when gamma is exactly diagonal with entries +/-1, else None."""
+        g = np.diagonal(self.gamma).real
+        return g if np.array_equal(self.gamma, np.diag(g)) and np.all(abs(g) == 1) else None
+
+    @cached_property
+    def basis_diagonal(self) -> np.ndarray | None:
+        """(d, n) diagonals when every basis matrix is exactly diagonal and real, else None."""
+        diag = np.diagonal(self.basis, axis1=1, axis2=2).real
+        return diag if np.array_equal(self.basis, diag[..., None] * np.eye(self.n)) else None
+
     def pair_products(self, right: np.ndarray) -> np.ndarray:
         """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r.
 
         Not cached: kept on every triple it would cost d times the memory of
-        the commutator stacks, for a product that takes d^2 small matmuls.
+        the commutator stacks.  A real diagonal basis scales rows, in place of
+        d^2 matmuls whose sums are one term plus exact zeros: the same values
+        (the sign of an exact zero may differ, as it does between BLAS kernels).
         """
+        if self.basis_diagonal is not None:
+            return self.basis_diagonal[:, None, :, None] * right[..., None, :, :, :]
         return self.basis[:, None] @ right[..., None, :, :, :]
 
     @cached_property

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgcurv import SpectralTriple
+from ncgcurv import SpectralTriple, validate
 from ncgcurv.curvature import (
     VerticalOperator,
     correspondence_decomposition_residual,
@@ -15,7 +15,7 @@ from ncgcurv.curvature import (
     junk_coset_residual,
     validate_vertical,
 )
-from ncgcurv import cli, curvature, generate, harness
+from ncgcurv import cli, curvature, fgpmod, generate, harness
 from ncgcurv.fgpmod import (
     ConnectionForm,
     ProjectiveModule,
@@ -23,6 +23,7 @@ from ncgcurv.fgpmod import (
     hermitian_residual,
     symmetrize_connection,
     validate_connection,
+    validate_module,
 )
 from ncgcurv.forms import junk_space
 from ncgcurv.generate import (
@@ -33,7 +34,13 @@ from ncgcurv.generate import (
     random_vertical,
     rng_for,
 )
-from ncgcurv.glinalg import anticommutator, commutator, frobenius_norm, spectral_norm
+from ncgcurv.glinalg import (
+    anticommutator,
+    commutator,
+    frobenius_norm,
+    spectral_norm,
+    support_residual,
+)
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
@@ -110,6 +117,32 @@ class TestReport:
         assert report.route_residual <= 1e-12
         assert report.support_residual <= 1e-12
         assert report.evenness_residual == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    def test_unitarily_conjugated_triple_takes_dense_paths(self, monkeypatch):
+        # U (gamma, basis, D) U* for a random U: neither gamma nor the basis is
+        # diagonal, so pair_products and every parity check take the matmuls
+        dense_parity = []
+        parity = fgpmod.parity_residual
+        monkeypatch.setattr(fgpmod, "parity_residual",
+                            lambda *args: dense_parity.append(1) or parity(*args))
+        rng = rng_for(67)
+        module = random_module(rng, random_triple(rng, n=6, d=3, kind="diag"), m=3,
+                               allow_free=False)
+        a = random_connection(rng, module)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        st_ = module.triple
+        st_u = SpectralTriple(*(u @ x @ u.conj().T for x in (st_.gamma, st_.basis, st_.dirac)))
+        module_u = ProjectiveModule(st_u, module.p, module.signs)
+        assert st_u.gamma_signs is None and st_u.basis_diagonal is None
+        assert all(c.passed for c in validate(st_u) + validate_module(module_u))
+        report = curvature_report(module_u, ConnectionForm(module_u, a.entries))
+        for residual in ("route", "symmetry", "evenness", "support"):
+            assert getattr(report, residual + "_residual") <= 1e-10
+        assert len(dense_parity) == 2  # connection_odd and curvature evenness
+        lift = np.kron(np.eye(module.m), u)
+        expected = lift @ curvature_report(module, a).R @ lift.conj().T
+        assert frobenius_norm(report.R - expected) <= 1e-10 * frobenius_norm(expected)
+        assert len(dense_parity) == 2  # the diagonal original takes none
 
     def test_structure_invariants_seeded(self):
         rng = rng_for(31)
@@ -380,6 +413,35 @@ class TestSingleEvaluation:
         assert connection_operators(module, ops) is ops
         assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
         assert calls == ["represented", "checks"] * 4
+
+    def test_reading_r_runs_no_formula_route(self, monkeypatch):
+        calls = []
+        formula = curvature.curvature_formula
+        monkeypatch.setattr(curvature, "curvature_formula",
+                            lambda *args: calls.append(1) or formula(*args))
+        rng = rng_for(71)
+        module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
+        report = curvature_report(module, random_connection(rng, module))
+        assert report.R.shape == (module.dim, module.dim) and calls == []
+        assert report.route_residual == report.route_residual <= 1e-10
+        assert calls == [1]
+
+    def test_compression_shared_by_check_and_bundle(self, monkeypatch):
+        checks = []
+        connection_checks = fgpmod._connection_checks
+        monkeypatch.setattr(fgpmod, "_connection_checks",
+                            lambda *args: checks.append(connection_checks(*args)) or checks[-1])
+        rng = rng_for(73)
+        for kind in ("amp2", "diag"):
+            module = random_module(rng, random_triple(rng, n=4, kind=kind))
+            a = random_connection(rng, module)
+            P, raw = module.projector, a.represented()[0]
+            ops = connection_operators(module, a)
+            assert ops.a_d.tobytes() == (P @ raw @ P).tobytes()
+            compressed = {c.name: c.value for c in checks.pop()}["connection_compressed"]
+            assert compressed == support_residual(P, raw)
+            validated = {c.name: c.value for c in validate_connection(module, a)}
+            assert validated["connection_compressed"] == compressed
 
     def test_correspondence_anticommutator_once(self, fixtures_dir, monkeypatch):
         # the residual and wac both read the report's one [S, M]_+

@@ -354,6 +354,39 @@ class TestProductOperator:
         assert spectrum(two_point_module) == pytest.approx([0.0, 0.0])
 
 
+class TestGradingParity:
+    """ProjectiveModule.parity_residual against the dense glinalg reference."""
+
+    def _cases(self, ladder_modules, two_point_module, uneven_module):
+        rng = rng_for(29)
+        modules = [two_point_module, uneven_module, *ladder_modules]
+        modules += [random_module(rng, random_triple(rng, kind="diag")) for _ in range(40)]
+        for module in modules:
+            g = module.grading
+            x = unit_disc(rng, (module.dim, module.dim)) * (rng.random((module.dim,) * 2) < 0.7)
+            yield module, x, (x - g @ x @ g) / 2, (x + g @ x @ g) / 2
+
+    def test_diagonal_grading_matches_dense(self, ladder_modules, two_point_module,
+                                            uneven_module):
+        for module, *xs in self._cases(ladder_modules, two_point_module, uneven_module):
+            assert module.triple.gamma_signs is not None
+            for x in xs:
+                for odd in (True, False):
+                    assert module.parity_residual(x, odd) == parity_residual(
+                        module.grading, x, odd)
+
+    def test_other_gradings_take_the_matmuls(self, two_point):
+        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        rotated = ProjectiveModule(
+            replace(two_point, gamma=u @ two_point.gamma @ u), np.zeros((1, 1, 2)), [1.0])
+        scaled = ProjectiveModule(
+            replace(two_point, gamma=np.diag([2.0, -1.0])), np.zeros((1, 1, 2)), [1.0])
+        x = unit_disc(rng_for(31), (2, 2))
+        for module in (rotated, scaled):
+            assert module.triple.gamma_signs is None
+            assert module.parity_residual(x, True) == parity_residual(module.grading, x, True)
+
+
 class TestHermitianResidual:
     def test_grassmann_is_hermitian(self, two_point_module):
         assert hermitian_residual(two_point_module) <= 1e-12

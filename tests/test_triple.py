@@ -98,7 +98,52 @@ class TestAlgebraCoords:
                            mat.conj().T, atol=1e-12)
 
 
+def same_bits_but_zero_sign(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit for bit, except that an exact zero may carry either sign.
+
+    A matmul's sum of signed zeros takes its sign from the BLAS kernel's order.
+    """
+    x, y = np.asarray(a).view(float), np.asarray(b).view(float)
+    differ = x.view(np.int64) != y.view(np.int64)
+    return a.shape == b.shape and not np.any(x[differ]) and not np.any(y[differ])
+
+
+def dense_pair_products(st_, right):
+    """The d^2 matmuls b_p r_q that a non-diagonal basis takes."""
+    return st_.basis[:, None] @ right[..., None, :, :, :]
+
+
 class TestPairProducts:
+    def test_diag_triples_take_the_broadcast(self):
+        rng = rng_for(17)
+        for _ in range(200):
+            st_ = random_triple(rng, kind="diag")
+            right = np.stack([st_.basis, st_.dirac_commutators, st_.dirac_sq_commutators])
+            assert st_.basis_diagonal is not None
+            assert same_bits_but_zero_sign(st_.pair_products(right),
+                                           dense_pair_products(st_, right))
+
+    def test_arbitrary_real_diagonal_bases(self):
+        rng = rng_for(19)
+        for _ in range(200):
+            n, d = (int(k) for k in rng.integers(1, 7, size=2))
+            diag = rng.normal(size=(d, n)) * (rng.random((d, n)) < 0.7)
+            st_ = SpectralTriple(np.eye(n), diag[..., None] * np.eye(n), np.zeros((n, n)))
+            right = unit_disc(rng, (2, d, n, n)) * (rng.random((2, d, n, n)) < 0.6)
+            assert np.array_equal(st_.basis_diagonal, diag)
+            assert same_bits_but_zero_sign(st_.pair_products(right),
+                                           dense_pair_products(st_, right))
+
+    def test_other_bases_take_the_matmuls(self, two_point):
+        amp2 = random_triple(rng_for(13), n=4, kind="amp2")
+        complex_diag = SpectralTriple(two_point.gamma, [np.eye(2), np.diag([1j, 0.0])],
+                                      two_point.dirac)
+        assert two_point.basis_diagonal is not None
+        for st_ in (amp2, complex_diag):
+            assert st_.basis_diagonal is None
+            right = st_.dirac_commutators
+            assert st_.pair_products(right).tobytes() == dense_pair_products(st_, right).tobytes()
+
     def test_entries_are_the_loop_products(self):
         rng = rng_for(13)
         for kind in ("diag", "amp2"):
