@@ -168,17 +168,20 @@ class ConnectionForm:
     def represented(self) -> tuple[np.ndarray, np.ndarray]:
         """Assembled (A_D, A_D2): entrywise pi_d and pi_d2 as mn x mn matrices."""
         st = self.module.triple
-        dim = self.module.dim
+        m, n = self.module.m, st.n
         pairs = st.pair_products(np.stack([st.dirac_commutators, st.dirac_sq_commutators]))
-        blocks = np.tensordot(self.entries, pairs, axes=([2, 3], [1, 2]))
-        a_d, a_d2 = blocks.transpose(2, 0, 3, 1, 4).reshape(2, dim, dim)
+        # one gemm over (m^2, d^2) x (d^2, 2 n^2), the operands np.tensordot made:
+        # a batched matmul per derivative order rounds differently
+        blocks = self.entries.reshape(m * m, -1) @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
+        a_d, a_d2 = blocks.reshape(m, m, 2, n, n).transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
         return a_d, a_d2
 
     def mult_residual(self) -> float:
         """Max ker(m)-defect over the entry tables."""
         st = self.module.triple
-        prods = np.tensordot(self.entries, st.pair_products(st.basis), axes=2)
-        norms = np.linalg.norm(prods.reshape(self.module.m ** 2, -1), axis=1)
+        m2 = self.module.m ** 2
+        prods = self.entries.reshape(m2, -1) @ st.pair_products(st.basis).reshape(st.d ** 2, -1)
+        norms = np.linalg.norm(prods, axis=1)
         return float(norms.max()) if norms.size else 0.0
 
 

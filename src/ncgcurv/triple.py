@@ -134,12 +134,20 @@ class SpectralTriple:
     @cached_property
     def dirac_commutators(self) -> np.ndarray:
         """(d, n, n) stack of [D, b_k]."""
-        return np.stack([commutator(self.dirac, b) for b in self.basis])
+        return self._commutators(self.dirac)
 
     @cached_property
     def dirac_sq_commutators(self) -> np.ndarray:
         """(d, n, n) stack of [D^2, b_k]."""
-        return np.stack([commutator(self.dirac_sq, b) for b in self.basis])
+        return self._commutators(self.dirac_sq)
+
+    def _commutators(self, x: np.ndarray) -> np.ndarray:
+        """(d, n, n) stack of [x, b_k].  A real diagonal basis scales columns and
+        rows, in place of 2d matmuls whose sums are one term plus exact zeros."""
+        b = self.basis_diagonal
+        if b is not None:
+            return x * b[:, None, :] - b[:, :, None] * x
+        return np.stack([commutator(x, b) for b in self.basis])
 
     @cached_property
     def gamma_signs(self) -> np.ndarray | None:

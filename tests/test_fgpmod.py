@@ -212,6 +212,24 @@ class TestRepresentConnection:
                            commutator(two_point.dirac @ two_point.dirac, q))
         assert not np.any(a_d[2:, :]) and not np.any(a_d[:, 2:])
 
+    def test_matches_tensordot_bit_for_bit(self, ladder_modules):
+        # np.tensordot's contraction and reshape, done by hand, rounds the same
+        rng = rng_for(83)
+        modules = [random_module(rng, random_triple(rng, n=4, kind=kind))
+                   for kind in ("diag", "amp2", None) * 20]
+        for module in modules + ladder_modules:
+            st_, m, n = module.triple, module.m, module.triple.n
+            a = random_connection(rng, module, hermitian=False)
+            pairs = st_.pair_products(np.stack([st_.dirac_commutators,
+                                                st_.dirac_sq_commutators]))
+            blocks = np.tensordot(a.entries, pairs, axes=([2, 3], [1, 2]))
+            want = blocks.transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
+            for got, ref in zip(a.represented(), want):
+                assert got.tobytes() == ref.tobytes()
+            prods = np.tensordot(a.entries, st_.pair_products(st_.basis), axes=2)
+            assert a.mult_residual() == float(
+                np.linalg.norm(prods.reshape(m * m, -1), axis=1).max(initial=0.0))
+
     def test_two_point_second_representation_vanishes(self, two_point_module):
         rng = rng_for(7)
         a = random_connection(rng, two_point_module)

@@ -158,6 +158,41 @@ class TestPairProducts:
                         assert np.array_equal(pp[k, p, q], st_.basis[p] @ right[k, q])
 
 
+def loop_commutators(st_, x):
+    """The 2d matmuls [x, b_k] that a non-diagonal basis takes."""
+    return np.stack([x @ b - b @ x for b in st_.basis])
+
+
+class TestDiracCommutators:
+    def test_diag_triples_take_the_broadcast(self):
+        rng = rng_for(23)
+        for _ in range(200):
+            st_ = random_triple(rng, kind="diag")
+            assert st_.basis_diagonal is not None
+            for got, x in ((st_.dirac_commutators, st_.dirac),
+                           (st_.dirac_sq_commutators, st_.dirac_sq)):
+                assert same_bits_but_zero_sign(got, loop_commutators(st_, x))
+
+    def test_arbitrary_real_diagonal_bases(self):
+        rng = rng_for(29)
+        for _ in range(200):
+            n, d = (int(k) for k in rng.integers(1, 7, size=2))
+            diag = rng.normal(size=(d, n)) * (rng.random((d, n)) < 0.7)
+            dirac = unit_disc(rng, (n, n)) * (rng.random((n, n)) < 0.6)
+            st_ = SpectralTriple(np.eye(n), diag[..., None] * np.eye(n), dirac)
+            assert same_bits_but_zero_sign(st_.dirac_commutators,
+                                           loop_commutators(st_, st_.dirac))
+
+    def test_other_bases_take_the_matmuls(self, two_point):
+        amp2 = random_triple(rng_for(13), n=4, kind="amp2")
+        complex_diag = SpectralTriple(two_point.gamma, [np.eye(2), np.diag([1j, 0.0])],
+                                      two_point.dirac)
+        for st_ in (amp2, complex_diag):
+            assert st_.basis_diagonal is None
+            assert (st_.dirac_sq_commutators.tobytes()
+                    == loop_commutators(st_, st_.dirac_sq).tobytes())
+
+
 class TestDerivativeNorms:
     def test_identity(self, two_point):
         assert c1_norm(two_point, [1.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
