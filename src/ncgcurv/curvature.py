@@ -7,17 +7,22 @@ Two arithmetic routes are provided and compared:
 
 with Dt = Gamma (x) D.  The last bracket is the represented differential of
 the connection form, obtained from the one-form/two-form identity; it is
-compressed to the range of P, where the whole calculus lives.  The sign
-convention is R = M^2 - N (the square of the product operator minus the
-lifted square); reports carry an explicit note so results can be matched to
-the opposite convention by a global sign flip.
+compressed to the range of P, where the whole calculus lives.  Both routes
+are evaluated there, in the coordinates of the isometry V (V V* = P, see
+``ProjectiveModule.range_isometry``), at O((mn)^2 r) for rank(P) = r: direct
+R = V (M_r^2 - N_r) V*; the formula's first term from P[Dt,P][Dt,P]P =
+-P Dt (1 - P) Dt P = -V (W* W - T* T) V* with W = Dt V, T = V* W.  The two
+stay different computations, so a wrong sign in either shows in the route
+residual.  The sign convention is R = M^2 - N (the square of the product
+operator minus the lifted square); reports carry an explicit note so results
+can be matched to the opposite convention by a global sign flip.
 
 Curvature is well defined modulo junk.  Junk forms are an A-bimodule (Connes,
 Noncommutative Geometry, 1994, VI.1) and P has entries in A, so C(X) = PXP
-maps V = M_m (x) Junk into itself: C and proj_V are commuting orthogonal
-projectors, and proj_V o C projects onto C(V) = span{P (E_kl (x) J) P}.  It
-is applied block by block, each n x n block of PXP projected onto the
-orthonormal junk basis, with no lift and no SVD.
+maps L = M_m (x) Junk into itself: C and proj_L are commuting orthogonal
+projectors, and proj_L o C projects onto C(L) = span{P (E_kl (x) J) P}.  It
+is applied block by block, each n x n block of PXP = V (V* X V) V* projected
+onto the orthonormal junk basis, with no lift and no SVD.
 
 A :class:`CurvatureReport` computes R (the direct route) when it is made and
 keeps the connection's operator bundle; the formula route with the four
@@ -27,9 +32,9 @@ cached, so a caller pays only for what it reads.
 
 The module also evaluates the correspondence curvature with a vertical
 operator S and its decomposition R + [S (x) 1, M]_+: one
-:func:`correspondence_report` holds the curvature, the residual and [S, M]_+,
-from which ``wac`` is read.  It also gives junk-coset comparisons and the
-external-product defect for pairs of triples.
+:func:`correspondence_report` takes the residual in range(P) coordinates and
+holds the curvature and [S, M]_+, from which ``wac`` is read.  It also gives
+junk-coset comparisons and the external-product defect for pairs of triples.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .fgpmod import (
 from .forms import FormSpace, junk_space
 from .glinalg import (
     anticommutator,
-    commutator,
     frobenius_norm,
     relative_distance,
     spectral_norm,
@@ -82,32 +86,30 @@ SIGN_CONVENTION_NOTE = (
 def curvature_direct(module: ProjectiveModule,
                      a: ConnectionForm | ConnectionOperators | None = None,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """R = M^2 - N with M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2."""
+    """R = M^2 - N with M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2,
+    evaluated as V (M_r^2 - N_r) V*."""
     ops = connection_operators(module, a, tol)
-    return ops.m_op @ ops.m_op - ops.n_op
+    return ops.expand(ops.m_r @ ops.m_r - ops.n_r)
 
 
 def curvature_formula(module: ProjectiveModule,
                       a: ConnectionForm | ConnectionOperators | None = None,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2)."""
+    """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2), evaluated as
+    V (-(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r) V*."""
     ops = connection_operators(module, a, tol)
-    P = module.projector
-    dt = module.dirac_lift
-    dp = commutator(dt, P)
-    base = P @ dp @ dp @ P
-    d_a = P @ anticommutator(dt, ops.a_d) @ P - ops.a_d2
-    return base + ops.a_d @ ops.a_d + d_a
+    t, w, a_r = ops.t, ops.w, ops.a_r
+    base = -(w.conj().T @ w - t.conj().T @ t)  # P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P
+    return ops.expand(base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r)
 
 
 def _junk_projection(x: np.ndarray, module: ProjectiveModule,
                      junk: FormSpace) -> np.ndarray:
-    """proj_V(P x P): each n x n block of P x P projected onto the junk basis."""
+    """proj_L(P x P): each n x n block of P x P projected onto the junk basis."""
     if junk.dim == 0:
         return np.zeros_like(x)
-    P = module.projector
     m, n = module.m, module.triple.n
-    blocks = (P @ x @ P).reshape(m, n, m, n)
+    blocks = module.compress(x).reshape(m, n, m, n)
     coeffs = np.einsum("qab,iajb->ijq", junk.basis.conj(), blocks)
     return np.einsum("ijq,qab->iajb", coeffs, junk.basis).reshape(module.dim, module.dim)
 
@@ -118,8 +120,8 @@ class CurvatureReport:
 
     R is supported on range(P) and even for the module grading; the junk
     canonical representative is R minus its Frobenius projection onto the
-    lifted junk span C(V) = P (M_m (x) Junk) P, taken blockwise as
-    proj_V(P R P) (see the module docstring).
+    lifted junk span C(L) = P (M_m (x) Junk) P, taken blockwise as
+    proj_L(P R P) (see the module docstring).
 
     R is computed by :func:`curvature_report` from ``ops``, the connection's
     bundle; the residuals, ``norm`` and ``junk_canonical`` on first read, cached;
@@ -148,7 +150,8 @@ class CurvatureReport:
 
     @cached_property
     def support_residual(self) -> float:
-        return support_residual(self.module.projector, self.R)  # the glinalg function
+        """glinalg.support_residual, with P R P formed by ProjectiveModule.compress."""
+        return frobenius_norm(self.module.compress(self.R) - self.R) / max(1.0, frobenius_norm(self.R))
 
     @cached_property
     def norm(self) -> float:
@@ -217,14 +220,18 @@ def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Che
 @dataclass(frozen=True, eq=False)
 class CorrespondenceReport:
     """(S + M)^2 - S^2 - N with its defect ||corr - (R + [S, M]_+)||_F (exact
-    algebra), the checks S passed, S and [S, M]_+; ``wac`` is computed on
-    first read."""
+    algebra), the checks S passed and S; corr and [S, M]_+ as r x r blocks of
+    the bundle ``ops``, expanded (and ``wac`` computed) on first read."""
 
-    curvature: np.ndarray
     decomposition_residual: float
     vertical_checks: list[Check]
     s_mat: np.ndarray = field(repr=False)
-    s_m: np.ndarray = field(repr=False)  # [S, M]_+
+    ops: ConnectionOperators = field(repr=False)
+    corr_r: np.ndarray = field(repr=False)
+    s_m_r: np.ndarray = field(repr=False)  # V* [S, M]_+ V
+
+    curvature = cached_property(lambda self: self.ops.expand(self.corr_r))
+    s_m = cached_property(lambda self: self.ops.expand(self.s_m_r))  # [S, M]_+
 
     @cached_property
     def wac(self) -> float:
@@ -235,16 +242,18 @@ class CorrespondenceReport:
 def correspondence_report(module: ProjectiveModule,
                           a: ConnectionForm | ConnectionOperators | None,
                           s: VerticalOperator, tol: float = DEFAULT_TOL) -> CorrespondenceReport:
-    """S checked and the connection evaluated, once each; a bad S raises first."""
+    """S checked and the connection evaluated, once each; a bad S raises first.
+    S enters as S_r = V* S V, which vertical_compressed has just tested."""
     _require_same_module(module, s)
     checks = validate_vertical(s, tol)
     _require(checks)
     ops = connection_operators(module, a, tol)
-    total = s.matrix + ops.m_op
-    corr = total @ total - s.matrix @ s.matrix - ops.n_op
-    s_m = anticommutator(s.matrix, ops.m_op)
-    residual = frobenius_norm(corr - curvature_direct(module, ops) - s_m)
-    return CorrespondenceReport(corr, residual, checks, s.matrix, s_m)
+    s_r = ops.v.conj().T @ s.matrix @ ops.v
+    total = s_r + ops.m_r
+    corr_r = total @ total - s_r @ s_r - ops.n_r
+    s_m_r = anticommutator(s_r, ops.m_r)
+    residual = frobenius_norm(corr_r - (ops.m_r @ ops.m_r - ops.n_r) - s_m_r)
+    return CorrespondenceReport(residual, checks, s.matrix, ops, corr_r, s_m_r)
 
 
 def correspondence_decomposition_residual(module: ProjectiveModule,

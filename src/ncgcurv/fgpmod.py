@@ -11,8 +11,11 @@ plain (m, m, d, d) arrays, and a form is read only over its own module.
 Assembled operators act on the product space C^m (x) C^n; the graded lift
 of the Dirac matrix is Gamma (x) D and the product operator of a connection
 is P (Gamma (x) D) P + A_D.  Every operator, spectrum and curvature function
-reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`.
-:func:`validate_connection` (checks without raising) and
+reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`,
+which holds them in range(P) coordinates: r x r blocks V* X V for the module's
+range isometry V (V V* = P), from one batched eigh of the point blocks of P
+over a diagonal basis, else from eigh(P).  :func:`validate_connection`
+(checks without raising, against the assembled P) and
 :func:`hermitian_residual` (the raw, uncompressed A_D) represent a form too.
 """
 
@@ -96,6 +99,36 @@ class ProjectiveModule:
         return self.assemble_table(self.p)
 
     @cached_property
+    def range_isometry(self) -> np.ndarray:
+        """Isometry V (mn x r), V V* = P: the eigenvectors of P above 1/2.
+
+        A real diagonal basis makes P = sum_x p(x) (x) E_xx, so V comes from one
+        batched eigh of the m x m point blocks p(x); other bases take eigh(P).
+        The cut at 1/2 is a rank decision: InvariantViolation unless
+        ||V V* - P||_F / max(1, ||P||_F) <= DEFAULT_TOL, which a P that is not
+        self-adjoint fails too (eigh reads one triangle)."""
+        diag = self.triple.basis_diagonal
+        if diag is None:  # one block, P itself
+            blocks, m, n = self.projector[None], self.dim, 1
+        else:  # p(x)[i, j] = sum_k p[i, j, k] b_k[x]
+            blocks, m, n = (self.p @ diag).transpose(2, 0, 1), self.m, self.triple.n
+        vals, vecs = np.linalg.eigh(blocks)
+        keep = vals > 0.5
+        kept = vecs * keep[:, None, :]
+        gap = kept @ kept.conj().transpose(0, 2, 1) - blocks  # V V* - P, block by block
+        defect = np.sqrt(np.vdot(gap, gap).real / max(1.0, np.vdot(blocks, blocks).real))
+        _require([Check("projector_range_isometry", float(defect), DEFAULT_TOL)])
+        x, col = np.nonzero(keep)
+        v = np.zeros((m, n, len(x)), dtype=complex)
+        v[:, x, np.arange(len(x))] = vecs[x, :, col].T
+        return v.reshape(self.dim, -1)
+
+    def compress(self, x: np.ndarray) -> np.ndarray:
+        """P x P, formed as V (V* x V) V* with V the range isometry."""
+        v = self.range_isometry
+        return v @ (v.conj().T @ x @ v) @ v.conj().T
+
+    @cached_property
     def grading(self) -> np.ndarray:
         """Gamma (x) gamma on the product space."""
         return _block_lift(np.diag(self.signs), self.triple.gamma)
@@ -123,11 +156,6 @@ class ProjectiveModule:
     def dirac_plain_lift(self) -> np.ndarray:
         """Ungraded lift 1 (x) D."""
         return _block_lift(np.eye(self.m), self.triple.dirac)
-
-    @cached_property
-    def dirac_sq_lift_free(self) -> np.ndarray:
-        """1 (x) D^2 (no grading twist: D^2 is even)."""
-        return _block_lift(np.eye(self.m), self.triple.dirac_sq)
 
     @cached_property
     def even_mask(self) -> np.ndarray:
@@ -165,16 +193,14 @@ class ConnectionForm:
     def is_zero(self) -> bool:
         return not np.any(self.entries)
 
-    def represented(self) -> tuple[np.ndarray, np.ndarray]:
-        """Assembled (A_D, A_D2): entrywise pi_d and pi_d2 as mn x mn matrices."""
+    def represented(self) -> np.ndarray:
+        """A_D and A_D2, entrywise pi_d and pi_d2, as a (2, mn, mn) stack."""
         st = self.module.triple
         m, n = self.module.m, st.n
         pairs = st.pair_products(np.stack([st.dirac_commutators, st.dirac_sq_commutators]))
-        # one gemm over (m^2, d^2) x (d^2, 2 n^2), the operands np.tensordot made:
-        # a batched matmul per derivative order rounds differently
+        # the one gemm np.tensordot made; a batched matmul per order rounds differently
         blocks = self.entries.reshape(m * m, -1) @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
-        a_d, a_d2 = blocks.reshape(m, m, 2, n, n).transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
-        return a_d, a_d2
+        return blocks.reshape(m, m, 2, n, n).transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
 
     def mult_residual(self) -> float:
         """Max ker(m)-defect over the entry tables."""
@@ -234,18 +260,32 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
 
 @dataclass(frozen=True, eq=False)
 class ConnectionOperators:
-    """The one evaluated form of a connection: its represented pair and operators.
+    """The one evaluated form of a connection, in range(P) coordinates.
 
-    a_d = P A_D P and a_d2 = P A_D2 P are the compressed represented pair,
-    m_op = P (Gamma (x) D) P + a_d is the product operator and
-    n_op = P (1 (x) D^2) P + a_d2 its lifted square.  Modulo junk, every
-    curvature quantity depends on the connection only through these.
+    v is the module's range isometry V and w = (Gamma (x) D) V.  The r x r
+    blocks are a_r = V* A_D V and a2_r = V* A_D2 V (the represented pair),
+    t = V* w, the product operator m_r = t + a_r and its lifted square
+    n_r = V* (1 (x) D^2) V + a2_r.  Modulo junk, every curvature quantity
+    depends on the connection only through these.  a_d = P A_D P, a_d2,
+    m_op and n_op are the mn x mn operators V X_r V*, computed on first read.
     """
 
-    a_d: np.ndarray
-    a_d2: np.ndarray
-    m_op: np.ndarray
-    n_op: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    a_r: np.ndarray
+    a2_r: np.ndarray
+    t: np.ndarray
+    m_r: np.ndarray
+    n_r: np.ndarray
+
+    def expand(self, x_r: np.ndarray) -> np.ndarray:
+        """V x_r V*: an r x r block as an mn x mn operator."""
+        return self.v @ x_r @ self.v.conj().T
+
+    a_d = cached_property(lambda self: self.expand(self.a_r))
+    a_d2 = cached_property(lambda self: self.expand(self.a2_r))
+    m_op = cached_property(lambda self: self.expand(self.m_r))
+    n_op = cached_property(lambda self: self.expand(self.n_r))
 
 
 def connection_operators(module: ProjectiveModule,
@@ -254,10 +294,11 @@ def connection_operators(module: ProjectiveModule,
     """Validate and represent ``a`` once; None or a zero form is the Grassmann connection.
 
     Raises InvariantViolation on the first failing check of
-    :func:`validate_connection`.  pi_d and pi_d2 are A-bimodule maps on
-    ker(m), so compressing after representing equals representing P . C . P.
-    Off ker(m) the two differ by terms of size connection_ker_mult *
-    ||[D^k, P]||, and validation gates connection_ker_mult at tol.
+    :func:`validate_connection` or of ``ProjectiveModule.range_isometry``.
+    pi_d and pi_d2 are A-bimodule maps on ker(m), so compressing after
+    representing equals representing P . C . P.  Off ker(m) the two differ by
+    terms of size connection_ker_mult * ||[D^k, P]||, and validation gates
+    connection_ker_mult at tol.  D and D^2 act on V block by block.
 
     An already evaluated bundle is returned as it is, so a caller holding one
     can pass it to any function that takes a connection without re-validation.
@@ -266,34 +307,30 @@ def connection_operators(module: ProjectiveModule,
         return a
     if a is not None:
         _require_same_module(module, a)
-    P = module.projector
+    v = module.range_isometry
+    vh = v.conj().T
+    r = v.shape[1]
     if a is None or a.is_zero():
-        a_d = a_d2 = np.zeros((module.dim, module.dim), dtype=complex)
+        a_r = a2_r = np.zeros((r, r), dtype=complex)
     else:
-        raw, a_d2 = a.represented()
-        a_d, a_d2 = P @ raw @ P, P @ a_d2 @ P
-        _require(_connection_checks(module, a, raw, a_d, tol))
-    return ConnectionOperators(
-        a_d=a_d,
-        a_d2=a_d2,
-        m_op=P @ module.dirac_lift @ P + a_d,
-        n_op=P @ module.dirac_sq_lift_free @ P + a_d2,
-    )
+        raw = a.represented()
+        a_r, a2_r = vh @ raw @ v
+        _require(_connection_checks(module, a, raw[0], v @ a_r @ vh, tol))
+    st = module.triple
+    blocks = v.reshape(module.m, st.n, r)
+    w = (module.signs[:, None, None] * (st.dirac @ blocks)).reshape(module.dim, r)
+    t = vh @ w
+    n_r = vh @ (st.dirac_sq @ blocks).reshape(module.dim, r) + a2_r
+    return ConnectionOperators(v=v, w=w, a_r=a_r, a2_r=a2_r, t=t, m_r=t + a_r, n_r=n_r)
 
 
 def spectrum(module: ProjectiveModule,
              a: ConnectionForm | ConnectionOperators | None = None,
              tol: float = DEFAULT_TOL) -> list[float]:
     """Ascending eigenvalues of the product operator restricted to range(P)."""
-    m_op = connection_operators(module, a, tol).m_op
-    vals, vecs = np.linalg.eigh(module.projector)
-    cols = vecs[:, vals > 0.5]
-    if cols.shape[1] == 0:
-        return []
-    compressed = cols.conj().T @ m_op @ cols
-    _require([Check("spectrum_symmetric_input",
-                    relative_distance(compressed, compressed.conj().T), tol)])
-    return [float(v) for v in np.linalg.eigvalsh(compressed)]
+    m_r = connection_operators(module, a, tol).m_r
+    _require([Check("spectrum_symmetric_input", relative_distance(m_r, m_r.conj().T), tol)])
+    return [float(v) for v in np.linalg.eigvalsh(m_r)]
 
 
 def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None) -> float:

@@ -145,9 +145,9 @@ class SpectralTriple:
         """(d, n, n) stack of [x, b_k].  A real diagonal basis scales columns and
         rows, in place of 2d matmuls whose sums are one term plus exact zeros."""
         b = self.basis_diagonal
-        if b is not None:
-            return x * b[:, None, :] - b[:, :, None] * x
-        return np.stack([commutator(x, b) for b in self.basis])
+        if b is None:
+            return np.stack([commutator(x, b) for b in self.basis])
+        return x * b[:, None, :] - b[:, :, None] * x
 
     @cached_property
     def gamma_signs(self) -> np.ndarray | None:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,13 +131,11 @@ class TestReport:
         module = random_module(rng, random_triple(rng, n=6, d=3, kind="diag"), m=3,
                                allow_free=False)
         a = random_connection(rng, module)
-        u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        st_ = module.triple
-        st_u = SpectralTriple(*(u @ x @ u.conj().T for x in (st_.gamma, st_.basis, st_.dirac)))
-        module_u = ProjectiveModule(st_u, module.p, module.signs)
+        module_u, a_u, u = unitary_twin(module, a, rng)
+        st_u = module_u.triple
         assert st_u.gamma_signs is None and st_u.basis_diagonal is None
         assert all(c.passed for c in validate(st_u) + validate_module(module_u))
-        report = curvature_report(module_u, ConnectionForm(module_u, a.entries))
+        report = curvature_report(module_u, a_u)
         for residual in ("route", "symmetry", "evenness", "support"):
             assert getattr(report, residual + "_residual") <= 1e-10
         assert len(dense_parity) == 2  # connection_odd and curvature evenness
@@ -347,8 +347,9 @@ class TestCorrespondence:
         a = random_connection(rng, module)
         s = random_vertical(rng, module)
         report = correspondence_report(module, a, s)
-        m_op = connection_operators(module, a).m_op
-        assert np.array_equal(report.s_m, anticommutator(s.matrix, m_op))
+        m_op = eager_reference(module, a)["m_op"]
+        s_m = anticommutator(s.matrix, m_op)
+        assert frobenius_norm(report.s_m - s_m) <= 1e-12 * max(1.0, frobenius_norm(s_m))
         expected = curvature_direct(module, a) + report.s_m
         assert np.allclose(report.curvature, expected, atol=1e-10)
 
@@ -437,11 +438,13 @@ class TestSingleEvaluation:
             a = random_connection(rng, module)
             P, raw = module.projector, a.represented()[0]
             ops = connection_operators(module, a)
-            assert ops.a_d.tobytes() == (P @ raw @ P).tobytes()
+            assert frobenius_norm(ops.a_d - P @ raw @ P) <= 1e-12 * frobenius_norm(raw)
             compressed = {c.name: c.value for c in checks.pop()}["connection_compressed"]
-            assert compressed == support_residual(P, raw)
+            # the check reads the bundle's compression, V a_r V*
+            assert compressed == frobenius_norm(ops.a_d - raw) / max(1.0, frobenius_norm(raw))
             validated = {c.name: c.value for c in validate_connection(module, a)}
-            assert validated["connection_compressed"] == compressed
+            assert validated["connection_compressed"] == support_residual(P, raw)
+            assert abs(validated["connection_compressed"] - compressed) <= 1e-12
 
     def test_correspondence_anticommutator_once(self, fixtures_dir, monkeypatch):
         # the residual and wac both read the report's one [S, M]_+
@@ -500,16 +503,65 @@ def curvature_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
-def eager_reference(module, a):
-    """R, its spectral norm and junk representative, with np.kron lifts."""
+def dense_junk_projection(x, module, junk):
+    """proj_L(P x P), with P x P formed from the assembled projector."""
+    P, m, n = module.projector, module.m, module.triple.n
+    blocks = (P @ x @ P).reshape(m, n, m, n)
+    coeffs = np.einsum("qab,iajb->ijq", junk.basis.conj(), blocks)
+    return np.einsum("ijq,qab->iajb", coeffs, junk.basis).reshape(module.dim, module.dim)
+
+
+def eager_reference(module, a, junk=None):
+    """Every curvature quantity from dense mn x mn operators: np.kron lifts,
+    P X P compressions, the formula route as P[Dt,P][Dt,P]P + ..., and the
+    spectrum on the eigenvectors of P above 1/2."""
     st_ = module.triple
-    ops = connection_operators(module, a)
     P = module.projector
-    m_op = P @ np.kron(np.diag(module.signs), st_.dirac) @ P + ops.a_d
-    n_op = P @ np.kron(np.eye(module.m), st_.dirac_sq) @ P + ops.a_d2
+    dt = np.kron(np.diag(module.signs), st_.dirac)
+    raw, raw2 = (np.zeros_like(P),) * 2 if a is None else a.represented()
+    a_d, a_d2 = P @ raw @ P, P @ raw2 @ P
+    m_op = P @ dt @ P + a_d
+    n_op = P @ np.kron(np.eye(module.m), st_.dirac_sq) @ P + a_d2
     r = m_op @ m_op - n_op
-    junk = junk_space(st_)
-    return r, spectral_norm(r), r - curvature._junk_projection(r, module, junk)
+    dp = commutator(dt, P)
+    formula = P @ dp @ dp @ P + a_d @ a_d + P @ anticommutator(dt, a_d) @ P - a_d2
+    vals, vecs = np.linalg.eigh(P)
+    cols = vecs[:, vals > 0.5]
+    junk = junk_space(st_) if junk is None else junk
+    return {
+        "R": r,
+        "formula": formula,
+        "m_op": m_op,
+        "n_op": n_op,
+        "norm": spectral_norm(r),
+        "junk_canonical": r - dense_junk_projection(r, module, junk),
+    } | ({"spectrum": np.linalg.eigvalsh(cols.conj().T @ m_op @ cols)} if hermitian(a) else {})
+
+
+def hermitian(a) -> bool:
+    """Whether the product operator of ``a`` is self-adjoint, so has a spectrum."""
+    return a is None or a.hermitian
+
+
+def range_coordinate_values(module, a, junk=None):
+    """The same quantities as eager_reference, from the library."""
+    report = curvature_report(module, a, junk=junk)
+    ops = report.ops
+    return {
+        "R": report.R,
+        "formula": curvature_formula(module, ops),
+        "m_op": ops.m_op,
+        "n_op": ops.n_op,
+        "norm": report.norm,
+        "junk_canonical": report.junk_canonical,
+    } | ({"spectrum": np.array(fgpmod.spectrum(module, ops))} if hermitian(a) else {})
+
+
+def worst_relative_gap(got: dict, want: dict) -> float:
+    """max over the quantities of ||got - want||_F / max(1, ||want||_F)."""
+    assert got.keys() == want.keys()
+    return max(frobenius_norm(np.subtract(got[k], want[k])) / max(1.0, frobenius_norm(want[k]))
+               for k in want)
 
 
 class TestLazyReport:
@@ -560,11 +612,12 @@ class TestLazyReport:
                   for module in ladder_modules]
         moved = 0
         for module, a in cases:
-            r, norm, canonical = eager_reference(module, a)
+            want = eager_reference(module, a)
+            r, canonical = want["R"], want["junk_canonical"]
             report = curvature_report(module, a)
-            assert report.R.tobytes() == r.tobytes()
-            assert report.norm == norm
-            assert report.junk_canonical.tobytes() == canonical.tobytes()
+            assert frobenius_norm(report.R - r) <= 1e-12 * frobenius_norm(r)
+            assert report.norm == pytest.approx(want["norm"], rel=1e-12)
+            assert frobenius_norm(report.junk_canonical - canonical) <= 1e-12 * frobenius_norm(r)
             moved += frobenius_norm(canonical - r) >= 1e-3 * frobenius_norm(r)
         # junk moves R in the amp2 cases and on two ladder rungs
         assert moved == 6
@@ -593,3 +646,60 @@ class TestExternalProduct:
         st2 = random_triple(rng)
         bound = (spectral_norm(st1.dirac) + spectral_norm(st2.dirac)) ** 2
         assert spectral_norm(external_product_defect(st1, st2)) <= 1e-12 * bound
+
+
+def unitary_twin(module, a, rng):
+    """U (gamma, basis, D) U* for a random unitary U, with the same tables, and
+    U: no longer diagonal, so the range isometry comes from eigh(P)."""
+    n = module.triple.n
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    st_ = module.triple
+    st_u = SpectralTriple(*(u @ x @ u.conj().T for x in (st_.gamma, st_.basis, st_.dirac)))
+    module_u = ProjectiveModule(st_u, module.p, module.signs)
+    return module_u, None if a is None else replace(a, module=module_u), u
+
+
+class TestRangeCoordinates:
+    """The range(P) evaluation against the dense reference it replaced."""
+
+    def test_matches_dense_reference_on_seeded_modules(self):
+        rng = rng_for(97)
+        worst, twins, kinds = 0.0, 0, {"diag": 0, "amp2": 0, "free": 0, "default": 0}
+        for k in range(1000):
+            kind = ("diag", "amp2", None)[k % 3]
+            st_ = random_triple(rng, n=4 if kind == "amp2" else None, kind=kind)
+            module = random_module(rng, st_)
+            free = np.array_equal(module.projector, np.eye(module.dim))
+            kinds["free" if free else kind or "default"] += 1
+            a = None if k % 7 == 0 else random_connection(rng, module, hermitian=k % 2 == 0)
+            junk = junk_space(st_)
+            want = eager_reference(module, a, junk)
+            got = range_coordinate_values(module, a, junk)
+            assert len(got.get("spectrum", ())) == len(want.get("spectrum", ()))
+            worst = max(worst, worst_relative_gap(got, want))
+            if kind == "diag" and k % 2 == 0:
+                twins += 1
+                module_u, a_u, _ = unitary_twin(module, a, rng)
+                assert module_u.triple.basis_diagonal is None
+                got_u = range_coordinate_values(module_u, a_u)
+                worst = max(worst, worst_relative_gap(got_u, eager_reference(module_u, a_u)))
+                assert got_u["norm"] == pytest.approx(got["norm"], rel=1e-12, abs=1e-12)
+                if hermitian(a):
+                    assert np.allclose(got_u["spectrum"], got["spectrum"], rtol=0, atol=1e-12)
+        assert worst <= 1e-12
+        assert twins >= 150 and min(kinds.values()) >= 150, kinds
+
+    def test_flipped_first_formula_term_fails_route_residual(self, ladder_modules,
+                                                               monkeypatch):
+        # +(W*W - T*T) in place of -(W*W - T*T): P[Dt,P][Dt,P]P with its sign flipped
+        def flipped(module, a=None, tol=1e-8):
+            ops = connection_operators(module, a, tol)
+            t, w, a_r = ops.t, ops.w, ops.a_r
+            base = w.conj().T @ w - t.conj().T @ t
+            return ops.expand(base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r)
+
+        cases = [(module, random_connection(rng_for(61), module)) for module in ladder_modules]
+        assert all(curvature_report(*case).route_residual <= 1e-10 for case in cases)
+        monkeypatch.setattr(curvature, "curvature_formula", flipped)
+        for case in cases:
+            assert curvature_report(*case).route_residual > 1e-3

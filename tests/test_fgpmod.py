@@ -35,6 +35,7 @@ from ncgcurv.glinalg import (
     spectral_norm,
     support_residual,
 )
+from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -164,7 +165,6 @@ def kron_lifts(module):
         (module.sign_lift, np.kron(signs, np.eye(st_.n))),
         (module.dirac_lift, np.kron(signs, st_.dirac)),
         (module.dirac_plain_lift, np.kron(eye_m, st_.dirac)),
-        (module.dirac_sq_lift_free, np.kron(eye_m, st_.dirac_sq)),
     ]
 
 
@@ -275,8 +275,9 @@ class TestRepresentConnection:
         a_d, a_d2 = a.represented()
         proj = module.projector
         ops = connection_operators(module, a)
-        assert np.array_equal(ops.a_d, proj @ a_d @ proj)
-        assert np.array_equal(ops.a_d2, proj @ a_d2 @ proj)
+        for got, raw in ((ops.a_d, a_d), (ops.a_d2, a_d2)):
+            want = proj @ raw @ proj
+            assert frobenius_norm(got - want) <= 1e-12 * max(1.0, frobenius_norm(want))
 
     def test_agrees_with_universal_compression(self, ladder_modules):
         # P pi(C) P against pi(P C P): equal on ker(m), up to rounding
@@ -363,13 +364,66 @@ class TestProductOperator:
 
     def test_spectrum_rejects_nonsymmetric(self, free_module):
         ops = connection_operators(free_module)
-        skew = replace(ops, m_op=ops.m_op + 1j * np.eye(4))
+        skew = replace(ops, m_r=ops.m_r + 1j * np.eye(4))
         with pytest.raises(InvariantViolation):
             spectrum(free_module, skew)
 
     def test_spectrum_of_zero_operator(self, two_point_module):
         # the compressed graded lift vanishes on this module; rank of P is 2
         assert spectrum(two_point_module) == pytest.approx([0.0, 0.0])
+
+
+def fixture_modules(fixtures_dir):
+    return [scen.module for scen in map(parse_scenario, sorted(fixtures_dir.glob("*.json")))
+            if scen.module is not None]
+
+
+class TestRangeIsometry:
+    def _modules(self, ladder_modules, fixtures_dir):
+        rng = rng_for(89)
+        seeded = [random_module(rng, random_triple(rng, n=4 if kind == "amp2" else None,
+                                                   kind=kind))
+                  for kind in ("diag", "amp2", None) * 30]
+        return fixture_modules(fixtures_dir) + ladder_modules + seeded
+
+    def test_isometry_onto_range(self, ladder_modules, fixtures_dir):
+        routes = set()
+        for module in self._modules(ladder_modules, fixtures_dir):
+            v, P = module.range_isometry, module.projector
+            routes.add(module.triple.basis_diagonal is None)
+            assert v.shape == (module.dim, round(np.trace(P).real))
+            assert frobenius_norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-13
+            assert frobenius_norm(v @ v.conj().T - P) <= 1e-13 * max(1.0, frobenius_norm(P))
+        assert routes == {True, False}
+
+    def test_point_route_assembles_no_projector(self, ladder_modules):
+        module = replace(ladder_modules[3])
+        assert module.range_isometry.shape == (120, 6)
+        assert "projector" not in vars(module)
+
+    def test_eigenvalues_far_from_the_cut(self, ladder_modules, fixtures_dir):
+        # the rank cut at 1/2 sees only eigenvalues within 1e-12 of 0 or 1
+        modules = fixture_modules(fixtures_dir) + ladder_modules
+        assert len(modules) == 6
+        for module in modules:
+            vals = np.linalg.eigvalsh(module.projector)
+            assert np.all(np.minimum(abs(vals), abs(vals - 1.0)) <= 1e-12)
+
+    @pytest.mark.parametrize("kind", ["diag", "amp2"])
+    def test_planted_tables_that_are_no_projection_raise(self, kind):
+        rng = rng_for(91)
+        module = random_module(rng, random_triple(rng, n=4, kind=kind), m=2, allow_free=False)
+        st_ = module.triple
+        upper = np.zeros_like(module.p)
+        upper[0, 1] = st_.coords(np.eye(4)) * 0.25  # one triangle only: not self-adjoint
+        for p in (2.0 * module.p, module.p + upper):
+            bad = ProjectiveModule(st_, p, module.signs)
+            with pytest.raises(InvariantViolation) as err:
+                bad.range_isometry
+            assert err.value.check.name == "projector_range_isometry"
+            with pytest.raises(InvariantViolation):
+                curvature_report(bad)
+        assert module.range_isometry.shape[1] > 0
 
 
 class TestGradingParity:

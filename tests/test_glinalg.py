@@ -80,7 +80,6 @@ class TestGradedRightLift:
         p = np.zeros((2, 2, 2), dtype=complex)
         p[0, 0, 0] = p[1, 1, 0] = 1
         module = ProjectiveModule(st_, p, np.array([1.0, -1.0]))
-        assert np.allclose(module.dirac_sq_lift_free, np.kron(np.eye(2), d @ d))
         assert np.allclose(module.dirac_plain_lift, np.kron(np.eye(2), d))
 
     @given(SEEDS)
@@ -89,8 +88,7 @@ class TestGradedRightLift:
         # Both the graded (odd) and the plain (even) lift of D square to 1 (x) D^2.
         rng = np.random.default_rng(seed)
         module = random_module(rng, random_triple(rng))
-        lifted_sq = module.dirac_sq_lift_free
-        assert np.allclose(lifted_sq, np.kron(np.eye(module.m), module.triple.dirac_sq))
+        lifted_sq = np.kron(np.eye(module.m), module.triple.dirac_sq)
         for lifted in (module.dirac_lift, module.dirac_plain_lift):
             assert np.linalg.norm(lifted @ lifted - lifted_sq) <= 1e-12 * max(
                 1.0, np.linalg.norm(lifted_sq))
