@@ -8,14 +8,14 @@ Two arithmetic routes are provided and compared:
 with Dt = Gamma (x) D.  The last bracket is the represented differential of
 the connection form, obtained from the one-form/two-form identity; it is
 compressed to the range of P, where the whole calculus lives.  Both routes
-are evaluated there, in the coordinates of the isometry V (V V* = P, see
-``ProjectiveModule.range_isometry``), at O((mn)^2 r) for rank(P) = r: direct
-R = V (M_r^2 - N_r) V*; the formula's first term from P[Dt,P][Dt,P]P =
--P Dt (1 - P) Dt P = -V (W* W - T* T) V* with W = Dt V, T = V* W.  The two
-stay different computations, so a wrong sign in either shows in the route
-residual.  The sign convention is R = M^2 - N (the square of the product
-operator minus the lifted square); reports carry an explicit note so results
-can be matched to the opposite convention by a global sign flip.
+run there, at O((mn)^2 r) for r = rank(P), in the coordinates of the
+isometry V = ``ProjectiveModule.range_isometry`` (V V* = P): R = V (M_r^2 -
+N_r) V*, and P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P = -V (W* W - T* T) V* with
+W = Dt V, T = V* W.  The two stay different computations, so a wrong sign in
+either shows in the route residual.  The sign convention is R = M^2 - N (the
+square of the product operator minus the lifted square); reports carry an
+explicit note so results can be matched to the opposite convention by a
+global sign flip.
 
 Curvature is well defined modulo junk.  Junk forms are an A-bimodule (Connes,
 Noncommutative Geometry, 1994, VI.1) and P has entries in A, so C(X) = PXP
@@ -57,7 +57,6 @@ from .glinalg import (
     frobenius_norm,
     relative_distance,
     spectral_norm,
-    support_residual,
 )
 from .triple import DEFAULT_TOL, Check, SpectralTriple, _require
 
@@ -86,8 +85,7 @@ SIGN_CONVENTION_NOTE = (
 def curvature_direct(module: ProjectiveModule,
                      a: ConnectionForm | ConnectionOperators | None = None,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """R = M^2 - N with M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2,
-    evaluated as V (M_r^2 - N_r) V*."""
+    """R = M^2 - N, M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2: V (M_r^2 - N_r) V*."""
     ops = connection_operators(module, a, tol)
     return ops.expand(ops.m_r @ ops.m_r - ops.n_r)
 
@@ -105,11 +103,11 @@ def curvature_formula(module: ProjectiveModule,
 
 def _junk_projection(x: np.ndarray, module: ProjectiveModule,
                      junk: FormSpace) -> np.ndarray:
-    """proj_L(P x P): each n x n block of P x P projected onto the junk basis."""
+    """proj_L(x) for x = P x P: each n x n block of x projected onto the junk basis."""
     if junk.dim == 0:
         return np.zeros_like(x)
     m, n = module.m, module.triple.n
-    blocks = module.compress(x).reshape(m, n, m, n)
+    blocks = x.reshape(m, n, m, n)
     coeffs = np.einsum("qab,iajb->ijq", junk.basis.conj(), blocks)
     return np.einsum("ijq,qab->iajb", coeffs, junk.basis).reshape(module.dim, module.dim)
 
@@ -162,7 +160,7 @@ class CurvatureReport:
     def junk_canonical(self) -> np.ndarray:
         """R minus its projection onto the lifted junk span."""
         junk = self.junk if self.junk is not None else junk_space(self.module.triple)
-        return self.R - _junk_projection(self.R, self.module, junk)
+        return self.R - _junk_projection(self.R, self.module, junk)  # R = V R_r V* = P R P
 
 
 def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
@@ -183,7 +181,8 @@ def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule
     if junk is None:
         junk = junk_space(module.triple)
     x = r1 - r2
-    return frobenius_norm(x - _junk_projection(x, module, junk)) / max(1.0, frobenius_norm(x))
+    pxp = module.compress(x)
+    return frobenius_norm(x - _junk_projection(pxp, module, junk)) / max(1.0, frobenius_norm(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,20 +207,26 @@ class VerticalOperator:
         return self.module.assemble_table(self.entries)
 
 
-def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Check]:
+def _vertical_checks(s: VerticalOperator, compressed: np.ndarray, tol: float) -> list[Check]:
+    """Self-adjointness, compression and oddness of S (P S P given)."""
     mat = s.matrix
     return [
         Check("vertical_selfadjoint", relative_distance(mat, mat.conj().T), tol),
-        Check("vertical_compressed", support_residual(s.module.projector, mat), tol),
+        Check("vertical_compressed", frobenius_norm(compressed - mat)
+              / max(1.0, frobenius_norm(mat)), tol),  # glinalg.support_residual
         Check("vertical_odd", s.module.parity_residual(mat, odd=True), tol),
     ]
 
 
+def validate_vertical(s: VerticalOperator, tol: float = DEFAULT_TOL) -> list[Check]:
+    """The checks against the assembled P, so a table that is no projection is reported."""
+    return _vertical_checks(s, s.module.projector @ s.matrix @ s.module.projector, tol)
+
+
 @dataclass(frozen=True, eq=False)
 class CorrespondenceReport:
-    """(S + M)^2 - S^2 - N with its defect ||corr - (R + [S, M]_+)||_F (exact
-    algebra), the checks S passed and S; corr and [S, M]_+ as r x r blocks of
-    the bundle ``ops``, expanded (and ``wac`` computed) on first read."""
+    """(S + M)^2 - S^2 - N and its exact-algebra defect ||corr - (R + [S, M]_+)||_F, the
+    checks S passed and S; corr and [S, M]_+ are r x r, expanded by ``ops`` when read."""
 
     decomposition_residual: float
     vertical_checks: list[Check]
@@ -243,12 +248,13 @@ def correspondence_report(module: ProjectiveModule,
                           a: ConnectionForm | ConnectionOperators | None,
                           s: VerticalOperator, tol: float = DEFAULT_TOL) -> CorrespondenceReport:
     """S checked and the connection evaluated, once each; a bad S raises first.
-    S enters as S_r = V* S V, which vertical_compressed has just tested."""
+    S enters as S_r = V* S V, and vertical_compressed reads V S_r V*."""
     _require_same_module(module, s)
-    checks = validate_vertical(s, tol)
+    v = module.range_isometry
+    s_r = v.conj().T @ s.matrix @ v
+    checks = _vertical_checks(s, v @ s_r @ v.conj().T, tol)
     _require(checks)
     ops = connection_operators(module, a, tol)
-    s_r = ops.v.conj().T @ s.matrix @ ops.v
     total = s_r + ops.m_r
     corr_r = total @ total - s_r @ s_r - ops.n_r
     s_m_r = anticommutator(s_r, ops.m_r)

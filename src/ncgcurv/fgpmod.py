@@ -11,12 +11,11 @@ plain (m, m, d, d) arrays, and a form is read only over its own module.
 Assembled operators act on the product space C^m (x) C^n; the graded lift
 of the Dirac matrix is Gamma (x) D and the product operator of a connection
 is P (Gamma (x) D) P + A_D.  Every operator, spectrum and curvature function
-reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`,
-which holds them in range(P) coordinates: r x r blocks V* X V for the module's
-range isometry V (V V* = P), from one batched eigh of the point blocks of P
-over a diagonal basis, else from eigh(P).  :func:`validate_connection`
-(checks without raising, against the assembled P) and
-:func:`hermitian_residual` (the raw, uncompressed A_D) represent a form too.
+reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`:
+r x r blocks V* X V for the range isometry V (V V* = P), from one batched eigh
+of the point blocks of P over a diagonal basis, else from eigh(P).
+:func:`validate_connection` (checks without raising, against the assembled P)
+and :func:`hermitian_residual` (the raw, uncompressed A_D) represent a form too.
 """
 
 from __future__ import annotations
@@ -104,9 +103,9 @@ class ProjectiveModule:
 
         A real diagonal basis makes P = sum_x p(x) (x) E_xx, so V comes from one
         batched eigh of the m x m point blocks p(x); other bases take eigh(P).
-        The cut at 1/2 is a rank decision: InvariantViolation unless
-        ||V V* - P||_F / max(1, ||P||_F) <= DEFAULT_TOL, which a P that is not
-        self-adjoint fails too (eigh reads one triangle)."""
+        The cut at 1/2 is a rank decision: InvariantViolation unless ||V V* -
+        P||_F / max(1, ||P||_F) <= DEFAULT_TOL, failed by a P that is not
+        self-adjoint too (eigh reads one triangle)."""
         diag = self.triple.basis_diagonal
         if diag is None:  # one block, P itself
             blocks, m, n = self.projector[None], self.dim, 1
@@ -264,10 +263,9 @@ class ConnectionOperators:
 
     v is the module's range isometry V and w = (Gamma (x) D) V.  The r x r
     blocks are a_r = V* A_D V and a2_r = V* A_D2 V (the represented pair),
-    t = V* w, the product operator m_r = t + a_r and its lifted square
-    n_r = V* (1 (x) D^2) V + a2_r.  Modulo junk, every curvature quantity
-    depends on the connection only through these.  a_d = P A_D P, a_d2,
-    m_op and n_op are the mn x mn operators V X_r V*, computed on first read.
+    t = V* w, the product operator m_r = t + a_r and its lifted square n_r =
+    V* (1 (x) D^2) V + a2_r, through which alone, modulo junk, curvature
+    depends on the connection.  a_d = P A_D P, a_d2, m_op and n_op are V X_r V*.
     """
 
     v: np.ndarray
@@ -309,18 +307,17 @@ def connection_operators(module: ProjectiveModule,
         _require_same_module(module, a)
     v = module.range_isometry
     vh = v.conj().T
-    r = v.shape[1]
     if a is None or a.is_zero():
-        a_r = a2_r = np.zeros((r, r), dtype=complex)
+        a_r = a2_r = np.zeros((len(vh),) * 2, dtype=complex)
     else:
         raw = a.represented()
         a_r, a2_r = vh @ raw @ v
         _require(_connection_checks(module, a, raw[0], v @ a_r @ vh, tol))
     st = module.triple
-    blocks = v.reshape(module.m, st.n, r)
-    w = (module.signs[:, None, None] * (st.dirac @ blocks)).reshape(module.dim, r)
+    blocks = v.reshape(module.m, st.n, -1)
+    w = (module.signs[:, None, None] * (st.dirac @ blocks)).reshape(module.dim, -1)
     t = vh @ w
-    n_r = vh @ (st.dirac_sq @ blocks).reshape(module.dim, r) + a2_r
+    n_r = vh @ (st.dirac_sq @ blocks).reshape(module.dim, -1) + a2_r
     return ConnectionOperators(v=v, w=w, a_r=a_r, a2_r=a2_r, t=t, m_r=t + a_r, n_r=n_r)
 
 

@@ -153,7 +153,7 @@ class SpectralTriple:
     def gamma_signs(self) -> np.ndarray | None:
         """diag(gamma) when gamma is exactly diagonal with entries +/-1, else None."""
         g = np.diagonal(self.gamma).real
-        return g if np.array_equal(self.gamma, np.diag(g)) and np.all(abs(g) == 1) else None
+        return g if (self.gamma == np.diag(g)).all() and (abs(g) == 1).all() else None
 
     @cached_property
     def basis_diagonal(self) -> np.ndarray | None:

@@ -199,15 +199,16 @@ class TestSingleEvaluation:
         assert connection_evaluations == ["represented", "checks"]
 
     def test_correspondence_validates_vertical_once(self, fixtures_dir, monkeypatch):
+        # every evaluation of the vertical checks, from validate_vertical or
+        # from correspondence_report (which compresses S through V)
         calls = []
-        check = curvature.validate_vertical
+        check = curvature._vertical_checks
 
         def counting(*args, **kwargs):
             calls.append(args)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(curvature, "validate_vertical", counting)
-        monkeypatch.setattr(cli, "validate_vertical", counting)
+        monkeypatch.setattr(curvature, "_vertical_checks", counting)
         scen = parse_scenario(fixtures_dir / "two_point_free_module.json")
         assert run("correspondence", scen).passed
         assert len(calls) == 1
