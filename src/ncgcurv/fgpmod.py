@@ -104,8 +104,8 @@ class ProjectiveModule:
         A real diagonal basis makes P = sum_x p(x) (x) E_xx, so V comes from one
         batched eigh of the m x m point blocks p(x); other bases take eigh(P).
         The cut at 1/2 is a rank decision: InvariantViolation unless ||V V* -
-        P||_F / max(1, ||P||_F) <= DEFAULT_TOL, failed by a P that is not
-        self-adjoint too (eigh reads one triangle)."""
+        P||_F / max(1, ||P||_F) <= DEFAULT_TOL, which also fails a P that is
+        not self-adjoint (eigh reads one triangle)."""
         diag = self.triple.basis_diagonal
         if diag is None:  # one block, P itself
             blocks, m, n = self.projector[None], self.dim, 1
