@@ -14,6 +14,14 @@ is P (Gamma (x) D) P + A_D.  Every operator, spectrum and curvature function
 reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`:
 r x r blocks V* X V for the range isometry V (V V* = P), from one batched eigh
 of the point blocks of P over a diagonal basis, else from eigh(P).
+
+A form is represented entrywise: A_D[i, j] = sum_pq c[i, j, p, q] b_p [D, b_q],
+and A_D2 likewise with D^2.  Over a real diagonal basis (the commutative
+finite-point algebras, ``SpectralTriple.basis_diagonal`` set) b_p [X, b_q] is
+X o b_p[x](b_q[y] - b_q[x]), so one point kernel K[i, j, x, y] serves both:
+A_D = (1 (x) D) o K and A_D2 = (1 (x) D^2) o K, at O(m^2 d n (d + n)), and its
+diagonal term is the ker(m) defect.  Every other basis contracts the entries
+with the d^2 pair stack b_p [D^k, b_q], at O(m^2 d^2 n^2).
 :func:`validate_connection` (checks without raising, against the assembled P)
 and :func:`hermitian_residual` (the raw, uncompressed A_D) represent a form too.
 """
@@ -192,18 +200,60 @@ class ConnectionForm:
     def is_zero(self) -> bool:
         return not np.any(self.entries)
 
+    def _point_kernel(self) -> tuple[np.ndarray, float]:
+        """K and the ker(m) defect over a real diagonal basis b (d, n).
+
+        With c the entry tables, Cb[i,j,p,y] = sum_q c[i,j,p,q] b_q[y] (one gemm)
+        and G[i,j,x,y] = sum_p b_p[x] Cb[i,j,p,y].  mult[i,j,x] = G[i,j,x,x] is
+        the diagonal of the ker(m) element sum_pq c b_p b_q, and K[i,j,x,y] =
+        G[i,j,x,y] - mult[i,j,x], so that sum_pq c b_p [X, b_q] is X o K[i,j]
+        (entrywise) for X = D and X = D^2 alike.  K is not kept: a pass that
+        holds many forms would hold an mn x mn array for each.  The defect, the
+        max row norm of mult, is kept as the cached :meth:`mult_residual` value,
+        so the ker(m) check after :meth:`represented` builds no second kernel."""
+        b = self.module.triple.basis_diagonal
+        m, (d, n) = self.module.m, b.shape
+        cb = self.entries.reshape(m * m * d, d) @ b
+        g = np.matmul(b.T, cb.reshape(m, m, d, n))
+        mult = np.diagonal(g, axis1=2, axis2=3).copy()
+        defect = float(np.linalg.norm(mult.reshape(m * m, n), axis=1).max(initial=0.0))
+        self.__dict__["_point_mult_residual"] = defect  # fills the cached_property below
+        g -= mult[..., None]
+        return g, defect
+
+    @cached_property
+    def _point_mult_residual(self) -> float:
+        """mult_residual over a real diagonal basis; _point_kernel fills it too."""
+        return self._point_kernel()[1]
+
     def represented(self) -> np.ndarray:
-        """A_D and A_D2, entrywise pi_d and pi_d2, as a (2, mn, mn) stack."""
+        """A_D and A_D2, entrywise pi_d and pi_d2, as a (2, mn, mn) stack.
+
+        Over a real diagonal basis A_D = (1 (x) D) o K and A_D2 = (1 (x) D^2) o K
+        from one point kernel K (:meth:`_point_kernel`), at O(m^2 d n (d + n));
+        any other basis contracts the entries with the d^2 pair stack
+        b_p [D^k, b_q], at O(m^2 d^2 n^2)."""
         st = self.module.triple
         m, n = self.module.m, st.n
+        if st.basis_diagonal is not None:
+            k = self._point_kernel()[0].transpose(0, 2, 1, 3)  # [i, x, j, y]
+            out = np.empty((2, m, n, m, n), dtype=complex)
+            np.multiply(st.dirac[:, None, :], k, out=out[0])
+            np.multiply(st.dirac_sq[:, None, :], k, out=out[1])
+            return out.reshape(2, m * n, m * n)
         pairs = st.pair_products(np.stack([st.dirac_commutators, st.dirac_sq_commutators]))
         # the one gemm np.tensordot made; a batched matmul per order rounds differently
         blocks = self.entries.reshape(m * m, -1) @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
         return blocks.reshape(m, m, 2, n, n).transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
 
     def mult_residual(self) -> float:
-        """Max ker(m)-defect over the entry tables."""
+        """Max ker(m)-defect over the entry tables: the largest Frobenius norm of
+        sum_pq c[i, j, p, q] b_p b_q.  Over a real diagonal basis that is the max
+        row norm of the point kernel's mult, read from :meth:`represented`'s
+        kernel when it ran first."""
         st = self.module.triple
+        if st.basis_diagonal is not None:
+            return self._point_mult_residual
         m2 = self.module.m ** 2
         prods = self.entries.reshape(m2, -1) @ st.pair_products(st.basis).reshape(st.d ** 2, -1)
         norms = np.linalg.norm(prods, axis=1)

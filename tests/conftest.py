@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,17 @@ def conjugated(st_: SpectralTriple, u: np.ndarray) -> SpectralTriple:
     SVD route on the copy.
     """
     return SpectralTriple(st_.gamma, u @ st_.basis @ u.conj().T, u @ st_.dirac @ u.conj().T)
+
+
+def unitary_twin(module, a, rng):
+    """U (gamma, basis, D) U* for a random unitary U, with the same tables, and
+    U: no longer diagonal, so the range isometry comes from eigh(P)."""
+    n = module.triple.n
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    st_ = module.triple
+    st_u = SpectralTriple(*(u @ x @ u.conj().T for x in (st_.gamma, st_.basis, st_.dirac)))
+    module_u = ProjectiveModule(st_u, module.p, module.signs)
+    return module_u, None if a is None else replace(a, module=module_u), u
 
 
 def form_tables(forms, d: int) -> np.ndarray:

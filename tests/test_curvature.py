@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +44,7 @@ from ncgcurv.glinalg import (
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
+from conftest import unitary_twin
 from test_fgpmod import delta_connection
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -646,17 +645,6 @@ class TestExternalProduct:
         st2 = random_triple(rng)
         bound = (spectral_norm(st1.dirac) + spectral_norm(st2.dirac)) ** 2
         assert spectral_norm(external_product_defect(st1, st2)) <= 1e-12 * bound
-
-
-def unitary_twin(module, a, rng):
-    """U (gamma, basis, D) U* for a random unitary U, with the same tables, and
-    U: no longer diagonal, so the range isometry comes from eigh(P)."""
-    n = module.triple.n
-    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    st_ = module.triple
-    st_u = SpectralTriple(*(u @ x @ u.conj().T for x in (st_.gamma, st_.basis, st_.dirac)))
-    module_u = ProjectiveModule(st_u, module.p, module.signs)
-    return module_u, None if a is None else replace(a, module=module_u), u
 
 
 class TestRangeCoordinates:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgcurv import ProjectiveModule
+from ncgcurv import ProjectiveModule, SpectralTriple
 from ncgcurv.curvature import curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
@@ -38,6 +38,8 @@ from ncgcurv.glinalg import (
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
+from conftest import unitary_twin
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -50,6 +52,43 @@ def delta_connection(module, position=(0, 0), element=None):
     entries = np.zeros((module.m, module.m, st_.d, st_.d), dtype=complex)
     entries[position] = delta(st_, element).coeffs
     return ConnectionForm(module, entries)
+
+
+def tensordot_reference(a):
+    """(A_D, A_D2) and mult_residual through the d^2 pair stack, contracted by
+    np.tensordot: the route every basis took before the point kernel."""
+    st_, m, n = a.module.triple, a.module.m, a.module.triple.n
+    pairs = st_.pair_products(np.stack([st_.dirac_commutators, st_.dirac_sq_commutators]))
+    blocks = np.tensordot(a.entries, pairs, axes=([2, 3], [1, 2]))
+    represented = blocks.transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
+    prods = np.tensordot(a.entries, st_.pair_products(st_.basis), axes=2)
+    return represented, float(np.linalg.norm(prods.reshape(m * m, -1), axis=1).max(initial=0.0))
+
+
+def point_kernel_gap(a) -> float:
+    """Largest relative gap of A_D, A_D2 and mult_residual to the tensordot reference.
+
+    Each gap is taken relative to the larger of the reference's norm and the
+    size of its terms, ||c||_F ||X||_F max|b|^2 for X = D, D^2 and 1: an output
+    that vanishes in exact arithmetic (A_D2 when D^2 is central, mult on ker(m))
+    is round-off on both routes, and is compared at that scale.
+    """
+    st_ = a.module.triple
+    want, want_mult = tensordot_reference(a)
+    terms = np.linalg.norm(a.entries) * np.abs(st_.basis_diagonal).max(initial=0.0) ** 2
+    gaps = []
+    for got, ref, x in zip([*a.represented(), a.mult_residual()], [*want, want_mult],
+                           (st_.dirac, st_.dirac_sq, 1.0)):
+        scale = max(np.linalg.norm(ref), terms * np.linalg.norm(x))
+        gap = np.linalg.norm(got - ref)
+        gaps.append(gap / scale if scale else float(gap != 0.0) * np.inf)
+    return max(gaps)
+
+
+def raw_form(rng, module) -> ConnectionForm:
+    """A form with a random entry table, off ker(m): its mult term is not round-off."""
+    m, d = module.m, module.triple.d
+    return ConnectionForm(module, unit_disc(rng, (m, m, d, d)) * (rng.random((m, m, d, d)) < 0.6))
 
 
 class TestProjector:
@@ -212,23 +251,30 @@ class TestRepresentConnection:
                            commutator(two_point.dirac @ two_point.dirac, q))
         assert not np.any(a_d[2:, :]) and not np.any(a_d[:, 2:])
 
-    def test_matches_tensordot_bit_for_bit(self, ladder_modules):
-        # np.tensordot's contraction and reshape, done by hand, rounds the same
+    def test_matches_tensordot_bit_for_bit(self):
+        # off a diagonal basis the pair-stack gemm is np.tensordot's contraction
+        # and reshape, done by hand, and rounds the same
         rng = rng_for(83)
-        modules = [random_module(rng, random_triple(rng, n=4, kind=kind))
-                   for kind in ("diag", "amp2", None) * 20]
-        for module in modules + ladder_modules:
-            st_, m, n = module.triple, module.m, module.triple.n
+        for kind in ("diag", "amp2", None) * 20:
+            module = random_module(rng, random_triple(rng, n=4, kind=kind))
             a = random_connection(rng, module, hermitian=False)
-            pairs = st_.pair_products(np.stack([st_.dirac_commutators,
-                                                st_.dirac_sq_commutators]))
-            blocks = np.tensordot(a.entries, pairs, axes=([2, 3], [1, 2]))
-            want = blocks.transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
+            if module.triple.basis_diagonal is not None:
+                module, a, _ = unitary_twin(module, a, rng)
+            assert module.triple.basis_diagonal is None
+            want, want_mult = tensordot_reference(a)
             for got, ref in zip(a.represented(), want):
                 assert got.tobytes() == ref.tobytes()
-            prods = np.tensordot(a.entries, st_.pair_products(st_.basis), axes=2)
-            assert a.mult_residual() == float(
-                np.linalg.norm(prods.reshape(m * m, -1), axis=1).max(initial=0.0))
+            assert a.mult_residual() == want_mult
+
+    def test_diagonal_bases_match_tensordot(self, ladder_modules):
+        # the point kernel re-associates the sums: agreement at round-off
+        rng = rng_for(83)
+        modules = [random_module(rng, random_triple(rng, n=4, kind="diag")) for _ in range(40)]
+        worst = 0.0
+        for module in modules + ladder_modules:
+            for a in (random_connection(rng, module, hermitian=False), raw_form(rng, module)):
+                worst = max(worst, point_kernel_gap(a))
+        assert worst <= 1e-12
 
     def test_two_point_second_representation_vanishes(self, two_point_module):
         rng = rng_for(7)
@@ -322,6 +368,73 @@ class TestRepresentConnection:
         module = random_module(rng, st_)
         a = random_connection(rng, module)
         assert all(c.passed for c in validate_connection(module, a))
+
+
+class TestPointKernel:
+    """A_D, A_D2 and mult_residual over a real diagonal basis, from one point kernel."""
+
+    def test_seeded_diag_modules(self):
+        rng = rng_for(101)
+        worst, count = 0.0, 0
+        for k in range(1000):
+            module = random_module(rng, random_triple(rng, kind="diag"))
+            for a in (random_connection(rng, module, hermitian=k % 2 == 0), raw_form(rng, module)):
+                worst = max(worst, point_kernel_gap(a))
+                count += 1
+        assert worst <= 1e-12 and count == 2000
+
+    def test_arbitrary_real_diagonal_bases(self):
+        # zeros, negative and non-0/1 diagonals, drawn as TestPairProducts draws them
+        rng = rng_for(103)
+        worst = 0.0
+        for _ in range(200):
+            n, d, m = (int(k) for k in rng.integers(1, 7, size=3))
+            diag = rng.normal(size=(d, n)) * (rng.random((d, n)) < 0.7)
+            dirac = unit_disc(rng, (n, n)) * (rng.random((n, n)) < 0.6)
+            st_ = SpectralTriple(np.eye(n), diag[..., None] * np.eye(n), dirac)
+            assert np.array_equal(st_.basis_diagonal, diag)
+            module = ProjectiveModule(st_, unit_disc(rng, (m, m, d)), rng.choice([-1.0, 1.0], m))
+            worst = max(worst, point_kernel_gap(raw_form(rng, module)))
+        assert worst <= 1e-12
+
+    def test_builds_no_pair_stack(self, ladder_modules, monkeypatch):
+        reads = []
+        pair_products = SpectralTriple.pair_products
+        monkeypatch.setattr(SpectralTriple, "pair_products",
+                            lambda st_, right: reads.append("pair_products")
+                            or pair_products(st_, right))
+        for name in ("dirac_commutators", "dirac_sq_commutators"):
+            stack = getattr(SpectralTriple, name).func
+            monkeypatch.setattr(SpectralTriple, name, property(
+                lambda st_, name=name, stack=stack: reads.append(name) or stack(st_)))
+        rng = rng_for(107)
+        for module in ladder_modules:
+            a = random_connection(rng, module)
+            reads.clear()
+            a.represented(), a.mult_residual()
+            assert reads == []
+        module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
+        a = random_connection(rng, module)
+        reads.clear()
+        a.represented(), a.mult_residual()
+        assert reads == ["dirac_commutators", "dirac_sq_commutators",
+                         "pair_products", "pair_products"]
+
+    def test_ker_mult_check_reuses_the_kernel(self, ladder_modules, monkeypatch):
+        # connection_operators represents the form, then checks its ker(m)
+        # defect: the check reads the defect that the one kernel recorded
+        builds = []
+        kernel = ConnectionForm._point_kernel
+        monkeypatch.setattr(ConnectionForm, "_point_kernel",
+                            lambda a: builds.append(a) or kernel(a))
+        a = random_connection(rng_for(109), ladder_modules[1])
+        connection_operators(a.module, a)
+        assert builds == [a]
+        checks = validate_connection(a.module, a)  # represents once more
+        assert checks[0].name == "connection_ker_mult"
+        assert checks[0].value == a.mult_residual() and builds == [a, a]
+        fresh = replace(a)
+        assert fresh.mult_residual() == a.mult_residual() and builds == [a, a, fresh]
 
 
 class TestProductOperator:

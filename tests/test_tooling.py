@@ -96,3 +96,33 @@ def test_compare_outputs_names_every_moved_check():
     # a side that is not a report falls back to the first differing line
     lines = tool.describe("selftest", [doc.to_text(), "", 0], ["oops\n", "", 0])
     assert lines[1] == "    stdout here:  line 1: command:  selftest"
+
+
+def test_compare_outputs_sums_up_the_moved_entries():
+    # two check values move at round-off, then a third fails and a dim and a
+    # norm move: the summary counts each kind and keeps the largest value move
+    from ncgcurv.cli import run
+
+    tool = _compare_outputs()
+    doc = replace(run("selftest", None, seed=7),
+                  values={"junk_dim": 2, "rank": 3, "seed": 7, "norm": 1.5})
+    shift = {"junk_coset": 2.5e-16, "route_equality": -1e-16}
+    checks = [replace(c, value=c.value + shift.get(c.name, 0.0)) for c in doc.checks]
+    roundoff = replace(doc, checks=checks)
+    failing = replace(doc, checks=[*checks[:-1], replace(checks[-1], value=1.0)],
+                      values={**doc.values, "junk_dim": 3, "norm": 1.25})
+
+    def totals(other, render):
+        out = dict.fromkeys(("checks", "flags", "dims", "other", "largest"), 0)
+        here, there = (tool.report_entries(getattr(d, render)()) for d in (doc, other))
+        tool.tally_moves(here, there, out)
+        tool.tally_moves(here, here, out)  # a repeated report adds nothing
+        return out
+
+    for render in ("to_json", "to_text"):
+        moved = totals(failing, render)
+        assert (moved["checks"], moved["flags"], moved["dims"], moved["other"]) == (3, 2, 1, 1)
+        assert abs(moved["largest"] - 1.0) < 1e-14
+    assert tool.summary(totals(roundoff, "to_json")) == (
+        "moved report entries: 2 check values (largest |here - other| 2.500e-16), "
+        "0 pass/fail flags, 0 dims, 0 other entries")

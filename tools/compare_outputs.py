@@ -21,7 +21,10 @@ When both sides of a differing stdout or stderr parse as a report (text or
 JSON), every check, value, matrix or header field whose bytes differ is
 named, with both sides; otherwise the first line where the two sides part is
 shown.  Each shown text is cut to a window around its first differing
-character.
+character.  One last line sums up the moved report entries: how many check
+values moved and the largest |here - other| among them, how many pass/fail
+flags and how many dims (values named ``rank`` or ``*_dim*``) moved, and how
+many other entries.
 """
 
 from __future__ import annotations
@@ -200,6 +203,51 @@ def differences(part: str, x: str, y: str) -> list[str]:
     return [f"{part} here:  {h}", f"{part} other: {o}"]
 
 
+def _check_parts(entry: str | None) -> tuple[float | None, bool | None]:
+    """(value, passed) of a check entry, text or JSON; (None, None) if missing."""
+    if entry is None:
+        return None, None
+    if entry.startswith("{"):
+        check = json.loads(entry)
+        return check["value"], check["passed"]
+    status, _, value = entry.split()[:3]
+    return float(value), status == "pass"
+
+
+def tally_moves(here: dict[str, str], other: dict[str, str], totals: dict) -> None:
+    """Add the entries that moved between two parsed reports to ``totals``.
+
+    "checks" counts moved check values and "largest" keeps the largest |here -
+    other| among them; "flags" counts moved pass/fail flags (of a check, or the
+    report's ``passed`` or ``result``); "dims" counts moved values named
+    ``rank`` or ``*_dim*``; "other" counts every other moved entry.
+    """
+    for key in [*here, *(key for key in other if key not in here)]:
+        if here.get(key) == other.get(key):
+            continue
+        section, _, name = key.partition(".")
+        if section == "checks":
+            (h, h_flag), (o, o_flag) = _check_parts(here.get(key)), _check_parts(other.get(key))
+            totals["flags"] += h_flag != o_flag
+            if h is not None and o is not None and h != o:
+                totals["checks"] += 1
+                totals["largest"] = max(totals["largest"], abs(h - o))
+        elif key in ("passed", "result"):
+            totals["flags"] += 1
+        elif section == "values" and (name == "rank" or "dim" in name.split("_")):
+            totals["dims"] += 1
+        else:
+            totals["other"] += 1
+
+
+def summary(totals: dict) -> str:
+    """The closing line of a comparison, from :func:`tally_moves`' totals."""
+    return (f"moved report entries: {totals['checks']} check values "
+            f"(largest |here - other| {totals['largest']:.3e}), "
+            f"{totals['flags']} pass/fail flags, {totals['dims']} dims, "
+            f"{totals['other']} other entries")
+
+
 def describe(label: str, a: list | None, b: list | None) -> list[str]:
     """Report lines for one output captured on both sides; empty if it repeats.
 
@@ -229,12 +277,20 @@ def main(argv: list[str]) -> int:
     here = Path(__file__).resolve().parents[1]
     other = Path(argv[0]).resolve()
     mine, theirs = run_capture(here), run_capture(other)
-    differ = [lines for label in sorted(set(mine) | set(theirs))
+    labels = sorted(set(mine) | set(theirs))
+    differ = [lines for label in labels
               if (lines := describe(label, mine.get(label), theirs.get(label)))]
-    print(f"{len(set(mine) | set(theirs))} outputs compared with {other}: "
-          f"{len(differ)} differ")
+    totals = dict.fromkeys(("checks", "flags", "dims", "other", "largest"), 0)
+    for label in labels:
+        if label in mine and label in theirs:
+            for x, y in zip(mine[label][:2], theirs[label][:2]):
+                entries = report_entries(x), report_entries(y)
+                if x != y and None not in entries:
+                    tally_moves(*entries, totals)
+    print(f"{len(labels)} outputs compared with {other}: {len(differ)} differ")
     for lines in differ:
         print("\n".join(lines))
+    print(summary(totals))
     return 1 if differ else 0
 
 
