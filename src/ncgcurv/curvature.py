@@ -24,11 +24,13 @@ projectors, and proj_L o C projects onto C(L) = span{P (E_kl (x) J) P}.  It
 is applied block by block, each n x n block of PXP = V (V* X V) V* projected
 onto the orthonormal junk basis, with no lift and no SVD.
 
-A :class:`CurvatureReport` computes R (the direct route) when it is made and
-keeps the connection's operator bundle; the formula route with the four
-residuals, the spectral ``norm`` and the ``junk_canonical`` representative
-(with the junk space, if none was given) are computed on first read and then
-cached, so a caller pays only for what it reads.
+A :class:`CurvatureReport` holds the r x r block R_r = M_r^2 - N_r (the direct
+route) and the connection's operator bundle; every other field is computed on
+first read and then cached, so a caller pays only for what it reads.  The
+route residual (against the formula route's r x r block), the symmetry
+residual and the spectral ``norm`` read R_r alone; R = V R_r V* is expanded on
+first read, and the evenness and support residuals and the ``junk_canonical``
+representative (with the junk space, if none was given) read it.
 
 The module also evaluates the correspondence curvature with a vertical
 operator S and its decomposition R + [S (x) 1, M]_+: one
@@ -82,12 +84,25 @@ SIGN_CONVENTION_NOTE = (
 )
 
 
+def _direct_block(ops: ConnectionOperators) -> np.ndarray:
+    """R_r = M_r^2 - N_r, the direct route in range(P) coordinates."""
+    return ops.m_r @ ops.m_r - ops.n_r
+
+
+def _formula_block(ops: ConnectionOperators) -> np.ndarray:
+    """F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r, the formula route in
+    range(P) coordinates."""
+    t, w, a_r = ops.t, ops.w, ops.a_r
+    base = -(w.conj().T @ w - t.conj().T @ t)  # P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P
+    return base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
+
+
 def curvature_direct(module: ProjectiveModule,
                      a: ConnectionForm | ConnectionOperators | None = None,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """R = M^2 - N, M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2: V (M_r^2 - N_r) V*."""
     ops = connection_operators(module, a, tol)
-    return ops.expand(ops.m_r @ ops.m_r - ops.n_r)
+    return ops.expand(_direct_block(ops))
 
 
 def curvature_formula(module: ProjectiveModule,
@@ -96,9 +111,7 @@ def curvature_formula(module: ProjectiveModule,
     """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2), evaluated as
     V (-(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r) V*."""
     ops = connection_operators(module, a, tol)
-    t, w, a_r = ops.t, ops.w, ops.a_r
-    base = -(w.conj().T @ w - t.conj().T @ t)  # P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P
-    return ops.expand(base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r)
+    return ops.expand(_formula_block(ops))
 
 
 def _junk_projection(x: np.ndarray, module: ProjectiveModule,
@@ -121,26 +134,35 @@ class CurvatureReport:
     lifted junk span C(L) = P (M_m (x) Junk) P, taken blockwise as
     proj_L(P R P) (see the module docstring).
 
-    R is computed by :func:`curvature_report` from ``ops``, the connection's
-    bundle; the residuals, ``norm`` and ``junk_canonical`` on first read, cached;
-    ``junk_canonical`` reads ``junk_space(module.triple)`` only when the
-    report was given no junk.
+    The report holds R_r = M_r^2 - N_r, the r x r block of R = V R_r V* made by
+    :func:`curvature_report` from ``ops``, the connection's bundle.  Everything
+    else is computed on first read and cached: ``route_residual``,
+    ``symmetry_residual`` and ``norm`` from R_r (V is an isometry, so each is
+    the same in range coordinates), and ``R`` itself, expanded for
+    ``evenness_residual``, ``support_residual`` and ``junk_canonical``.
+    ``junk_canonical`` reads ``junk_space(module.triple)`` only when the report
+    was given no junk.
     """
 
-    R: np.ndarray
+    R_r: np.ndarray
     ops: ConnectionOperators = field(repr=False)
     module: ProjectiveModule = field(repr=False)
     junk: FormSpace | None = field(repr=False)
 
     @cached_property
+    def R(self) -> np.ndarray:
+        """V R_r V*, the mn x mn curvature."""
+        return self.ops.expand(self.R_r)
+
+    @cached_property
     def route_residual(self) -> float:
-        """||R - formula route||_F / max(1, ||R||_F)."""
-        formula = curvature_formula(self.module, self.ops)
-        return frobenius_norm(self.R - formula) / max(1.0, frobenius_norm(self.R))
+        """||R_r - F_r||_F / max(1, ||R_r||_F), F_r the formula route's block."""
+        formula = _formula_block(self.ops)
+        return frobenius_norm(self.R_r - formula) / max(1.0, frobenius_norm(self.R_r))
 
     @cached_property
     def symmetry_residual(self) -> float:
-        return relative_distance(self.R, self.R.conj().T)
+        return relative_distance(self.R_r, self.R_r.conj().T)
 
     @cached_property
     def evenness_residual(self) -> float:
@@ -153,8 +175,8 @@ class CurvatureReport:
 
     @cached_property
     def norm(self) -> float:
-        """Spectral norm of R."""
-        return spectral_norm(self.R)
+        """Spectral norm of R, read from R_r."""
+        return spectral_norm(self.R_r)
 
     @cached_property
     def junk_canonical(self) -> np.ndarray:
@@ -166,9 +188,9 @@ class CurvatureReport:
 def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
                      junk: FormSpace | None = None,
                      tol: float = DEFAULT_TOL) -> CurvatureReport:
-    """The connection checked and R computed; residuals, norm and junk representative on read."""
+    """The connection checked and R_r computed; R, residuals, norm and junk representative on read."""
     ops = connection_operators(module, a, tol)
-    return CurvatureReport(R=curvature_direct(module, ops), ops=ops, module=module, junk=junk)
+    return CurvatureReport(R_r=_direct_block(ops), ops=ops, module=module, junk=junk)
 
 
 def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule,
