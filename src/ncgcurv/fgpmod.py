@@ -23,7 +23,8 @@ A_D = (1 (x) D) o K and A_D2 = (1 (x) D^2) o K, at O(m^2 d n (d + n)), and its
 diagonal term is the ker(m) defect.  Every other basis contracts the entries
 with the d^2 pair stack b_p [D^k, b_q], at O(m^2 d^2 n^2).
 :func:`validate_connection` (checks without raising, against the assembled P)
-and :func:`hermitian_residual` (the raw, uncompressed A_D) represent a form too.
+and :func:`hermitian_residual` (the raw, uncompressed A_D) read A_D alone, from
+:meth:`ConnectionForm.represented_d`: the same kernel, or only the D pair stack.
 """
 
 from __future__ import annotations
@@ -233,18 +234,28 @@ class ConnectionForm:
         from one point kernel K (:meth:`_point_kernel`), at O(m^2 d n (d + n));
         any other basis contracts the entries with the d^2 pair stack
         b_p [D^k, b_q], at O(m^2 d^2 n^2)."""
+        return self._represent(2)
+
+    def represented_d(self) -> np.ndarray:
+        """A_D alone, mn x mn, with the bits of ``represented()[0]``: the point
+        kernel and one product, or the D pair stack and one gemm."""
+        return self._represent(1)[0]
+
+    def _represent(self, orders: int) -> np.ndarray:
+        """The first ``orders`` of A_D, A_D2 as an (orders, mn, mn) stack."""
         st = self.module.triple
         m, n = self.module.m, st.n
         if st.basis_diagonal is not None:
             k = self._point_kernel()[0].transpose(0, 2, 1, 3)  # [i, x, j, y]
-            out = np.empty((2, m, n, m, n), dtype=complex)
-            np.multiply(st.dirac[:, None, :], k, out=out[0])
-            np.multiply(st.dirac_sq[:, None, :], k, out=out[1])
-            return out.reshape(2, m * n, m * n)
-        pairs = st.pair_products(np.stack([st.dirac_commutators, st.dirac_sq_commutators]))
+            out = np.empty((orders, m, n, m, n), dtype=complex)
+            for out_x, x in zip(out, (st.dirac, st.dirac_sq)):
+                np.multiply(x[:, None, :], k, out=out_x)
+            return out.reshape(orders, m * n, m * n)
+        commutators = (st.dirac_commutators, st.dirac_sq_commutators) if orders == 2 else (st.dirac_commutators,)
+        pairs = st.pair_products(np.stack(commutators))
         # the one gemm np.tensordot made; a batched matmul per order rounds differently
         blocks = self.entries.reshape(m * m, -1) @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
-        return blocks.reshape(m, m, 2, n, n).transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
+        return blocks.reshape(m, m, orders, n, n).transpose(2, 0, 3, 1, 4).reshape(orders, m * n, m * n)
 
     def mult_residual(self) -> float:
         """Max ker(m)-defect over the entry tables: the largest Frobenius norm of
@@ -303,7 +314,7 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
                         tol: float = DEFAULT_TOL) -> list[Check]:
     """Structural checks: ker(m) entries, grading support, compression, oddness."""
     _require_same_module(module, a)
-    a_d = a.represented()[0]
+    a_d = a.represented_d()
     return _connection_checks(module, a, a_d, module.projector @ a_d @ module.projector, tol)
 
 
@@ -399,7 +410,7 @@ def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None
     if a is not None:
         _require_same_module(module, a)
         if not a.is_zero():
-            W = W + a.represented()[0]
+            W = W + a.represented_d()
     res = G @ P @ W - G @ W.conj().T @ P - commutator(E, P)
     n = module.triple.n
     blocks = res.reshape(module.m, n, module.m, n).transpose(0, 2, 1, 3)

@@ -262,9 +262,22 @@ class TestRepresentConnection:
                 module, a, _ = unitary_twin(module, a, rng)
             assert module.triple.basis_diagonal is None
             want, want_mult = tensordot_reference(a)
+            assert a.represented_d().tobytes() == want[0].tobytes()
             for got, ref in zip(a.represented(), want):
                 assert got.tobytes() == ref.tobytes()
             assert a.mult_residual() == want_mult
+
+    def test_a_d_alone_has_the_bits_of_the_pair(self):
+        # the A_D-only path: the point kernel and one product, or the D pair
+        # stack and one gemm; the second builds no D^2 commutators
+        rng = rng_for(89)
+        for kind in ("amp2", "diag") * 200:
+            module = random_module(rng, random_triple(rng, n=4, kind=kind))
+            a = random_connection(rng, module, hermitian=False)
+            a_d = a.represented_d()
+            if module.triple.basis_diagonal is None:
+                assert "dirac_sq_commutators" not in vars(module.triple)
+            assert a_d.tobytes() == a.represented()[0].tobytes()
 
     def test_diagonal_bases_match_tensordot(self, ladder_modules):
         # the point kernel re-associates the sums: agreement at round-off
