@@ -38,6 +38,7 @@ from ncgcurv.glinalg import (
     anticommutator,
     commutator,
     frobenius_norm,
+    relative_distance,
     spectral_norm,
     support_residual,
 )
@@ -676,6 +677,54 @@ class TestRangeCoordinates:
                     assert np.allclose(got_u["spectrum"], got["spectrum"], rtol=0, atol=1e-12)
         assert worst <= 1e-12
         assert twins >= 150 and min(kinds.values()) >= 150, kinds
+
+    def test_report_fields_match_dense_reference(self):
+        # R, and the residuals and norm read from R_r alone, against their
+        # mn x mn definitions on the dense reference
+        rng = rng_for(101)
+        worst, twins = 0.0, 0
+        for k in range(1000):
+            kind = ("diag", "amp2", None)[k % 3]
+            module = random_module(rng, random_triple(rng, n=4 if kind == "amp2" else None,
+                                                      kind=kind))
+            a = None if k % 7 == 0 else random_connection(rng, module, hermitian=k % 2 == 0)
+            cases = [(module, a)]
+            if k % 2 == 0:
+                cases.append(unitary_twin(module, a, rng)[:2])
+                twins += 1
+            for mod, conn in cases:
+                want = eager_reference(mod, conn)
+                r, formula = want["R"], want["formula"]
+                report = curvature_report(mod, conn)
+                worst = max(
+                    worst,
+                    frobenius_norm(report.R - r) / max(1.0, frobenius_norm(r)),
+                    abs(report.route_residual
+                        - frobenius_norm(r - formula) / max(1.0, frobenius_norm(r))),
+                    abs(report.symmetry_residual - relative_distance(r, r.conj().T)),
+                    abs(report.norm - want["norm"]) / max(1.0, want["norm"]),
+                )
+        assert worst <= 1e-12
+        assert twins == 500
+
+    def test_fields_read_from_r_r_expand_nothing(self, monkeypatch):
+        expanded = []
+        expand = fgpmod.ConnectionOperators.expand
+        monkeypatch.setattr(fgpmod.ConnectionOperators, "expand",
+                            lambda self, x_r: expanded.append(x_r.shape) or expand(self, x_r))
+        rng = rng_for(103)
+        for kind in ("diag", "amp2"):
+            module = random_module(rng, random_triple(rng, n=4, kind=kind), allow_free=False)
+            report = curvature_report(module, random_connection(rng, module))
+            assert report.route_residual <= 1e-10 and report.symmetry_residual <= 1e-10
+            assert report.norm > 0 and expanded == []
+            r = report.R
+            assert r.shape == (module.dim, module.dim) and expanded == [report.R_r.shape]
+            assert report.R is r
+            assert report.evenness_residual <= 1e-10 and report.support_residual <= 1e-10
+            assert report.junk_canonical.shape == r.shape
+            assert len(expanded) == 1
+            expanded.clear()
 
     def test_flipped_first_formula_term_fails_route_residual(self, ladder_modules,
                                                                monkeypatch):
