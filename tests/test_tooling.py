@@ -126,3 +126,16 @@ def test_compare_outputs_sums_up_the_moved_entries():
     assert tool.summary(totals(roundoff, "to_json")) == (
         "moved report entries: 2 check values (largest |here - other| 2.500e-16), "
         "0 pass/fail flags, 0 dims, 0 other entries")
+
+
+def test_compare_outputs_names_both_checkouts(tmp_path, monkeypatch, capsys):
+    # "here" is the checkout holding the script, whatever the working directory:
+    # the header names it next to the other side
+    tool = _compare_outputs()
+    captured = {ROOT: {"a": ["x", "", 0], "b": ["y", "", 0]},
+                tmp_path: {"a": ["x", "", 0], "b": ["z", "", 0]}}
+    monkeypatch.setattr(tool, "run_capture", lambda root: captured[root])
+    monkeypatch.chdir(tmp_path)
+    assert tool.main([str(tmp_path)]) == 1
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"2 outputs of {ROOT} compared with {tmp_path.resolve()}: 1 differ"

@@ -4,7 +4,9 @@
 Usage: python tools/compare_outputs.py OTHER_DIR
 
 OTHER_DIR is a second checkout of the repository, typically the parent
-commit.  Each checkout is run in its own ``python -W error`` process with
+commit.  The other side is always the checkout that holds this copy of the
+script, so the header line names both ("outputs of HERE compared with
+OTHER").  Each checkout is run in its own ``python -W error`` process with
 PYTHONDONTWRITEBYTECODE=1 and its own ``src`` on PYTHONPATH.  That process
 captures, as (stdout, stderr, exit code):
 
@@ -287,7 +289,7 @@ def main(argv: list[str]) -> int:
                 entries = report_entries(x), report_entries(y)
                 if x != y and None not in entries:
                     tally_moves(*entries, totals)
-    print(f"{len(labels)} outputs compared with {other}: {len(differ)} differ")
+    print(f"{len(labels)} outputs of {here} compared with {other}: {len(differ)} differ")
     for lines in differ:
         print("\n".join(lines))
     print(summary(totals))
