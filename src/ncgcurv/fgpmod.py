@@ -251,7 +251,9 @@ class ConnectionForm:
             for out_x, x in zip(out, (st.dirac, st.dirac_sq)):
                 np.multiply(x[:, None, :], k, out=out_x)
             return out.reshape(orders, m * n, m * n)
-        commutators = (st.dirac_commutators, st.dirac_sq_commutators) if orders == 2 else (st.dirac_commutators,)
+        commutators = [st.dirac_commutators]
+        if orders == 2:
+            commutators.append(st.dirac_sq_commutators)
         pairs = st.pair_products(np.stack(commutators))
         # the one gemm np.tensordot made; a batched matmul per order rounds differently
         blocks = self.entries.reshape(m * m, -1) @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
