@@ -531,6 +531,8 @@ def eager_reference(module, a, junk=None):
     return {
         "R": r,
         "formula": formula,
+        "route_residual": frobenius_norm(r - formula) / max(1.0, frobenius_norm(r)),
+        "symmetry_residual": relative_distance(r, r.conj().T),
         "m_op": m_op,
         "n_op": n_op,
         "norm": spectral_norm(r),
@@ -550,6 +552,8 @@ def range_coordinate_values(module, a, junk=None):
     return {
         "R": report.R,
         "formula": curvature_formula(module, ops),
+        "route_residual": report.route_residual,
+        "symmetry_residual": report.symmetry_residual,
         "m_op": ops.m_op,
         "n_op": ops.n_op,
         "norm": report.norm,
@@ -677,35 +681,6 @@ class TestRangeCoordinates:
                     assert np.allclose(got_u["spectrum"], got["spectrum"], rtol=0, atol=1e-12)
         assert worst <= 1e-12
         assert twins >= 150 and min(kinds.values()) >= 150, kinds
-
-    def test_report_fields_match_dense_reference(self):
-        # R, and the residuals and norm read from R_r alone, against their
-        # mn x mn definitions on the dense reference
-        rng = rng_for(101)
-        worst, twins = 0.0, 0
-        for k in range(1000):
-            kind = ("diag", "amp2", None)[k % 3]
-            module = random_module(rng, random_triple(rng, n=4 if kind == "amp2" else None,
-                                                      kind=kind))
-            a = None if k % 7 == 0 else random_connection(rng, module, hermitian=k % 2 == 0)
-            cases = [(module, a)]
-            if k % 2 == 0:
-                cases.append(unitary_twin(module, a, rng)[:2])
-                twins += 1
-            for mod, conn in cases:
-                want = eager_reference(mod, conn)
-                r, formula = want["R"], want["formula"]
-                report = curvature_report(mod, conn)
-                worst = max(
-                    worst,
-                    frobenius_norm(report.R - r) / max(1.0, frobenius_norm(r)),
-                    abs(report.route_residual
-                        - frobenius_norm(r - formula) / max(1.0, frobenius_norm(r))),
-                    abs(report.symmetry_residual - relative_distance(r, r.conj().T)),
-                    abs(report.norm - want["norm"]) / max(1.0, want["norm"]),
-                )
-        assert worst <= 1e-12
-        assert twins == 500
 
     def test_fields_read_from_r_r_expand_nothing(self, monkeypatch):
         expanded = []
