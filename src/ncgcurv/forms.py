@@ -199,19 +199,17 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
     e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])  # rows e_0 = 1 - sum b_k, e_k = b_k
     if not (np.all(diag[0] == 1) and np.all((e == 0) | (e == 1))):  # 0/1 iff disjoint supports
         return _junk_space_svd(st, rank_tol)
-    ms = np.stack([st.dirac, st.dirac_sq])
-    nonzero = e @ (ms != 0) @ e.T > 0  # exact where sq may underflow
-    top = np.abs(ms).max(axis=(1, 2))
-    ms = ms * np.ldexp(1.0, -np.frexp(top)[1])[:, None, None]  # exact rescale: max |m| < 1
-    sq = e @ np.abs(ms) ** 2 @ e.T  # squared block norms, each summing to ||m||_F^2
     keep = ~np.eye(st.d, dtype=bool)
     # keep the pairs with e_k D e_l = 0, then of those e_k D^2 e_l != 0; row-major
-    for nz, sq_m, kept_if_nonzero in zip(nonzero, sq, (False, True)):
-        if np.any(keep & nz & (sq_m < rank_tol * sq_m.sum())):
+    for m, kept_if_nonzero in ((st.dirac, False), (st.dirac_sq, True)):
+        nonzero = e @ (m != 0) @ e.T > 0  # exact where sq may underflow
+        m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])  # exact rescale: max |m| < 1
+        sq = e @ np.abs(m) ** 2 @ e.T  # squared block norms, summing to ||m||_F^2
+        if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
             return _junk_space_svd(st, rank_tol)
-        keep &= nz == kept_if_nonzero
-    k, l = np.nonzero(keep)
-    return FormSpace(e[k, :, None] * e[l, None, :] * ms[1] / np.sqrt(sq[1, k, l])[:, None, None])
+        keep &= nonzero == kept_if_nonzero
+    k, l = np.nonzero(keep)  # m is now the rescaled D^2
+    return FormSpace(e[k, :, None] * e[l, None, :] * m / np.sqrt(sq[k, l])[:, None, None])
 
 
 def _junk_space_svd(st: SpectralTriple, rank_tol: float) -> FormSpace:

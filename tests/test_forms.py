@@ -505,65 +505,6 @@ class TestClosedFormJunk:
             assert np.array_equal(junk.basis, forms._junk_space_svd(copy.copy(st_), 1e-9).basis)
             assert junk.dim == junk_space(n3).dim == 2
 
-    def test_stacked_pass_matches_loop_reference(self, n3, ladder_modules, monkeypatch):
-        # D and D^2 as one stack: the same route decision and the same bytes as
-        # taking them one at a time, down to blocks near the margin and D at 1e+-100
-        rng = rng_for(67)
-        triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
-        for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            triples.append(random_triple(rng, n=n, d=int(rng.integers(1, min(6, n) + 1)),
-                                         kind="diag"))
-        for st_ in triples[:60]:
-            triples += [SpectralTriple(st_.gamma, st_.basis, st_.dirac * scale)
-                        for scale in (1e-100, 1e100)]
-        for st_ in triples[:400]:  # one block of D scaled to near the margin
-            diag = st_.basis_diagonal
-            e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])
-            blocks = e @ np.abs(st_.dirac) ** 2 @ e.T
-            pairs = np.argwhere(blocks * ~np.eye(st_.d, dtype=bool) > 0)
-            if not len(pairs):
-                continue
-            k, l = pairs[0]
-            mask = np.outer(e[k], e[l]) + np.outer(e[l], e[k])
-            rest = blocks.sum() - 2 * blocks[k, l]
-            scale = np.sqrt(rng.uniform(0.25, 4.0) * 1e-9 * rest / blocks[k, l])
-            triples.append(SpectralTriple(st_.gamma, st_.basis,
-                                          st_.dirac * (1 + (scale - 1) * mask)))
-        gamma = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-        basis = np.stack([np.eye(6), np.diag([1.0, 0, 0, 1, 0, 0]), np.diag([0, 1.0, 0, 0, 1, 0])])
-        for planted in (0.0, 1e-12, 1e-200, 1e-4):
-            w = np.array([[1.0, planted, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-            triples.append(SpectralTriple(gamma, basis, np.block([[np.zeros((3, 3)), w],
-                                                                  [w.T, np.zeros((3, 3))]])))
-        routed = _recording_svd_route(monkeypatch)
-        decisions = []
-        for st_ in triples:
-            want = _loop_closed_form_junk(st_, 1e-9)
-            got = junk_space(st_, 1e-9)
-            assert (st_ in routed) == (want is None)
-            decisions.append(want is None)
-            if want is not None:
-                assert got.basis.tobytes() == want.tobytes()
-        assert sum(decisions) >= 50 and len(decisions) - sum(decisions) >= 1000
-
-
-def _loop_closed_form_junk(st_: SpectralTriple, rank_tol: float) -> np.ndarray | None:
-    """junk_space's closed form taking D and D^2 one at a time, the reference for
-    its stacked pass: the junk basis, or None where it takes the SVD route."""
-    diag = st_.basis_diagonal
-    e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])
-    keep = ~np.eye(st_.d, dtype=bool)
-    for m, kept_if_nonzero in ((st_.dirac, False), (st_.dirac_sq, True)):
-        nonzero = e @ (m != 0) @ e.T > 0
-        m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])
-        sq = e @ np.abs(m) ** 2 @ e.T
-        if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
-            return None
-        keep &= nonzero == kept_if_nonzero
-    k, l = np.nonzero(keep)
-    return e[k, :, None] * e[l, None, :] * m / np.sqrt(sq[k, l])[:, None, None]
-
 
 def _recording_svd_route(monkeypatch) -> list[SpectralTriple]:
     """Record every triple that junk_space sends to its SVD route."""
