@@ -24,13 +24,16 @@ projectors, and proj_L o C projects onto C(L) = span{P (E_kl (x) J) P}.  It
 is applied block by block, each n x n block of PXP = V (V* X V) V* projected
 onto the orthonormal junk basis, with no lift and no SVD.
 
-A :class:`CurvatureReport` holds the r x r block R_r = M_r^2 - N_r (the direct
-route) and the connection's operator bundle; every other field is computed on
-first read and then cached, so a caller pays only for what it reads.  The
-route residual (against the formula route's r x r block), the symmetry
-residual and the spectral ``norm`` read R_r alone; R = V R_r V* is expanded on
-first read, and the evenness and support residuals and the ``junk_canonical``
-representative (with the junk space, if none was given) read it.
+With ``range_coords`` set, :func:`curvature_direct` and
+:func:`curvature_formula` return the r x r blocks themselves: R_r = M_r^2 -
+N_r and F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r.  A
+:class:`CurvatureReport` holds R_r and the connection's operator bundle;
+every other field is computed on first read and then cached, so a caller
+pays only for what it reads.  The route residual (against F_r), the symmetry
+residual and the spectral ``norm`` read R_r alone; R = V R_r V* is expanded
+on first read, and the evenness and support residuals and the
+``junk_canonical`` representative (with the junk space, if none was given)
+read it.
 
 The module also evaluates the correspondence curvature with a vertical
 operator S and its decomposition R + [S (x) 1, M]_+: one
@@ -84,34 +87,27 @@ SIGN_CONVENTION_NOTE = (
 )
 
 
-def _direct_block(ops: ConnectionOperators) -> np.ndarray:
-    """R_r = M_r^2 - N_r, the direct route in range(P) coordinates."""
-    return ops.m_r @ ops.m_r - ops.n_r
-
-
-def _formula_block(ops: ConnectionOperators) -> np.ndarray:
-    """F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r, the formula route in
-    range(P) coordinates."""
-    t, w, a_r = ops.t, ops.w, ops.a_r
-    base = -(w.conj().T @ w - t.conj().T @ t)  # P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P
-    return base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
-
-
 def curvature_direct(module: ProjectiveModule,
                      a: ConnectionForm | ConnectionOperators | None = None,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
-    """R = M^2 - N, M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2: V (M_r^2 - N_r) V*."""
+                     tol: float = DEFAULT_TOL, *, range_coords: bool = False) -> np.ndarray:
+    """R = M^2 - N, M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2: V (M_r^2 - N_r) V*,
+    or the r x r block R_r = M_r^2 - N_r itself when ``range_coords`` is set."""
     ops = connection_operators(module, a, tol)
-    return ops.expand(_direct_block(ops))
+    r_r = ops.m_r @ ops.m_r - ops.n_r
+    return r_r if range_coords else ops.expand(r_r)
 
 
 def curvature_formula(module: ProjectiveModule,
                       a: ConnectionForm | ConnectionOperators | None = None,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
+                      tol: float = DEFAULT_TOL, *, range_coords: bool = False) -> np.ndarray:
     """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2), evaluated as
-    V (-(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r) V*."""
+    V F_r V* with F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r, or F_r itself
+    when ``range_coords`` is set."""
     ops = connection_operators(module, a, tol)
-    return ops.expand(_formula_block(ops))
+    t, w, a_r = ops.t, ops.w, ops.a_r
+    base = -(w.conj().T @ w - t.conj().T @ t)  # P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P
+    f_r = base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
+    return f_r if range_coords else ops.expand(f_r)
 
 
 def _junk_projection(x: np.ndarray, module: ProjectiveModule,
@@ -157,7 +153,7 @@ class CurvatureReport:
     @cached_property
     def route_residual(self) -> float:
         """||R_r - F_r||_F / max(1, ||R_r||_F), F_r the formula route's block."""
-        formula = _formula_block(self.ops)
+        formula = curvature_formula(self.module, self.ops, range_coords=True)
         return frobenius_norm(self.R_r - formula) / max(1.0, frobenius_norm(self.R_r))
 
     @cached_property
@@ -190,7 +186,8 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
                      tol: float = DEFAULT_TOL) -> CurvatureReport:
     """The connection checked and R_r computed; R, residuals, norm and junk representative on read."""
     ops = connection_operators(module, a, tol)
-    return CurvatureReport(R_r=_direct_block(ops), ops=ops, module=module, junk=junk)
+    r_r = curvature_direct(module, ops, range_coords=True)
+    return CurvatureReport(R_r=r_r, ops=ops, module=module, junk=junk)
 
 
 def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule,

@@ -417,9 +417,9 @@ class TestSingleEvaluation:
 
     def test_reading_r_runs_no_formula_route(self, monkeypatch):
         calls = []
-        formula = curvature._formula_block
-        monkeypatch.setattr(curvature, "_formula_block",
-                            lambda *args: calls.append(1) or formula(*args))
+        formula = curvature.curvature_formula
+        monkeypatch.setattr(curvature, "curvature_formula",
+                            lambda *args, **kw: calls.append(1) or formula(*args, **kw))
         rng = rng_for(71)
         module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
         report = curvature_report(module, random_connection(rng, module))
@@ -704,13 +704,36 @@ class TestRangeCoordinates:
     def test_flipped_first_formula_term_fails_route_residual(self, ladder_modules,
                                                                monkeypatch):
         # +(W*W - T*T) in place of -(W*W - T*T): P[Dt,P][Dt,P]P with its sign flipped
-        def flipped(ops):
+        def flipped(module, a=None, tol=1e-8, *, range_coords=False):
+            ops = connection_operators(module, a, tol)
             t, w, a_r = ops.t, ops.w, ops.a_r
             base = w.conj().T @ w - t.conj().T @ t
-            return base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
+            f_r = base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
+            return f_r if range_coords else ops.expand(f_r)
 
         cases = [(module, random_connection(rng_for(61), module)) for module in ladder_modules]
         assert all(curvature_report(*case).route_residual <= 1e-10 for case in cases)
-        monkeypatch.setattr(curvature, "_formula_block", flipped)
+        monkeypatch.setattr(curvature, "curvature_formula", flipped)
+        for case in cases:
+            assert curvature_report(*case).route_residual > 1e-3
+
+    def test_range_blocks_are_what_the_routes_expand(self, ladder_modules):
+        for module in ladder_modules:
+            a = random_connection(rng_for(62), module)
+            ops = connection_operators(module, a)
+            report = curvature_report(module, a)
+            r_r = curvature_direct(module, ops, range_coords=True)
+            f_r = curvature_formula(module, ops, range_coords=True)
+            rank = module.range_isometry.shape[1]
+            assert r_r.shape == f_r.shape == (rank, rank)
+            assert np.array_equal(report.R_r, r_r)
+            assert np.array_equal(ops.expand(r_r), curvature_direct(module, ops))
+            assert np.array_equal(ops.expand(f_r), curvature_formula(module, ops))
+
+    def test_negated_direct_route_fails_route_residual(self, ladder_modules, monkeypatch):
+        # the report takes R_r from the public direct route, so a plant there reaches it
+        direct = curvature.curvature_direct
+        cases = [(module, random_connection(rng_for(63), module)) for module in ladder_modules]
+        monkeypatch.setattr(curvature, "curvature_direct", lambda *a, **k: -direct(*a, **k))
         for case in cases:
             assert curvature_report(*case).route_residual > 1e-3

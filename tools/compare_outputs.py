@@ -6,8 +6,9 @@ Usage: python tools/compare_outputs.py OTHER_DIR
 OTHER_DIR is a second checkout of the repository, typically the parent
 commit.  This side ("here") is always the checkout that holds this copy of
 the script, whatever the working directory, so the header line names both
-("N outputs of HERE compared with OTHER").  Each checkout is run in its own ``python -W error`` process with
-PYTHONDONTWRITEBYTECODE=1 and its own ``src`` on PYTHONPATH.  That process
+("N outputs of HERE compared with OTHER").  Each checkout is run in its own
+``python -W error`` process with PYTHONDONTWRITEBYTECODE=1 and its own
+``src`` on PYTHONPATH.  That process
 captures, as (stdout, stderr, exit code):
 
 * every CLI command on every fixture, in text and in JSON, each with and
