@@ -162,19 +162,30 @@ def two_form_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> Fo
     return FormSpace(subspace_basis(mats.reshape(-1, st.n, st.n), rank_tol))
 
 
-def _delta_forms(st: SpectralTriple, xs) -> list[UniversalOneForm]:
-    """Forms sum x[i, j] b_i delta(b_j), j >= 1, one per row x (tables e_ij - T[i, j] e_0)."""
+def _delta_tables(st: SpectralTriple, xs) -> np.ndarray:
+    """(k, d, d) tables of the forms sum x[i, j] b_i delta(b_j), j >= 1, one per
+    row x: e_ij - T[i, j] e_0."""
     x = np.reshape(xs, (len(xs), st.d, st.d - 1))
     c = np.zeros((len(x), st.d, st.d), dtype=complex)
     c[:, :, 1:] = x
     c[:, :, 0] = -np.einsum("kij,ijl->kl", x, st.mult_tensor[:, 1:])
-    return [UniversalOneForm(st, t) for t in c]
+    return c
+
+
+def _delta_forms(st: SpectralTriple, xs) -> list[UniversalOneForm]:
+    """Forms sum x[i, j] b_i delta(b_j), j >= 1, one per row x."""
+    return [UniversalOneForm(st, t) for t in _delta_tables(st, xs)]
+
+
+def _universal_tables(st: SpectralTriple) -> np.ndarray:
+    """(d(d-1), d, d) tables of the delta basis b_i delta(b_j), j >= 1, of ker(m)."""
+    _require([_unit_first_check(st)])
+    return _delta_tables(st, np.eye(st.d * (st.d - 1)))
 
 
 def universal_form_basis(st: SpectralTriple) -> list[UniversalOneForm]:
     """The delta basis b_i delta(b_j), j >= 1, of ker(m); not orthonormal."""
-    _require([_unit_first_check(st)])
-    return _delta_forms(st, np.eye(st.d * (st.d - 1)))
+    return [UniversalOneForm(st, t) for t in _universal_tables(st)]
 
 
 def _delta_kernel(st: SpectralTriple, rank_tol: float) -> list[np.ndarray]:
@@ -193,11 +204,8 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
     """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d): closed form or SVD."""
-    diag = st.basis_diagonal
-    if diag is None:
-        return _junk_space_svd(st, rank_tol)
-    e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])  # rows e_0 = 1 - sum b_k, e_k = b_k
-    if not (np.all(diag[0] == 1) and np.all((e == 0) | (e == 1))):  # 0/1 iff disjoint supports
+    e = st.points
+    if e is None:
         return _junk_space_svd(st, rank_tol)
     keep = ~np.eye(st.d, dtype=bool)
     # keep the pairs with e_k D e_l = 0, then of those e_k D^2 e_l != 0; row-major

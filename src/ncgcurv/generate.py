@@ -1,7 +1,10 @@
 """Seeded random scenario generation for the property-test harness.
 
 All draws come from one ``numpy.random.Generator`` (PCG64) seeded once, so a
-scenario stream is fully reproducible from its seed.  The documented
+scenario stream is fully reproducible from its seed.  Each table comes from
+one array draw: ``rng.uniform(0, 1, (P, 2, k))`` holds, bit for bit, the radii
+and angles of P successive ``unit_disc(rng, (k,))`` calls, in the stream's
+order, so the draws are those of one call per position.  The documented
 distribution:
 
   * Hilbert dimension n uniform in {2..6}; grading diag(+1 ... , -1 ...) with
@@ -30,7 +33,7 @@ import numpy as np
 
 from .curvature import VerticalOperator
 from .fgpmod import ConnectionForm, ProjectiveModule, symmetrized_entries
-from .forms import UniversalOneForm, kernel_one_forms, universal_form_basis
+from .forms import UniversalOneForm, _universal_tables, kernel_one_forms
 from .triple import NotInAlgebraError, SpectralTriple
 
 __all__ = [
@@ -56,13 +59,31 @@ def unit_disc(rng: np.random.Generator, shape) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
+def _unit_disc_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
+    """(rows, k) array whose row p is, bit for bit, the p-th of ``rows``
+    successive ``unit_disc(rng, (k,))`` draws, from one draw of the stream."""
+    u = rng.uniform(0.0, 1.0, (rows, 2, k))  # per row: k radii, then k angles
+    return np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+
+
+def _weighted_tables(weights: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """(rows, d, d) sums of weights[p, k] * tables[k], accumulated k by k over
+    all rows at once: the rounding of one sum per row, form by form."""
+    out = np.zeros((len(weights), *tables.shape[1:]), dtype=complex)
+    for w, table in zip(weights.T, tables):
+        out += w[:, None, None] * table
+    return out
+
+
 def _diag_projection_basis(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     perm = rng.permutation(n)
     cuts = np.sort(rng.choice(np.arange(1, n), size=d - 1, replace=False)) if d > 1 else []
+    group = np.empty(n, dtype=int)  # slot perm[t] joins group k of the cuts <= t
+    group[perm] = np.searchsorted(cuts, np.arange(n), side="right")
     basis = np.zeros((d, n, n), dtype=complex)
     basis[0] = np.eye(n)
-    for k, g in enumerate(np.split(perm, cuts)[1:], start=1):
-        basis[k, g, g] = 1.0
+    slots = np.flatnonzero(group)
+    basis[group[slots], slots, slots] = 1.0
     return basis
 
 
@@ -75,9 +96,23 @@ def _amplified_m2_basis() -> np.ndarray:
 
 def random_triple(rng: np.random.Generator, n: int | None = None,
                   d: int | None = None, kind: str | None = None) -> SpectralTriple:
-    """Random finite spectral triple; see the module docstring for the law."""
+    """Random finite spectral triple; see the module docstring for the law.
+
+    Raises ValueError, before any draw once n is known, for an unknown kind
+    or a d that the kind cannot have: 1 <= d <= n for ``diag``, d = 4 (or
+    None) for ``amp2``.
+    """
     if n is None:
         n = int(rng.integers(2, 7))
+    if kind not in (None, "diag", "amp2"):
+        raise ValueError(f"unknown triple kind {kind!r}")
+    if kind == "amp2":
+        if n != 4:
+            raise ValueError("the amplified 2x2 algebra requires n = 4")
+        if d not in (None, 4):
+            raise ValueError(f"the amplified 2x2 algebra has d = 4, got d = {d}")
+    elif d is not None and not 1 <= d <= n:
+        raise ValueError(f"a diagonal projection algebra needs 1 <= d <= n = {n}, got d = {d}")
     n_plus = (n + 1) // 2
     gamma = np.diag(np.concatenate([np.ones(n_plus), -np.ones(n - n_plus)]))
     w = unit_disc(rng, (n_plus, n - n_plus))
@@ -88,15 +123,11 @@ def random_triple(rng: np.random.Generator, n: int | None = None,
     if kind is None:
         kind = "amp2" if (n == 4 and d in (None, 4) and rng.random() < 0.3) else "diag"
     if kind == "amp2":
-        if n != 4:
-            raise ValueError("the amplified 2x2 algebra requires n = 4")
         basis = _amplified_m2_basis()
-    elif kind == "diag":
+    else:
         if d is None:
             d = int(rng.integers(1, min(4, n) + 1))
         basis = _diag_projection_basis(rng, n, d)
-    else:
-        raise ValueError(f"unknown triple kind {kind!r}")
     return SpectralTriple(gamma, basis, dirac)
 
 
@@ -123,19 +154,17 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
         return ProjectiveModule(st, _free_table(m, st.d), signs)
 
     n, d = st.n, st.d
-    even = np.outer(signs, signs) > 0
+    i, j = np.nonzero(np.triu(np.outer(signs, signs) > 0))  # even, i <= j, row-major
+    on_diag = i == j
     for _ in range(8):
+        c = _unit_disc_rows(rng, len(i), d)
+        # row p is star_coords(c[p]): a stack of matrix-vector products keeps
+        # its bits, where one matrix-matrix product rounds differently
+        star = (st.star_matrix @ np.conj(c)[:, :, None])[:, :, 0]
         table = np.zeros((m, m, d), dtype=complex)
-        for i in range(m):
-            for j in range(i, m):
-                if not even[i, j]:
-                    continue
-                c = unit_disc(rng, (d,))
-                if i == j:
-                    table[i, i] = 0.5 * (c + st.star_coords(c))
-                else:
-                    table[i, j] = c
-                    table[j, i] = st.star_coords(c)
+        table[i, j] = c
+        table[j, i] = star
+        table[i[on_diag], i[on_diag]] = 0.5 * (c[on_diag] + star[on_diag])
         blocks = np.einsum("ijk,kab->iajb", table, st.basis)
         h = blocks.reshape(m * n, m * n)
         h = 0.5 * (h + h.conj().T)
@@ -157,20 +186,19 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
 
 def random_universal_form(rng: np.random.Generator, st: SpectralTriple) -> UniversalOneForm:
     """Random element of ker(m): unit-disc weights on its basis b_i delta(b_j)."""
-    basis = universal_form_basis(st)
-    weights = unit_disc(rng, (len(basis),))
-    return UniversalOneForm(st, sum((w * f.coeffs for w, f in zip(weights, basis)),
-                                    np.zeros((st.d, st.d), dtype=complex)))
+    tables = _universal_tables(st)
+    return UniversalOneForm(st, _weighted_tables(_unit_disc_rows(rng, 1, len(tables)),
+                                                 tables)[0])
 
 
 def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
-                       form_basis: list[UniversalOneForm]) -> np.ndarray:
+                       tables: np.ndarray) -> np.ndarray:
+    """Unit-disc combinations of the (k, d, d) form tables on the grading-even
+    positions, drawn in row-major order."""
     m, d = module.m, module.triple.d
+    i, j = np.nonzero(module.even_mask)
     entries = np.zeros((m, m, d, d), dtype=complex)
-    for i, j in zip(*np.nonzero(module.even_mask)):  # row-major draw order
-        weights = unit_disc(rng, (len(form_basis),))
-        for w, form in zip(weights, form_basis):
-            entries[i, j] += w * form.coeffs
+    entries[i, j] = _weighted_tables(_unit_disc_rows(rng, len(i), len(tables)), tables)
     return entries
 
 
@@ -197,7 +225,7 @@ def _star_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarr
 def random_connection(rng: np.random.Generator, module: ProjectiveModule,
                       hermitian: bool = True) -> ConnectionForm:
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
-    entries = _random_table_over(rng, module, universal_form_basis(module.triple))
+    entries = _random_table_over(rng, module, _universal_tables(module.triple))
     if hermitian:
         entries = symmetrized_entries(module, entries)
     return ConnectionForm(module, _compress_connection(module, entries), hermitian)
@@ -207,10 +235,9 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
     """Random vertical operator: odd self-adjoint compressed algebra table."""
     m, d = module.m, module.triple.d
     table = np.zeros((m, m, d), dtype=complex)
-    odd = ~module.even_mask
-    if odd.any():
-        for i, j in zip(*np.nonzero(odd)):
-            table[i, j] = unit_disc(rng, (d,))
+    i, j = np.nonzero(~module.even_mask)
+    if len(i):
+        table[i, j] = _unit_disc_rows(rng, len(i), d)
         table = 0.5 * (table + _star_algebra_table(module, table))
         table = _compress_algebra_table(module, table)
     return VerticalOperator(module, table)
@@ -228,5 +255,6 @@ def junk_lift_pair(rng: np.random.Generator,
     a = random_connection(rng, module, hermitian=True)
     if not kernel:
         return a, a
-    bump = _compress_connection(module, _random_table_over(rng, module, kernel))
+    tables = np.array([w.coeffs for w in kernel])
+    bump = _compress_connection(module, _random_table_over(rng, module, tables))
     return a, ConnectionForm(module, a.entries + bump)

@@ -5,6 +5,11 @@ A triple bundles a grading matrix, a matrix basis of the represented algebra
 Algebra elements are coefficient vectors over the declared basis; products
 and adjoints are re-expanded through least squares, failing loudly when the
 basis was not closed.
+
+A basis of exactly 1 followed by diagonal 0/1 projections with disjoint
+supports is the algebra of d points: ``SpectralTriple.points`` holds its
+minimal projections e_0 = 1 - sum b_k, e_k = b_k as a (d, n) 0/1 matrix, and is
+None on every other basis.
 """
 
 from __future__ import annotations
@@ -161,6 +166,20 @@ class SpectralTriple:
         diag = np.diagonal(self.basis, axis1=1, axis2=2).real
         return diag if np.array_equal(self.basis, diag[..., None] * np.eye(self.n)) else None
 
+    @cached_property
+    def points(self) -> np.ndarray | None:
+        """(d, n) 0/1 rows of the minimal projections e_0 = 1 - sum b_k, e_k = b_k.
+
+        Set when basis[0] is exactly 1 and the rest are diagonal 0/1 projections
+        with disjoint supports, none of the e_k empty: the algebra of d points,
+        whose point k holds the slots where row k is 1.  Otherwise None.
+        """
+        diag = self.basis_diagonal
+        if diag is None or not np.all(diag[0] == 1):
+            return None
+        e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])
+        return e if np.all((e == 0) | (e == 1)) and e.any(axis=1).all() else None
+
     def pair_products(self, right: np.ndarray) -> np.ndarray:
         """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r.
 
@@ -268,12 +287,8 @@ def c1_norm(st: SpectralTriple, coeffs) -> float:
 def c2_norm(st: SpectralTriple, coeffs) -> float:
     """max of the pi1 norm and the pi2 norms of the element and its adjoint."""
     a = st.assemble(coeffs)
-    a_star = a.conj().T
-    return max(
-        spectral_norm(pi1_block(st, a)),
-        spectral_norm(pi2_block(st, a)),
-        spectral_norm(pi2_block(st, a_star)),
-    )
+    blocks = np.stack([pi1_block(st, a), pi2_block(st, a), pi2_block(st, a.conj().T)])
+    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max())
 
 
 # -- validation ----------------------------------------------------------

@@ -139,3 +139,18 @@ def test_compare_outputs_names_both_checkouts(tmp_path, monkeypatch, capsys):
     assert tool.main([str(tmp_path)]) == 1
     header = capsys.readouterr().out.splitlines()[0]
     assert header == f"2 outputs of {ROOT} compared with {tmp_path.resolve()}: 1 differ"
+
+
+def test_draw_stream_output_sees_one_extra_draw(monkeypatch):
+    # the draw-stream hash reads the generator's state after each scenario:
+    # one extra draw anywhere moves it, and the value hash with it
+    from ncgcurv import generate
+
+    tool = _compare_outputs()
+    values, stream = tool._generated_digests()
+    assert tool._generated_digests() == (values, stream)
+    vertical = generate.random_vertical
+    monkeypatch.setattr(generate, "random_vertical",
+                        lambda rng, module: (rng.random(), vertical(rng, module))[1])
+    planted = tool._generated_digests()
+    assert planted[1] != stream

@@ -98,6 +98,55 @@ class TestAlgebraCoords:
                            mat.conj().T, atol=1e-12)
 
 
+def point_basis(rng, n: int, d: int) -> np.ndarray:
+    """(d, n, n) basis of 1 and d - 1 diagonal 0/1 projections with disjoint
+    supports, each of the d minimal projections e_k holding at least one slot."""
+    label = np.concatenate([np.arange(d), rng.integers(0, d, size=n - d)])
+    rng.shuffle(label)
+    basis = np.zeros((d, n, n), dtype=complex)
+    basis[0] = np.eye(n)
+    for k in range(1, d):
+        basis[k] = np.diag((label == k).astype(float))
+    return basis
+
+
+def gate_negatives(st_):
+    """Bases near a point basis that are none: basis[0] one ulp off 1,
+    overlapping supports, an empty e_k (a dependent basis), a complex diagonal."""
+    one_ulp = st_.basis.copy()
+    one_ulp[0, 0, 0] = np.nextafter(1.0, 2.0)
+    overlapping = np.stack([st_.basis[0], st_.basis[1] + st_.basis[2], st_.basis[1]])
+    empty = np.concatenate([st_.basis, [st_.basis[0] - st_.basis[1:].sum(0)]])
+    complex_diag = st_.basis.copy()
+    complex_diag[1] = complex_diag[1] * 1j
+    return {name: SpectralTriple(st_.gamma, basis, st_.dirac)
+            for name, basis in (("one_ulp", one_ulp), ("overlapping", overlapping),
+                                ("empty_row", empty), ("complex", complex_diag))}
+
+
+class TestPoints:
+    def test_minimal_projections_of_a_point_basis(self, n3):
+        assert np.array_equal(n3.points, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        rng = rng_for(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            d = int(rng.integers(1, n + 1))
+            basis = point_basis(rng, n, d)
+            st_ = SpectralTriple(np.eye(n), basis, np.zeros((n, n)))
+            e = st_.points
+            assert e.shape == (d, n) and e.dtype == float
+            assert np.array_equal(e.sum(0), np.ones(n)) and e.any(axis=1).all()
+            assert np.array_equal(e[1:], np.diagonal(basis[1:], axis1=1, axis2=2).real)
+
+    def test_gate_negatives_have_no_points(self, n3):
+        for name, st_ in gate_negatives(n3).items():
+            assert st_.points is None, name
+        assert gate_negatives(n3)["empty_row"].basis_diagonal is not None
+        permuted = SpectralTriple(n3.gamma, n3.basis[:, ::-1, ::-1], n3.dirac)
+        assert np.array_equal(permuted.points, n3.points[:, ::-1])
+        assert random_triple(rng_for(13), n=4, kind="amp2").points is None
+
+
 def same_bits_but_zero_sign(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit for bit, except that an exact zero may carry either sign.
 
@@ -233,6 +282,17 @@ class TestDerivativeNorms:
         others = (spectral_norm(pi1_block(st_, a)), spectral_norm(pi2_block(st_, a)))
         assert adjoint_term > max(others) + 0.05
         assert c2_norm(st_, coeffs) == adjoint_term
+
+    def test_c2_norm_is_the_largest_of_three_separate_norms(self):
+        # one batched norm over the three blocks gives the bits of three calls
+        rng = rng_for(37)
+        for _ in range(400):
+            st_ = random_triple(rng)
+            coeffs = unit_disc(rng, (st_.d,))
+            a = st_.assemble(coeffs)
+            separate = max(spectral_norm(pi1_block(st_, a)), spectral_norm(pi2_block(st_, a)),
+                           spectral_norm(pi2_block(st_, a.conj().T)))
+            assert c2_norm(st_, coeffs) == separate
 
     @given(SEEDS)
     @settings(max_examples=40, deadline=None)

@@ -17,7 +17,11 @@ captures, as (stdout, stderr, exit code):
 * ``selftest --seed S`` for S in 0, 7 and 11, in text and in JSON;
 * every script in demos/ and oracles/, each in a fresh interpreter;
 * a hash of the arrays of 40 seeded generated scenarios (triple, module,
-  junk lift pair and vertical operator).
+  junk lift pair and vertical operator);
+* a hash of their draw stream: the generator's state after each scenario,
+  with its integer structure (n, d, m, the signs, the 0/1 pattern of the
+  basis, and whether the module is free or a spectral cut).  It stays put
+  when a change moves values at round-off but draws what it drew before.
 
 The outputs that differ are listed, and the exit code is 1 if any differs.
 When both sides of a differing stdout or stderr parse as a report (text or
@@ -59,12 +63,13 @@ def _cli(argv: list[str]) -> list:
     return [out.getvalue(), err.getvalue(), code]
 
 
-def _generated_digest() -> str:
+def _generated_digests() -> tuple[str, str]:
+    """Hashes of the arrays, and of the draw stream, of the generated scenarios."""
     import numpy as np
 
     from ncgcurv import generate
 
-    h = hashlib.sha256()
+    values, stream = hashlib.sha256(), hashlib.sha256()
     for seed in range(GENERATED_SCENARIOS):
         rng = generate.rng_for(seed)
         st = generate.random_triple(rng)
@@ -73,8 +78,14 @@ def _generated_digest() -> str:
         vertical = generate.random_vertical(rng, module)
         for arr in (st.gamma, st.basis, st.dirac, module.p, module.signs,
                     a1.entries, a2.entries, vertical.entries):
-            h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+            values.update(np.ascontiguousarray(arr).tobytes())
+        free = np.zeros_like(module.p)
+        free[np.arange(module.m), np.arange(module.m), 0] = 1.0
+        structure = (st.n, st.d, module.m, module.signs.astype(int).tolist(),
+                     np.packbits(st.basis != 0).tobytes().hex(),
+                     bool(np.array_equal(module.p, free)))
+        stream.update(repr((structure, rng.bit_generator.state)).encode())
+    return values.hexdigest(), stream.hexdigest()
 
 
 def capture(root: Path) -> dict[str, list]:
@@ -98,7 +109,9 @@ def capture(root: Path) -> dict[str, list]:
         proc = subprocess.run([sys.executable, "-W", "error", rel], cwd=root,
                               capture_output=True, text=True)
         outputs[rel] = [proc.stdout, proc.stderr, proc.returncode]
-    outputs[f"{GENERATED_SCENARIOS} generated scenarios"] = [_generated_digest(), "", 0]
+    values, stream = _generated_digests()
+    outputs[f"{GENERATED_SCENARIOS} generated scenarios"] = [values, "", 0]
+    outputs[f"{GENERATED_SCENARIOS} generated scenarios: draw stream"] = [stream, "", 0]
     return outputs
 
 
