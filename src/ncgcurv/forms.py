@@ -23,11 +23,16 @@ represent to zero; junk two-forms are its pi_d2 image.  Each call solves the
 kernel afresh: the module keeps no state between calls.  A basis[0] that is not
 the identity raises InvariantViolation (``basis_unit_first``).
 
-A basis of exactly 1, then diagonal 0/1 projections with disjoint supports
-(every fixture and ``diag`` triple) has minimal projections e_0 = 1 - sum b_k,
-e_k = b_k; its junk is the span of the e_k D^2 e_l, k != l, with e_k D e_l exactly
-0: no SVD and no kernel.  A nonzero block under sqrt(rank_tol) ||D||_F (or ||D^2||_F),
-like any other basis, takes the SVD route.
+A basis with :attr:`SpectralTriple.points` (exactly 1, then diagonal 0/1
+projections with disjoint supports and no empty minimal projection: every
+fixture and ``diag`` triple) has minimal projections e_0 = 1 - sum b_k, e_k = b_k,
+and the d(d-1) forms e_k delta(e_l), k != l, are a basis of ker(m).  Those with
+e_k D e_l exactly 0 span ker(m) intersect ker(pi_d) (Krajewski,
+arXiv:hep-th/9701081): one QR of their delta coordinates orthonormalizes them,
+with no rank cut.  Junk is the span of their images e_k D^2 e_l, normalized:
+no SVD and no kernel.  A nonzero block under sqrt(rank_tol) ||D||_F (or
+||D^2||_F) is too near the cut to decide, so junk and kernel both take the SVD
+route there, like any other basis.
 """
 
 from __future__ import annotations
@@ -197,27 +202,56 @@ def _delta_kernel(st: SpectralTriple, rank_tol: float) -> list[np.ndarray]:
     return solve_kernel(pi_d.T, rank_tol)
 
 
-def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
-    """Basis of ker(m) intersect ker(pi_d), orthonormal in delta-basis coordinates."""
-    return _delta_forms(st, _delta_kernel(st, rank_tol))
-
-
-def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
-    """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d): closed form or SVD."""
+def _point_pairs(st: SpectralTriple, rank_tol: float):
+    """Over :attr:`SpectralTriple.points`: the pairs k != l with e_k D e_l = 0,
+    those of them with e_k D^2 e_l != 0, D^2 rescaled by a power of two, and its
+    squared block norms.  None without points, or when a nonzero block of D or
+    D^2 falls under sqrt(rank_tol) times its Frobenius norm: too near the cut
+    to decide, so junk and kernel both take the SVD route."""
     e = st.points
     if e is None:
-        return _junk_space_svd(st, rank_tol)
+        return None
     keep = ~np.eye(st.d, dtype=bool)
-    # keep the pairs with e_k D e_l = 0, then of those e_k D^2 e_l != 0; row-major
+    kept = []
     for m, kept_if_nonzero in ((st.dirac, False), (st.dirac_sq, True)):
         nonzero = e @ (m != 0) @ e.T > 0  # exact where sq may underflow
         m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])  # exact rescale: max |m| < 1
         sq = e @ np.abs(m) ** 2 @ e.T  # squared block norms, summing to ||m||_F^2
         if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
-            return _junk_space_svd(st, rank_tol)
-        keep &= nonzero == kept_if_nonzero
-    k, l = np.nonzero(keep)  # m is now the rescaled D^2
-    return FormSpace(e[k, :, None] * e[l, None, :] * m / np.sqrt(sq[k, l])[:, None, None])
+            return None
+        keep = keep & (nonzero == kept_if_nonzero)
+        kept.append(keep)
+    return *kept, m, sq
+
+
+def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
+    """Basis of ker(m) intersect ker(pi_d), orthonormal in delta-basis coordinates.
+
+    Over points, the forms e_k delta(e_l), k != l, with e_k D e_l = 0: a subset of
+    a basis of ker(m), orthonormalized by one QR with no rank cut.
+    """
+    pairs = _point_pairs(st, rank_tol)
+    if pairs is None:
+        return _delta_forms(st, _delta_kernel(st, rank_tol))
+    k, l = np.nonzero(pairs[0])
+    if not len(k):
+        return []
+    e_in_b = np.eye(st.d)  # e_k = sum_i e_in_b[k, i] b_i, and delta(1) = 0
+    e_in_b[0, 1:] = -1.0
+    x = e_in_b[k, :, None] * e_in_b[l, None, 1:]  # e_k delta(e_l) over b_i delta(b_j), j >= 1
+    q, _ = np.linalg.qr(x.reshape(len(k), -1).T)
+    return _delta_forms(st, q.T)
+
+
+def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
+    """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d): closed form or SVD."""
+    pairs = _point_pairs(st, rank_tol)
+    if pairs is None:
+        return _junk_space_svd(st, rank_tol)
+    _, keep, d2, sq = pairs
+    e = st.points
+    k, l = np.nonzero(keep)  # row-major
+    return FormSpace(e[k, :, None] * e[l, None, :] * d2 / np.sqrt(sq[k, l])[:, None, None])
 
 
 def _junk_space_svd(st: SpectralTriple, rank_tol: float) -> FormSpace:

@@ -199,14 +199,25 @@ class SpectralTriple:
 
     @cached_property
     def mult_tensor(self) -> np.ndarray:
-        """(d, d, d) structure constants: b_i b_j = sum_k T[i,j,k] b_k."""
+        """(d, d, d) structure constants: b_i b_j = sum_k T[i,j,k] b_k.
+
+        Exact over :attr:`points`, where b_0 = 1 and b_i b_j = delta_ij b_i for
+        i, j >= 1; a least-squares solve on every other basis.
+        """
+        if self.points is not None:
+            T = np.zeros((self.d,) * 3, dtype=complex)
+            k = np.arange(self.d)
+            T[0, k, k] = T[k, 0, k] = T[k, k, k] = 1.0
+            return T
         prods = self.pair_products(self.basis).reshape(-1, self.n, self.n)
         T = self.coords(prods, context="b_i * b_j over flattened (i, j)")
         return T.reshape(self.d, self.d, self.d)
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
-        """(d, d) matrix S with b_k^* = sum_j S[j,k] b_j."""
+        """(d, d) matrix S with b_k^* = sum_j S[j,k] b_j: the identity over :attr:`points`."""
+        if self.points is not None:
+            return np.eye(self.d, dtype=complex)
         adjoints = self.basis.conj().transpose(0, 2, 1)
         return self.coords(adjoints, context="b_k^* over k").T.copy()  # C order, see coords
 

@@ -351,10 +351,12 @@ class TestJunkSpacePairStack:
 
     def test_cold_kernel_only_call_builds_only_the_pi_d_stack(self, ladder_modules,
                                                               monkeypatch):
-        # kernel_one_forms multiplies out the (d - 1, n, n) stack of [D, b_j]
-        # and nothing else
-        triples = [random_triple(rng_for(47), n=4, kind="amp2")]
-        triples += [module.triple for module in ladder_modules]
+        # on the SVD route kernel_one_forms multiplies out the (d - 1, n, n)
+        # stack of [D, b_j] and nothing else (over points it multiplies nothing)
+        rng = rng_for(47)
+        triples = [random_triple(rng, n=4, kind="amp2")]
+        triples += [conjugated(module.triple, even_unitary(rng, module.triple.gamma))
+                    for module in ladder_modules]
         for st_ in triples:
             # structure constants cached first, as generation leaves them
             assert st_.mult_tensor.shape == (st_.d,) * 3
@@ -504,6 +506,79 @@ class TestClosedFormJunk:
             assert st_ in routed
             assert np.array_equal(junk.basis, forms._junk_space_svd(copy.copy(st_), 1e-9).basis)
             assert junk.dim == junk_space(n3).dim == 2
+
+
+def _delta_coordinates(kernel: list[UniversalOneForm], d: int) -> np.ndarray:
+    """(k, d(d-1)) coordinates of forms over the delta basis b_i delta(b_j), j >= 1."""
+    return np.reshape([w.coeffs[:, 1:] for w in kernel], (len(kernel), d * (d - 1)))
+
+
+def _recording_solve_kernel(monkeypatch) -> list[np.ndarray]:
+    """Record every matrix that forms hands to solve_kernel."""
+    calls = []
+    monkeypatch.setattr(forms, "solve_kernel", lambda L, rank_tol, _f=forms.solve_kernel:
+                        calls.append(L) or _f(L, rank_tol))
+    return calls
+
+
+class TestClosedFormKernel:
+    """kernel_one_forms over points: the forms e_k delta(e_l), k != l, with e_k D e_l = 0."""
+
+    def test_agrees_with_delta_kernel(self):
+        rng = rng_for(67)
+        dims = []
+        for _ in range(1000):
+            n = int(rng.integers(2, 9))
+            st_ = random_triple(rng, n=n, d=int(rng.integers(1, min(6, n) + 1)), kind="diag")
+            kernel = kernel_one_forms(st_)
+            reference = forms._delta_kernel(st_, 1e-9)
+            assert len(kernel) == len(reference)
+            x = _delta_coordinates(kernel, st_.d)
+            reference = np.reshape(reference, x.shape)
+            assert np.abs(x @ x.conj().T - np.eye(len(x))).max(initial=0.0) <= 1e-14
+            assert span_gap(x, reference) <= 1e-12
+            for w in kernel:
+                assert frobenius_norm(w.pi_d()) <= 1e-14 and w.mult_residual() <= 1e-14
+            dims.append(len(kernel))
+        assert min(dims) == 0 and max(dims) > 10
+
+    def test_no_diag_triple_reaches_solve_kernel(self, n3, ladder_modules, monkeypatch):
+        rng = rng_for(71)
+        triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
+        triples += [random_triple(rng, kind="diag") for _ in range(200)]
+        calls = _recording_solve_kernel(monkeypatch)
+        dims = [len(kernel_one_forms(st_)) for st_ in triples]
+        assert calls == [] and max(dims) > 2
+        # the recorder does record the SVD route of a conjugated twin
+        kernel_one_forms(conjugated(n3, even_unitary(rng, n3.gamma)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("planted", [0.0, 1e-12, 1e-200])
+    def test_takes_the_junk_route(self, planted, monkeypatch):
+        # kernel and junk fall back together: a block of D (e_1 D e_2 holds
+        # W[0, 1]) or, with D's blocks exact zeros or large, of D^2 (e_1 D^2 e_2
+        # is 1 * 1 + 1 * (-1 + planted)) too near the cut to decide
+        gamma6 = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        basis6 = np.stack([np.eye(6), np.diag([1.0, 0, 0, 1, 0, 0]),
+                           np.diag([0, 1.0, 0, 0, 1, 0])])
+        w6 = np.array([[1.0, planted, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        w4 = np.array([[1.0, 1.0], [1.0, -1.0 + planted]])
+        gamma4, basis4 = np.diag([1.0, 1.0, -1.0, -1.0]), np.stack(
+            [np.eye(4), np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0])])
+        routed = _recording_svd_route(monkeypatch)
+        calls = _recording_solve_kernel(monkeypatch)
+        for gamma, basis, w in ((gamma6, basis6, w6), (gamma4, basis4, w4)):
+            k = len(w)
+            dirac = np.block([[np.zeros((k, k)), w], [w.T, np.zeros((k, k))]])
+            st_ = SpectralTriple(gamma, basis, dirac)
+            calls.clear()
+            kernel = kernel_one_forms(st_)
+            junk_space(st_)
+            fallback = planted != 0.0 and not (w is w4 and planted == 1e-200)
+            assert (len(calls) == 2) == (st_ in routed) == fallback
+            reference = forms._delta_kernel(copy.copy(st_), 1e-9)
+            assert len(kernel) == len(reference) > 0
+            assert span_gap(_delta_coordinates(kernel, 3), reference) <= 1e-12
 
 
 def _recording_svd_route(monkeypatch) -> list[SpectralTriple]:

@@ -172,7 +172,7 @@ def test_each_draw_leaves_the_stream_where_the_loops_leave_it():
     assert min(kinds.values()) >= 40
 
 
-def test_diag_basis_groups_are_the_permuted_cuts():
+def test_diag_basis_puts_every_slot_in_one_point():
     rng = rng_for(5)
     for _ in range(200):
         n = int(rng.integers(1, 9))

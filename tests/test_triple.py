@@ -8,6 +8,8 @@ from ncgcurv.scenario import parse_scenario
 from ncgcurv.glinalg import spectral_norm
 from ncgcurv.triple import NotInAlgebraError, pi1_block, pi2_block
 
+from conftest import conjugated, even_unitary
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -64,17 +66,25 @@ class TestAlgebraCoords:
     def test_stack_solves_each_matrix(self):
         # one lstsq for a stack gives the bits of one lstsq per matrix, in C
         # order: einsums over strided tables round differently, which would
-        # move every generated connection
+        # move every generated connection.  T and S are those bits on every
+        # basis without points (over points they are exact, see TestPoints)
         rng = rng_for(31)
-        for kind in ("diag", "amp2", "diag"):
-            st_ = random_triple(rng, n=4, kind=kind)
+        triples = [random_triple(rng, n=4, kind=kind) for kind in ("diag", "amp2", "diag")]
+        triples += [conjugated(st_, even_unitary(rng, st_.gamma)) for st_ in triples]
+        assert [st_.points is None for st_ in triples] == [False, True, False, True, True, True]
+        for st_ in triples:
+            d, n = st_.d, st_.n
             assert st_.mult_tensor.flags.c_contiguous and st_.star_matrix.flags.c_contiguous
-            for i in range(st_.d):
-                assert np.array_equal(st_.star_matrix[:, i],
-                                      st_.coords(st_.basis[i].conj().T))
-                for j in range(st_.d):
-                    assert np.array_equal(st_.mult_tensor[i, j],
+            products = st_.coords(st_.pair_products(st_.basis).reshape(-1, n, n))
+            adjoints = st_.coords(st_.basis.conj().transpose(0, 2, 1))
+            for i in range(d):
+                assert np.array_equal(adjoints[i], st_.coords(st_.basis[i].conj().T))
+                for j in range(d):
+                    assert np.array_equal(products[i * d + j],
                                           st_.coords(st_.basis[i] @ st_.basis[j]))
+            if st_.points is None:
+                assert np.array_equal(st_.mult_tensor, products.reshape(d, d, d))
+                assert np.array_equal(st_.star_matrix, adjoints.T)
 
     def test_stack_names_first_failing_index(self, two_point):
         q = two_point.basis[1]
@@ -137,6 +147,46 @@ class TestPoints:
             assert e.shape == (d, n) and e.dtype == float
             assert np.array_equal(e.sum(0), np.ones(n)) and e.any(axis=1).all()
             assert np.array_equal(e[1:], np.diagonal(basis[1:], axis1=1, axis2=2).real)
+
+    @staticmethod
+    def lstsq_tables(st_):
+        """T and S from the least-squares solve that a basis without points takes."""
+        d, n = st_.d, st_.n
+        products = st_.coords(st_.pair_products(st_.basis).reshape(-1, n, n))
+        return products.reshape(d, d, d), st_.coords(st_.basis.conj().transpose(0, 2, 1)).T
+
+    def test_exact_tables_match_lstsq(self):
+        # b_0 = 1 and b_i b_j = delta_ij b_i: T[0, j, j] = T[i, 0, i] = T[k, k, k] = 1,
+        # S = 1, within round-off of the solve, on seeded and arbitrary point bases
+        rng = rng_for(7)
+        triples = []
+        for _ in range(1000):
+            n = int(rng.integers(1, 9))
+            triples.append(random_triple(rng, n=n, d=int(rng.integers(1, min(6, n) + 1)),
+                                         kind="diag"))
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            d = int(rng.integers(1, n + 1))
+            w = unit_disc(rng, (n, n))
+            triples.append(SpectralTriple(np.eye(n), point_basis(rng, n, d), w + w.conj().T))
+        for st_ in triples:
+            d = st_.d
+            assert st_.points is not None
+            T, S = self.lstsq_tables(st_)
+            assert np.abs(st_.mult_tensor - T).max() <= 1e-12
+            assert np.abs(st_.star_matrix - S).max() <= 1e-12
+            assert st_.mult_tensor.flags.c_contiguous and st_.star_matrix.flags.c_contiguous
+            ones = np.argwhere(st_.mult_tensor)
+            assert np.array_equal(st_.mult_tensor[tuple(ones.T)], np.ones(len(ones)))
+            assert len(ones) == 3 * d - 2
+            assert np.array_equal(st_.star_matrix, np.eye(d))
+        assert max(st_.d for st_ in triples) == 8
+
+    def test_gate_negatives_keep_the_lstsq_bits(self, n3):
+        for name, st_ in gate_negatives(n3).items():
+            T, S = self.lstsq_tables(st_)
+            assert st_.mult_tensor.tobytes() == T.tobytes(), name
+            assert st_.star_matrix.tobytes() == S.tobytes(), name
 
     def test_gate_negatives_have_no_points(self, n3):
         for name, st_ in gate_negatives(n3).items():
