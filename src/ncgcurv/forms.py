@@ -221,7 +221,8 @@ def _point_pairs(st: SpectralTriple, rank_tol: float):
             return None
         keep = keep & (nonzero == kept_if_nonzero)
         kept.append(keep)
-    return *kept, m, sq
+    kernel_pairs, junk_pairs = kept
+    return kernel_pairs, junk_pairs, m, sq
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
@@ -233,7 +234,8 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
     pairs = _point_pairs(st, rank_tol)
     if pairs is None:
         return _delta_forms(st, _delta_kernel(st, rank_tol))
-    k, l = np.nonzero(pairs[0])
+    kernel_pairs = pairs[0]
+    k, l = np.nonzero(kernel_pairs)  # row-major
     if not len(k):
         return []
     e_in_b = np.eye(st.d)  # e_k = sum_i e_in_b[k, i] b_i, and delta(1) = 0

@@ -78,7 +78,7 @@ def _weighted_tables(weights: np.ndarray, tables: np.ndarray) -> np.ndarray:
 def _diag_projection_basis(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     perm = rng.permutation(n)
     cuts = np.sort(rng.choice(np.arange(1, n), size=d - 1, replace=False)) if d > 1 else []
-    group = np.empty(n, dtype=int)  # slot perm[t] joins group k of the cuts <= t
+    group = np.empty(n, dtype=int)  # slot perm[t] joins the group counted by the cuts <= t
     group[perm] = np.searchsorted(cuts, np.arange(n), side="right")
     basis = np.zeros((d, n, n), dtype=complex)
     basis[0] = np.eye(n)
@@ -154,17 +154,16 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
         return ProjectiveModule(st, _free_table(m, st.d), signs)
 
     n, d = st.n, st.d
-    i, j = np.nonzero(np.triu(np.outer(signs, signs) > 0))  # even, i <= j, row-major
-    on_diag = i == j
+    k = np.arange(m)
+    i, j = np.nonzero((np.outer(signs, signs) > 0) & (k[:, None] <= k))  # even, i <= j, row-major
     for _ in range(8):
         c = _unit_disc_rows(rng, len(i), d)
-        # row p is star_coords(c[p]): a stack of matrix-vector products keeps
-        # its bits, where one matrix-matrix product rounds differently
-        star = (st.star_matrix @ np.conj(c)[:, :, None])[:, :, 0]
         table = np.zeros((m, m, d), dtype=complex)
         table[i, j] = c
-        table[j, i] = star
-        table[i[on_diag], i[on_diag]] = 0.5 * (c[on_diag] + star[on_diag])
+        # star_coords of each row: a stack of matrix-vector products keeps
+        # their bits, where one matrix-matrix product rounds differently
+        table[j, i] += (st.star_matrix @ np.conj(c)[:, :, None])[:, :, 0]
+        table[k, k] *= 0.5  # the diagonal is the average of c and its star
         blocks = np.einsum("ijk,kab->iajb", table, st.basis)
         h = blocks.reshape(m * n, m * n)
         h = 0.5 * (h + h.conj().T)

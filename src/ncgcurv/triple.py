@@ -175,10 +175,11 @@ class SpectralTriple:
         whose point k holds the slots where row k is 1.  Otherwise None.
         """
         diag = self.basis_diagonal
-        if diag is None or not np.all(diag[0] == 1):
+        if diag is None or not (diag[0] == 1).all():
             return None
-        e = np.vstack([diag[0] - diag[1:].sum(0), diag[1:]])
-        return e if np.all((e == 0) | (e == 1)) and e.any(axis=1).all() else None
+        e = diag.copy()
+        e[0] -= e[1:].sum(0)
+        return e if ((e == 0) | (e == 1)).all() and e.any(axis=1).all() else None
 
     def pair_products(self, right: np.ndarray) -> np.ndarray:
         """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r.
