@@ -557,7 +557,8 @@ class TestClosedFormKernel:
     def test_takes_the_junk_route(self, planted, monkeypatch):
         # kernel and junk fall back together: a block of D (e_1 D e_2 holds
         # W[0, 1]) or, with D's blocks exact zeros or large, of D^2 (e_1 D^2 e_2
-        # is 1 * 1 + 1 * (-1 + planted)) too near the cut to decide
+        # is 1 * 1 + 1 * (-1 + planted)) too near the cut to decide; -1 + 1e-200
+        # rounds to -1, so that D^2 block is an exact zero and decides nothing
         gamma6 = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
         basis6 = np.stack([np.eye(6), np.diag([1.0, 0, 0, 1, 0, 0]),
                            np.diag([0, 1.0, 0, 0, 1, 0])])
