@@ -18,7 +18,12 @@ distribution:
   * Module: m uniform in 1..4, generator signs uniform (re-rolled so both
     signs appear when m >= 2, with probability 0.8); the projection is a
     spectral cut of a random self-adjoint element of M_m(A) at its largest
-    interior eigenvalue gap, or the free module with probability 0.2.
+    interior eigenvalue gap, or the free module with probability 0.2.  Over
+    the finite-point algebras (``SpectralTriple.points``) M_m(A) is one
+    M_m(C) per point, and the cut is taken per m x m point block at the
+    largest gap of the pooled point eigenvalues: the same gap, and the same
+    draws, as the cut of the assembled mn x mn element that other algebras
+    take.
   * Connection tables: unit-disc combinations of the delta basis
     b_i delta(b_j), j >= 1, of ker(m) (not orthonormal) on the grading-even
     positions, pairing-symmetrized when Hermitian is requested, then
@@ -144,16 +149,64 @@ def _free_table(m: int, d: int) -> np.ndarray:
     return p
 
 
+def _dense_cut(st: SpectralTriple, table: np.ndarray) -> np.ndarray | None:
+    """Table of the spectral cut of the assembled mn x mn h, or None."""
+    m, n, d = len(table), st.n, st.d
+    blocks = np.einsum("ijk,kab->iajb", table, st.basis)
+    h = blocks.reshape(m * n, m * n)
+    h = 0.5 * (h + h.conj().T)
+    vals, vecs = np.linalg.eigh(h)
+    gaps = np.diff(vals)
+    if gaps.size == 0 or gaps.max() < 1e-5:
+        return None
+    cut = int(np.argmax(gaps)) + 1
+    cols = vecs[:, cut:]
+    proj = cols @ cols.conj().T
+    blocks = proj.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
+    try:
+        return st.coords(blocks, tol=1e-7).reshape(m, m, d)
+    except NotInAlgebraError:
+        return None
+
+
+def _point_cut(table: np.ndarray) -> np.ndarray | None:
+    """The dense cut over points, one m x m block per point, or None.
+
+    Point q holds h_q = table[..., 0] + table[..., q] (q >= 1), and h is the
+    direct sum of these blocks, each repeated once per slot of its point: the
+    repeats only add zero gaps, so the largest gap of the pooled point
+    eigenvalues is the dense one.  The table reads p[..., 0] = P_0 and
+    p[..., q] = P_q - P_0 from the point projections P_q.
+    """
+    h = table.transpose(2, 0, 1).copy()
+    h[1:] += h[0]
+    h = 0.5 * (h + h.conj().transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(h)
+    pooled = np.sort(vals, axis=None)
+    gaps = np.diff(pooled)
+    if gaps.size == 0 or gaps.max() < 1e-5:
+        return None
+    kept = vecs * (vals >= pooled[int(np.argmax(gaps)) + 1])[:, None, :]
+    proj = kept @ kept.conj().transpose(0, 2, 1)
+    proj[1:] -= proj[0]
+    return proj.transpose(1, 2, 0)
+
+
 def random_module(rng: np.random.Generator, st: SpectralTriple,
                   m: int | None = None, allow_free: bool = True) -> ProjectiveModule:
-    """Random projective module: spectral-cut projection in M_m(algebra)."""
+    """Random projective module: spectral-cut projection in M_m(algebra).
+
+    Over :attr:`SpectralTriple.points` the cut is taken per point block, with
+    no mn x mn matrix; every other basis cuts the assembled h.  Both draw the
+    same stream and cut at the same gap.
+    """
     if m is None:
         m = int(rng.integers(1, 5))
     signs = _random_signs(rng, m)
     if allow_free and rng.random() < 0.2:
         return ProjectiveModule(st, _free_table(m, st.d), signs)
 
-    n, d = st.n, st.d
+    d = st.d
     k = np.arange(m)
     i, j = np.nonzero((np.outer(signs, signs) > 0) & (k[:, None] <= k))  # even, i <= j, row-major
     for _ in range(8):
@@ -164,22 +217,9 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
         # their bits, where one matrix-matrix product rounds differently
         table[j, i] += (st.star_matrix @ np.conj(c)[:, :, None])[:, :, 0]
         table[k, k] *= 0.5  # the diagonal is the average of c and its star
-        blocks = np.einsum("ijk,kab->iajb", table, st.basis)
-        h = blocks.reshape(m * n, m * n)
-        h = 0.5 * (h + h.conj().T)
-        vals, vecs = np.linalg.eigh(h)
-        gaps = np.diff(vals)
-        if gaps.size == 0 or gaps.max() < 1e-5:
-            continue
-        cut = int(np.argmax(gaps)) + 1
-        cols = vecs[:, cut:]
-        proj = cols @ cols.conj().T
-        blocks = proj.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
-        try:
-            p = st.coords(blocks, tol=1e-7).reshape(m, m, d)
-        except NotInAlgebraError:
-            continue
-        return ProjectiveModule(st, p, signs)
+        p = _point_cut(table) if st.points is not None else _dense_cut(st, table)
+        if p is not None:
+            return ProjectiveModule(st, p, signs)
     return ProjectiveModule(st, _free_table(m, st.d), signs)
 
 
@@ -202,8 +242,20 @@ def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
 
 
 def _compress_connection(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
-    """P . C . P at the universal level: generated connection tables are compressed."""
+    """P . C . P at the universal level: generated connection tables are compressed.
+
+    Over points T is symmetric and Y[l, j, q, s] = sum_m p[l, j, m] T[q, m, s]
+    is closed form: Y[..., 0, s] = p[..., s] and Y[..., q, s] = delta_qs
+    (p[..., 0] + p[..., q]) for q >= 1, and both sides contract with Y.
+    """
     p = module.p
+    if module.triple.points is not None:
+        q = np.arange(1, module.triple.d)
+        Y = np.zeros(p.shape + p.shape[-1:], dtype=complex)
+        Y[..., 0, :] = p
+        Y[..., q, q] = p[..., :1] + p[..., 1:]
+        right = np.einsum("klrq,ljqs->kjrs", entries, Y)
+        return np.einsum("ikqr,kjqs->ijrs", Y, right)
     T = module.triple.mult_tensor
     right = np.einsum("klrq,ljm,qms->kjrs", entries, p, T)
     return np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
@@ -242,15 +294,19 @@ def random_vertical(rng: np.random.Generator, module: ProjectiveModule) -> Verti
     return VerticalOperator(module, table)
 
 
-def junk_lift_pair(rng: np.random.Generator,
-                   module: ProjectiveModule) -> tuple[ConnectionForm, ConnectionForm]:
+def junk_lift_pair(rng: np.random.Generator, module: ProjectiveModule,
+                   kernel: list[UniversalOneForm] | None = None
+                   ) -> tuple[ConnectionForm, ConnectionForm]:
     """A random Hermitian connection and a second universal lift of it.
 
     The second lift differs by a compressed combination of forms in
     ker(m) intersect ker(pi_d), whose pi_d2 image is junk.  If that kernel is
     empty the pair is ``(a, a)``, which checks nothing: draw another triple.
+    ``kernel`` is ``kernel_one_forms(module.triple)`` when a caller already
+    holds it; otherwise it is computed here.
     """
-    kernel = kernel_one_forms(module.triple)
+    if kernel is None:
+        kernel = kernel_one_forms(module.triple)
     a = random_connection(rng, module, hermitian=True)
     if not kernel:
         return a, a

@@ -84,7 +84,7 @@ def _draw_lift_pair(rng, k):
             st = generate.random_triple(rng, n=n, d=min(4, n), kind="diag")
         kernel = kernel_one_forms(st)
     module = generate.random_module(rng, st)
-    return (module, *generate.junk_lift_pair(rng, module))
+    return (module, *generate.junk_lift_pair(rng, module, kernel))
 
 
 def _measure_junk_invariance(module, a1, a2):

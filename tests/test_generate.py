@@ -44,7 +44,7 @@ def loop_random_module(rng, st, m=None, allow_free=True):
     signs = generate._random_signs(rng, m)
     if allow_free and rng.random() < 0.2:
         return ProjectiveModule(st, generate._free_table(m, st.d), signs)
-    n, d = st.n, st.d
+    d = st.d
     even = np.outer(signs, signs) > 0
     for _ in range(8):
         table = np.zeros((m, m, d), dtype=complex)
@@ -58,21 +58,35 @@ def loop_random_module(rng, st, m=None, allow_free=True):
                 else:
                     table[i, j] = c
                     table[j, i] = st.star_coords(c)
-        h = np.einsum("ijk,kab->iajb", table, st.basis).reshape(m * n, m * n)
-        h = 0.5 * (h + h.conj().T)
-        vals, vecs = np.linalg.eigh(h)
-        gaps = np.diff(vals)
-        if gaps.size == 0 or gaps.max() < 1e-5:
-            continue
-        cols = vecs[:, int(np.argmax(gaps)) + 1:]
-        proj = cols @ cols.conj().T
-        blocks = proj.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
-        try:
-            p = st.coords(blocks, tol=1e-7).reshape(m, m, d)
-        except NotInAlgebraError:
-            continue
-        return ProjectiveModule(st, p, signs)
+        p = dense_cut(st, table)
+        if p is not None:
+            return ProjectiveModule(st, p, signs)
     return ProjectiveModule(st, generate._free_table(m, st.d), signs)
+
+
+def dense_cut(st, table):
+    """The spectral cut of the assembled mn x mn h at its largest gap, or None."""
+    m, n, d = len(table), st.n, st.d
+    h = np.einsum("ijk,kab->iajb", table, st.basis).reshape(m * n, m * n)
+    h = 0.5 * (h + h.conj().T)
+    vals, vecs = np.linalg.eigh(h)
+    gaps = np.diff(vals)
+    if gaps.size == 0 or gaps.max() < 1e-5:
+        return None
+    cols = vecs[:, int(np.argmax(gaps)) + 1:]
+    proj = cols @ cols.conj().T
+    blocks = proj.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
+    try:
+        return st.coords(blocks, tol=1e-7).reshape(m, m, d)
+    except NotInAlgebraError:
+        return None
+
+
+def dense_compress(module, entries):
+    """P . C . P through the structure constants T, as two einsums."""
+    p, T = module.p, module.triple.mult_tensor
+    right = np.einsum("klrq,ljm,qms->kjrs", entries, p, T)
+    return np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
 
 
 def loop_universal_form(rng, st):
@@ -142,7 +156,9 @@ def test_unit_disc_rows_are_successive_unit_disc_draws():
 def test_each_draw_leaves_the_stream_where_the_loops_leave_it():
     # every generate function, on 200 seeds, from the same state: the same
     # state after, and the same bits drawn (both sides read the triple's own
-    # structure constants, so this holds for every kind of triple)
+    # structure constants, so this holds for every kind of triple).  The one
+    # exception is the projection of a point triple: it is cut per point block
+    # where the loops cut the assembled h, so it agrees at round-off
     kinds = {"diag": 0, "amp2": 0}
     for seed in range(200):
         loop, array = twin_streams(seed)
@@ -157,7 +173,11 @@ def test_each_draw_leaves_the_stream_where_the_loops_leave_it():
         module = generate.random_module(array, st)
         want = loop_random_module(loop, st)
         assert loop.bit_generator.state == array.bit_generator.state
-        assert same_bits(module.p, want.p) and same_bits(module.signs, want.signs)
+        assert same_bits(module.signs, want.signs)
+        if st.points is None:
+            assert same_bits(module.p, want.p)
+        else:
+            assert module.p.shape == want.p.shape and np.abs(module.p - want.p).max() <= 1e-12
 
         form = generate.random_universal_form(array, st)
         assert same_bits(form.coeffs, loop_universal_form(loop, st))
@@ -170,6 +190,99 @@ def test_each_draw_leaves_the_stream_where_the_loops_leave_it():
             assert same_bits(got.entries, want)
         assert loop.bit_generator.state == array.bit_generator.state
     assert min(kinds.values()) >= 40
+
+
+# -- the cut per point block against the dense cut ---------------------------
+
+
+def rank(module) -> int:
+    return int(round(np.trace(module.projector).real))
+
+
+def point_module_draws():
+    """(rng, triple, m, allow_free) per draw: the default law on 1500 seeds,
+    then forced m in 1..6 without the free module on 1800, n up to 20."""
+    for seed in range(1500):
+        rng = rng_for(seed)
+        yield rng, generate.random_triple(rng), None, True
+    for seed in range(1800):
+        rng = rng_for(10_000 + seed)
+        n = 2 + seed % 19
+        st = generate.random_triple(rng, n=n, d=int(rng.integers(1, min(n, 10) + 1)), kind="diag")
+        yield rng, st, 1 + seed % 6, False
+
+
+def test_point_cut_matches_the_dense_cut_on_seeded_modules():
+    # the same stream, signs and rank(P), and p within 1e-12 of the dense cut
+    count, cuts = 0, 0
+    for rng, st, m, allow_free in point_module_draws():
+        if st.points is None:
+            continue
+        loop = np.random.default_rng()
+        loop.bit_generator.state = rng.bit_generator.state
+        module = generate.random_module(rng, st, m=m, allow_free=allow_free)
+        want = loop_random_module(loop, st, m=m, allow_free=allow_free)
+        assert loop.bit_generator.state == rng.bit_generator.state
+        assert same_bits(module.signs, want.signs)
+        assert module.p.shape == want.p.shape and rank(module) == rank(want)
+        assert np.abs(module.p - want.p).max() <= 1e-12
+        count += 1
+        cuts += not same_bits(module.p, generate._free_table(module.m, st.d))
+    assert count >= 3000 and cuts >= 2000
+
+
+def test_point_cut_reads_the_hermitian_part_of_any_table():
+    # the dense cut symmetrizes h; so does the cut per point, on tables that
+    # are far from Hermitian (eigh reads one triangle)
+    rng = rng_for(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        st = generate.random_triple(rng, n=n, d=int(rng.integers(1, n + 1)), kind="diag")
+        m = int(rng.integers(1, 5))
+        table = unit_disc(rng, (m, m, st.d))
+        want, got = dense_cut(st, table), generate._point_cut(table)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_random_module_makes_no_coords_call_over_points(monkeypatch):
+    calls = []
+    coords = SpectralTriple.coords
+
+    def recording(self, *args, **kwargs):
+        calls.append(self)
+        return coords(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralTriple, "coords", recording)
+    rng = rng_for(4)
+    for _ in range(200):
+        st = generate.random_triple(rng, kind="diag")
+        generate.random_module(rng, st, allow_free=False)
+    assert calls == []
+    st = generate.random_triple(rng, n=4, kind="amp2")  # the recorder sees the dense cut
+    generate.random_module(rng, st, allow_free=False)
+    assert calls
+
+
+def test_closed_form_compression_matches_the_structure_constants():
+    # over points Y replaces the einsums with T, within round-off; every
+    # other basis keeps them, bit for bit
+    rng = rng_for(6)
+    kinds = {"diag": 0, "amp2": 0}
+    for k in range(660):
+        kind = "amp2" if k % 6 == 5 else "diag"
+        st = generate.random_triple(rng, n=4 if kind == "amp2" else None, kind=kind)
+        module = generate.random_module(rng, st)
+        d = st.d
+        entries = unit_disc(rng, (module.m, module.m, d, d))
+        got, want = generate._compress_connection(module, entries), dense_compress(module, entries)
+        if st.points is None:
+            assert same_bits(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        kinds["diag" if st.points is not None else "amp2"] += 1
+    assert kinds["diag"] >= 500 and kinds["amp2"] >= 100
 
 
 def test_diag_basis_puts_every_slot_in_one_point():

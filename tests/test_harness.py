@@ -69,3 +69,38 @@ def test_table_holds_harness_functions_only():
     # look the library names up at call time
     for family in harness.FAMILIES.values():
         assert {family.draw.__module__, family.measure.__module__} == {"ncgcurv.harness"}
+
+
+def test_lift_pair_draw_computes_each_kernel_once(monkeypatch):
+    # the draw tests ker(m) intersect ker(pi_d) for emptiness and hands the
+    # same kernel to junk_lift_pair, which then computes none of its own
+    from ncgcurv import forms
+
+    triples = []
+    kernel = forms.kernel_one_forms
+
+    def recording(st, *args, **kwargs):
+        triples.append(st)
+        return kernel(st, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "kernel_one_forms", recording)
+    monkeypatch.setattr(generate, "kernel_one_forms", recording)
+    family = harness.FAMILIES["junk_invariance"]
+    rng = generate.rng_for(7)
+    modules = [family.draw(rng, k)[0] for k in range(family.count)]
+    assert len({id(st) for st in triples}) == len(triples)
+    assert [st for st in triples if kernel(st)] == [module.triple for module in modules]
+
+
+def test_lift_pair_from_a_held_kernel_repeats_its_own_draw():
+    from ncgcurv.forms import kernel_one_forms
+
+    for seed in range(20):
+        rng = generate.rng_for(seed)
+        st = generate.random_triple(rng, n=4, kind="amp2" if seed % 2 else "diag")
+        module = generate.random_module(rng, st)
+        held, own = generate.rng_for(seed), generate.rng_for(seed)
+        for a, b in zip(generate.junk_lift_pair(held, module, kernel_one_forms(st)),
+                        generate.junk_lift_pair(own, module)):
+            assert a.entries.tobytes() == b.entries.tobytes()
+        assert held.bit_generator.state == own.bit_generator.state

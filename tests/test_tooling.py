@@ -154,3 +154,25 @@ def test_draw_stream_output_sees_one_extra_draw(monkeypatch):
                         lambda rng, module: (rng.random(), vertical(rng, module))[1])
     planted = tool._generated_digests()
     assert planted[1] != stream
+
+
+def test_draw_stream_output_sees_a_cut_at_another_gap(monkeypatch):
+    # rank(P) is part of the hashed structure: a cut that keeps the other side
+    # of its gap draws what it drew before, and still moves the stream hash
+    import numpy as np
+
+    from ncgcurv import generate
+
+    tool = _compare_outputs()
+    stream = tool._generated_digests()[1]
+    cut = generate._point_cut
+
+    def complement(table):
+        p = cut(table)
+        if p is not None:
+            p = -p
+            p[..., 0] += np.eye(len(p))
+        return p
+
+    monkeypatch.setattr(generate, "_point_cut", complement)
+    assert tool._generated_digests()[1] != stream

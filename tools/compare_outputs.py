@@ -20,8 +20,10 @@ captures, as (stdout, stderr, exit code):
   junk lift pair and vertical operator);
 * a hash of their draw stream: the generator's state after each scenario,
   with its integer structure (n, d, m, the signs, the 0/1 pattern of the
-  basis, and whether the module is free or a spectral cut).  It stays put
-  when a change moves values at round-off but draws what it drew before.
+  basis, whether the module is free or a spectral cut, and rank(P), the
+  rounded trace of the assembled projection).  It stays put when a change
+  moves values at round-off but draws what it drew before; a cut at another
+  gap moves it.
 
 The outputs that differ are listed, and the exit code is 1 if any differs.
 When both sides of a differing stdout or stderr parse as a report (text or
@@ -83,7 +85,8 @@ def _generated_digests() -> tuple[str, str]:
         free[np.arange(module.m), np.arange(module.m), 0] = 1.0
         structure = (st.n, st.d, module.m, module.signs.astype(int).tolist(),
                      np.packbits(st.basis != 0).tobytes().hex(),
-                     bool(np.array_equal(module.p, free)))
+                     bool(np.array_equal(module.p, free)),
+                     round(np.trace(module.projector).real))
         stream.update(repr((structure, rng.bit_generator.state)).encode())
     return values.hexdigest(), stream.hexdigest()
 
