@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -62,6 +63,8 @@ def _fmt_float(x: float) -> str:
     x = float(x)
     if x == 0.0:
         x = 0.0  # normalize -0.0
+    if not math.isfinite(x):
+        return json.dumps(x)  # NaN, Infinity or -Infinity, which json.loads reads
     return format(x, ".17g")
 
 
@@ -196,7 +199,7 @@ def _cmd_junk(scen: Scenario, tol: float, rank_tol: float, seed: int, emit: bool
     one = one_form_space(scen.triple, rank_tol)
     two = two_form_space(scen.triple, rank_tol)
     junk = junk_space(scen.triple, rank_tol)
-    member = max((membership_residual(j, two.basis) for j in junk.basis), default=0.0)
+    member = float(np.max([membership_residual(j, two.basis) for j in junk.basis], initial=0.0))
     checks = [Check("junk_inside_two_forms", member, tol)]
     values = {
         "one_form_dim": one.dim,

@@ -53,6 +53,7 @@ from .fgpmod import (
     ConnectionForm,
     ConnectionOperators,
     ProjectiveModule,
+    _block_lift,
     _require_same_module,
     connection_operators,
 )
@@ -294,9 +295,9 @@ def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,
     """(D1 (x) 1 + left (x) D2)^2 - D1^2 (x) 1 - 1 (x) D2^2, left acting on H1."""
     eye1 = np.eye(st1.n)
     eye2 = np.eye(st2.n)
-    tensor_sum = np.kron(st1.dirac, eye2) + np.kron(left, st2.dirac)
+    tensor_sum = _block_lift(st1.dirac, eye2) + _block_lift(left, st2.dirac)
     return (tensor_sum @ tensor_sum
-            - np.kron(st1.dirac_sq, eye2) - np.kron(eye1, st2.dirac_sq))
+            - _block_lift(st1.dirac_sq, eye2) - _block_lift(eye1, st2.dirac_sq))
 
 
 def external_product_defect(st1: SpectralTriple, st2: SpectralTriple) -> np.ndarray:

@@ -39,6 +39,7 @@ from .glinalg import (
     frobenius_norm,
     parity_residual,
     relative_distance,
+    spectral_norm,
 )
 from .triple import Check, DEFAULT_TOL, SpectralTriple, _require
 
@@ -79,7 +80,7 @@ class ProjectiveModule:
                 f"p must have shape (m, m, {self.triple.d}), got {p.shape}")
         if signs.shape != (p.shape[0],):
             raise ValueError(f"signs must have shape ({p.shape[0]},), got {signs.shape}")
-        if not np.all(np.isin(signs, (-1.0, 1.0))):
+        if not np.all(np.abs(signs) == 1.0):
             raise ValueError("module grading entries must be +1 or -1")
         if not np.all(np.isfinite(p)):
             raise ValueError("projection coefficients must be finite")
@@ -275,7 +276,10 @@ class ConnectionForm:
 
 def pairing_adjoint_entries(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
     """Adjoint table C-dagger of an (m, m, d, d) entry table: transpose of entry
-    positions, star on entries."""
+    positions, star on entries.  Over points S = 1: C-dagger[i, j, a, b] =
+    conj(C[j, i, b, a]), plus +0 for the +0.0 the sum over S leaves at -0.0."""
+    if module.triple.points is not None:
+        return np.conj(entries).transpose(1, 0, 3, 2) + 0j
     S = module.triple.star_matrix
     return np.einsum("jipq,aq,bp->ijab", np.conj(entries), S, S)
 
@@ -416,4 +420,4 @@ def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None
     res = G @ P @ W - G @ W.conj().T @ P - commutator(E, P)
     n = module.triple.n
     blocks = res.reshape(module.m, n, module.m, n).transpose(0, 2, 1, 3)
-    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max(initial=0.0))
+    return float(spectral_norm(blocks).max(initial=0.0))

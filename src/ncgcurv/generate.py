@@ -18,18 +18,17 @@ distribution:
   * Module: m uniform in 1..4, generator signs uniform (re-rolled so both
     signs appear when m >= 2, with probability 0.8); the projection is a
     spectral cut of a random self-adjoint element of M_m(A) at its largest
-    interior eigenvalue gap, or the free module with probability 0.2.  Over
-    the finite-point algebras (``SpectralTriple.points``) M_m(A) is one
-    M_m(C) per point, and the cut is taken per m x m point block at the
-    largest gap of the pooled point eigenvalues: the same gap, and the same
-    draws, as the cut of the assembled mn x mn element that other algebras
-    take.
+    interior eigenvalue gap, or the free module with probability 0.2.
   * Connection tables: unit-disc combinations of the delta basis
     b_i delta(b_j), j >= 1, of ker(m) (not orthonormal) on the grading-even
     positions, pairing-symmetrized when Hermitian is requested, then
     compressed by the projection.
   * Vertical operators: grading-odd algebra tables, symmetrized and
     compressed.
+
+Over ``SpectralTriple.points`` the steps take closed forms, drawing what the
+general code draws: :func:`_point_cut`, :func:`_delta_combinations`,
+:func:`ncgcurv.fgpmod.pairing_adjoint_entries` and :func:`_compress_connection`.
 """
 
 from __future__ import annotations
@@ -99,6 +98,9 @@ def _amplified_m2_basis() -> np.ndarray:
     return np.kron(np.eye(2), units)  # 1 (x) unit, one 4x4 matrix per unit
 
 
+_AMP2_BASIS = _amplified_m2_basis()  # each amp2 triple takes a copy
+
+
 def random_triple(rng: np.random.Generator, n: int | None = None,
                   d: int | None = None, kind: str | None = None) -> SpectralTriple:
     """Random finite spectral triple; see the module docstring for the law.
@@ -128,7 +130,7 @@ def random_triple(rng: np.random.Generator, n: int | None = None,
     if kind is None:
         kind = "amp2" if (n == 4 and d in (None, 4) and rng.random() < 0.3) else "diag"
     if kind == "amp2":
-        basis = _amplified_m2_basis()
+        basis = _AMP2_BASIS.copy()
     else:
         if d is None:
             d = int(rng.integers(1, min(4, n) + 1))
@@ -137,7 +139,7 @@ def random_triple(rng: np.random.Generator, n: int | None = None,
 
 
 def _random_signs(rng: np.random.Generator, m: int) -> np.ndarray:
-    signs = rng.choice([1.0, -1.0], size=m)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, m)  # the draw of rng.choice([1.0, -1.0], m)
     if m >= 2 and np.all(signs == signs[0]) and rng.random() < 0.8:
         signs[int(rng.integers(0, m))] *= -1.0
     return signs
@@ -194,12 +196,8 @@ def _point_cut(table: np.ndarray) -> np.ndarray | None:
 
 def random_module(rng: np.random.Generator, st: SpectralTriple,
                   m: int | None = None, allow_free: bool = True) -> ProjectiveModule:
-    """Random projective module: spectral-cut projection in M_m(algebra).
-
-    Over :attr:`SpectralTriple.points` the cut is taken per point block, with
-    no mn x mn matrix; every other basis cuts the assembled h.  Both draw the
-    same stream and cut at the same gap.
-    """
+    """Random projective module: spectral-cut projection in M_m(algebra),
+    per point block over :attr:`SpectralTriple.points` (:func:`_point_cut`)."""
     if m is None:
         m = int(rng.integers(1, 5))
     signs = _random_signs(rng, m)
@@ -223,21 +221,42 @@ def random_module(rng: np.random.Generator, st: SpectralTriple,
     return ProjectiveModule(st, _free_table(m, st.d), signs)
 
 
+def _delta_combinations(rng: np.random.Generator, st: SpectralTriple,
+                        rows: int) -> np.ndarray:
+    """(rows, d, d) unit-disc combinations of the delta basis b_i delta(b_j),
+    j >= 1, of ker(m), from one (rows, d(d-1)) draw of weights w.
+
+    Over :attr:`SpectralTriple.points` the table of b_i delta(b_j) is e_ij,
+    minus e_j0 when i = 0 or i = j (b_0 b_j = b_j b_j = b_j), so the sums are
+    out[..., 1:] = w and out[:, j, 0] = -(w[0, j] + w[j, j]): the bits of the
+    k-step :func:`_weighted_tables`, whose other terms are exact zeros.
+    """
+    if st.points is None:
+        tables = _universal_tables(st)
+        return _weighted_tables(_unit_disc_rows(rng, rows, len(tables)), tables)
+    d = st.d
+    w = _unit_disc_rows(rng, rows, d * (d - 1)).reshape(rows, d, d - 1)
+    out = np.zeros((rows, d, d), dtype=complex)
+    out[:, :, 1:] = w
+    q = np.arange(1, d)
+    out[:, q, 0] = -(w[:, 0, q - 1] + w[:, q, q - 1])
+    return out
+
+
 def random_universal_form(rng: np.random.Generator, st: SpectralTriple) -> UniversalOneForm:
     """Random element of ker(m): unit-disc weights on its basis b_i delta(b_j)."""
-    tables = _universal_tables(st)
-    return UniversalOneForm(st, _weighted_tables(_unit_disc_rows(rng, 1, len(tables)),
-                                                 tables)[0])
+    return UniversalOneForm(st, _delta_combinations(rng, st, 1)[0])
 
 
 def _random_table_over(rng: np.random.Generator, module: ProjectiveModule,
-                       tables: np.ndarray) -> np.ndarray:
-    """Unit-disc combinations of the (k, d, d) form tables on the grading-even
-    positions, drawn in row-major order."""
+                       tables: np.ndarray | None = None) -> np.ndarray:
+    """Unit-disc combinations of the (k, d, d) form tables (the delta basis when
+    None) on the grading-even positions, drawn in row-major order."""
     m, d = module.m, module.triple.d
     i, j = np.nonzero(module.even_mask)
     entries = np.zeros((m, m, d, d), dtype=complex)
-    entries[i, j] = _weighted_tables(_unit_disc_rows(rng, len(i), len(tables)), tables)
+    entries[i, j] = (_delta_combinations(rng, module.triple, len(i)) if tables is None
+                     else _weighted_tables(_unit_disc_rows(rng, len(i), len(tables)), tables))
     return entries
 
 
@@ -276,7 +295,7 @@ def _star_algebra_table(module: ProjectiveModule, table: np.ndarray) -> np.ndarr
 def random_connection(rng: np.random.Generator, module: ProjectiveModule,
                       hermitian: bool = True) -> ConnectionForm:
     """Random connection form, grading-even, ker(m)-valued, compressed by P."""
-    entries = _random_table_over(rng, module, _universal_tables(module.triple))
+    entries = _random_table_over(rng, module)
     if hermitian:
         entries = symmetrized_entries(module, entries)
     return ConnectionForm(module, _compress_connection(module, entries), hermitian)

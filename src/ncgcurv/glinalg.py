@@ -53,12 +53,15 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value (operator norm)."""
+def spectral_norm(a) -> float | np.ndarray:
+    """Largest singular value (operator norm), 0.0 when empty; for a (..., p, q)
+    stack, the array of its matrices' norms from one batched SVD."""
     m = as_complex_matrix(a)
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+        norms = np.zeros(m.shape[:-2])
+    else:  # descending singular values: the one LAPACK call norm(m, 2) makes
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
 def frobenius_norm(a) -> float:
@@ -140,12 +143,10 @@ def membership_residual(a, basis: Sequence[np.ndarray]) -> float:
 
 
 def orthonormality_defect(basis: Sequence[np.ndarray]) -> float:
-    """Largest entry of |Gram(basis) - 1| for the Frobenius inner product."""
-    worst = 0.0
-    for i, b1 in enumerate(basis):
-        for j, b2 in enumerate(basis):
-            worst = max(worst, abs(np.vdot(b1, b2) - (1.0 if i == j else 0.0)))
-    return worst
+    """Largest entry of |Gram(basis) - 1| for the Frobenius inner product (NaN if any is)."""
+    return float(np.max([abs(np.vdot(b1, b2) - (1.0 if i == j else 0.0))
+                         for i, b1 in enumerate(basis) for j, b2 in enumerate(basis)],
+                        initial=0.0))
 
 
 def solve_kernel(L, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:

@@ -163,8 +163,10 @@ class SpectralTriple:
     @cached_property
     def basis_diagonal(self) -> np.ndarray | None:
         """(d, n) diagonals when every basis matrix is exactly diagonal and real, else None."""
-        diag = np.diagonal(self.basis, axis1=1, axis2=2).real
-        return diag if np.array_equal(self.basis, diag[..., None] * np.eye(self.n)) else None
+        diag = np.diagonal(self.basis, axis1=1, axis2=2)
+        # nothing off the diagonal is nonzero, and nothing on it is imaginary
+        exact = np.count_nonzero(self.basis) == np.count_nonzero(diag) and not diag.imag.any()
+        return diag.real if exact else None
 
     @cached_property
     def points(self) -> np.ndarray | None:
@@ -271,12 +273,12 @@ class SpectralTriple:
 
 
 def pi1_block(st: SpectralTriple, a: np.ndarray) -> np.ndarray:
-    """2n x 2n block matrix [[a, 0], [[D, a], a]]."""
+    """2n x 2n block matrix [[a, 0], [[D, a], a]]; one per matrix of a (k, n, n) stack."""
     n = st.n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = a
-    out[n:, n:] = a
-    out[n:, :n] = commutator(st.dirac, a)
+    out = np.zeros((*a.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = a
+    out[..., n:, n:] = a
+    out[..., n:, :n] = commutator(st.dirac, a)
     return out
 
 
@@ -291,8 +293,9 @@ def pi2_block(st: SpectralTriple, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def c1_norm(st: SpectralTriple, coeffs) -> float:
-    """Operator norm of the first-derivative block representation."""
+def c1_norm(st: SpectralTriple, coeffs) -> float | np.ndarray:
+    """Operator norm of the first-derivative block representation; for a
+    (k, d) stack of coefficient vectors, the k norms from one batched SVD."""
     return spectral_norm(pi1_block(st, st.assemble(coeffs)))
 
 
@@ -300,7 +303,7 @@ def c2_norm(st: SpectralTriple, coeffs) -> float:
     """max of the pi1 norm and the pi2 norms of the element and its adjoint."""
     a = st.assemble(coeffs)
     blocks = np.stack([pi1_block(st, a), pi2_block(st, a), pi2_block(st, a.conj().T)])
-    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max())
+    return float(spectral_norm(blocks).max())
 
 
 # -- validation ----------------------------------------------------------
@@ -324,7 +327,7 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
                         relative_distance(g @ st.dirac @ g, -st.dirac), tol))
     checks.append(_unit_first_check(st, tol))
 
-    even_res = max(relative_distance(g @ b @ g, b) for b in st.basis)
+    even_res = float(np.max([relative_distance(g @ b @ g, b) for b in st.basis], initial=0.0))
     checks.append(Check("basis_even", even_res, tol))
 
     stacked = st.basis.reshape(st.d, -1)
@@ -334,7 +337,7 @@ def validate(st: SpectralTriple, tol: float = DEFAULT_TOL,
 
     def span_residual(mats: np.ndarray) -> float:
         fits = st.assemble(st.coords(mats, tol=np.inf))
-        return max(relative_distance(f, m) for f, m in zip(fits, mats))
+        return float(np.max([relative_distance(f, m) for f, m in zip(fits, mats)], initial=0.0))
 
     mult_res = span_residual(st.pair_products(st.basis).reshape(-1, st.n, st.n))
     star_res = span_residual(st.basis.conj().transpose(0, 2, 1))

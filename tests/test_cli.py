@@ -1,6 +1,7 @@
 import argparse
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from ncgcurv import cli, curvature
 from ncgcurv.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from ncgcurv.scenario import ScenarioError, parse_scenario
 from ncgcurv.submersion import canned_frame
+from ncgcurv.triple import Check
 
 from conftest import ROOT
 
@@ -441,6 +443,37 @@ class TestDeterminism:
         # 1/(1+golden ratio) appears as the singular-value margin; it must
         # round-trip through the fixed-width formatting
         assert third[0]["value"] == pytest.approx(0.3819660112501051, rel=1e-15)
+
+    def test_non_finite_floats_read_back(self):
+        # nan and inf are not JSON; NaN, Infinity and -Infinity are what the
+        # json module itself writes and reads
+        specials = [math.nan, math.inf, -math.inf]
+        doc = cli.ResultDocument(
+            "selftest", "-", 0, "v", checks=[Check(f"c{k}", v, 1.0) for k, v in enumerate(specials)],
+            values={"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "list": specials,
+                    "finite": 0.1, "zero": -0.0})
+        payload = json.loads(doc.to_json())
+        got = [c["value"] for c in payload["checks"]] + list(payload["values"].values())[:4]
+        assert repr(got[:3]) == repr(got[3:6]) == repr(specials) == repr(payload["values"]["list"])
+        assert payload["values"]["finite"] == 0.1 and '"zero":0}' in doc.to_json()
+        assert not payload["passed"]
+        assert doc.to_json().count("NaN") == 3 and doc.to_json().count("-Infinity") == 3
+        assert "  inf = Infinity" in doc.to_text().splitlines()
+
+    def test_a_nan_residual_fails_the_command_and_reads_back(self, fixtures_dir, capsys,
+                                                            monkeypatch):
+        calls, real = [], cli.membership_residual
+
+        def planted(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(cli, "membership_residual", planted)
+        argv = ["junk", str(fixtures_dir / "n3_junk.json"), "--format", "json"]
+        assert main(argv) == EXIT_CHECK_FAILED and len(calls) == 2
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["name"] == "junk_inside_two_forms" and math.isnan(check["value"])
+        assert check["passed"] is False
 
     def test_selftest_cli_passes(self, capsys):
         assert main(["selftest", "--seed", "11", "--format", "json"]) == EXIT_OK

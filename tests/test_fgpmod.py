@@ -9,6 +9,7 @@ from ncgcurv import ProjectiveModule, SpectralTriple
 from ncgcurv.curvature import curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
+    _block_lift,
     connection_operators,
     hermitian_residual,
     pairing_adjoint_entries,
@@ -233,6 +234,36 @@ class TestBlockLifts:
             mixed += len(set(module.signs)) == 2
             assert_lifts_are_kron(module)
         assert mixed >= 10
+
+    def test_block_lift_is_kron_bit_for_bit(self):
+        # the products of the external-product defect too: real and complex
+        # factors, either side, with signed zeros among the entries
+        rng = rng_for(79)
+        for _ in range(300):
+            p, q = (int(k) for k in rng.integers(1, 7, size=2))
+            left, x = unit_disc(rng, (p, p)), unit_disc(rng, (q, q))
+            left[rng.random((p, p)) < 0.3] = complex(-0.0, 0.0)
+            x[rng.random((q, q)) < 0.3] = -0.0
+            for a, b in ((left, x), (left, np.eye(q)), (np.eye(p), x),
+                         (np.diag(np.sign(rng.normal(size=p))), x), (left.real, x.real)):
+                got = _block_lift(a, b)
+                assert got.dtype == np.kron(a, b).dtype
+                assert got.tobytes() == np.kron(a, b).tobytes()
+
+
+class TestSigns:
+    @pytest.mark.parametrize("bad", [0.0, -0.0, 2.0, -2.0, np.inf, -np.inf, np.nan, 1e-300,
+                                     np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)])
+    def test_abs_one_refuses_what_isin_refused(self, two_point, bad):
+        p = np.zeros((2, 2, 2), dtype=complex)
+        p[0, 0, 0] = p[1, 1, 0] = 1.0
+        for signs in ([1.0, bad], [bad, -1.0]):
+            assert not np.all(np.isin(signs, (-1.0, 1.0)))  # the replaced check
+            with pytest.raises(ValueError, match="must be \\+1 or -1"):
+                ProjectiveModule(two_point, p, np.array(signs))
+        for signs in ([1.0, -1.0], [-1.0, -1.0], [1, 1], [True, -1]):
+            assert np.all(np.isin(signs, (-1.0, 1.0)))
+            assert ProjectiveModule(two_point, p, np.array(signs)).signs.dtype == float
 
 
 class TestRepresentConnection:
@@ -623,6 +654,25 @@ class TestHermitianResidual:
             a = random_connection(rng, module, hermitian=hermitian)
             assert hermitian_residual(module, a) == blockwise(module, a)
             assert hermitian_residual(module) == blockwise(module, None)
+
+    def test_point_pairing_adjoint_is_the_einsum_bit_for_bit(self):
+        # S = 1 over points: the conjugate transpose, with the +0.0 that the
+        # sum over S leaves where an entry is -0.0
+        rng = rng_for(83)
+        seen = 0
+        for _ in range(300):
+            st_ = random_triple(rng)
+            m = int(rng.integers(1, 5))
+            module = ProjectiveModule(st_, generate._free_table(m, st_.d), np.ones(m))
+            entries = unit_disc(rng, (m, m, st_.d, st_.d))
+            entries[rng.random(entries.shape) < 0.3] = 0.0
+            entries[rng.random(entries.shape) < 0.2] = complex(-0.0, -0.0)
+            entries[rng.random(entries.shape) < 0.2] = 1.5  # real: conj gives -0.0j
+            S = st_.star_matrix
+            want = np.einsum("jipq,aq,bp->ijab", np.conj(entries), S, S)
+            assert pairing_adjoint_entries(module, entries).tobytes() == want.tobytes()
+            seen += st_.points is not None
+        assert seen >= 250
 
     def test_pairing_adjoint_is_involutive(self):
         rng = rng_for(19)

@@ -285,6 +285,60 @@ def test_closed_form_compression_matches_the_structure_constants():
     assert kinds["diag"] >= 500 and kinds["amp2"] >= 100
 
 
+# -- closed forms and cheaper draws against the expressions they replaced ----
+
+
+def test_point_delta_combinations_are_the_weighted_tables():
+    # equal values (an exact zero may carry either sign) and the same stream,
+    # for point triples with d = 1 ... 10 and up to 12 rows
+    rng = rng_for(8)
+    for d in range(1, 11):
+        for _ in range(30):
+            st = generate.random_triple(rng, n=int(rng.integers(d, 13)), d=d, kind="diag")
+            rows, seed = int(rng.integers(0, 13)), int(rng.integers(2**32))
+            closed, loop = twin_streams(seed)
+            got = generate._delta_combinations(closed, st, rows)
+            tables = generate._universal_tables(st)
+            want = generate._weighted_tables(generate._unit_disc_rows(loop, rows, len(tables)),
+                                             tables)
+            assert st.points is not None and got.shape == want.shape == (rows, d, d)
+            assert np.array_equal(got, want)
+            assert closed.bit_generator.state == loop.bit_generator.state
+
+
+def test_other_bases_take_the_weighted_tables_bit_for_bit():
+    rng = rng_for(9)
+    for _ in range(40):
+        st = generate.random_triple(rng, n=4, kind="amp2")
+        closed, loop = twin_streams(int(rng.integers(2**32)))
+        tables = generate._universal_tables(st)
+        want = generate._weighted_tables(generate._unit_disc_rows(loop, 3, len(tables)), tables)
+        assert st.points is None and same_bits(generate._delta_combinations(closed, st, 3), want)
+        assert closed.bit_generator.state == loop.bit_generator.state
+
+
+def test_random_signs_draw_what_choice_drew():
+    for seed in range(200):
+        for m in range(6):
+            new, old = twin_streams(seed * 6 + m)
+            signs = generate._random_signs(new, m)
+            want = old.choice([1.0, -1.0], size=m)  # the replaced draw, and its re-roll
+            if m >= 2 and np.all(want == want[0]) and old.random() < 0.8:
+                want[int(old.integers(0, m))] *= -1.0
+            assert signs.dtype == float and same_bits(signs, want)
+            assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_each_amp2_triple_holds_its_own_copy_of_the_basis():
+    rng = rng_for(10)
+    first, second = (generate.random_triple(rng, n=4, kind="amp2") for _ in range(2))
+    assert same_bits(first.basis, generate._amplified_m2_basis())
+    first.basis[1, 0, 0] = 7.0
+    assert same_bits(second.basis, generate._amplified_m2_basis())
+    assert same_bits(generate.random_triple(rng, n=4, kind="amp2").basis,
+                     generate._amplified_m2_basis())
+
+
 def test_diag_basis_puts_every_slot_in_one_point():
     rng = rng_for(5)
     for _ in range(200):

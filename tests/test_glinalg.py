@@ -115,6 +115,37 @@ class TestSpectralNorm:
         rhs = spectral_norm(a) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @staticmethod
+    def norm_2(m):
+        """The expression spectral_norm replaced: numpy's 2-norm, 0.0 when empty."""
+        m = np.asarray(m, dtype=complex)
+        return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+    def test_is_the_two_norm_bit_for_bit(self):
+        rng = rng_for(41)
+        mats = [np.zeros((0, 0)), np.zeros((3, 0)), np.array([[-2.5 + 1e-300j]]),
+                np.array([[0.0]]), np.eye(3)]
+        for _ in range(300):
+            p, q = (int(k) for k in rng.integers(1, 13, size=2))
+            mats.append(rand_matrix(rng, max(p, q))[:p, :q] * (rng.random((p, q)) < 0.7))
+        for m in mats:
+            got = spectral_norm(m)
+            assert type(got) is float and got.hex() == self.norm_2(m).hex()
+
+    def test_a_stack_holds_the_norm_of_each_matrix(self):
+        rng = rng_for(43)
+        stacks = [np.zeros((0, 3, 3)), np.zeros((2, 0, 0)), np.zeros((2, 3, 2, 0))]
+        for _ in range(100):
+            lead = tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 3))))
+            p, q = (int(k) for k in rng.integers(1, 9, size=2))
+            x = rng.normal(size=(*lead, p, q)) + 1j * rng.normal(size=(*lead, p, q))
+            stacks += [x, x.transpose(*range(len(lead)), -1, -2)]  # strided as well
+        for x in stacks:
+            got = spectral_norm(x)
+            want = [self.norm_2(m) for m in x.reshape(int(np.prod(x.shape[:-2])), *x.shape[-2:])]
+            assert isinstance(got, np.ndarray) and got.shape == x.shape[:-2]
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
+
 
 class TestSubspaceBasis:
     def test_collinear(self):
@@ -175,6 +206,13 @@ class TestOrthonormalityDefect:
         e00 = np.diag([1.0, 0.0])
         assert orthonormality_defect([2.0 * e00]) == pytest.approx(3.0)
         assert orthonormality_defect([e00, e00 + 0.5 * np.eye(2)]) == pytest.approx(1.5)
+
+    def test_a_nan_entry_is_the_worst_case(self):
+        # a running Python max drops a NaN that does not come first
+        e00, e11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        for basis in ([e00, e11, np.diag([np.nan, 0.0])], [e00, np.diag([0.0, np.nan]), e11],
+                      np.array([e00, e11 * np.nan])):
+            assert np.isnan(orthonormality_defect(basis))
 
 
 class TestMembershipResidual:

@@ -1,5 +1,9 @@
 """The registry of invariant families that selftest and the acceptance tests read."""
 
+import math
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from ncgcurv import generate, harness
@@ -104,3 +108,48 @@ def test_lift_pair_from_a_held_kernel_repeats_its_own_draw():
                         generate.junk_lift_pair(own, module)):
             assert a.entries.tobytes() == b.entries.tobytes()
         assert held.bit_generator.state == own.bit_generator.state
+
+
+# -- a NaN residual is the worst case, wherever it falls ---------------------
+
+
+def nan_at(calls: list, index: int, real):
+    """``real``, except that call number ``index`` (from 0) returns NaN."""
+    def planted(*args, **kwargs):
+        calls.append(None)
+        return float("nan") if len(calls) - 1 == index else real(*args, **kwargs)
+    return planted
+
+
+def test_a_nan_scenario_fails_selftest(monkeypatch):
+    # a running Python max dropped a NaN that did not come first: with NaN
+    # at scenario 3, route_equality reported the worst of the others and passed
+    family = harness.FAMILIES["route_equality"]
+    calls = []
+    measure = nan_at(calls, 3, lambda *scenario: family.measure(*scenario)[0])
+    monkeypatch.setitem(harness.FAMILIES, "route_equality",
+                        replace(family, measure=lambda *scenario: (measure(*scenario),)))
+    checks = harness.selftest(7)
+    assert len(calls) == family.count
+    assert [c.name for c in checks if not c.passed] == ["route_equality"]
+    assert math.isnan(checks[0].value)
+
+
+def test_a_nan_junk_residual_is_the_worst(monkeypatch):
+    st = generate.random_triple(generate.rng_for(3), n=4, d=4, kind="diag")
+    assert len(harness.junk_space(st).basis) >= 2
+    calls = []
+    monkeypatch.setattr(harness, "membership_residual",
+                        nan_at(calls, 1, harness.membership_residual))
+    forms = [SimpleNamespace(third_junk_residual=lambda v=v: v) for v in (0.5, math.nan, 0.25)]
+    monkeypatch.setattr(harness, "kernel_one_forms", lambda st_: forms)
+    member, third = harness._measure_junk_membership(st)
+    assert len(calls) >= 2 and math.isnan(member) and math.isnan(third)
+
+
+def test_a_nan_operator_norm_breaks_the_norm_chain(monkeypatch):
+    rng = generate.rng_for(4)
+    st, coeffs = harness._draw_algebra_element(rng, 0)
+    monkeypatch.setattr(harness, "spectral_norm", lambda a: float("nan"))
+    (value,) = harness._measure_norm_chain(st, coeffs)
+    assert math.isnan(value)

@@ -1,14 +1,19 @@
-"""The tooling itself: pytest reports failures, compare_outputs shows what moved."""
+"""The tooling itself: pytest reports failures, compare_outputs shows what moved,
+numpy_ledger counts the numpy calls of a benchmark pass."""
 
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 COMPARE_OUTPUTS = ROOT / "tools" / "compare_outputs.py"
+NUMPY_LEDGER = ROOT / "tools" / "numpy_ledger.py"
 
 FAILING_TESTS = '''
 from hypothesis import given, settings, strategies as st
@@ -159,8 +164,6 @@ def test_draw_stream_output_sees_one_extra_draw(monkeypatch):
 def test_draw_stream_output_sees_a_cut_at_another_gap(monkeypatch):
     # rank(P) is part of the hashed structure: a cut that keeps the other side
     # of its gap draws what it drew before, and still moves the stream hash
-    import numpy as np
-
     from ncgcurv import generate
 
     tool = _compare_outputs()
@@ -176,3 +179,37 @@ def test_draw_stream_output_sees_a_cut_at_another_gap(monkeypatch):
 
     monkeypatch.setattr(generate, "_point_cut", complement)
     assert tool._generated_digests()[1] != stream
+
+
+def _numpy_ledger():
+    spec = importlib.util.spec_from_file_location("numpy_ledger", NUMPY_LEDGER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_numpy_ledger_repeats_itself_and_puts_numpy_back():
+    tool = _numpy_ledger()
+    routines = [np.einsum, *(getattr(np.linalg, name) for name in tool.LINALG)]
+    first, second = tool.ledger(), tool.ledger()
+    assert first == second and tool.render(first) == tool.render(second)
+    assert routines == [np.einsum, *(getattr(np.linalg, name) for name in tool.LINALG)]
+    text = tool.render(first).splitlines()
+    assert text[-1].startswith("ledger digest: ") and len(text[-1]) == len("ledger digest: ") + 64
+    # the 17 fixture commands and selftest --seed 7 ran: every routine is there
+    totals = dict(line[len("total "):].split(": ") for line in text if line.startswith("total "))
+    assert set(totals) == {*tool.LINALG, "einsum"} and all(int(v) > 0 for v in totals.values())
+    assert first["svd((2, 8, 8), compute_uv=False)"] > 0  # c1 of a and a* in one call
+
+
+def test_numpy_ledger_keys_calls_by_shape_and_value():
+    tool = _numpy_ledger()
+    counts = Counter()
+    with tool.counting(counts):
+        np.linalg.norm(np.eye(3), 2)
+        np.linalg.norm(np.eye(3), ord=2)
+        np.einsum("ij,jk->ik", np.eye(2), [[1.0, 0.0], [0.0, 1.0]])
+        np.einsum("ij,jk->ik", np.eye(2), np.eye(2))
+    assert counts == Counter({"norm((3, 3), 2)": 1, "norm((3, 3), ord=2)": 1,
+                              "einsum('ij,jk->ik', (2, 2), list(2, 2))": 1,
+                              "einsum('ij,jk->ik', (2, 2), (2, 2))": 1})

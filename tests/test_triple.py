@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncgcurv.triple as triple_module
 from ncgcurv import SpectralTriple, c1_norm, c2_norm, validate
 from ncgcurv.generate import random_triple, rng_for, unit_disc
 from ncgcurv.scenario import parse_scenario
@@ -22,6 +23,23 @@ def multiply_coords(st_, c1, c2) -> np.ndarray:
 class TestValidate:
     def test_two_point_passes(self, two_point):
         assert all(c.passed for c in validate(two_point))
+
+    @pytest.mark.parametrize("name, call", [("basis_even", 7), ("algebra_closed_mult", 10),
+                                            ("algebra_closed_star", 19)])
+    def test_a_nan_residual_fails_its_check(self, n3, monkeypatch, name, call):
+        # n3 (d = 3) takes 5 distances before basis_even, then 3, 9 and 3: the
+        # NaN is the second of its check's, which a running Python max dropped
+        calls, real = [], triple_module.relative_distance
+
+        def relative_distance(a, b):
+            calls.append(None)
+            return float("nan") if len(calls) == call else real(a, b)
+
+        monkeypatch.setattr(triple_module, "relative_distance", relative_distance)
+        checks = {c.name: c for c in validate(n3)}
+        assert len(calls) == 20
+        assert np.isnan(checks[name].value) and not checks[name].passed
+        assert [c.name for c in checks.values() if not c.passed] == [name]
 
     def test_broken_selfadjointness(self, two_point):
         st_bad = SpectralTriple(two_point.gamma, two_point.basis,
@@ -197,6 +215,40 @@ class TestPoints:
         assert random_triple(rng_for(13), n=4, kind="amp2").points is None
 
 
+def old_basis_diagonal(st_):
+    """The definition basis_diagonal replaced: equality with diag * 1."""
+    diag = np.diagonal(st_.basis, axis1=1, axis2=2).real
+    return diag if np.array_equal(st_.basis, diag[..., None] * np.eye(st_.n)) else None
+
+
+class TestBasisDiagonal:
+    def test_counts_give_the_verdict_of_array_equal(self, n3):
+        rng = rng_for(23)
+        bases = [n3.basis, random_triple(rng_for(13), n=4, kind="amp2").basis]
+        # -0.0 off the diagonal, a 1e-300j diagonal, -0.0j on it, 1e-300 off it, -0.0 on it
+        for index, value in (((1, 0, 2), complex(-0.0, -0.0)), ((2, 1, 1), 1e-300j),
+                             ((1, 0, 0), complex(1.0, -0.0)), ((1, 2, 0), 1e-300),
+                             ((1, 1, 1), -0.0)):
+            b = n3.basis.copy()
+            b[index] = value
+            bases.append(b)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            b = (rng.normal(size=(d, n, n)) * (rng.random((d, n, n)) < 0.3)).astype(complex)
+            b[rng.random((d, n, n)) < 0.2] *= 1j
+            b[:, np.arange(n), np.arange(n)] += rng.normal(size=(d, n))
+            bases.append(b)
+        verdicts = set()
+        for b in bases:
+            st_ = SpectralTriple(np.eye(b.shape[1]), b, np.zeros(b.shape[1:]))
+            got, want = st_.basis_diagonal, old_basis_diagonal(st_)
+            verdicts.add(want is None)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        assert verdicts == {True, False}
+
+
 def same_bits_but_zero_sign(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit for bit, except that an exact zero may carry either sign.
 
@@ -332,6 +384,19 @@ class TestDerivativeNorms:
         others = (spectral_norm(pi1_block(st_, a)), spectral_norm(pi2_block(st_, a)))
         assert adjoint_term > max(others) + 0.05
         assert c2_norm(st_, coeffs) == adjoint_term
+
+    def test_c1_norm_of_a_stack_is_each_row_bit_for_bit(self, two_point):
+        rng = rng_for(39)
+        triples = [two_point] + [random_triple(rng, n=4, kind=("diag", "amp2")[k % 2])
+                                 for k in range(20)]
+        triples += [random_triple(rng) for _ in range(300)]
+        for st_ in triples:
+            for k in (1, 2, 5):
+                coeffs = unit_disc(rng, (k, st_.d)) * (rng.random((k, st_.d)) < 0.8)
+                got = c1_norm(st_, coeffs)
+                assert got.shape == (k,)
+                assert [v.hex() for v in got.tolist()] == [c1_norm(st_, c).hex() for c in coeffs]
+        assert c1_norm(two_point, np.zeros((0, 2))).shape == (0,)
 
     def test_c2_norm_is_the_largest_of_three_separate_norms(self):
         # one batched norm over the three blocks gives the bits of three calls
