@@ -27,7 +27,6 @@ from .fgpmod import (
     connection_operators,
     hermitian_residual,
     spectrum,
-    symmetrize_connection,
 )
 from .forms import (
     FormSpace,
@@ -95,7 +94,6 @@ __all__ = [
     "spectrum",
     "submersion_invariants",
     "subspace_basis",
-    "symmetrize_connection",
     "two_form_space",
     "validate",
     "warped_torus_frame",

@@ -9,10 +9,9 @@ with Dt = Gamma (x) D.  The last bracket is the represented differential of
 the connection form, obtained from the one-form/two-form identity; it is
 compressed to the range of P, where the whole calculus lives.  Both routes
 run there, at O((mn)^2 r) for r = rank(P), in the coordinates of the
-isometry V = ``ProjectiveModule.range_isometry`` (V V* = P): R = V (M_r^2 -
-N_r) V*, and P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P = -V (W* W - T* T) V* with
-W = Dt V, T = V* W.  The two stay different computations, so a wrong sign in
-either shows in the route residual.  The sign convention is R = M^2 - N (the
+isometry V = ``ProjectiveModule.range_isometry`` (V V* = P); each function
+states its r x r form.  The two stay different computations, so a wrong sign
+in either shows in the route residual.  The sign convention is R = M^2 - N (the
 square of the product operator minus the lifted square); reports carry an
 explicit note so results can be matched to the opposite convention by a
 global sign flip.
@@ -25,8 +24,7 @@ is applied block by block, each n x n block of PXP = V (V* X V) V* projected
 onto the orthonormal junk basis, with no lift and no SVD.
 
 With ``range_coords`` set, :func:`curvature_direct` and
-:func:`curvature_formula` return the r x r blocks themselves: R_r = M_r^2 -
-N_r and F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r.  A
+:func:`curvature_formula` return the r x r blocks themselves.  A
 :class:`CurvatureReport` holds R_r and the connection's operator bundle;
 every other field is computed on first read and then cached, so a caller
 pays only for what it reads.  The route residual (against F_r), the symmetry
@@ -103,10 +101,11 @@ def curvature_formula(module: ProjectiveModule,
                       tol: float = DEFAULT_TOL, *, range_coords: bool = False) -> np.ndarray:
     """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2), evaluated as
     V F_r V* with F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r, or F_r itself
-    when ``range_coords`` is set."""
+    when ``range_coords`` is set: with W = Dt V and T = V* W,
+    P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P = -V (W* W - T* T) V*."""
     ops = connection_operators(module, a, tol)
     t, w, a_r = ops.t, ops.w, ops.a_r
-    base = -(w.conj().T @ w - t.conj().T @ t)  # P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P
+    base = -(w.conj().T @ w - t.conj().T @ t)
     f_r = base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
     return f_r if range_coords else ops.expand(f_r)
 

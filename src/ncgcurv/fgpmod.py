@@ -8,34 +8,27 @@ m x m table of universal coefficient tables.  A :class:`ConnectionForm` is
 built once, from a finished table: tables are added, scaled and compressed as
 plain (m, m, d, d) arrays, and a form is read only over its own module.
 
-Assembled operators act on the product space C^m (x) C^n; the graded lift
-of the Dirac matrix is Gamma (x) D and the product operator of a connection
-is P (Gamma (x) D) P + A_D.  Every operator, spectrum and curvature function
-reads the :class:`ConnectionOperators` bundle of :func:`connection_operators`:
-r x r blocks V* X V for the range isometry V (V V* = P), from one batched eigh
-of the point blocks of P over a diagonal basis, else from eigh(P).
-
-A form is represented entrywise: A_D[i, j] = sum_pq c[i, j, p, q] b_p [D, b_q],
-and A_D2 likewise with D^2.  Over a real diagonal basis (the commutative
-finite-point algebras, ``SpectralTriple.basis_diagonal`` set) b_p [X, b_q] is
-X o b_p[x](b_q[y] - b_q[x]), so one point kernel K[i, j, x, y] serves both:
-A_D = (1 (x) D) o K and A_D2 = (1 (x) D^2) o K, at O(m^2 d n (d + n)), and its
-diagonal term is the ker(m) defect.  Every other basis contracts the entries
-with the d^2 pair stack b_p [D^k, b_q], at O(m^2 d^2 n^2).
-:func:`validate_connection` (checks without raising, against the assembled P)
-and :func:`hermitian_residual` (the raw, uncompressed A_D) read A_D alone, from
-:meth:`ConnectionForm.represented_d`: the same kernel, or only the D pair stack.
+Assembled operators act on the product space C^m (x) C^n; the graded lift of
+the Dirac matrix is Gamma (x) D and the product operator of a connection is
+P (Gamma (x) D) P + A_D.  Only the grading Gamma (x) gamma is assembled:
+Gamma (x) 1 is a row scaling and 1 (x) D a product per n-row block.  Every
+operator, spectrum and curvature function reads the :class:`ConnectionOperators`
+bundle of :func:`connection_operators`, in the coordinates of the range
+isometry (:attr:`ProjectiveModule.range_isometry`).  A form is represented
+entrywise, A_D[i, j] = sum_pq c[i, j, p, q] b_p [D, b_q] and A_D2 likewise
+with D^2, by :meth:`ConnectionForm.represented`: over a real diagonal basis
+from one point kernel (:meth:`ConnectionForm._point_kernel`), else from the
+d^2 pair stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .glinalg import (
-    commutator,
     frobenius_norm,
     parity_residual,
     relative_distance,
@@ -51,7 +44,6 @@ __all__ = [
     "hermitian_residual",
     "pairing_adjoint_entries",
     "spectrum",
-    "symmetrize_connection",
     "symmetrized_entries",
     "validate_connection",
     "validate_module",
@@ -152,21 +144,6 @@ class ProjectiveModule:
         return frobenius_norm(gxg + x if odd else gxg - x) / max(1.0, frobenius_norm(x))
 
     @cached_property
-    def sign_lift(self) -> np.ndarray:
-        """Gamma (x) 1."""
-        return _block_lift(np.diag(self.signs), np.eye(self.triple.n))
-
-    @cached_property
-    def dirac_lift(self) -> np.ndarray:
-        """Graded lift Gamma (x) D of the (odd) Dirac matrix."""
-        return _block_lift(np.diag(self.signs), self.triple.dirac)
-
-    @cached_property
-    def dirac_plain_lift(self) -> np.ndarray:
-        """Ungraded lift 1 (x) D."""
-        return _block_lift(np.eye(self.m), self.triple.dirac)
-
-    @cached_property
     def even_mask(self) -> np.ndarray:
         """(m, m) boolean mask of the Gamma-even entry positions."""
         return np.outer(self.signs, self.signs) > 0
@@ -174,11 +151,11 @@ class ProjectiveModule:
 
 def validate_module(module: ProjectiveModule, tol: float = DEFAULT_TOL) -> list[Check]:
     P = module.projector
-    G1 = module.sign_lift
+    g = np.repeat(module.signs, module.triple.n)[:, None]  # Gamma (x) 1, as a column
     return [
         Check("projector_idempotent", relative_distance(P @ P, P), tol),
         Check("projector_selfadjoint", relative_distance(P, P.conj().T), tol),
-        Check("projector_even", relative_distance(G1 @ P @ G1, P), tol),
+        Check("projector_even", relative_distance(g * g.T * P, P), tol),
     ]
 
 
@@ -229,12 +206,10 @@ class ConnectionForm:
         return self._point_kernel()[1]
 
     def represented(self) -> np.ndarray:
-        """A_D and A_D2, entrywise pi_d and pi_d2, as a (2, mn, mn) stack.
-
-        Over a real diagonal basis A_D = (1 (x) D) o K and A_D2 = (1 (x) D^2) o K
-        from one point kernel K (:meth:`_point_kernel`), at O(m^2 d n (d + n));
-        any other basis contracts the entries with the d^2 pair stack
-        b_p [D^k, b_q], at O(m^2 d^2 n^2)."""
+        """A_D and A_D2, entrywise pi_d and pi_d2, as a (2, mn, mn) stack: from
+        the point kernel (:meth:`_point_kernel`) over a real diagonal basis, at
+        O(m^2 d n (d + n)), else from the d^2 pair stack b_p [D^k, b_q], at
+        O(m^2 d^2 n^2)."""
         return self._represent(2)
 
     def represented_d(self) -> np.ndarray:
@@ -287,11 +262,6 @@ def pairing_adjoint_entries(module: ProjectiveModule, entries: np.ndarray) -> np
 def symmetrized_entries(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
     """Average of an (m, m, d, d) entry table with its pairing adjoint."""
     return (entries + pairing_adjoint_entries(module, entries)) * 0.5
-
-
-def symmetrize_connection(a: ConnectionForm) -> ConnectionForm:
-    """Average with the pairing adjoint; used to manufacture Hermitian test forms."""
-    return replace(a, entries=symmetrized_entries(a.module, a.entries), hermitian=True)
 
 
 def _require_same_module(module: ProjectiveModule, x) -> None:
@@ -407,17 +377,20 @@ def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None
     with nabla the Grassmann connection plus ``a``; the Grassmann part
     satisfies the identity exactly, so the residual isolates the defect of
     the added form, taken as given: raw A_D, not P A_D P, and unchecked.
-    Returns the max spectral norm over the (i, j) blocks.
+    Returns the max spectral norm over the (i, j) blocks.  With Gamma (x) 1 =
+    diag(g), EP = (1 (x) D) P and PE = P (1 (x) D), each a product per n-block,
+    W = [Gamma (x) D, P] = g o EP - PE o g^T (+ A_D) and the defect is
+    g o (P W - W* P) - (EP - PE): two dense products, in any basis and gamma.
     """
-    P = module.projector
-    G = module.sign_lift
-    E = module.dirac_plain_lift
-    W = commutator(module.dirac_lift, P)
+    P, m, n, dim = module.projector, module.m, module.triple.n, module.dim
+    g = np.repeat(module.signs, n)[:, None]
+    ep = (module.triple.dirac @ P.reshape(m, n, dim)).reshape(dim, dim)
+    pe = (P.reshape(dim * m, n) @ module.triple.dirac).reshape(dim, dim)
+    W = g * ep - pe * g.T  # [Gamma (x) D, P]
     if a is not None:
         _require_same_module(module, a)
         if not a.is_zero():
             W = W + a.represented_d()
-    res = G @ P @ W - G @ W.conj().T @ P - commutator(E, P)
-    n = module.triple.n
-    blocks = res.reshape(module.m, n, module.m, n).transpose(0, 2, 1, 3)
+    res = g * (P @ W - W.conj().T @ P) - (ep - pe)
+    blocks = res.reshape(m, n, m, n).transpose(0, 2, 1, 3)
     return float(spectral_norm(blocks).max(initial=0.0))

@@ -21,18 +21,9 @@ delta basis, not orthonormal) with pi_d = b_i [D, b_j], pi_d2 = b_i [D^2, b_j].
 The kernel of the n^2 x d(d-1) matrix of the b_i [D, b_j] gives the forms that
 represent to zero; junk two-forms are its pi_d2 image.  Each call solves the
 kernel afresh: the module keeps no state between calls.  A basis[0] that is not
-the identity raises InvariantViolation (``basis_unit_first``).
-
-A basis with :attr:`SpectralTriple.points` (exactly 1, then diagonal 0/1
-projections with disjoint supports and no empty minimal projection: every
-fixture and ``diag`` triple) has minimal projections e_0 = 1 - sum b_k, e_k = b_k,
-and the d(d-1) forms e_k delta(e_l), k != l, are a basis of ker(m).  Those with
-e_k D e_l exactly 0 span ker(m) intersect ker(pi_d) (Krajewski,
-arXiv:hep-th/9701081): one QR of their delta coordinates orthonormalizes them,
-with no rank cut.  Junk is the span of their images e_k D^2 e_l, normalized:
-no SVD and no kernel.  A nonzero block under sqrt(rank_tol) ||D||_F (or
-||D^2||_F) is too near the cut to decide, so junk and kernel both take the SVD
-route there, like any other basis.
+the identity raises InvariantViolation (``basis_unit_first``).  Over
+:attr:`SpectralTriple.points` (every fixture and ``diag`` triple) both take
+closed forms, stated at :func:`kernel_one_forms` and :func:`junk_space`.
 """
 
 from __future__ import annotations
@@ -59,7 +50,6 @@ __all__ = [
     "kernel_one_forms",
     "one_form_space",
     "two_form_space",
-    "universal_form_basis",
 ]
 
 
@@ -188,11 +178,6 @@ def _universal_tables(st: SpectralTriple) -> np.ndarray:
     return _delta_tables(st, np.eye(st.d * (st.d - 1)))
 
 
-def universal_form_basis(st: SpectralTriple) -> list[UniversalOneForm]:
-    """The delta basis b_i delta(b_j), j >= 1, of ker(m); not orthonormal."""
-    return [UniversalOneForm(st, t) for t in _universal_tables(st)]
-
-
 def _delta_kernel(st: SpectralTriple, rank_tol: float) -> list[np.ndarray]:
     """Kernel of the n^2 x d(d-1) matrix of b_i [D, b_j]."""
     _require([_unit_first_check(st)])
@@ -228,8 +213,10 @@ def _point_pairs(st: SpectralTriple, rank_tol: float):
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
     """Basis of ker(m) intersect ker(pi_d), orthonormal in delta-basis coordinates.
 
-    Over points, the forms e_k delta(e_l), k != l, with e_k D e_l = 0: a subset of
-    a basis of ker(m), orthonormalized by one QR with no rank cut.
+    Over points, with minimal projections e_k, the d(d-1) forms e_k delta(e_l),
+    k != l, are a basis of ker(m), and those with e_k D e_l exactly 0 span
+    ker(m) intersect ker(pi_d) (Krajewski, arXiv:hep-th/9701081): one QR of
+    their delta coordinates orthonormalizes them, with no rank cut.
     """
     pairs = _point_pairs(st, rank_tol)
     if pairs is None:
@@ -246,7 +233,9 @@ def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 
 def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSpace:
-    """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d): closed form or SVD."""
+    """Junk two-forms, the pi_d2 image of ker(m) intersect ker(pi_d).  Over points
+    the span of the images e_k D^2 e_l of :func:`kernel_one_forms`' pairs,
+    normalized, with no SVD; else, or near the cut (:func:`_point_pairs`), an SVD."""
     pairs = _point_pairs(st, rank_tol)
     if pairs is None:
         return _junk_space_svd(st, rank_tol)

@@ -3,8 +3,6 @@
 Operators are plain complex128 numpy arrays.  This module supplies
 commutators, norms, grading checks and the rank-revealing subspace machinery
 (Frobenius inner product) on which all form-space computations are built.
-Graded lifts onto the module's product space are built where they are used,
-as broadcast block products in :class:`ncgcurv.fgpmod.ProjectiveModule`.
 
 Every function is pure and never mutates its arguments, so independent calls
 are safe to evaluate in parallel.

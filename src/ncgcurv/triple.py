@@ -7,9 +7,7 @@ and adjoints are re-expanded through least squares, failing loudly when the
 basis was not closed.
 
 A basis of exactly 1 followed by diagonal 0/1 projections with disjoint
-supports is the algebra of d points: ``SpectralTriple.points`` holds its
-minimal projections e_0 = 1 - sum b_k, e_k = b_k as a (d, n) 0/1 matrix, and is
-None on every other basis.
+supports is the algebra of d points (:attr:`SpectralTriple.points`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from ncgcurv.fgpmod import (
     ProjectiveModule,
     connection_operators,
     hermitian_residual,
-    symmetrize_connection,
     validate_connection,
     validate_module,
 )
@@ -38,14 +37,14 @@ from ncgcurv.glinalg import (
     anticommutator,
     commutator,
     frobenius_norm,
-    relative_distance,
     spectral_norm,
     support_residual,
 )
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
-from conftest import unitary_twin
+from reference import (eager_reference, hermitian, kron_lifts, lifted_svd_canonical, symmetrized,
+                       unitary_twin)
 from test_fgpmod import delta_connection
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -70,7 +69,7 @@ class TestDirectRoute:
         rng = np.random.default_rng(seed)
         module = random_module(rng, random_triple(rng))
         proj = module.projector
-        dp = commutator(module.dirac_lift, proj)
+        dp = commutator(kron_lifts(module)[1], proj)
         assert np.allclose(curvature_direct(module), proj @ dp @ dp @ proj,
                            atol=1e-11)
 
@@ -82,10 +81,10 @@ class TestFormulaRoute:
 
     def test_free_module_with_delta_form(self, free_module):
         # on a free module P = 1 and the formula is A^2 + [Dt, A]_+ - A_D2
-        a = symmetrize_connection(delta_connection(free_module))
+        a = symmetrized(delta_connection(free_module))
         ops = connection_operators(free_module, a)
         a_d, a_d2 = ops.a_d, ops.a_d2
-        dt = free_module.dirac_lift
+        dt = kron_lifts(free_module)[1]
         expected = a_d @ a_d + anticommutator(dt, a_d) - a_d2
         assert np.allclose(curvature_formula(free_module, a), expected, atol=1e-12)
         assert np.allclose(curvature_direct(free_module, a), expected, atol=1e-12)
@@ -226,21 +225,6 @@ class TestJunkCoset:
         assert junk_space(two_point_module.triple).dim == 0
         report = curvature_report(two_point_module)
         assert np.array_equal(report.junk_canonical, report.R)
-
-
-def lifted_svd_canonical(r, module, junk, rank_tol=1e-9):
-    """Reference: R minus its projection onto an SVD basis of the lifts
-    P (E_kl (x) J) P, as the junk quotient was once computed."""
-    P, m = module.projector, module.m
-    lifts = []
-    for k in range(m):
-        for l in range(m):
-            e_kl = np.zeros((m, m))
-            e_kl[k, l] = 1.0
-            lifts += [(P @ np.kron(e_kl, j) @ P).ravel() for j in junk.basis]
-    _, s, vh = np.linalg.svd(np.stack(lifts), full_matrices=False)
-    vh = vh[:int(np.sum(s > rank_tol * s[0]))]
-    return r - (vh.T @ (vh.conj() @ r.ravel())).reshape(r.shape)
 
 
 def bimodule_defect(st_, junk):
@@ -501,48 +485,6 @@ def curvature_calls(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(curvature, name, counted)
     return calls
-
-
-def dense_junk_projection(x, module, junk):
-    """proj_L(P x P), with P x P formed from the assembled projector."""
-    P, m, n = module.projector, module.m, module.triple.n
-    blocks = (P @ x @ P).reshape(m, n, m, n)
-    coeffs = np.einsum("qab,iajb->ijq", junk.basis.conj(), blocks)
-    return np.einsum("ijq,qab->iajb", coeffs, junk.basis).reshape(module.dim, module.dim)
-
-
-def eager_reference(module, a, junk=None):
-    """Every curvature quantity from dense mn x mn operators: np.kron lifts,
-    P X P compressions, the formula route as P[Dt,P][Dt,P]P + ..., and the
-    spectrum on the eigenvectors of P above 1/2."""
-    st_ = module.triple
-    P = module.projector
-    dt = np.kron(np.diag(module.signs), st_.dirac)
-    raw, raw2 = (np.zeros_like(P),) * 2 if a is None else a.represented()
-    a_d, a_d2 = P @ raw @ P, P @ raw2 @ P
-    m_op = P @ dt @ P + a_d
-    n_op = P @ np.kron(np.eye(module.m), st_.dirac_sq) @ P + a_d2
-    r = m_op @ m_op - n_op
-    dp = commutator(dt, P)
-    formula = P @ dp @ dp @ P + a_d @ a_d + P @ anticommutator(dt, a_d) @ P - a_d2
-    vals, vecs = np.linalg.eigh(P)
-    cols = vecs[:, vals > 0.5]
-    junk = junk_space(st_) if junk is None else junk
-    return {
-        "R": r,
-        "formula": formula,
-        "route_residual": frobenius_norm(r - formula) / max(1.0, frobenius_norm(r)),
-        "symmetry_residual": relative_distance(r, r.conj().T),
-        "m_op": m_op,
-        "n_op": n_op,
-        "norm": spectral_norm(r),
-        "junk_canonical": r - dense_junk_projection(r, module, junk),
-    } | ({"spectrum": np.linalg.eigvalsh(cols.conj().T @ m_op @ cols)} if hermitian(a) else {})
-
-
-def hermitian(a) -> bool:
-    """Whether the product operator of ``a`` is self-adjoint, so has a spectrum."""
-    return a is None or a.hermitian
 
 
 def range_coordinate_values(module, a, junk=None):

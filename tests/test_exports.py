@@ -1,8 +1,10 @@
 """Every exported name resolves, so a deleted function cannot stay exported."""
 
 import ast
+import functools
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import ncgcurv
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(ncgcurv.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -38,8 +41,10 @@ def test_test_only_helpers_stay_in_the_tests():
     # (tables are composed as arrays) and FormSpace.membership (an alias of
     # glinalg.membership_residual) are gone altogether, as are the
     # correspondence wrappers (callers read one correspondence_report) and
-    # ConnectionForm.pairing_adjoint (pairing_adjoint_entries is the one spelling)
-    from ncgcurv import curvature, forms
+    # ConnectionForm.pairing_adjoint (pairing_adjoint_entries is the one spelling);
+    # the Kronecker lifts, the symmetrizer of whole forms and the delta basis as
+    # forms are built by tests/reference.py
+    from ncgcurv import curvature, fgpmod, forms
 
     moved = {"left_mult", "right_mult", "multiply_coords"}
     assert moved.isdisjoint(set(ncgcurv.__all__) | set(forms.__all__))
@@ -53,6 +58,40 @@ def test_test_only_helpers_stay_in_the_tests():
     assert wrappers.isdisjoint(set(ncgcurv.__all__) | set(curvature.__all__))
     assert [n for n in wrappers if hasattr(curvature, n)] == []
     assert not hasattr(ncgcurv.ConnectionForm, "pairing_adjoint")
+    removed = {"symmetrize_connection", "universal_form_basis"}
+    assert removed.isdisjoint(set(ncgcurv.__all__) | set(fgpmod.__all__) | set(forms.__all__))
+    assert [n for n in removed if hasattr(fgpmod, n) or hasattr(forms, n)] == []
+    lifts = ("sign_lift", "dirac_lift", "dirac_plain_lift")
+    assert [n for n in lifts if hasattr(ncgcurv.ProjectiveModule, n)] == []
+
+
+def _loads(node) -> list[str]:
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        return [node.id if isinstance(node, ast.Name) else node.attr]
+    return []
+
+
+@functools.cache
+def _reads() -> Counter:
+    """Reads of each name as a Name or an Attribute in the library, demos, oracles,
+    tools and benchmark, less those inside a definition of that name."""
+    reads = Counter()
+    for path in (p for top in ("src", "demos", "oracles", "tools", "bench")
+                 for p in sorted((ROOT / top).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            reads.update(_loads(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                reads[node.name] -= sum(n == node.name for sub in ast.walk(node)
+                                        for n in _loads(sub))
+    return reads
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_export_has_a_caller(name):
+    # an exported name is read somewhere outside the tests: a name that only
+    # __all__, a test or a string (a tracer target) mentions is dead API
+    module = importlib.import_module(f"ncgcurv.{name}")
+    assert [n for n in module.__all__ if _reads()[n] <= 0] == []
 
 
 def test_forms_keeps_no_kernel_memo():

@@ -1,4 +1,3 @@
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +13,10 @@ from ncgcurv.fgpmod import (
     hermitian_residual,
     pairing_adjoint_entries,
     spectrum,
-    symmetrize_connection,
     validate_connection,
     validate_module,
 )
-from ncgcurv.forms import delta, universal_form_basis
+from ncgcurv.forms import delta
 from ncgcurv import generate
 from ncgcurv.generate import (
     junk_lift_pair,
@@ -33,13 +31,13 @@ from ncgcurv.glinalg import (
     frobenius_norm,
     parity_residual,
     relative_distance,
-    spectral_norm,
     support_residual,
 )
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
-from conftest import unitary_twin
+from reference import (kron_hermitian_residual, kron_lifts, kron_projector_even, symmetrized,
+                       tensordot_reference, unitary_twin)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -53,17 +51,6 @@ def delta_connection(module, position=(0, 0), element=None):
     entries = np.zeros((module.m, module.m, st_.d, st_.d), dtype=complex)
     entries[position] = delta(st_, element).coeffs
     return ConnectionForm(module, entries)
-
-
-def tensordot_reference(a):
-    """(A_D, A_D2) and mult_residual through the d^2 pair stack, contracted by
-    np.tensordot: the route every basis took before the point kernel."""
-    st_, m, n = a.module.triple, a.module.m, a.module.triple.n
-    pairs = st_.pair_products(np.stack([st_.dirac_commutators, st_.dirac_sq_commutators]))
-    blocks = np.tensordot(a.entries, pairs, axes=([2, 3], [1, 2]))
-    represented = blocks.transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
-    prods = np.tensordot(a.entries, st_.pair_products(st_.basis), axes=2)
-    return represented, float(np.linalg.norm(prods.reshape(m * m, -1), axis=1).max(initial=0.0))
 
 
 def point_kernel_gap(a) -> float:
@@ -116,6 +103,18 @@ class TestProjector:
         assert checks["projector_even"].value == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert [name for name, c in checks.items() if not c.passed] == ["projector_even"]
 
+    def test_projector_even_is_the_kron_reference_bit_for_bit(self, uneven_module):
+        # (Gamma (x) 1) P (Gamma (x) 1) = (g g^T) o P: only signs flip
+        rng = rng_for(67)
+        modules = [uneven_module]
+        for kind in ("diag", "amp2") * 20:
+            module = random_module(rng, random_triple(rng, n=4, kind=kind))
+            modules += [module, unitary_twin(module, None, rng)[0]]
+        for module in modules:
+            even = {c.name: c for c in validate_module(module)}["projector_even"]
+            assert even.value == kron_projector_even(module)
+            assert even.passed == (module is not uneven_module)
+
     def test_shapes_enforced(self, two_point):
         with pytest.raises(ValueError):
             ProjectiveModule(two_point, np.zeros((2, 2, 3)), np.array([1.0, -1.0]))
@@ -163,67 +162,33 @@ class TestGrassmannOperator:
         rng = np.random.default_rng(seed)
         module = random_module(rng, random_triple(rng))
         proj = module.projector
-        inner = proj @ commutator(module.dirac_lift, proj) @ proj
+        inner = proj @ commutator(kron_lifts(module)[1], proj) @ proj
         assert frobenius_norm(inner) <= 1e-12 * max(1.0, frobenius_norm(proj))
 
     def test_free_module_flat(self, free_module):
-        assert not np.any(commutator(free_module.dirac_lift, free_module.projector))
+        assert not np.any(commutator(kron_lifts(free_module)[1], free_module.projector))
 
-    def test_scaling_dirac_scales_spectrum(self, two_point):
-        from ncgcurv import SpectralTriple
-
+    def test_scaling_dirac_scales_spectrum(self, free_module, two_point):
         scaled = SpectralTriple(two_point.gamma, two_point.basis, 3.0 * two_point.dirac)
-        p = np.zeros((2, 2, 2), dtype=complex)
-        p[0, 0, 0] = 1
-        p[1, 1, 0] = 1
-        mod1 = ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
-        mod3 = ProjectiveModule(scaled, p, np.array([1.0, -1.0]))
-        s1 = np.array(spectrum(mod1))
-        s3 = np.array(spectrum(mod3))
-        assert np.allclose(s3, 3.0 * s1)
+        mod3 = ProjectiveModule(scaled, free_module.p, free_module.signs)
+        assert np.allclose(spectrum(mod3), 3.0 * np.array(spectrum(free_module)))
 
 
-class TestDiracLift:
-    """Koszul sign of the graded lift Gamma (x) D of the odd Dirac matrix."""
-
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
-    def test_odd_picks_up_grading(self, seed):
-        rng = np.random.default_rng(seed)
-        module = random_module(rng, random_triple(rng))
-        lift, grading = module.dirac_lift, module.grading
-        assert np.linalg.norm(grading @ lift + lift @ grading) <= 1e-12 * max(
-            1.0, np.linalg.norm(lift))
-
-
-def kron_lifts(module):
-    """Each ProjectiveModule lift with its np.kron reference."""
-    st_ = module.triple
-    signs, eye_m = np.diag(module.signs), np.eye(module.m)
-    return [
-        (module.grading, np.kron(signs, st_.gamma)),
-        (module.sign_lift, np.kron(signs, np.eye(st_.n))),
-        (module.dirac_lift, np.kron(signs, st_.dirac)),
-        (module.dirac_plain_lift, np.kron(eye_m, st_.dirac)),
-    ]
-
-
-def assert_lifts_are_kron(module):
-    for lift, reference in kron_lifts(module):
-        assert lift.dtype == reference.dtype
-        assert np.array_equal(lift, reference)
-        assert lift.tobytes() == reference.tobytes()
+def assert_grading_is_kron(module):
+    reference = np.kron(np.diag(module.signs), module.triple.gamma)
+    assert module.grading.dtype == reference.dtype
+    assert module.grading.tobytes() == reference.tobytes()
 
 
 class TestBlockLifts:
-    """The broadcast lifts hold exactly the entries of np.kron."""
+    """The one assembled lift, the grading Gamma (x) gamma, holds the entries of np.kron."""
 
     def test_free_and_single_generator_modules(self, free_module, two_point):
-        assert_lifts_are_kron(free_module)
+        assert_grading_is_kron(free_module)
         for sign in (1.0, -1.0):
             p = np.zeros((1, 1, 2), dtype=complex)
             p[0, 0, 1] = 1.0
-            assert_lifts_are_kron(ProjectiveModule(two_point, p, np.array([sign])))
+            assert_grading_is_kron(ProjectiveModule(two_point, p, np.array([sign])))
 
     def test_seeded_mixed_sign_modules(self):
         rng = rng_for(71)
@@ -232,7 +197,7 @@ class TestBlockLifts:
             module = random_module(rng, random_triple(rng, n=4, kind=kind),
                                    m=int(rng.integers(2, 5)))
             mixed += len(set(module.signs)) == 2
-            assert_lifts_are_kron(module)
+            assert_grading_is_kron(module)
         assert mixed >= 10
 
     def test_block_lift_is_kron_bit_for_bit(self):
@@ -498,7 +463,7 @@ class TestProductOperator:
         assert parity_residual(module.grading, m_op, odd=True) <= 1e-10
 
     def test_free_module_additivity(self, free_module):
-        a = symmetrize_connection(delta_connection(free_module))
+        a = symmetrized(delta_connection(free_module))
         ops = connection_operators(free_module, a)
         base = connection_operators(free_module).m_op
         assert np.allclose(ops.m_op, base + ops.a_d)
@@ -636,24 +601,27 @@ class TestHermitianResidual:
         assert hermitian_residual(module, a) > 0.1
 
     def test_matches_blockwise_spectral_norms(self):
-        # reference: the largest spectral norm over the m^2 blocks, one at a time
-        def blockwise(module, a):
-            P, n = module.projector, module.triple.n
-            W = commutator(module.dirac_lift, P)
-            if a is not None:
-                W = W + a.represented()[0]
-            res = (module.sign_lift @ P @ W - module.sign_lift @ W.conj().T @ P
-                   - commutator(module.dirac_plain_lift, P))
-            blocks = res.reshape(module.m, n, module.m, n)
-            return max(spectral_norm(blocks[i, :, j, :])
-                       for i in range(module.m) for j in range(module.m))
-
-        rng = rng_for(73)
-        for hermitian in (True, False) * 5:
-            module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
-            a = random_connection(rng, module, hermitian=hermitian)
-            assert hermitian_residual(module, a) == blockwise(module, a)
-            assert hermitian_residual(module) == blockwise(module, None)
+        # the row scalings and block products against the Kronecker lifts and a
+        # spectral norm per block: diag and amp2 modules with a generated form,
+        # a raw one (odd slots, off ker(m)) and none, the unitary twins of the
+        # diag ones, and the same tables with the first sign flipped, whose odd
+        # blocks of P need not commute with Gamma (x) 1 or with 1 (x) D
+        rng, cases = rng_for(73), []
+        for k, kind in enumerate(("diag", "amp2") * 20):
+            module = random_module(rng, random_triple(rng, n=4 if k % 2 else None, kind=kind))
+            a = random_connection(rng, module, hermitian=k % 4 < 2)
+            flipped = ProjectiveModule(module.triple, module.p,
+                                       module.signs * np.r_[-1.0, np.ones(module.m - 1)])
+            cases += [(module, a), (module, None), (module, raw_form(rng, module)),
+                      (flipped, None), (flipped, raw_form(rng, flipped))]
+            if kind == "diag":
+                cases.append(unitary_twin(module, a, rng)[:2])
+        worst, failing = 0.0, 0
+        for module, a in cases:
+            want = kron_hermitian_residual(module, a)
+            worst = max(worst, abs(hermitian_residual(module, a) - want) / max(1.0, want))
+            failing += want > 1e-3
+        assert worst <= 1e-14 and failing >= 40
 
     def test_point_pairing_adjoint_is_the_einsum_bit_for_bit(self):
         # S = 1 over points: the conjugate transpose, with the +0.0 that the
@@ -686,15 +654,15 @@ class TestHermitianResidual:
         rng = rng_for(29)
         for _ in range(20):
             module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
-            once = symmetrize_connection(random_connection(rng, module, hermitian=False))
-            twice = symmetrize_connection(once)
+            once = symmetrized(random_connection(rng, module, hermitian=False))
+            twice = symmetrized(once)
             assert frobenius_norm(twice.entries - once.entries) <= 1e-14 * frobenius_norm(once.entries)
 
     def test_symmetrize_makes_represented_selfadjoint(self):
         rng = rng_for(23)
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_)
-        a = symmetrize_connection(random_connection(rng, module, hermitian=False))
+        a = symmetrized(random_connection(rng, module, hermitian=False))
         a_d, _ = a.represented()
         assert frobenius_norm(a_d - a_d.conj().T) <= 1e-10
 
@@ -720,20 +688,3 @@ class TestGeneratedConnectionForms:
         assert a1.hermitian and not a2.hermitian
         assert not np.array_equal(a1.entries, a2.entries)
         assert built == [True, False]  # a Hermitian connection, then one second lift
-
-    def test_hermitian_draw_replays(self):
-        # redone by hand from a copy of the stream: unit-disc weights over the
-        # delta basis in each even slot, the average with the pairing adjoint,
-        # then P . C . P
-        for seed in range(50):
-            rng = rng_for(seed)
-            module = random_module(rng, random_triple(rng))
-            replay = copy.deepcopy(rng)
-            a = random_connection(rng, module, hermitian=True)
-            basis = universal_form_basis(module.triple)
-            entries = np.zeros_like(a.entries)
-            for i, j in zip(*np.nonzero(module.even_mask)):
-                for w, form in zip(unit_disc(replay, (len(basis),)), basis):
-                    entries[i, j] += w * form.coeffs
-            entries = 0.5 * (entries + pairing_adjoint_entries(module, entries))
-            assert np.array_equal(a.entries, generate._compress_connection(module, entries))

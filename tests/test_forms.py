@@ -13,7 +13,6 @@ from ncgcurv.forms import (
     kernel_one_forms,
     one_form_space,
     two_form_space,
-    universal_form_basis,
 )
 from ncgcurv.generate import random_triple, random_universal_form, rng_for
 from ncgcurv.glinalg import (
@@ -27,14 +26,8 @@ from ncgcurv.glinalg import (
 )
 from ncgcurv.triple import InvariantViolation
 
-from conftest import (
-    conjugated,
-    even_unitary,
-    form_tables,
-    full_svd_kernel,
-    span_gap,
-    svd_universal_form_basis,
-)
+from reference import (conjugated, delta_basis, even_unitary, form_tables, full_svd_kernel,
+                       span_gap, span_projector, svd_universal_form_basis)
 
 
 # The bimodule actions and the involution on universal one-forms.  Only these
@@ -210,7 +203,7 @@ class TestFormSpaces:
         assert one_form_space(st_scalar).dim == 0
         assert two_form_space(st_scalar).dim == 0
         assert junk_space(st_scalar).dim == 0
-        assert universal_form_basis(st_scalar) == []
+        assert delta_basis(st_scalar) == []
 
     def test_bases_are_stacks(self, two_point, n3):
         # the zero-dimensional junk space of the two-point triple included
@@ -221,7 +214,7 @@ class TestFormSpaces:
 
     def test_universal_forms_dimension(self, two_point):
         # ker(m) has dimension d^2 - d when the basis spans a unital algebra
-        assert len(universal_form_basis(two_point)) == 2
+        assert len(delta_basis(two_point)) == 2
 
 
 class TestJunk:
@@ -252,10 +245,13 @@ class TestJunk:
                                                         abs=1e-10)
 
 
-def _projector(basis: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal projector onto the span of an orthonormal (k, n, n) stack."""
-    vecs = np.reshape(basis, (len(basis), n * n))
-    return vecs.T @ vecs.conj()
+def _recording(monkeypatch, owner, name: str, arg: int = 0) -> list:
+    """Record argument ``arg`` of every call of ``owner.name``: the triple that
+    junk_space sends to its SVD route, the matrix handed to solve_kernel, the
+    right-hand stack of pair_products."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args[arg]) or real(*args))
+    return calls
 
 
 def _svd_route_triples(rng, n3, ladder_modules) -> list[SpectralTriple]:
@@ -274,7 +270,7 @@ class TestJunkSpacePairStack:
         triples = _svd_route_triples(rng, n3, ladder_modules)
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(3)]
         kernel_dims = [len(kernel_one_forms(st_)) for st_ in triples]
-        calls = _recording_pair_products(monkeypatch)
+        calls = _recording(monkeypatch, SpectralTriple, "pair_products", 1)
         for st_ in triples:
             pi_d, pi_d2 = st_.dirac_commutators[1:], st_.dirac_sq_commutators[1:]
             calls.clear()
@@ -292,7 +288,7 @@ class TestJunkSpacePairStack:
         triples += [conjugated(st_, even_unitary(rng, st_.gamma))
                     for st_ in (random_triple(rng, kind="diag") for _ in range(10))]
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(10)]
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         for st_ in triples:
             basis = junk_space(st_).basis
             assert st_ in routed  # the SVD route was taken
@@ -320,8 +316,7 @@ class TestJunkSpacePairStack:
             reference = subspace_basis([_svd_kernel_form(st_, row).pi_d2()
                                         for row in full_svd_kernel(st_)])
             assert len(basis) == len(reference)
-            gap = np.linalg.norm(_projector(basis, st_.n) - _projector(reference, st_.n), 2)
-            assert gap <= 1e-12
+            assert span_gap(basis, reference) <= 1e-12
             dims.append(len(basis))
         assert min(dims) == 0 and max(dims) > 2
 
@@ -329,7 +324,7 @@ class TestJunkSpacePairStack:
         # with b_0 != 1 the forms b_i delta(b_j) are no basis of ker(m)
         swapped = SpectralTriple(n3.gamma, n3.basis[[1, 0, 2]], n3.dirac)
         svd_route = lambda st_: forms._junk_space_svd(st_, 1e-9)  # noqa: E731
-        for route in (junk_space, svd_route, kernel_one_forms, universal_form_basis):
+        for route in (junk_space, svd_route, kernel_one_forms, delta_basis):
             with pytest.raises(InvariantViolation) as err:
                 route(swapped)
             assert err.value.check.name == "basis_unit_first"
@@ -360,7 +355,7 @@ class TestJunkSpacePairStack:
         for st_ in triples:
             # structure constants cached first, as generation leaves them
             assert st_.mult_tensor.shape == (st_.d,) * 3
-        calls = _recording_pair_products(monkeypatch)
+        calls = _recording(monkeypatch, SpectralTriple, "pair_products", 1)
         for st_ in triples:
             calls.clear()
             kernel_one_forms(copy.copy(st_))
@@ -386,7 +381,7 @@ class TestClosedFormJunk:
                                                         monkeypatch):
         triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
         triples += [random_triple(rng_for(53), kind="diag") for _ in range(20)]
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         calls = self._recording_routes(monkeypatch)
         dims = [junk_space(st_).dim for st_ in triples]
         assert calls == []
@@ -398,7 +393,7 @@ class TestClosedFormJunk:
 
     def test_agrees_with_svd_route(self, monkeypatch):
         rng = rng_for(59)
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         dims = []
         for _ in range(1000):
             n = int(rng.integers(2, 9))
@@ -408,8 +403,7 @@ class TestClosedFormJunk:
             reference = forms._junk_space_svd(st_, 1e-9)
             assert fast.dim == reference.dim
             assert fast.basis.shape == (fast.dim, n, n) and fast.basis.dtype == complex
-            gap = np.linalg.norm(_projector(fast.basis, n) - _projector(reference.basis, n), 2)
-            assert gap <= 1e-12
+            assert span_gap(fast.basis, reference.basis) <= 1e-12
             assert orthonormality_defect(fast.basis) <= 1e-14
             dims.append(fast.dim)
         assert min(dims) == 0 and max(dims) > 10
@@ -417,7 +411,7 @@ class TestClosedFormJunk:
     def test_conjugated_copy_takes_svd_route_and_covaries(self, n3, ladder_modules,
                                                          monkeypatch):
         rng = rng_for(61)
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
         triples += [random_triple(rng, kind="diag") for _ in range(50)]
         for st_ in triples:
@@ -428,8 +422,8 @@ class TestClosedFormJunk:
             assert twin_junk.dim == junk.dim
             # vec(U J U*) = (U (x) conj U) vec(J) for row-major vec
             w = np.kron(u, u.conj())
-            moved = w @ _projector(junk.basis, st_.n) @ w.conj().T
-            assert np.linalg.norm(moved - _projector(twin_junk.basis, st_.n), 2) <= 1e-12
+            moved = w @ span_projector(junk.basis) @ w.conj().T
+            assert np.linalg.norm(moved - span_projector(twin_junk.basis), 2) <= 1e-12
 
     def test_block_below_margin_falls_back(self, monkeypatch):
         # e_1 = diag(1, 0, 0, 1, 0, 0) and e_2 = diag(0, 1, 0, 0, 1, 0) each
@@ -439,7 +433,7 @@ class TestClosedFormJunk:
         # below sqrt(rank_tol) ||D||_F, too near the cut to decide
         gamma = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
         basis = np.stack([np.eye(6), np.diag([1.0, 0, 0, 1, 0, 0]), np.diag([0, 1.0, 0, 0, 1, 0])])
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         dims = []
         for planted in (0.0, 1e-12, 1e-200):  # |1e-200|^2 underflows to 0
             w = np.array([[1.0, planted, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -449,8 +443,7 @@ class TestClosedFormJunk:
             assert (st_ in routed) == bool(planted)
             reference = forms._junk_space_svd(copy.copy(st_), 1e-9)
             assert junk.dim == reference.dim
-            gap = np.linalg.norm(_projector(junk.basis, 6) - _projector(reference.basis, 6), 2)
-            assert gap <= 1e-12
+            assert span_gap(junk.basis, reference.basis) <= 1e-12
             if planted:
                 assert np.array_equal(junk.basis, reference.basis)
             dims.append(junk.dim)
@@ -461,7 +454,7 @@ class TestClosedFormJunk:
         # |D^2|^2 of a D near 1e-100 underflows and of a D near 1e100 overflows;
         # block norms of an exactly rescaled copy decide the same pairs, and a
         # power-of-two scale leaves every bit of the basis as it was
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         for st_ in [n3] + [copy.copy(module.triple) for module in ladder_modules]:
             junk = junk_space(st_)
             for scale in (1e-100, 1e100, 2.0 ** -330, 2.0 ** 330):
@@ -471,9 +464,8 @@ class TestClosedFormJunk:
                 assert np.all(np.isfinite(fast.basis)) and fast.dim == junk.dim > 0
                 assert orthonormality_defect(fast.basis) <= 1e-14
                 reference = forms._junk_space_svd(scaled, 1e-9)
-                gap = np.linalg.norm(_projector(fast.basis, st_.n)
-                                     - _projector(reference.basis, st_.n), 2)
-                assert reference.dim == junk.dim and gap <= 1e-12
+                assert reference.dim == junk.dim
+                assert span_gap(fast.basis, reference.basis) <= 1e-12
                 if scale in (2.0 ** -330, 2.0 ** 330):
                     assert np.array_equal(fast.basis, junk.basis)
                 else:
@@ -499,7 +491,7 @@ class TestClosedFormJunk:
         off_diagonal[1, 0, 1] = 1e-300
         # q1 + q2 and q1 overlap, and span the same algebra as q1 and q2
         overlapping = np.stack([n3.basis[0], n3.basis[1] + n3.basis[2], n3.basis[1]])
-        routed = _recording_svd_route(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
         for basis in (one_ulp, off_diagonal, overlapping):
             st_ = SpectralTriple(n3.gamma, basis, n3.dirac)
             junk = junk_space(st_)
@@ -511,14 +503,6 @@ class TestClosedFormJunk:
 def _delta_coordinates(kernel: list[UniversalOneForm], d: int) -> np.ndarray:
     """(k, d(d-1)) coordinates of forms over the delta basis b_i delta(b_j), j >= 1."""
     return np.reshape([w.coeffs[:, 1:] for w in kernel], (len(kernel), d * (d - 1)))
-
-
-def _recording_solve_kernel(monkeypatch) -> list[np.ndarray]:
-    """Record every matrix that forms hands to solve_kernel."""
-    calls = []
-    monkeypatch.setattr(forms, "solve_kernel", lambda L, rank_tol, _f=forms.solve_kernel:
-                        calls.append(L) or _f(L, rank_tol))
-    return calls
 
 
 class TestClosedFormKernel:
@@ -546,7 +530,7 @@ class TestClosedFormKernel:
         rng = rng_for(71)
         triples = [n3] + [copy.copy(module.triple) for module in ladder_modules]
         triples += [random_triple(rng, kind="diag") for _ in range(200)]
-        calls = _recording_solve_kernel(monkeypatch)
+        calls = _recording(monkeypatch, forms, "solve_kernel")
         dims = [len(kernel_one_forms(st_)) for st_ in triples]
         assert calls == [] and max(dims) > 2
         # the recorder does record the SVD route of a conjugated twin
@@ -566,8 +550,8 @@ class TestClosedFormKernel:
         w4 = np.array([[1.0, 1.0], [1.0, -1.0 + planted]])
         gamma4, basis4 = np.diag([1.0, 1.0, -1.0, -1.0]), np.stack(
             [np.eye(4), np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0])])
-        routed = _recording_svd_route(monkeypatch)
-        calls = _recording_solve_kernel(monkeypatch)
+        routed = _recording(monkeypatch, forms, "_junk_space_svd")
+        calls = _recording(monkeypatch, forms, "solve_kernel")
         for gamma, basis, w in ((gamma6, basis6, w6), (gamma4, basis4, w4)):
             k = len(w)
             dirac = np.block([[np.zeros((k, k)), w], [w.T, np.zeros((k, k))]])
@@ -580,24 +564,6 @@ class TestClosedFormKernel:
             reference = forms._delta_kernel(copy.copy(st_), 1e-9)
             assert len(kernel) == len(reference) > 0
             assert span_gap(_delta_coordinates(kernel, 3), reference) <= 1e-12
-
-
-def _recording_svd_route(monkeypatch) -> list[SpectralTriple]:
-    """Record every triple that junk_space sends to its SVD route."""
-    routed = []
-    svd = forms._junk_space_svd
-    monkeypatch.setattr(forms, "_junk_space_svd",
-                        lambda st_, rank_tol: routed.append(st_) or svd(st_, rank_tol))
-    return routed
-
-
-def _recording_pair_products(monkeypatch) -> list:
-    """Record the right-hand stack of every SpectralTriple.pair_products call."""
-    calls = []
-    pair_products = SpectralTriple.pair_products
-    monkeypatch.setattr(SpectralTriple, "pair_products",
-                        lambda self, right: calls.append(right) or pair_products(self, right))
-    return calls
 
 
 def _svd_kernel_form(st_, row: np.ndarray) -> UniversalOneForm:
@@ -615,7 +581,7 @@ class TestDeltaBasis:
         kernel_dims = []
         for st_ in triples:
             for forms, reference in (
-                    (universal_form_basis(st_), svd_universal_form_basis(st_)),
+                    (delta_basis(st_), svd_universal_form_basis(st_)),
                     (kernel_one_forms(st_), full_svd_kernel(st_))):
                 assert len(forms) == len(reference)
                 assert span_gap(form_tables(forms, st_.d), reference) <= 1e-12
@@ -627,7 +593,7 @@ class TestDeltaBasis:
         triples = [n3] + [module.triple for module in ladder_modules]
         triples += [random_triple(rng, n=4, kind="amp2") for _ in range(3)]
         for st_ in triples:
-            basis = universal_form_basis(st_)
+            basis = delta_basis(st_)
             pairs = [(i, j) for i in range(st_.d) for j in range(1, st_.d)]
             assert len(basis) == len(pairs)
             eye = np.eye(st_.d)

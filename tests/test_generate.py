@@ -1,135 +1,16 @@
-"""Seeded generation: array draws against a copy of the per-entry loops they replaced."""
+"""Seeded generation: array draws against the per-entry loops they replaced (reference.py)."""
 
 import numpy as np
 import pytest
 
-from ncgcurv import ProjectiveModule, generate
+from ncgcurv import generate
 from ncgcurv.curvature import VerticalOperator
-from ncgcurv.fgpmod import ConnectionForm, symmetrized_entries
-from ncgcurv.forms import kernel_one_forms, universal_form_basis
+from ncgcurv.fgpmod import ConnectionForm
 from ncgcurv.generate import rng_for, unit_disc
-from ncgcurv.triple import NotInAlgebraError, SpectralTriple
+from ncgcurv.triple import SpectralTriple
 
-
-# -- the reference: one unit_disc call per position, one sum term per form ----
-
-
-def loop_random_triple(rng, n=None, d=None, kind=None):
-    if n is None:
-        n = int(rng.integers(2, 7))
-    n_plus = (n + 1) // 2
-    gamma = np.diag(np.concatenate([np.ones(n_plus), -np.ones(n - n_plus)]))
-    w = unit_disc(rng, (n_plus, n - n_plus))
-    dirac = np.zeros((n, n), dtype=complex)
-    dirac[:n_plus, n_plus:] = w
-    dirac[n_plus:, :n_plus] = w.conj().T
-    if kind is None:
-        kind = "amp2" if (n == 4 and d in (None, 4) and rng.random() < 0.3) else "diag"
-    if kind == "amp2":
-        return SpectralTriple(gamma, generate._amplified_m2_basis(), dirac)
-    if d is None:
-        d = int(rng.integers(1, min(4, n) + 1))
-    perm = rng.permutation(n)
-    cuts = np.sort(rng.choice(np.arange(1, n), size=d - 1, replace=False)) if d > 1 else []
-    basis = np.zeros((d, n, n), dtype=complex)
-    basis[0] = np.eye(n)
-    for k, g in enumerate(np.split(perm, cuts)[1:], start=1):
-        basis[k, g, g] = 1.0
-    return SpectralTriple(gamma, basis, dirac)
-
-
-def loop_random_module(rng, st, m=None, allow_free=True):
-    if m is None:
-        m = int(rng.integers(1, 5))
-    signs = generate._random_signs(rng, m)
-    if allow_free and rng.random() < 0.2:
-        return ProjectiveModule(st, generate._free_table(m, st.d), signs)
-    d = st.d
-    even = np.outer(signs, signs) > 0
-    for _ in range(8):
-        table = np.zeros((m, m, d), dtype=complex)
-        for i in range(m):
-            for j in range(i, m):
-                if not even[i, j]:
-                    continue
-                c = unit_disc(rng, (d,))
-                if i == j:
-                    table[i, i] = 0.5 * (c + st.star_coords(c))
-                else:
-                    table[i, j] = c
-                    table[j, i] = st.star_coords(c)
-        p = dense_cut(st, table)
-        if p is not None:
-            return ProjectiveModule(st, p, signs)
-    return ProjectiveModule(st, generate._free_table(m, st.d), signs)
-
-
-def dense_cut(st, table):
-    """The spectral cut of the assembled mn x mn h at its largest gap, or None."""
-    m, n, d = len(table), st.n, st.d
-    h = np.einsum("ijk,kab->iajb", table, st.basis).reshape(m * n, m * n)
-    h = 0.5 * (h + h.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    gaps = np.diff(vals)
-    if gaps.size == 0 or gaps.max() < 1e-5:
-        return None
-    cols = vecs[:, int(np.argmax(gaps)) + 1:]
-    proj = cols @ cols.conj().T
-    blocks = proj.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
-    try:
-        return st.coords(blocks, tol=1e-7).reshape(m, m, d)
-    except NotInAlgebraError:
-        return None
-
-
-def dense_compress(module, entries):
-    """P . C . P through the structure constants T, as two einsums."""
-    p, T = module.p, module.triple.mult_tensor
-    right = np.einsum("klrq,ljm,qms->kjrs", entries, p, T)
-    return np.einsum("ikl,lqr,kjqs->ijrs", p, T, right)
-
-
-def loop_universal_form(rng, st):
-    basis = universal_form_basis(st)
-    weights = unit_disc(rng, (len(basis),))
-    return sum((w * f.coeffs for w, f in zip(weights, basis)),
-               np.zeros((st.d, st.d), dtype=complex))
-
-
-def loop_table_over(rng, module, form_basis):
-    m, d = module.m, module.triple.d
-    entries = np.zeros((m, m, d, d), dtype=complex)
-    for i, j in zip(*np.nonzero(module.even_mask)):
-        weights = unit_disc(rng, (len(form_basis),))
-        for w, form in zip(weights, form_basis):
-            entries[i, j] += w * form.coeffs
-    return entries
-
-
-def loop_connection(rng, module):
-    entries = loop_table_over(rng, module, universal_form_basis(module.triple))
-    entries = symmetrized_entries(module, entries)
-    return generate._compress_connection(module, entries)
-
-
-def loop_vertical(rng, module):
-    m, d = module.m, module.triple.d
-    table = np.zeros((m, m, d), dtype=complex)
-    odd = ~module.even_mask
-    if odd.any():
-        for i, j in zip(*np.nonzero(odd)):
-            table[i, j] = unit_disc(rng, (d,))
-        table = 0.5 * (table + generate._star_algebra_table(module, table))
-        table = generate._compress_algebra_table(module, table)
-    return table
-
-
-def loop_lift_pair(rng, module):
-    kernel = kernel_one_forms(module.triple)
-    a = loop_connection(rng, module)
-    if not kernel:
-        return a, a
-    return a, a + generate._compress_connection(module, loop_table_over(rng, module, kernel))
+from reference import (dense_compress, loop_connection, loop_lift_pair, loop_random_module,
+                       loop_random_triple, loop_universal_form, loop_vertical)
 
 
 def twin_streams(seed):
@@ -240,7 +121,7 @@ def test_point_cut_reads_the_hermitian_part_of_any_table():
         st = generate.random_triple(rng, n=n, d=int(rng.integers(1, n + 1)), kind="diag")
         m = int(rng.integers(1, 5))
         table = unit_disc(rng, (m, m, st.d))
-        want, got = dense_cut(st, table), generate._point_cut(table)
+        want, got = generate._dense_cut(st, table), generate._point_cut(table)
         assert (got is None) == (want is None)
         if want is not None:
             assert np.abs(got - want).max() <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgcurv import ProjectiveModule, SpectralTriple
+from ncgcurv.fgpmod import connection_operators
 from ncgcurv.forms import junk_space, kernel_one_forms
 from ncgcurv.generate import random_module, random_triple, rng_for
 from ncgcurv.glinalg import (
@@ -20,7 +20,7 @@ from ncgcurv.glinalg import (
     support_residual,
 )
 
-from conftest import form_tables, full_svd_kernel, span_gap
+from reference import form_tables, full_svd_kernel, span_gap
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -71,27 +71,23 @@ class TestGradedCommutator:
 
 
 class TestGradedRightLift:
-    """The lifts "1 (x) b" of ProjectiveModule: Gamma (x) b for odd b, 1 (x) b for even."""
+    """The lifts "1 (x) b" that connection_operators applies block by block:
+    Gamma (x) b for odd b, 1 (x) b for even."""
 
-    def test_even_is_plain(self):
-        gamma = np.diag([1.0, -1.0])
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        st_ = SpectralTriple(gamma, (np.eye(2), np.diag([1.0, 0.0])), d)
-        p = np.zeros((2, 2, 2), dtype=complex)
-        p[0, 0, 0] = p[1, 1, 0] = 1
-        module = ProjectiveModule(st_, p, np.array([1.0, -1.0]))
-        assert np.allclose(module.dirac_plain_lift, np.kron(np.eye(2), d))
+    def test_even_is_plain(self, free_module, two_point):
+        ops, d = connection_operators(free_module), two_point.dirac
+        assert np.allclose(ops.n_op, np.kron(np.eye(2), d @ d))
+        assert np.allclose(ops.m_op, np.kron(two_point.gamma, d))
 
     @given(SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_respects_squares(self, seed):
-        # Both the graded (odd) and the plain (even) lift of D square to 1 (x) D^2.
+        # the graded (odd) lift of D squares to the plain (even) lift of D^2: for
+        # W = (Gamma (x) D) V of the bundle, W* W = V* (1 (x) D^2) V = N_r
         rng = np.random.default_rng(seed)
-        module = random_module(rng, random_triple(rng))
-        lifted_sq = np.kron(np.eye(module.m), module.triple.dirac_sq)
-        for lifted in (module.dirac_lift, module.dirac_plain_lift):
-            assert np.linalg.norm(lifted @ lifted - lifted_sq) <= 1e-12 * max(
-                1.0, np.linalg.norm(lifted_sq))
+        ops = connection_operators(random_module(rng, random_triple(rng)))
+        assert np.linalg.norm(ops.w.conj().T @ ops.w - ops.n_r) <= 1e-12 * max(
+            1.0, np.linalg.norm(ops.n_r))
 
 
 class TestSpectralNorm:

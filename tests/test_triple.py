@@ -9,7 +9,7 @@ from ncgcurv.scenario import parse_scenario
 from ncgcurv.glinalg import spectral_norm
 from ncgcurv.triple import NotInAlgebraError, pi1_block, pi2_block
 
-from conftest import conjugated, even_unitary
+from reference import conjugated, even_unitary, loop_commutators, lstsq_tables, pair_stack
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -166,13 +166,6 @@ class TestPoints:
             assert np.array_equal(e.sum(0), np.ones(n)) and e.any(axis=1).all()
             assert np.array_equal(e[1:], np.diagonal(basis[1:], axis1=1, axis2=2).real)
 
-    @staticmethod
-    def lstsq_tables(st_):
-        """T and S from the least-squares solve that a basis without points takes."""
-        d, n = st_.d, st_.n
-        products = st_.coords(st_.pair_products(st_.basis).reshape(-1, n, n))
-        return products.reshape(d, d, d), st_.coords(st_.basis.conj().transpose(0, 2, 1)).T
-
     def test_exact_tables_match_lstsq(self):
         # b_0 = 1 and b_i b_j = delta_ij b_i: T[0, j, j] = T[i, 0, i] = T[k, k, k] = 1,
         # S = 1, within round-off of the solve, on seeded and arbitrary point bases
@@ -190,7 +183,7 @@ class TestPoints:
         for st_ in triples:
             d = st_.d
             assert st_.points is not None
-            T, S = self.lstsq_tables(st_)
+            T, S = lstsq_tables(st_)
             assert np.abs(st_.mult_tensor - T).max() <= 1e-12
             assert np.abs(st_.star_matrix - S).max() <= 1e-12
             assert st_.mult_tensor.flags.c_contiguous and st_.star_matrix.flags.c_contiguous
@@ -202,7 +195,7 @@ class TestPoints:
 
     def test_gate_negatives_keep_the_lstsq_bits(self, n3):
         for name, st_ in gate_negatives(n3).items():
-            T, S = self.lstsq_tables(st_)
+            T, S = lstsq_tables(st_)
             assert st_.mult_tensor.tobytes() == T.tobytes(), name
             assert st_.star_matrix.tobytes() == S.tobytes(), name
 
@@ -259,11 +252,6 @@ def same_bits_but_zero_sign(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and not np.any(x[differ]) and not np.any(y[differ])
 
 
-def dense_pair_products(st_, right):
-    """The d^2 matmuls b_p r_q that a non-diagonal basis takes."""
-    return st_.basis[:, None] @ right[..., None, :, :, :]
-
-
 class TestPairProducts:
     def test_diag_triples_take_the_broadcast(self):
         rng = rng_for(17)
@@ -272,7 +260,7 @@ class TestPairProducts:
             right = np.stack([st_.basis, st_.dirac_commutators, st_.dirac_sq_commutators])
             assert st_.basis_diagonal is not None
             assert same_bits_but_zero_sign(st_.pair_products(right),
-                                           dense_pair_products(st_, right))
+                                           pair_stack(st_, right))
 
     def test_arbitrary_real_diagonal_bases(self):
         rng = rng_for(19)
@@ -283,7 +271,7 @@ class TestPairProducts:
             right = unit_disc(rng, (2, d, n, n)) * (rng.random((2, d, n, n)) < 0.6)
             assert np.array_equal(st_.basis_diagonal, diag)
             assert same_bits_but_zero_sign(st_.pair_products(right),
-                                           dense_pair_products(st_, right))
+                                           pair_stack(st_, right))
 
     def test_other_bases_take_the_matmuls(self, two_point):
         amp2 = random_triple(rng_for(13), n=4, kind="amp2")
@@ -293,7 +281,7 @@ class TestPairProducts:
         for st_ in (amp2, complex_diag):
             assert st_.basis_diagonal is None
             right = st_.dirac_commutators
-            assert st_.pair_products(right).tobytes() == dense_pair_products(st_, right).tobytes()
+            assert st_.pair_products(right).tobytes() == pair_stack(st_, right).tobytes()
 
     def test_entries_are_the_loop_products(self):
         rng = rng_for(13)
@@ -307,11 +295,6 @@ class TestPairProducts:
                 for p in range(st_.d):
                     for q in range(st_.d):
                         assert np.array_equal(pp[k, p, q], st_.basis[p] @ right[k, q])
-
-
-def loop_commutators(st_, x):
-    """The 2d matmuls [x, b_k] that a non-diagonal basis takes."""
-    return np.stack([x @ b - b @ x for b in st_.basis])
 
 
 class TestDiracCommutators:
