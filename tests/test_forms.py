@@ -315,7 +315,7 @@ class TestJunkSpacePairStack:
             basis = junk_space(st_).basis
             reference = subspace_basis([_svd_kernel_form(st_, row).pi_d2()
                                         for row in full_svd_kernel(st_)])
-            assert len(basis) == len(reference)
+            assert len(basis) == len(reference) and orthonormality_defect(basis) <= 1e-12
             assert span_gap(basis, reference) <= 1e-12
             dims.append(len(basis))
         assert min(dims) == 0 and max(dims) > 2
@@ -419,7 +419,7 @@ class TestClosedFormJunk:
             twin = conjugated(st_, u)
             junk, twin_junk = junk_space(st_), junk_space(twin)
             assert st_ not in routed and twin in routed
-            assert twin_junk.dim == junk.dim
+            assert twin_junk.dim == junk.dim and orthonormality_defect(twin_junk.basis) <= 1e-12
             # vec(U J U*) = (U (x) conj U) vec(J) for row-major vec
             w = np.kron(u, u.conj())
             moved = w @ span_projector(junk.basis) @ w.conj().T
@@ -442,7 +442,7 @@ class TestClosedFormJunk:
             junk = junk_space(st_)
             assert (st_ in routed) == bool(planted)
             reference = forms._junk_space_svd(copy.copy(st_), 1e-9)
-            assert junk.dim == reference.dim
+            assert junk.dim == reference.dim and orthonormality_defect(junk.basis) <= 1e-12
             assert span_gap(junk.basis, reference.basis) <= 1e-12
             if planted:
                 assert np.array_equal(junk.basis, reference.basis)
