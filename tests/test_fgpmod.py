@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +37,8 @@ from ncgcurv.glinalg import (
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
-from reference import (kron_hermitian_residual, kron_lifts, kron_projector_even, symmetrized,
-                       tensordot_reference, unitary_twin)
+from reference import (delta_basis, kron_hermitian_residual, kron_lifts, kron_projector_even,
+                       symmetrized, tensordot_reference, unitary_twin)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -688,3 +689,20 @@ class TestGeneratedConnectionForms:
         assert a1.hermitian and not a2.hermitian
         assert not np.array_equal(a1.entries, a2.entries)
         assert built == [True, False]  # a Hermitian connection, then one second lift
+
+    def test_hermitian_draw_replays(self):
+        # redone by hand from a copy of the stream: unit-disc weights over the
+        # delta basis in each even slot, the average with the pairing adjoint,
+        # then P . C . P
+        for seed in range(50):
+            rng = rng_for(seed)
+            module = random_module(rng, random_triple(rng))
+            replay = copy.deepcopy(rng)
+            a = random_connection(rng, module, hermitian=True)
+            basis = delta_basis(module.triple)
+            entries = np.zeros_like(a.entries)
+            for i, j in zip(*np.nonzero(module.even_mask)):
+                for w, form in zip(unit_disc(replay, (len(basis),)), basis):
+                    entries[i, j] += w * form.coeffs
+            entries = 0.5 * (entries + pairing_adjoint_entries(module, entries))
+            assert np.array_equal(a.entries, generate._compress_connection(module, entries))
