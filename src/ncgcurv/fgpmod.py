@@ -16,9 +16,8 @@ operator, spectrum and curvature function reads the :class:`ConnectionOperators`
 bundle of :func:`connection_operators`, in the coordinates of the range
 isometry (:attr:`ProjectiveModule.range_isometry`).  A form is represented
 entrywise, A_D[i, j] = sum_pq c[i, j, p, q] b_p [D, b_q] and A_D2 likewise
-with D^2, by :meth:`ConnectionForm.represented`: over a real diagonal basis
-from one point kernel (:meth:`ConnectionForm._point_kernel`), else from the
-d^2 pair stack.
+with D^2, together with its ker(m) defect, by :meth:`ConnectionForm.represented`:
+over points from one point kernel, else from the d^2 pair stack.
 """
 
 from __future__ import annotations
@@ -103,16 +102,16 @@ class ProjectiveModule:
     def range_isometry(self) -> np.ndarray:
         """Isometry V (mn x r), V V* = P: the eigenvectors of P above 1/2.
 
-        A real diagonal basis makes P = sum_x p(x) (x) E_xx, so V comes from one
-        batched eigh of the m x m point blocks p(x); other bases take eigh(P).
+        Over points P = sum_x p(x) (x) E_xx, so V comes from one batched eigh
+        of the m x m point blocks p(x); other bases take eigh(P).
         The cut at 1/2 is a rank decision: InvariantViolation unless ||V V* -
         P||_F / max(1, ||P||_F) <= DEFAULT_TOL, which also fails a P that is
         not self-adjoint (eigh reads one triangle)."""
-        diag = self.triple.basis_diagonal
-        if diag is None:  # one block, P itself
+        if self.triple.points is None:  # one block, P itself
             blocks, m, n = self.projector[None], self.dim, 1
         else:  # p(x)[i, j] = sum_k p[i, j, k] b_k[x]
-            blocks, m, n = (self.p @ diag).transpose(2, 0, 1), self.m, self.triple.n
+            blocks = (self.p @ self.triple.basis_diagonal).transpose(2, 0, 1)
+            m, n = self.m, self.triple.n
         vals, vecs = np.linalg.eigh(blocks)
         keep = vals > 0.5
         kept = vecs * keep[:, None, :]
@@ -180,73 +179,44 @@ class ConnectionForm:
         return not np.any(self.entries)
 
     def _point_kernel(self) -> tuple[np.ndarray, float]:
-        """K and the ker(m) defect over a real diagonal basis b (d, n).
+        """K and the ker(m) defect over points, with b the (d, n) basis diagonals.
 
         With c the entry tables, Cb[i,j,p,y] = sum_q c[i,j,p,q] b_q[y] (one gemm)
         and G[i,j,x,y] = sum_p b_p[x] Cb[i,j,p,y].  mult[i,j,x] = G[i,j,x,x] is
-        the diagonal of the ker(m) element sum_pq c b_p b_q, and K[i,j,x,y] =
-        G[i,j,x,y] - mult[i,j,x], so that sum_pq c b_p [X, b_q] is X o K[i,j]
-        (entrywise) for X = D and X = D^2 alike.  K is not kept: a pass that
-        holds many forms would hold an mn x mn array for each.  The defect, the
-        max row norm of mult, is kept as the cached :meth:`mult_residual` value,
-        so the ker(m) check after :meth:`represented` builds no second kernel."""
+        the diagonal of the ker(m) element sum_pq c b_p b_q, whose max row norm
+        is the defect, and K[i,j,x,y] = G[i,j,x,y] - mult[i,j,x], so that
+        sum_pq c b_p [X, b_q] is X o K[i,j] (entrywise) for X = D and X = D^2
+        alike.  K is not kept: a pass that holds many forms would hold an mn x mn
+        array for each."""
         b = self.module.triple.basis_diagonal
         m, (d, n) = self.module.m, b.shape
         cb = self.entries.reshape(m * m * d, d) @ b
         g = np.matmul(b.T, cb.reshape(m, m, d, n))
         mult = np.diagonal(g, axis1=2, axis2=3).copy()
-        defect = float(np.linalg.norm(mult.reshape(m * m, n), axis=1).max(initial=0.0))
-        self.__dict__["_point_mult_residual"] = defect  # fills the cached_property below
         g -= mult[..., None]
-        return g, defect
+        return g, float(np.linalg.norm(mult.reshape(m * m, n), axis=1).max(initial=0.0))
 
-    @cached_property
-    def _point_mult_residual(self) -> float:
-        """mult_residual over a real diagonal basis; _point_kernel fills it too."""
-        return self._point_kernel()[1]
-
-    def represented(self) -> np.ndarray:
-        """A_D and A_D2, entrywise pi_d and pi_d2, as a (2, mn, mn) stack: from
-        the point kernel (:meth:`_point_kernel`) over a real diagonal basis, at
-        O(m^2 d n (d + n)), else from the d^2 pair stack b_p [D^k, b_q], at
-        O(m^2 d^2 n^2)."""
-        return self._represent(2)
-
-    def represented_d(self) -> np.ndarray:
-        """A_D alone, mn x mn, with the bits of ``represented()[0]``: the point
-        kernel and one product, or the D pair stack and one gemm."""
-        return self._represent(1)[0]
-
-    def _represent(self, orders: int) -> np.ndarray:
-        """The first ``orders`` of A_D, A_D2 as an (orders, mn, mn) stack."""
+    def represented(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(A_D, A_D2, ker(m) defect): pi_d and pi_d2 entrywise, mn x mn each, and
+        the largest Frobenius norm of sum_pq c[i, j, p, q] b_p b_q.  Over
+        :attr:`SpectralTriple.points` from one point kernel (:meth:`_point_kernel`),
+        at O(m^2 d n (d + n)); else from the d^2 pair stacks b_p [D^k, b_q] and
+        b_p b_q, at O(m^2 d^2 n^2)."""
         st = self.module.triple
         m, n = self.module.m, st.n
-        if st.basis_diagonal is not None:
-            k = self._point_kernel()[0].transpose(0, 2, 1, 3)  # [i, x, j, y]
-            out = np.empty((orders, m, n, m, n), dtype=complex)
+        if st.points is not None:
+            k, defect = self._point_kernel()
+            out = np.empty((2, m, n, m, n), dtype=complex)
             for out_x, x in zip(out, (st.dirac, st.dirac_sq)):
-                np.multiply(x[:, None, :], k, out=out_x)
-            return out.reshape(orders, m * n, m * n)
-        commutators = [st.dirac_commutators]
-        if orders == 2:
-            commutators.append(st.dirac_sq_commutators)
-        pairs = st.pair_products(np.stack(commutators))
+                np.multiply(x[:, None, :], k.transpose(0, 2, 1, 3), out=out_x)  # k[i, x, j, y]
+            return (*out.reshape(2, m * n, m * n), defect)
+        pairs = st.pair_products(np.stack([st.dirac_commutators, st.dirac_sq_commutators]))
         # the one gemm np.tensordot made; a batched matmul per order rounds differently
-        blocks = self.entries.reshape(m * m, -1) @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
-        return blocks.reshape(m, m, orders, n, n).transpose(2, 0, 3, 1, 4).reshape(orders, m * n, m * n)
-
-    def mult_residual(self) -> float:
-        """Max ker(m)-defect over the entry tables: the largest Frobenius norm of
-        sum_pq c[i, j, p, q] b_p b_q.  Over a real diagonal basis that is the max
-        row norm of the point kernel's mult, read from :meth:`represented`'s
-        kernel when it ran first."""
-        st = self.module.triple
-        if st.basis_diagonal is not None:
-            return self._point_mult_residual
-        m2 = self.module.m ** 2
-        prods = self.entries.reshape(m2, -1) @ st.pair_products(st.basis).reshape(st.d ** 2, -1)
-        norms = np.linalg.norm(prods, axis=1)
-        return float(norms.max()) if norms.size else 0.0
+        entries = self.entries.reshape(m * m, -1)
+        blocks = entries @ pairs.transpose(1, 2, 0, 3, 4).reshape(st.d ** 2, -1)
+        a_d, a_d2 = blocks.reshape(m, m, 2, n, n).transpose(2, 0, 3, 1, 4).reshape(2, m * n, m * n)
+        prods = entries @ st.pair_products(st.basis).reshape(st.d ** 2, -1)
+        return a_d, a_d2, float(np.linalg.norm(prods, axis=1).max(initial=0.0))
 
 
 def pairing_adjoint_entries(module: ProjectiveModule, entries: np.ndarray) -> np.ndarray:
@@ -271,9 +241,9 @@ def _require_same_module(module: ProjectiveModule, x) -> None:
 
 
 def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndarray,
-                       compressed: np.ndarray, tol: float) -> list[Check]:
+                       defect: float, compressed: np.ndarray, tol: float) -> list[Check]:
     """ker(m) entries, grading support, then compression and oddness of A_D (P A_D P given)."""
-    checks = [Check("connection_ker_mult", a.mult_residual(), tol)]
+    checks = [Check("connection_ker_mult", defect, tol)]
 
     odd = a.entries[~module.even_mask].reshape(-1, module.triple.d ** 2)
     odd_mass = float(np.linalg.norm(odd, axis=1).max(initial=0.0))
@@ -290,8 +260,9 @@ def validate_connection(module: ProjectiveModule, a: ConnectionForm,
                         tol: float = DEFAULT_TOL) -> list[Check]:
     """Structural checks: ker(m) entries, grading support, compression, oddness."""
     _require_same_module(module, a)
-    a_d = a.represented_d()
-    return _connection_checks(module, a, a_d, module.projector @ a_d @ module.projector, tol)
+    a_d, _, defect = a.represented()
+    P = module.projector
+    return _connection_checks(module, a, a_d, defect, P @ a_d @ P, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +273,7 @@ class ConnectionOperators:
     blocks are a_r = V* A_D V and a2_r = V* A_D2 V (the represented pair),
     t = V* w, the product operator m_r = t + a_r and its lifted square n_r =
     V* (1 (x) D^2) V + a2_r, through which alone, modulo junk, curvature
-    depends on the connection.  a_d = P A_D P, a_d2, m_op and n_op are V X_r V*.
+    depends on the connection.  m_op = V m_r V* is the product operator itself.
     """
 
     v: np.ndarray
@@ -317,10 +288,7 @@ class ConnectionOperators:
         """V x_r V*: an r x r block as an mn x mn operator."""
         return self.v @ x_r @ self.v.conj().T
 
-    a_d = cached_property(lambda self: self.expand(self.a_r))
-    a_d2 = cached_property(lambda self: self.expand(self.a2_r))
     m_op = cached_property(lambda self: self.expand(self.m_r))
-    n_op = cached_property(lambda self: self.expand(self.n_r))
 
 
 def connection_operators(module: ProjectiveModule,
@@ -347,9 +315,9 @@ def connection_operators(module: ProjectiveModule,
     if a is None or a.is_zero():
         a_r = a2_r = np.zeros((len(vh),) * 2, dtype=complex)
     else:
-        raw = a.represented()
-        a_r, a2_r = vh @ raw @ v
-        _require(_connection_checks(module, a, raw[0], v @ a_r @ vh, tol))
+        a_d, a_d2, defect = a.represented()
+        a_r, a2_r = vh @ a_d @ v, vh @ a_d2 @ v
+        _require(_connection_checks(module, a, a_d, defect, v @ a_r @ vh, tol))
     st = module.triple
     blocks = v.reshape(module.m, st.n, -1)
     w = (module.signs[:, None, None] * (st.dirac @ blocks)).reshape(module.dim, -1)
@@ -390,7 +358,7 @@ def hermitian_residual(module: ProjectiveModule, a: ConnectionForm | None = None
     if a is not None:
         _require_same_module(module, a)
         if not a.is_zero():
-            W = W + a.represented_d()
+            W = W + a.represented()[0]
     res = g * (P @ W - W.conj().T @ P) - (ep - pe)
     blocks = res.reshape(m, n, m, n).transpose(0, 2, 1, 3)
     return float(spectral_norm(blocks).max(initial=0.0))

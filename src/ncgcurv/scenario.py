@@ -95,13 +95,16 @@ def _matrix(node, path: str) -> np.ndarray:
     return _array(node, path, (len(node), len(node)))
 
 
-def _object(node, path: str, *required: str) -> dict:
-    """A JSON object holding every ``required`` field."""
+def _object(node, path: str, *required: str, only: tuple[str, ...] | None = None) -> dict:
+    """A JSON object holding every ``required`` field and, given ``only``, no other field."""
     if not isinstance(node, dict):
         raise _fail(path, "expected an object")
     for key in required:
         if key not in node:
             raise _fail(path, f"missing required field {key!r}")
+    for key in node if only is not None else ():
+        if key not in only:
+            raise _fail(path, f"unknown field {key!r}")
     return node
 
 
@@ -221,8 +224,8 @@ def parse_scenario(source) -> Scenario:
             raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    if "triple" not in raw:
-        raise ScenarioError("scenario: missing required field 'triple'")
+    _object(raw, "scenario", "triple", only=("triple", "module", "connection", "vertical",
+                                             "triple2", "frame", "tolerances", "seed"))
 
     st = _parse_triple(raw["triple"], "triple")
     module = _parse_module(raw["module"], "module", st) if "module" in raw else None
@@ -241,14 +244,11 @@ def parse_scenario(source) -> Scenario:
 
     triple2 = _parse_triple(raw["triple2"], "triple2") if "triple2" in raw else None
 
-    frame = None
-    frame_is_canned = False
-    if "frame" in raw:
-        frame, frame_is_canned = _parse_frame(raw["frame"], "frame")
+    frame, frame_is_canned = (_parse_frame(raw["frame"], "frame") if "frame" in raw
+                              else (None, False))
 
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ScenarioError("tolerances: expected an object")
+    tolerances = _object(raw.get("tolerances", {}), "tolerances",
+                         only=("residual_tol", "rank_tol"))
     residual_tol = _tolerance(tolerances.get("residual_tol", DEFAULT_TOL),
                               "tolerances.residual_tol")
     rank_tol = _tolerance(tolerances.get("rank_tol", DEFAULT_RANK_TOL), "tolerances.rank_tol")

@@ -7,7 +7,8 @@ and adjoints are re-expanded through least squares, failing loudly when the
 basis was not closed.
 
 A basis of exactly 1 followed by diagonal 0/1 projections with disjoint
-supports is the algebra of d points (:attr:`SpectralTriple.points`).
+supports is the algebra of d points (:attr:`SpectralTriple.points`), the
+one basis on which tables, commutators and pair products take closed forms.
 """
 
 from __future__ import annotations
@@ -145,11 +146,11 @@ class SpectralTriple:
         return self._commutators(self.dirac_sq)
 
     def _commutators(self, x: np.ndarray) -> np.ndarray:
-        """(d, n, n) stack of [x, b_k].  A real diagonal basis scales columns and
-        rows, in place of 2d matmuls whose sums are one term plus exact zeros."""
-        b = self.basis_diagonal
-        if b is None:
+        """(d, n, n) stack of [x, b_k].  Over :attr:`points` columns and rows
+        scale, in place of 2d matmuls whose sums are one term plus exact zeros."""
+        if self.points is None:
             return np.stack([commutator(x, b) for b in self.basis])
+        b = self.basis_diagonal
         return x * b[:, None, :] - b[:, :, None] * x
 
     @cached_property
@@ -185,13 +186,13 @@ class SpectralTriple:
         """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r.
 
         Not cached: kept on every triple it would cost d times the memory of
-        the commutator stacks.  A real diagonal basis scales rows, in place of
-        d^2 matmuls whose sums are one term plus exact zeros: the same values
-        (the sign of an exact zero may differ, as it does between BLAS kernels).
+        the commutator stacks.  Over :attr:`points` rows scale, in place of d^2
+        matmuls whose sums are one term plus exact zeros: the same values (the
+        sign of an exact zero may differ, as it does between BLAS kernels).
         """
-        if self.basis_diagonal is not None:
-            return self.basis_diagonal[:, None, :, None] * right[..., None, :, :, :]
-        return self.basis[:, None] @ right[..., None, :, :, :]
+        if self.points is None:
+            return self.basis[:, None] @ right[..., None, :, :, :]
+        return self.basis_diagonal[:, None, :, None] * right[..., None, :, :, :]
 
     @cached_property
     def _vec_basis(self) -> np.ndarray:

@@ -118,6 +118,19 @@ def unitary_twin(module, a, rng):
     return module_u, None if a is None else replace(a, module=module_u), u
 
 
+def rebased_twin(module, a, mat):
+    """The same triple, module and form over the algebra basis b' = M b.
+
+    M is real and invertible with first row e_0, so b'_0 = 1; over a diagonal
+    basis b' is diagonal but not 0/1.  Tables follow the basis: p -> p M^-1
+    and c -> M^-T c M^-1."""
+    st_, inv = module.triple, np.linalg.inv(mat)
+    st_b = SpectralTriple(st_.gamma, np.einsum("jk,kab->jab", mat, st_.basis), st_.dirac)
+    module_b = ProjectiveModule(st_b, module.p @ inv, module.signs)
+    return module_b, None if a is None else replace(a, module=module_b,
+                                                    entries=inv.T @ a.entries @ inv)
+
+
 def kron_lifts(module):
     """Gamma (x) 1, Gamma (x) D and 1 (x) D on C^m (x) C^n, as np.kron products."""
     st_, signs = module.triple, np.diag(module.signs)
@@ -149,8 +162,8 @@ def symmetrized(a):
 
 
 def tensordot_reference(a):
-    """(A_D, A_D2) and mult_residual through the d^2 pair stack, contracted by
-    np.tensordot: the route every basis took before the point kernel."""
+    """(A_D, A_D2) and the ker(m) defect through the d^2 pair stack, contracted
+    by np.tensordot: the route every basis took before the point kernel."""
     st_, m, n = a.module.triple, a.module.m, a.module.triple.n
     pairs = pair_stack(st_, np.stack([st_.dirac_commutators, st_.dirac_sq_commutators]))
     blocks = np.tensordot(a.entries, pairs, axes=([2, 3], [1, 2]))
@@ -194,7 +207,7 @@ def eager_reference(module, a, junk=None):
     st_ = module.triple
     P = module.projector
     dt = kron_lifts(module)[1]
-    raw, raw2 = (np.zeros_like(P),) * 2 if a is None else a.represented()
+    raw, raw2 = (np.zeros_like(P),) * 2 if a is None else a.represented()[:2]
     a_d, a_d2 = P @ raw @ P, P @ raw2 @ P
     m_op = P @ dt @ P + a_d
     n_op = P @ np.kron(np.eye(module.m), st_.dirac_sq) @ P + a_d2

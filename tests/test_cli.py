@@ -147,6 +147,26 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="residual_tol"):
             parse_scenario(write_scenario(tmp_path, payload))
 
+    def test_unknown_top_level_field_rejected(self, fixtures_dir, tmp_path, capsys):
+        # a misspelt section was skipped: `validate` checked the triple alone, exit 0
+        payload = json.loads((fixtures_dir / "two_point_module.json").read_text())
+        payload["modul"] = payload.pop("module")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(payload)
+        assert str(err.value) == "scenario: unknown field 'modul'"
+        assert main(["validate", write_scenario(tmp_path, payload)]) == EXIT_INPUT_ERROR
+        assert "unknown field 'modul'" in capsys.readouterr().err
+
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
+        # a misspelt tolerance ran with the default rank_tol, exit 0
+        payload = json.loads(json.dumps(TWO_POINT))
+        payload["tolerances"] = {"residual_tol": 1e-8, "rank_tl": 1e-3}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(payload)
+        assert str(err.value) == "tolerances: unknown field 'rank_tl'"
+        assert main(["junk", write_scenario(tmp_path, payload)]) == EXIT_INPUT_ERROR
+        assert "unknown field 'rank_tl'" in capsys.readouterr().err
+
     def test_missing_connection_is_fine(self, fixtures_dir):
         scen = parse_scenario(fixtures_dir / "two_point_module.json")
         assert scen.connection is None

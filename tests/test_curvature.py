@@ -43,8 +43,8 @@ from ncgcurv.glinalg import (
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
-from reference import (eager_reference, hermitian, kron_lifts, lifted_svd_canonical, symmetrized,
-                       unitary_twin)
+from reference import (eager_reference, hermitian, kron_lifts, lifted_svd_canonical, rebased_twin,
+                       symmetrized, unitary_twin)
 from test_fgpmod import delta_connection
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -83,7 +83,7 @@ class TestFormulaRoute:
         # on a free module P = 1 and the formula is A^2 + [Dt, A]_+ - A_D2
         a = symmetrized(delta_connection(free_module))
         ops = connection_operators(free_module, a)
-        a_d, a_d2 = ops.a_d, ops.a_d2
+        a_d, a_d2 = ops.expand(ops.a_r), ops.expand(ops.a2_r)
         dt = kron_lifts(free_module)[1]
         expected = a_d @ a_d + anticommutator(dt, a_d) - a_d2
         assert np.allclose(curvature_formula(free_module, a), expected, atol=1e-12)
@@ -132,7 +132,7 @@ class TestReport:
         a = random_connection(rng, module)
         module_u, a_u, u = unitary_twin(module, a, rng)
         st_u = module_u.triple
-        assert st_u.gamma_signs is None and st_u.basis_diagonal is None
+        assert st_u.gamma_signs is None and st_u.points is None
         assert all(c.passed for c in validate(st_u) + validate_module(module_u))
         report = curvature_report(module_u, a_u)
         for residual in ("route", "symmetry", "evenness", "support"):
@@ -422,10 +422,11 @@ class TestSingleEvaluation:
             a = random_connection(rng, module)
             P, raw = module.projector, a.represented()[0]
             ops = connection_operators(module, a)
-            assert frobenius_norm(ops.a_d - P @ raw @ P) <= 1e-12 * frobenius_norm(raw)
+            a_d = ops.expand(ops.a_r)
+            assert frobenius_norm(a_d - P @ raw @ P) <= 1e-12 * frobenius_norm(raw)
             compressed = {c.name: c.value for c in checks.pop()}["connection_compressed"]
             # the check reads the bundle's compression, V a_r V*
-            assert compressed == frobenius_norm(ops.a_d - raw) / max(1.0, frobenius_norm(raw))
+            assert compressed == frobenius_norm(a_d - raw) / max(1.0, frobenius_norm(raw))
             validated = {c.name: c.value for c in validate_connection(module, a)}
             assert validated["connection_compressed"] == support_residual(P, raw)
             assert abs(validated["connection_compressed"] - compressed) <= 1e-12
@@ -497,7 +498,7 @@ def range_coordinate_values(module, a, junk=None):
         "route_residual": report.route_residual,
         "symmetry_residual": report.symmetry_residual,
         "m_op": ops.m_op,
-        "n_op": ops.n_op,
+        "n_op": ops.expand(ops.n_r),
         "norm": report.norm,
         "junk_canonical": report.junk_canonical,
     } | ({"spectrum": np.array(fgpmod.spectrum(module, ops))} if hermitian(a) else {})
@@ -569,6 +570,37 @@ class TestLazyReport:
         assert moved == 6
 
 
+class TestAlgebraBasisCovariance:
+    """Curvature does not depend on the basis the algebra is written in."""
+
+    def test_rebased_diag_scenarios_match_the_point_route(self):
+        # b' = M b is diagonal but not 0/1, so it has no points and takes the
+        # dense route; R, its norm, the product spectrum and the junk dim
+        # match the point route
+        rng = rng_for(131)
+        worst, count = 0.0, 0
+        while count < 150:
+            module = random_module(rng, random_triple(rng, kind="diag"))
+            a = random_connection(rng, module, hermitian=True) if count % 4 else None
+            d = module.triple.d
+            mat = np.eye(d)
+            mat[1:] += 0.5 * rng.normal(size=(d - 1, d))
+            if d == 1 or np.linalg.cond(mat) > 1e2:  # one basis element: nothing to rewrite
+                continue
+            module_b, a_b = rebased_twin(module, a, mat)
+            assert module_b.triple.points is None and module.triple.points is not None
+            want, got = curvature_report(module, a), curvature_report(module_b, a_b)
+            scale = max(1.0, frobenius_norm(want.R))
+            worst = max(worst, frobenius_norm(got.R - want.R) / scale,
+                        abs(got.norm - want.norm) / max(1.0, want.norm))
+            spec, spec_b = fgpmod.spectrum(module, a), fgpmod.spectrum(module_b, a_b)
+            worst = max(worst, np.abs(np.subtract(spec_b, spec)).max(initial=0.0)
+                        / max(1.0, np.abs(spec).max(initial=0.0)))
+            assert junk_space(module_b.triple).dim == junk_space(module.triple).dim
+            count += 1
+        assert worst <= 1e-12
+
+
 class TestExternalProduct:
     def test_graded_sum_respects_squares(self, two_point):
         defect = external_product_defect(two_point, two_point)
@@ -615,7 +647,7 @@ class TestRangeCoordinates:
             if kind == "diag" and k % 2 == 0:
                 twins += 1
                 module_u, a_u, _ = unitary_twin(module, a, rng)
-                assert module_u.triple.basis_diagonal is None
+                assert module_u.triple.points is None
                 got_u = range_coordinate_values(module_u, a_u)
                 worst = max(worst, worst_relative_gap(got_u, eager_reference(module_u, a_u)))
                 assert got_u["norm"] == pytest.approx(got["norm"], rel=1e-12, abs=1e-12)

@@ -63,6 +63,10 @@ def test_test_only_helpers_stay_in_the_tests():
     assert [n for n in removed if hasattr(fgpmod, n) or hasattr(forms, n)] == []
     lifts = ("sign_lift", "dirac_lift", "dirac_plain_lift")
     assert [n for n in lifts if hasattr(ncgcurv.ProjectiveModule, n)] == []
+    # represented() is the one evaluation of a form: A_D, A_D2 and the ker(m) defect
+    evaluations = ("represented_d", "_represent", "mult_residual", "_point_mult_residual")
+    assert [n for n in evaluations if hasattr(ncgcurv.ConnectionForm, n)] == []
+    assert [n for n in ("a_d", "a_d2", "n_op") if hasattr(fgpmod.ConnectionOperators, n)] == []
 
 
 def _loads(node) -> list[str]:
@@ -92,6 +96,41 @@ def test_every_export_has_a_caller(name):
     # __all__, a test or a string (a tracer target) mentions is dead API
     module = importlib.import_module(f"ncgcurv.{name}")
     assert [n for n in module.__all__ if _reads()[n] <= 0] == []
+
+
+@functools.cache
+def _attribute_reads() -> Counter:
+    """Reads of each name as an attribute, ``x.name``, in the library, demos,
+    oracles, tools and benchmark, less those inside a definition of that name."""
+    reads = Counter()
+    for path in (p for top in ("src", "demos", "oracles", "tools", "bench")
+                 for p in sorted((ROOT / top).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads[node.attr] += 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads[node.name] -= sum(isinstance(sub, ast.Attribute) and sub.attr == node.name
+                                        and isinstance(sub.ctx, ast.Load)
+                                        for sub in ast.walk(node))
+    return reads
+
+
+def _public_members(cls) -> list[str]:
+    """The public methods and properties that ``cls`` itself defines."""
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    return [n for n, v in vars(cls).items()
+            if not n.startswith("_") and (callable(v) or isinstance(v, kinds))]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_class_member_has_a_caller(name):
+    # a public method or property of an exported class is read as x.name
+    # somewhere outside the tests, or it is dead API
+    module = importlib.import_module(f"ncgcurv.{name}")
+    classes = [getattr(module, n) for n in module.__all__ if isinstance(getattr(module, n), type)]
+    unread = [f"{cls.__name__}.{n}" for cls in classes for n in _public_members(cls)
+              if _attribute_reads()[n] <= 0]
+    assert unread == []
 
 
 def test_forms_keeps_no_kernel_memo():

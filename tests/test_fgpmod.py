@@ -55,7 +55,7 @@ def delta_connection(module, position=(0, 0), element=None):
 
 
 def point_kernel_gap(a) -> float:
-    """Largest relative gap of A_D, A_D2 and mult_residual to the tensordot reference.
+    """Largest relative gap of A_D, A_D2 and the ker(m) defect to the tensordot reference.
 
     Each gap is taken relative to the larger of the reference's norm and the
     size of its terms, ||c||_F ||X||_F max|b|^2 for X = D, D^2 and 1: an output
@@ -66,7 +66,7 @@ def point_kernel_gap(a) -> float:
     want, want_mult = tensordot_reference(a)
     terms = np.linalg.norm(a.entries) * np.abs(st_.basis_diagonal).max(initial=0.0) ** 2
     gaps = []
-    for got, ref, x in zip([*a.represented(), a.mult_residual()], [*want, want_mult],
+    for got, ref, x in zip(a.represented(), [*want, want_mult],
                            (st_.dirac, st_.dirac_sq, 1.0)):
         scale = max(np.linalg.norm(ref), terms * np.linalg.norm(x))
         gap = np.linalg.norm(got - ref)
@@ -237,11 +237,11 @@ class TestRepresentConnection:
         # an all-zero table, as a parsed scenario can hold, is the Grassmann connection
         zero = ConnectionForm(two_point_module, np.zeros((2, 2, 2, 2)))
         ops = connection_operators(two_point_module, zero)
-        assert not np.any(ops.a_d) and not np.any(ops.a_d2)
+        assert not np.any(ops.a_r) and not np.any(ops.a2_r)
 
     def test_delta_entries(self, free_module, two_point):
         a = delta_connection(free_module)
-        a_d, a_d2 = a.represented()
+        a_d, a_d2, _ = a.represented()
         q = two_point.basis[1]
         assert np.allclose(a_d[:2, :2], commutator(two_point.dirac, q))
         assert np.allclose(a_d2[:2, :2],
@@ -249,32 +249,19 @@ class TestRepresentConnection:
         assert not np.any(a_d[2:, :]) and not np.any(a_d[:, 2:])
 
     def test_matches_tensordot_bit_for_bit(self):
-        # off a diagonal basis the pair-stack gemm is np.tensordot's contraction
-        # and reshape, done by hand, and rounds the same
+        # without points the pair-stack gemm is np.tensordot's contraction and
+        # reshape, done by hand, and rounds the same
         rng = rng_for(83)
         for kind in ("diag", "amp2", None) * 20:
             module = random_module(rng, random_triple(rng, n=4, kind=kind))
             a = random_connection(rng, module, hermitian=False)
-            if module.triple.basis_diagonal is not None:
+            if module.triple.points is not None:
                 module, a, _ = unitary_twin(module, a, rng)
-            assert module.triple.basis_diagonal is None
+            assert module.triple.points is None
             want, want_mult = tensordot_reference(a)
-            assert a.represented_d().tobytes() == want[0].tobytes()
-            for got, ref in zip(a.represented(), want):
-                assert got.tobytes() == ref.tobytes()
-            assert a.mult_residual() == want_mult
-
-    def test_a_d_alone_has_the_bits_of_the_pair(self):
-        # the A_D-only path: the point kernel and one product, or the D pair
-        # stack and one gemm; the second builds no D^2 commutators
-        rng = rng_for(89)
-        for kind in ("amp2", "diag") * 200:
-            module = random_module(rng, random_triple(rng, n=4, kind=kind))
-            a = random_connection(rng, module, hermitian=False)
-            a_d = a.represented_d()
-            if module.triple.basis_diagonal is None:
-                assert "dirac_sq_commutators" not in vars(module.triple)
-            assert a_d.tobytes() == a.represented()[0].tobytes()
+            a_d, a_d2, defect = a.represented()
+            assert a_d.tobytes() == want[0].tobytes() and a_d2.tobytes() == want[1].tobytes()
+            assert defect == want_mult
 
     def test_diagonal_bases_match_tensordot(self, ladder_modules):
         # the point kernel re-associates the sums: agreement at round-off
@@ -289,8 +276,8 @@ class TestRepresentConnection:
     def test_two_point_second_representation_vanishes(self, two_point_module):
         rng = rng_for(7)
         a = random_connection(rng, two_point_module)
-        a_d2 = connection_operators(two_point_module, a).a_d2
-        assert frobenius_norm(a_d2) <= 1e-12
+        ops = connection_operators(two_point_module, a)
+        assert frobenius_norm(ops.expand(ops.a2_r)) <= 1e-12
 
     @pytest.mark.parametrize("odd, even, value", [(3.0, 4.0, 3 / 5), (0.375, 0.5, 0.375)])
     def test_grading_support_value(self, free_module, odd, even, value):
@@ -316,9 +303,9 @@ class TestRepresentConnection:
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_, allow_free=False)
         a = random_connection(rng, module, hermitian=False)
-        a_d, a_d2 = a.represented()
+        a_d, a_d2, _ = a.represented()
         compressed = ConnectionForm(module, generate._compress_connection(module, a.entries))
-        c_d, c_d2 = compressed.represented()
+        c_d, c_d2, _ = compressed.represented()
         proj = module.projector
         assert np.allclose(c_d, proj @ a_d @ proj, atol=1e-10)
         assert np.allclose(c_d2, proj @ a_d2 @ proj, atol=1e-10)
@@ -328,10 +315,10 @@ class TestRepresentConnection:
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_, allow_free=False)
         a = random_connection(rng, module)
-        a_d, a_d2 = a.represented()
+        a_d, a_d2, _ = a.represented()
         proj = module.projector
         ops = connection_operators(module, a)
-        for got, raw in ((ops.a_d, a_d), (ops.a_d2, a_d2)):
+        for got, raw in ((ops.expand(ops.a_r), a_d), (ops.expand(ops.a2_r), a_d2)):
             want = proj @ raw @ proj
             assert frobenius_norm(got - want) <= 1e-12 * max(1.0, frobenius_norm(want))
 
@@ -346,7 +333,8 @@ class TestRepresentConnection:
             a = random_connection(rng, module, hermitian=False)
             ops = connection_operators(module, a)
             compressed = ConnectionForm(module, generate._compress_connection(module, a.entries))
-            for got, want in zip((ops.a_d, ops.a_d2), compressed.represented()):
+            for got, want in zip((ops.expand(ops.a_r), ops.expand(ops.a2_r)),
+                                 compressed.represented()):
                 assert frobenius_norm(got - want) <= 1e-12 * max(1.0, frobenius_norm(want))
 
     def test_curvature_report_skips_universal_compression(self, monkeypatch):
@@ -381,7 +369,7 @@ class TestRepresentConnection:
 
 
 class TestPointKernel:
-    """A_D, A_D2 and mult_residual over a real diagonal basis, from one point kernel."""
+    """A_D, A_D2 and the ker(m) defect over points, from one point kernel."""
 
     def test_seeded_diag_modules(self):
         rng = rng_for(101)
@@ -394,7 +382,8 @@ class TestPointKernel:
         assert worst <= 1e-12 and count == 2000
 
     def test_arbitrary_real_diagonal_bases(self):
-        # zeros, negative and non-0/1 diagonals, drawn as TestPairProducts draws them
+        # zeros, negative and non-0/1 diagonals, drawn as TestPairProducts draws
+        # them: no points, so they take the pair-stack route
         rng = rng_for(103)
         worst = 0.0
         for _ in range(200):
@@ -402,7 +391,7 @@ class TestPointKernel:
             diag = rng.normal(size=(d, n)) * (rng.random((d, n)) < 0.7)
             dirac = unit_disc(rng, (n, n)) * (rng.random((n, n)) < 0.6)
             st_ = SpectralTriple(np.eye(n), diag[..., None] * np.eye(n), dirac)
-            assert np.array_equal(st_.basis_diagonal, diag)
+            assert np.array_equal(st_.basis_diagonal, diag) and st_.points is None
             module = ProjectiveModule(st_, unit_disc(rng, (m, m, d)), rng.choice([-1.0, 1.0], m))
             worst = max(worst, point_kernel_gap(raw_form(rng, module)))
         assert worst <= 1e-12
@@ -421,18 +410,18 @@ class TestPointKernel:
         for module in ladder_modules:
             a = random_connection(rng, module)
             reads.clear()
-            a.represented(), a.mult_residual()
+            a.represented()
             assert reads == []
         module = random_module(rng, random_triple(rng, n=4, kind="amp2"))
         a = random_connection(rng, module)
         reads.clear()
-        a.represented(), a.mult_residual()
+        a.represented()
         assert reads == ["dirac_commutators", "dirac_sq_commutators",
                          "pair_products", "pair_products"]
 
     def test_ker_mult_check_reuses_the_kernel(self, ladder_modules, monkeypatch):
         # connection_operators represents the form, then checks its ker(m)
-        # defect: the check reads the defect that the one kernel recorded
+        # defect: the check reads the defect of the one kernel build
         builds = []
         kernel = ConnectionForm._point_kernel
         monkeypatch.setattr(ConnectionForm, "_point_kernel",
@@ -442,9 +431,8 @@ class TestPointKernel:
         assert builds == [a]
         checks = validate_connection(a.module, a)  # represents once more
         assert checks[0].name == "connection_ker_mult"
-        assert checks[0].value == a.mult_residual() and builds == [a, a]
-        fresh = replace(a)
-        assert fresh.mult_residual() == a.mult_residual() and builds == [a, a, fresh]
+        assert builds == [a, a]
+        assert checks[0].value == a.represented()[2] and builds == [a, a, a]
 
 
 class TestProductOperator:
@@ -467,19 +455,20 @@ class TestProductOperator:
         a = symmetrized(delta_connection(free_module))
         ops = connection_operators(free_module, a)
         base = connection_operators(free_module).m_op
-        assert np.allclose(ops.m_op, base + ops.a_d)
+        assert np.allclose(ops.m_op, base + ops.expand(ops.a_r))
 
     def test_sq_lift_free_module(self, free_module, two_point):
-        n_op = connection_operators(free_module).n_op
-        assert np.allclose(n_op, np.kron(np.eye(2), two_point.dirac @ two_point.dirac))
+        ops = connection_operators(free_module)
+        assert np.allclose(ops.expand(ops.n_r), np.kron(np.eye(2), two_point.dirac @ two_point.dirac))
 
     def test_sq_lift_two_point_module(self, two_point_module):
-        n_op = connection_operators(two_point_module).n_op
-        assert np.allclose(n_op, two_point_module.projector)
+        ops = connection_operators(two_point_module)
+        assert np.allclose(ops.expand(ops.n_r), two_point_module.projector)
 
     def test_sq_lift_with_delta_entries(self, free_module, two_point):
         a = delta_connection(free_module)
-        n_op = connection_operators(free_module, a).n_op
+        ops = connection_operators(free_module, a)
+        n_op = ops.expand(ops.n_r)
         d2 = two_point.dirac @ two_point.dirac
         expected = np.kron(np.eye(2), d2).astype(complex)
         expected[:2, :2] += commutator(d2, two_point.basis[1])
@@ -513,7 +502,7 @@ class TestRangeIsometry:
         routes = set()
         for module in self._modules(ladder_modules, fixtures_dir):
             v, P = module.range_isometry, module.projector
-            routes.add(module.triple.basis_diagonal is None)
+            routes.add(module.triple.points is None)
             assert v.shape == (module.dim, round(np.trace(P).real))
             assert frobenius_norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-13
             assert frobenius_norm(v @ v.conj().T - P) <= 1e-13 * max(1.0, frobenius_norm(P))
@@ -664,7 +653,7 @@ class TestHermitianResidual:
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_)
         a = symmetrized(random_connection(rng, module, hermitian=False))
-        a_d, _ = a.represented()
+        a_d = a.represented()[0]
         assert frobenius_norm(a_d - a_d.conj().T) <= 1e-10
 
 

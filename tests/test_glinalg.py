@@ -76,7 +76,7 @@ class TestGradedRightLift:
 
     def test_even_is_plain(self, free_module, two_point):
         ops, d = connection_operators(free_module), two_point.dirac
-        assert np.allclose(ops.n_op, np.kron(np.eye(2), d @ d))
+        assert np.allclose(ops.expand(ops.n_r), np.kron(np.eye(2), d @ d))
         assert np.allclose(ops.m_op, np.kron(two_point.gamma, d))
 
     @given(SEEDS)

@@ -1,5 +1,5 @@
 """The tooling itself: pytest reports failures, compare_outputs shows what moved,
-numpy_ledger counts the numpy calls of a benchmark pass."""
+numpy_ledger counts the numpy calls of a benchmark pass, src_lines counts lines by kind."""
 
 import importlib.util
 import subprocess
@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 COMPARE_OUTPUTS = ROOT / "tools" / "compare_outputs.py"
 NUMPY_LEDGER = ROOT / "tools" / "numpy_ledger.py"
+SRC_LINES = ROOT / "tools" / "src_lines.py"
 
 FAILING_TESTS = '''
 from hypothesis import given, settings, strategies as st
@@ -213,3 +214,44 @@ def test_numpy_ledger_keys_calls_by_shape_and_value():
     assert counts == Counter({"norm((3, 3), 2)": 1, "norm((3, 3), ord=2)": 1,
                               "einsum('ij,jk->ik', (2, 2), list(2, 2))": 1,
                               "einsum('ij,jk->ik', (2, 2), (2, 2))": 1})
+
+
+def _src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", SRC_LINES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+KINDS_SAMPLE = '''"""Module docstring,
+
+over three lines."""
+
+# a comment
+X = """not a docstring,
+but code"""
+
+
+def f():
+    """One line."""
+    return X  # a trailing comment is code
+'''
+
+
+def test_src_lines_sorts_each_kind(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(KINDS_SAMPLE, encoding="utf-8")
+    assert _src_lines().count_file(path) == {"code": 4, "docstring": 4, "comment": 1,
+                                             "blank": 3}
+
+
+def test_src_lines_counts_add_up_to_the_line_count():
+    # every line of src/ and tests/ is counted once, as exactly one kind
+    tool = _src_lines()
+    for top in tool.TREES:
+        total = 0
+        for path in sorted((ROOT / top).rglob("*.py")):
+            counts = tool.count_file(path)
+            assert sum(counts.values()) == len(path.read_text(encoding="utf-8").splitlines())
+            total += sum(counts.values())
+        assert sum(tool.count_tree(ROOT / top).values()) == total > 0

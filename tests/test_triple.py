@@ -258,28 +258,28 @@ class TestPairProducts:
         for _ in range(200):
             st_ = random_triple(rng, kind="diag")
             right = np.stack([st_.basis, st_.dirac_commutators, st_.dirac_sq_commutators])
-            assert st_.basis_diagonal is not None
+            assert st_.points is not None
             assert same_bits_but_zero_sign(st_.pair_products(right),
                                            pair_stack(st_, right))
 
     def test_arbitrary_real_diagonal_bases(self):
+        # a real diagonal basis without points takes the matmuls: the same bits
         rng = rng_for(19)
         for _ in range(200):
             n, d = (int(k) for k in rng.integers(1, 7, size=2))
             diag = rng.normal(size=(d, n)) * (rng.random((d, n)) < 0.7)
             st_ = SpectralTriple(np.eye(n), diag[..., None] * np.eye(n), np.zeros((n, n)))
             right = unit_disc(rng, (2, d, n, n)) * (rng.random((2, d, n, n)) < 0.6)
-            assert np.array_equal(st_.basis_diagonal, diag)
-            assert same_bits_but_zero_sign(st_.pair_products(right),
-                                           pair_stack(st_, right))
+            assert np.array_equal(st_.basis_diagonal, diag) and st_.points is None
+            assert st_.pair_products(right).tobytes() == pair_stack(st_, right).tobytes()
 
     def test_other_bases_take_the_matmuls(self, two_point):
         amp2 = random_triple(rng_for(13), n=4, kind="amp2")
         complex_diag = SpectralTriple(two_point.gamma, [np.eye(2), np.diag([1j, 0.0])],
                                       two_point.dirac)
-        assert two_point.basis_diagonal is not None
+        assert two_point.points is not None
         for st_ in (amp2, complex_diag):
-            assert st_.basis_diagonal is None
+            assert st_.points is None
             right = st_.dirac_commutators
             assert st_.pair_products(right).tobytes() == pair_stack(st_, right).tobytes()
 
@@ -302,27 +302,29 @@ class TestDiracCommutators:
         rng = rng_for(23)
         for _ in range(200):
             st_ = random_triple(rng, kind="diag")
-            assert st_.basis_diagonal is not None
+            assert st_.points is not None
             for got, x in ((st_.dirac_commutators, st_.dirac),
                            (st_.dirac_sq_commutators, st_.dirac_sq)):
                 assert same_bits_but_zero_sign(got, loop_commutators(st_, x))
 
     def test_arbitrary_real_diagonal_bases(self):
+        # a real diagonal basis without points takes the matmuls: the same bits
         rng = rng_for(29)
         for _ in range(200):
             n, d = (int(k) for k in rng.integers(1, 7, size=2))
             diag = rng.normal(size=(d, n)) * (rng.random((d, n)) < 0.7)
             dirac = unit_disc(rng, (n, n)) * (rng.random((n, n)) < 0.6)
             st_ = SpectralTriple(np.eye(n), diag[..., None] * np.eye(n), dirac)
-            assert same_bits_but_zero_sign(st_.dirac_commutators,
-                                           loop_commutators(st_, st_.dirac))
+            assert st_.points is None
+            assert (st_.dirac_commutators.tobytes()
+                    == loop_commutators(st_, st_.dirac).tobytes())
 
     def test_other_bases_take_the_matmuls(self, two_point):
         amp2 = random_triple(rng_for(13), n=4, kind="amp2")
         complex_diag = SpectralTriple(two_point.gamma, [np.eye(2), np.diag([1j, 0.0])],
                                       two_point.dirac)
         for st_ in (amp2, complex_diag):
-            assert st_.basis_diagonal is None
+            assert st_.points is None
             assert (st_.dirac_sq_commutators.tobytes()
                     == loop_commutators(st_, st_.dirac_sq).tobytes())
 
