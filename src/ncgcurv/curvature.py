@@ -60,6 +60,7 @@ from .glinalg import (
     anticommutator,
     frobenius_norm,
     relative_distance,
+    relative_residual,
     spectral_norm,
 )
 from .triple import DEFAULT_TOL, Check, SpectralTriple, _require
@@ -154,7 +155,7 @@ class CurvatureReport:
     def route_residual(self) -> float:
         """||R_r - F_r||_F / max(1, ||R_r||_F), F_r the formula route's block."""
         formula = curvature_formula(self.module, self.ops, range_coords=True)
-        return frobenius_norm(self.R_r - formula) / max(1.0, frobenius_norm(self.R_r))
+        return relative_residual(self.R_r - formula, self.R_r)
 
     @cached_property
     def symmetry_residual(self) -> float:
@@ -167,7 +168,7 @@ class CurvatureReport:
     @cached_property
     def support_residual(self) -> float:
         """glinalg.support_residual, with P R P formed by ProjectiveModule.compress."""
-        return frobenius_norm(self.module.compress(self.R) - self.R) / max(1.0, frobenius_norm(self.R))
+        return relative_residual(self.module.compress(self.R) - self.R, self.R)
 
     @cached_property
     def norm(self) -> float:
@@ -201,7 +202,7 @@ def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule
         junk = junk_space(module.triple)
     x = r1 - r2
     pxp = module.compress(x)
-    return frobenius_norm(x - _junk_projection(pxp, module, junk)) / max(1.0, frobenius_norm(x))
+    return relative_residual(x - _junk_projection(pxp, module, junk), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +232,7 @@ def _vertical_checks(s: VerticalOperator, compressed: np.ndarray, tol: float) ->
     mat = s.matrix
     return [
         Check("vertical_selfadjoint", relative_distance(mat, mat.conj().T), tol),
-        Check("vertical_compressed", frobenius_norm(compressed - mat)
-              / max(1.0, frobenius_norm(mat)), tol),  # glinalg.support_residual
+        Check("vertical_compressed", relative_residual(compressed - mat, mat), tol),
         Check("vertical_odd", s.module.parity_residual(mat, odd=True), tol),
     ]
 

@@ -28,9 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from .glinalg import (
-    frobenius_norm,
     parity_residual,
     relative_distance,
+    relative_residual,
     spectral_norm,
 )
 from .triple import Check, DEFAULT_TOL, SpectralTriple, _require
@@ -140,7 +140,7 @@ class ProjectiveModule:
             return parity_residual(self.grading, x, odd)
         g = np.outer(self.signs, self.triple.gamma_signs).ravel()
         gxg = np.outer(g, g) * x
-        return frobenius_norm(gxg + x if odd else gxg - x) / max(1.0, frobenius_norm(x))
+        return relative_residual(gxg + x if odd else gxg - x, x)
 
     @cached_property
     def even_mask(self) -> np.ndarray:
@@ -250,8 +250,7 @@ def _connection_checks(module: ProjectiveModule, a: ConnectionForm, a_d: np.ndar
     scale = max(1.0, float(np.linalg.norm(a.entries)))
     checks.append(Check("connection_grading_support", odd_mass / scale, tol))
 
-    checks.append(Check("connection_compressed", frobenius_norm(compressed - a_d)
-                        / max(1.0, frobenius_norm(a_d)), tol))  # glinalg.support_residual
+    checks.append(Check("connection_compressed", relative_residual(compressed - a_d, a_d), tol))
     checks.append(Check("connection_odd", module.parity_residual(a_d, odd=True), tol))
     return checks
 

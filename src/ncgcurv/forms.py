@@ -36,6 +36,7 @@ from .glinalg import (
     DEFAULT_RANK_TOL,
     anticommutator,
     frobenius_norm,
+    relative_residual,
     solve_kernel,
     subspace_basis,
 )
@@ -94,7 +95,7 @@ class UniversalOneForm:
         direct = np.einsum("ij,iab,jbc->ac", self.coeffs, st.dirac_commutators,
                            st.dirac_commutators)
         other = anticommutator(st.dirac, self.pi_d()) - self.pi_d2()
-        return direct, frobenius_norm(direct - other) / max(1.0, frobenius_norm(direct))
+        return direct, relative_residual(direct - other, direct)
 
     def two_form_defect(self) -> float:
         """||T - ([D, pi_d]_+ - pi_d2)||_F / max(1, ||T||_F), T = sum c[i,j] [D, b_i][D, b_j]."""

@@ -28,6 +28,7 @@ __all__ = [
     "parity_residual",
     "project_off",
     "relative_distance",
+    "relative_residual",
     "solve_kernel",
     "spectral_norm",
     "subspace_basis",
@@ -74,15 +75,20 @@ def relative_distance(a, b) -> float:
     return float(np.linalg.norm(a - b)) / scale
 
 
+def relative_residual(defect, ref) -> float:
+    """||defect||_F / max(1, ||ref||_F): relative above norm 1, absolute below it."""
+    return frobenius_norm(defect) / max(1.0, frobenius_norm(ref))
+
+
 def support_residual(p, x) -> float:
     """||p x p - x||_F / max(1, ||x||_F): how far x is from living on range(p)."""
-    return frobenius_norm(p @ x @ p - x) / max(1.0, frobenius_norm(x))
+    return relative_residual(p @ x @ p - x, x)
 
 
 def parity_residual(g, x, odd: bool) -> float:
     """||g x g + x||_F (odd) or ||g x g - x||_F (even), over max(1, ||x||_F)."""
     gxg = g @ x @ g
-    return frobenius_norm(gxg + x if odd else gxg - x) / max(1.0, frobenius_norm(x))
+    return relative_residual(gxg + x if odd else gxg - x, x)
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -137,7 +143,7 @@ def membership_residual(a, basis: Sequence[np.ndarray]) -> float:
 
     ``basis`` must be Frobenius-orthonormal (as produced by subspace_basis).
     """
-    return frobenius_norm(project_off(a, basis)) / max(1.0, frobenius_norm(a))
+    return relative_residual(project_off(a, basis), a)
 
 
 def orthonormality_defect(basis: Sequence[np.ndarray]) -> float:

@@ -29,6 +29,7 @@ from .glinalg import (
     frobenius_norm,
     membership_residual,
     orthonormality_defect,
+    relative_residual,
     spectral_norm,
 )
 from .triple import Check, c1_norm, c2_norm
@@ -92,8 +93,7 @@ def _measure_junk_invariance(module, a1, a2):
     rep1 = curvature_report(module, a1, junk=junk)
     rep2 = curvature_report(module, a2, junk=junk)
     coset = junk_coset_residual(rep1.R, rep2.R, module, junk=junk)
-    scale = max(1.0, frobenius_norm(rep1.junk_canonical))
-    return coset, frobenius_norm(rep1.junk_canonical - rep2.junk_canonical) / scale
+    return coset, relative_residual(rep1.junk_canonical - rep2.junk_canonical, rep1.junk_canonical)
 
 
 def _draw_correspondence(rng, k):

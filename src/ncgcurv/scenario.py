@@ -209,7 +209,7 @@ def scenario_digest(raw: dict) -> str:
 
 
 def parse_scenario(source) -> Scenario:
-    """Parse a scenario from a path, JSON text, or an already-loaded dict."""
+    """Parse a scenario from a path or an already-loaded dict."""
     if isinstance(source, dict):
         raw = source
     else:

@@ -8,7 +8,7 @@ basis was not closed.
 
 A basis of exactly 1 followed by diagonal 0/1 projections with disjoint
 supports is the algebra of d points (:attr:`SpectralTriple.points`), the
-one basis on which tables, commutators and pair products take closed forms.
+one basis on which tables and commutators take closed forms.
 """
 
 from __future__ import annotations
@@ -183,16 +183,9 @@ class SpectralTriple:
         return e if ((e == 0) | (e == 1)).all() and e.any(axis=1).all() else None
 
     def pair_products(self, right: np.ndarray) -> np.ndarray:
-        """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r.
-
-        Not cached: kept on every triple it would cost d times the memory of
-        the commutator stacks.  Over :attr:`points` rows scale, in place of d^2
-        matmuls whose sums are one term plus exact zeros: the same values (the
-        sign of an exact zero may differ, as it does between BLAS kernels).
-        """
-        if self.points is None:
-            return self.basis[:, None] @ right[..., None, :, :, :]
-        return self.basis_diagonal[:, None, :, None] * right[..., None, :, :, :]
+        """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r, one batched
+        matmul on every basis.  Not cached: it would cost d times the commutators' memory."""
+        return self.basis[:, None] @ right[..., None, :, :, :]
 
     @cached_property
     def _vec_basis(self) -> np.ndarray:

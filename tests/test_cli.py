@@ -97,6 +97,12 @@ class TestParsing:
             scen = parse_scenario(path)
             assert scen.digest
 
+    def test_json_text_is_read_as_a_file_name(self, fixtures_dir):
+        # a path or a loaded dict: JSON text is not a third input format
+        text = (fixtures_dir / "two_point.json").read_text(encoding="utf-8")
+        with pytest.raises(ScenarioError, match=r"cannot read scenario file \{"):
+            parse_scenario(text)
+
     def test_ragged_matrix_names_field(self, tmp_path):
         bad = {"triple": {"gamma": [[1, 0, 0], [0, -1]],
                           "basis": [[[1, 0], [0, 1]]],

@@ -2,7 +2,6 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncgcurv import SpectralTriple, forms
 from ncgcurv.forms import (
@@ -54,8 +53,6 @@ def star(omega: UniversalOneForm) -> UniversalOneForm:
     S = omega.triple.star_matrix
     return UniversalOneForm(omega.triple,
                             np.einsum("ij,aj,bi->ab", np.conj(omega.coeffs), S, S))
-
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestDelta:
@@ -167,16 +164,15 @@ class TestTwoForm:
         with pytest.raises(InternalConsistencyError):
             w.two_form(tol=-1.0)
 
-    @given(SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_identity_against_anticommutator(self, seed):
-        rng = np.random.default_rng(seed)
-        st_rand = random_triple(rng)
-        w = random_universal_form(rng, st_rand)
-        direct = w.two_form()
-        other = anticommutator(st_rand.dirac, w.pi_d()) - w.pi_d2()
-        scale = max(1.0, frobenius_norm(direct))
-        assert frobenius_norm(direct - other) <= 1e-9 * scale
+    def test_identity_against_anticommutator(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            st_rand = random_triple(rng)
+            w = random_universal_form(rng, st_rand)
+            direct = w.two_form()
+            other = anticommutator(st_rand.dirac, w.pi_d()) - w.pi_d2()
+            scale = max(1.0, frobenius_norm(direct))
+            assert frobenius_norm(direct - other) <= 1e-9 * scale
 
 
 class TestFormSpaces:

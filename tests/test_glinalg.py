@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncgcurv.fgpmod import connection_operators
 from ncgcurv.forms import junk_space, kernel_one_forms
@@ -14,6 +13,7 @@ from ncgcurv.glinalg import (
     orthonormality_defect,
     parity_residual,
     project_off,
+    relative_residual,
     solve_kernel,
     spectral_norm,
     subspace_basis,
@@ -21,8 +21,6 @@ from ncgcurv.glinalg import (
 )
 
 from reference import form_tables, full_svd_kernel, span_gap
-
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def rand_matrix(rng, n):
@@ -58,16 +56,15 @@ class TestGradedCommutator:
         with pytest.raises(ValueError):
             anticommutator(np.eye(2), np.eye(3))
 
-    @given(SEEDS)
-    @settings(max_examples=60, deadline=None)
-    def test_koszul_antisymmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        a, b = rand_matrix(rng, n), rand_matrix(rng, n)
-        for bracket, sign in ((commutator, 1.0), (anticommutator, -1.0)):
-            lhs = bracket(a, b)
-            rhs = -sign * bracket(b, a)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
+    def test_koszul_antisymmetry(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 5))
+            a, b = rand_matrix(rng, n), rand_matrix(rng, n)
+            for bracket, sign in ((commutator, 1.0), (anticommutator, -1.0)):
+                lhs = bracket(a, b)
+                rhs = -sign * bracket(b, a)
+                assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
 
 class TestGradedRightLift:
@@ -79,15 +76,14 @@ class TestGradedRightLift:
         assert np.allclose(ops.expand(ops.n_r), np.kron(np.eye(2), d @ d))
         assert np.allclose(ops.m_op, np.kron(two_point.gamma, d))
 
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
-    def test_respects_squares(self, seed):
+    def test_respects_squares(self):
         # the graded (odd) lift of D squares to the plain (even) lift of D^2: for
         # W = (Gamma (x) D) V of the bundle, W* W = V* (1 (x) D^2) V = N_r
-        rng = np.random.default_rng(seed)
-        ops = connection_operators(random_module(rng, random_triple(rng)))
-        assert np.linalg.norm(ops.w.conj().T @ ops.w - ops.n_r) <= 1e-12 * max(
-            1.0, np.linalg.norm(ops.n_r))
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            ops = connection_operators(random_module(rng, random_triple(rng)))
+            assert np.linalg.norm(ops.w.conj().T @ ops.w - ops.n_r) <= 1e-12 * max(
+                1.0, np.linalg.norm(ops.n_r))
 
 
 class TestSpectralNorm:
@@ -102,14 +98,13 @@ class TestSpectralNorm:
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
         assert spectral_norm(j) == pytest.approx(1.0, rel=1e-12)
 
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
-    def test_star_square(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rand_matrix(rng, int(rng.integers(1, 6)))
-        lhs = spectral_norm(a.conj().T @ a)
-        rhs = spectral_norm(a) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    def test_star_square(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            a = rand_matrix(rng, int(rng.integers(1, 6)))
+            lhs = spectral_norm(a.conj().T @ a)
+            rhs = spectral_norm(a) ** 2
+            assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @staticmethod
     def norm_2(m):
@@ -167,29 +162,27 @@ class TestSubspaceBasis:
         assert b[0, 1].real > 0.0 and abs(b[0, 1].imag) <= 1e-15
         assert np.abs(b - (-1j) * m / np.linalg.norm(m)).max() <= 1e-15
 
-    @given(SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        mats = [rand_matrix(rng, 3) for _ in range(int(rng.integers(1, 6)))]
-        basis = subspace_basis(mats)
-        again = subspace_basis(basis)
-        assert len(again) == len(basis)
-        for b in basis:
-            assert membership_residual(b, again) <= 1e-10
-        for b in again:
-            assert membership_residual(b, basis) <= 1e-10
+    def test_idempotent(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            mats = [rand_matrix(rng, 3) for _ in range(int(rng.integers(1, 6)))]
+            basis = subspace_basis(mats)
+            again = subspace_basis(basis)
+            assert len(again) == len(basis)
+            for b in basis:
+                assert membership_residual(b, again) <= 1e-10
+            for b in again:
+                assert membership_residual(b, basis) <= 1e-10
 
-    @given(SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_orthonormality(self, seed):
-        rng = np.random.default_rng(seed)
-        mats = [rand_matrix(rng, 3) for _ in range(4)]
-        basis = subspace_basis(mats)
-        for i, b1 in enumerate(basis):
-            for j, b2 in enumerate(basis):
-                assert np.vdot(b1, b2) == pytest.approx(
-                    1.0 if i == j else 0.0, abs=1e-10)
+    def test_orthonormality(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            mats = [rand_matrix(rng, 3) for _ in range(4)]
+            basis = subspace_basis(mats)
+            for i, b1 in enumerate(basis):
+                for j, b2 in enumerate(basis):
+                    assert np.vdot(b1, b2) == pytest.approx(
+                        1.0 if i == j else 0.0, abs=1e-10)
 
 
 class TestOrthonormalityDefect:
@@ -261,20 +254,19 @@ class TestSolveKernel:
         assert len(kernel) == 1
         assert np.linalg.norm(length @ kernel[0]) <= 1e-12
 
-    @given(SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_kernel_property(self, seed):
-        rng = np.random.default_rng(seed)
-        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        rank = int(rng.integers(0, min(p, q) + 1))
-        a = rng.normal(size=(p, rank)) + 1j * rng.normal(size=(p, rank))
-        b = rng.normal(size=(rank, q)) + 1j * rng.normal(size=(rank, q))
-        length = a @ b if rank else np.zeros((p, q), dtype=complex)
-        kernel = solve_kernel(length)
-        assert len(kernel) == q - rank
-        assert orthonormality_defect(kernel) <= 1e-12
-        for v in kernel:
-            assert np.linalg.norm(length @ v) <= 1e-9 * max(1.0, np.linalg.norm(length))
+    def test_kernel_property(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            rank = int(rng.integers(0, min(p, q) + 1))
+            a = rng.normal(size=(p, rank)) + 1j * rng.normal(size=(p, rank))
+            b = rng.normal(size=(rank, q)) + 1j * rng.normal(size=(rank, q))
+            length = a @ b if rank else np.zeros((p, q), dtype=complex)
+            kernel = solve_kernel(length)
+            assert len(kernel) == q - rank
+            assert orthonormality_defect(kernel) <= 1e-12
+            for v in kernel:
+                assert np.linalg.norm(length @ v) <= 1e-9 * max(1.0, np.linalg.norm(length))
 
     def test_thin_svd_spans_the_full_svd_kernel_on_the_ladder(self):
         # The seed-7 (n, d) ladder triples.  The kernel forms are tables of the
@@ -314,6 +306,8 @@ class TestCheckFormulas:
         e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert support_residual(p, 4.0 * e01) == pytest.approx(1.0)
         assert support_residual(p, 0.25 * e01) == pytest.approx(0.25)
+        assert relative_residual(e01, 4.0 * e01) == pytest.approx(0.25)
+        assert relative_residual(e01, 0.25 * e01) == pytest.approx(1.0)
         small = 0.1 * self.odd
         assert parity_residual(self.g, self.odd, odd=False) == pytest.approx(2.0)
         assert parity_residual(self.g, small, odd=False) == pytest.approx(

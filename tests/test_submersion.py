@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncgcurv.submersion import (
     FramePoint,
@@ -14,8 +13,6 @@ from ncgcurv.submersion import (
     submersion_invariants,
     warped_torus_frame,
 )
-
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def random_frame(rng, dim=None, fiber=None):
@@ -125,16 +122,15 @@ class TestInvariants:
         assert np.allclose(mean_curvature(doubled), 2.0 * mean_curvature(fp),
                            atol=1e-12)
 
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
-    def test_symmetries_and_linearity(self, seed):
-        rng = np.random.default_rng(seed)
-        fp = random_frame(rng)
-        s = second_fundamental_form(fp)
-        assert np.max(np.abs(s - np.transpose(s, (1, 0, 2)))) <= 1e-12
-        omega = fibration_curvature(fp)
-        assert np.max(np.abs(omega + np.transpose(omega, (1, 0, 2)))) <= 1e-12
-        alpha = rng.normal()
-        scaled = FramePoint(fp.dim_total, fp.dim_fiber, alpha * fp.c)
-        assert np.allclose(mean_curvature(scaled), alpha * mean_curvature(fp),
-                           atol=1e-12 * max(1.0, abs(alpha)))
+    def test_symmetries_and_linearity(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            fp = random_frame(rng)
+            s = second_fundamental_form(fp)
+            assert np.max(np.abs(s - np.transpose(s, (1, 0, 2)))) <= 1e-12
+            omega = fibration_curvature(fp)
+            assert np.max(np.abs(omega + np.transpose(omega, (1, 0, 2)))) <= 1e-12
+            alpha = rng.normal()
+            scaled = FramePoint(fp.dim_total, fp.dim_fiber, alpha * fp.c)
+            assert np.allclose(mean_curvature(scaled), alpha * mean_curvature(fp),
+                               atol=1e-12 * max(1.0, abs(alpha)))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import ncgcurv.triple as triple_module
 from ncgcurv import SpectralTriple, c1_norm, c2_norm, validate
@@ -10,8 +9,6 @@ from ncgcurv.glinalg import spectral_norm
 from ncgcurv.triple import NotInAlgebraError, pi1_block, pi2_block
 
 from reference import conjugated, even_unitary, loop_commutators, lstsq_tables, pair_stack
-
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def multiply_coords(st_, c1, c2) -> np.ndarray:
@@ -253,14 +250,13 @@ def same_bits_but_zero_sign(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestPairProducts:
-    def test_diag_triples_take_the_broadcast(self):
+    def test_point_triples_take_the_matmuls(self):
         rng = rng_for(17)
         for _ in range(200):
             st_ = random_triple(rng, kind="diag")
             right = np.stack([st_.basis, st_.dirac_commutators, st_.dirac_sq_commutators])
             assert st_.points is not None
-            assert same_bits_but_zero_sign(st_.pair_products(right),
-                                           pair_stack(st_, right))
+            assert st_.pair_products(right).tobytes() == pair_stack(st_, right).tobytes()
 
     def test_arbitrary_real_diagonal_bases(self):
         # a real diagonal basis without points takes the matmuls: the same bits
@@ -394,21 +390,20 @@ class TestDerivativeNorms:
                            spectral_norm(pi2_block(st_, a.conj().T)))
             assert c2_norm(st_, coeffs) == separate
 
-    @given(SEEDS)
-    @settings(max_examples=40, deadline=None)
-    def test_norm_chain_and_star(self, seed):
-        rng = np.random.default_rng(seed)
-        gamma = np.diag([1.0, -1.0])
-        q = np.diag([1.0, 0.0])
-        w = rng.normal() + 1j * rng.normal()
-        dirac = np.array([[0.0, w], [np.conj(w), 0.0]])
-        st_rand = SpectralTriple(gamma, (np.eye(2), q), dirac)
-        coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
-        base = np.linalg.norm(st_rand.assemble(coeffs), 2)
-        c1 = c1_norm(st_rand, coeffs)
-        c2 = c2_norm(st_rand, coeffs)
-        assert c2 >= c1 - 1e-10
-        assert c1 >= base - 1e-10
-        # the first-derivative norm is a *-norm
-        assert c1 == pytest.approx(c1_norm(st_rand, st_rand.star_coords(coeffs)),
-                                   abs=1e-10)
+    def test_norm_chain_and_star(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            gamma = np.diag([1.0, -1.0])
+            q = np.diag([1.0, 0.0])
+            w = rng.normal() + 1j * rng.normal()
+            dirac = np.array([[0.0, w], [np.conj(w), 0.0]])
+            st_rand = SpectralTriple(gamma, (np.eye(2), q), dirac)
+            coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
+            base = np.linalg.norm(st_rand.assemble(coeffs), 2)
+            c1 = c1_norm(st_rand, coeffs)
+            c2 = c2_norm(st_rand, coeffs)
+            assert c2 >= c1 - 1e-10
+            assert c1 >= base - 1e-10
+            # the first-derivative norm is a *-norm
+            assert c1 == pytest.approx(c1_norm(st_rand, st_rand.star_coords(coeffs)),
+                                       abs=1e-10)
