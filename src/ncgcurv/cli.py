@@ -267,7 +267,7 @@ def _cmd_product_spectrum(scen: Scenario, tol: float, rank_tol: float, seed: int
         Check("product_op_odd", module.parity_residual(m_op, odd=True), tol),
         Check("product_op_symmetric", relative_distance(m_op, m_op.conj().T), tol),
     ]
-    eigs = spectrum(module, ops, tol)
+    eigs = spectrum(ops, tol)
     values = {"rank": len(eigs), "spectrum": eigs}
     return checks, values, None, []
 

@@ -23,15 +23,14 @@ projectors, and proj_L o C projects onto C(L) = span{P (E_kl (x) J) P}.  It
 is applied block by block, each n x n block of PXP = V (V* X V) V* projected
 onto the orthonormal junk basis, with no lift and no SVD.
 
-With ``range_coords`` set, :func:`curvature_direct` and
-:func:`curvature_formula` return the r x r blocks themselves.  A
-:class:`CurvatureReport` holds R_r and the connection's operator bundle;
-every other field is computed on first read and then cached, so a caller
-pays only for what it reads.  The route residual (against F_r), the symmetry
-residual and the spectral ``norm`` read R_r alone; R = V R_r V* is expanded
-on first read, and the evenness and support residuals and the
-``junk_canonical`` representative (with the junk space, if none was given)
-read it.
+:func:`curvature_direct` and :func:`curvature_formula` take the connection's
+operator bundle alone and return r x r blocks.  A :class:`CurvatureReport`
+holds R_r and that bundle; every other field is computed on first read and
+then cached, so a caller pays only for what it reads.  The route residual
+(against F_r), the symmetry residual and the spectral ``norm`` read R_r
+alone; R = V R_r V* is expanded on first read, and the evenness and support
+residuals and the ``junk_canonical`` representative (with the junk space, if
+none was given) read it.
 
 The module also evaluates the correspondence curvature with a vertical
 operator S and its decomposition R + [S (x) 1, M]_+: one
@@ -51,7 +50,6 @@ from .fgpmod import (
     ConnectionForm,
     ConnectionOperators,
     ProjectiveModule,
-    _block_lift,
     _require_same_module,
     connection_operators,
 )
@@ -87,28 +85,19 @@ SIGN_CONVENTION_NOTE = (
 )
 
 
-def curvature_direct(module: ProjectiveModule,
-                     a: ConnectionForm | ConnectionOperators | None = None,
-                     tol: float = DEFAULT_TOL, *, range_coords: bool = False) -> np.ndarray:
-    """R = M^2 - N, M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2: V (M_r^2 - N_r) V*,
-    or the r x r block R_r = M_r^2 - N_r itself when ``range_coords`` is set."""
-    ops = connection_operators(module, a, tol)
-    r_r = ops.m_r @ ops.m_r - ops.n_r
-    return r_r if range_coords else ops.expand(r_r)
+def curvature_direct(ops: ConnectionOperators) -> np.ndarray:
+    """R = M^2 - N, M = P(Gamma (x) D)P + A_D, N = P(1 (x) D^2)P + A_D2, as the r x r
+    block R_r = M_r^2 - N_r of R = V R_r V*."""
+    return ops.m_r @ ops.m_r - ops.n_r
 
 
-def curvature_formula(module: ProjectiveModule,
-                      a: ConnectionForm | ConnectionOperators | None = None,
-                      tol: float = DEFAULT_TOL, *, range_coords: bool = False) -> np.ndarray:
-    """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2), evaluated as
-    V F_r V* with F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r, or F_r itself
-    when ``range_coords`` is set: with W = Dt V and T = V* W,
-    P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P = -V (W* W - T* T) V*."""
-    ops = connection_operators(module, a, tol)
+def curvature_formula(ops: ConnectionOperators) -> np.ndarray:
+    """Closed form P[Dt,P][Dt,P]P + A_D^2 + (P[Dt, A_D]_+ P - A_D2), as the r x r
+    block F_r = -(W* W - T* T) + A_r^2 + [T, A_r]_+ - A2_r: with W = Dt V and
+    T = V* W, P[Dt,P][Dt,P]P = -P Dt (1 - P) Dt P = -V (W* W - T* T) V*."""
     t, w, a_r = ops.t, ops.w, ops.a_r
     base = -(w.conj().T @ w - t.conj().T @ t)
-    f_r = base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
-    return f_r if range_coords else ops.expand(f_r)
+    return base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
 
 
 def _junk_projection(x: np.ndarray, module: ProjectiveModule,
@@ -154,8 +143,7 @@ class CurvatureReport:
     @cached_property
     def route_residual(self) -> float:
         """||R_r - F_r||_F / max(1, ||R_r||_F), F_r the formula route's block."""
-        formula = curvature_formula(self.module, self.ops, range_coords=True)
-        return relative_residual(self.R_r - formula, self.R_r)
+        return relative_residual(self.R_r - curvature_formula(self.ops), self.R_r)
 
     @cached_property
     def symmetry_residual(self) -> float:
@@ -187,8 +175,7 @@ def curvature_report(module: ProjectiveModule, a: ConnectionForm | None = None,
                      tol: float = DEFAULT_TOL) -> CurvatureReport:
     """The connection checked and R_r computed; R, residuals, norm and junk representative on read."""
     ops = connection_operators(module, a, tol)
-    r_r = curvature_direct(module, ops, range_coords=True)
-    return CurvatureReport(R_r=r_r, ops=ops, module=module, junk=junk)
+    return CurvatureReport(R_r=curvature_direct(ops), ops=ops, module=module, junk=junk)
 
 
 def junk_coset_residual(r1: np.ndarray, r2: np.ndarray, module: ProjectiveModule,
@@ -263,8 +250,7 @@ class CorrespondenceReport:
         return spectral_norm(self.s_m) / (spectral_norm(self.s_mat) + 1.0)
 
 
-def correspondence_report(module: ProjectiveModule,
-                          a: ConnectionForm | ConnectionOperators | None,
+def correspondence_report(module: ProjectiveModule, a: ConnectionForm | None,
                           s: VerticalOperator, tol: float = DEFAULT_TOL) -> CorrespondenceReport:
     """S checked and the connection evaluated, once each; a bad S raises first.
     S enters as S_r = V* S V, and vertical_compressed reads V S_r V*."""
@@ -281,12 +267,17 @@ def correspondence_report(module: ProjectiveModule,
     return CorrespondenceReport(residual, checks, s.matrix, ops, corr_r, s_m_r)
 
 
-def correspondence_decomposition_residual(module: ProjectiveModule,
-                                          a: ConnectionForm | ConnectionOperators | None,
+def correspondence_decomposition_residual(module: ProjectiveModule, a: ConnectionForm | None,
                                           s: VerticalOperator,
                                           tol: float = DEFAULT_TOL) -> float:
     """||corr - (R + [S, M]_+)||_F: the decomposition is exact algebra."""
     return correspondence_report(module, a, s, tol).decomposition_residual
+
+
+def _block_lift(left: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Kronecker product left (x) x of square matrices, by broadcasting."""
+    dim = left.shape[0] * x.shape[0]
+    return (left[:, None, :, None] * x[None, :, None, :]).reshape(dim, dim)
 
 
 def _tensor_sum_defect(st1: SpectralTriple, st2: SpectralTriple,

@@ -10,11 +10,11 @@ plain (m, m, d, d) arrays, and a form is read only over its own module.
 
 Assembled operators act on the product space C^m (x) C^n; the graded lift of
 the Dirac matrix is Gamma (x) D and the product operator of a connection is
-P (Gamma (x) D) P + A_D.  Only the grading Gamma (x) gamma is assembled:
-Gamma (x) 1 is a row scaling and 1 (x) D a product per n-row block.  Every
-operator, spectrum and curvature function reads the :class:`ConnectionOperators`
-bundle of :func:`connection_operators`, in the coordinates of the range
-isometry (:attr:`ProjectiveModule.range_isometry`).  A form is represented
+P (Gamma (x) D) P + A_D.  No mn x mn lift is assembled: Gamma (x) 1 is a row
+scaling, and 1 (x) D and 1 (x) gamma are a product per n-row block.  The
+spectrum and the curvature routes take the :class:`ConnectionOperators` bundle
+of :func:`connection_operators` as their one input, in the coordinates of the
+range isometry (:attr:`ProjectiveModule.range_isometry`).  A form is represented
 entrywise, A_D[i, j] = sum_pq c[i, j, p, q] b_p [D, b_q] and A_D2 likewise
 with D^2, together with its ker(m) defect, by :meth:`ConnectionForm.represented`:
 over points from one point kernel, else from the d^2 pair stack.
@@ -27,12 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .glinalg import (
-    parity_residual,
-    relative_distance,
-    relative_residual,
-    spectral_norm,
-)
+from .glinalg import relative_distance, relative_residual, spectral_norm
 from .triple import Check, DEFAULT_TOL, SpectralTriple, _require
 
 __all__ = [
@@ -47,12 +42,6 @@ __all__ = [
     "validate_connection",
     "validate_module",
 ]
-
-
-def _block_lift(left: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Kronecker product left (x) x of square matrices, by broadcasting."""
-    dim = left.shape[0] * x.shape[0]
-    return (left[:, None, :, None] * x[None, :, None, :]).reshape(dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,18 +117,22 @@ class ProjectiveModule:
         v = self.range_isometry
         return v @ (v.conj().T @ x @ v) @ v.conj().T
 
-    @cached_property
-    def grading(self) -> np.ndarray:
-        """Gamma (x) gamma on the product space."""
-        return _block_lift(np.diag(self.signs), self.triple.gamma)
+    def graded(self, x: np.ndarray) -> np.ndarray:
+        """G x G for the grading G = Gamma (x) gamma, which is never assembled.
+        A diagonal gamma of +/-1 makes G a diagonal g of +/-1 and G x G = (g g^T) o x
+        exactly; any other gamma takes 1 (x) gamma as a product per n-block on
+        each side and Gamma (x) 1 as a row and column scaling."""
+        if self.triple.gamma_signs is not None:
+            g = np.outer(self.signs, self.triple.gamma_signs).ravel()
+            return np.outer(g, g) * x
+        m, n, dim, gamma = self.m, self.triple.n, self.dim, self.triple.gamma
+        s = np.repeat(self.signs, n)[:, None]
+        gx = (gamma @ x.reshape(m, n, dim)).reshape(dim * m, n)
+        return s * (gx @ gamma).reshape(dim, dim) * s.T
 
     def parity_residual(self, x: np.ndarray, odd: bool) -> float:
-        """glinalg.parity_residual for the grading.  A diagonal grading g of +/-1
-        gives g x g = (g g^T) o x exactly; any other gamma takes the matmuls."""
-        if self.triple.gamma_signs is None:
-            return parity_residual(self.grading, x, odd)
-        g = np.outer(self.signs, self.triple.gamma_signs).ravel()
-        gxg = np.outer(g, g) * x
+        """||G x G + x||_F (odd) or ||G x G - x||_F (even), over max(1, ||x||_F)."""
+        gxg = self.graded(x)
         return relative_residual(gxg + x if odd else gxg - x, x)
 
     @cached_property
@@ -290,8 +283,7 @@ class ConnectionOperators:
     m_op = cached_property(lambda self: self.expand(self.m_r))
 
 
-def connection_operators(module: ProjectiveModule,
-                         a: ConnectionForm | ConnectionOperators | None = None,
+def connection_operators(module: ProjectiveModule, a: ConnectionForm | None = None,
                          tol: float = DEFAULT_TOL) -> ConnectionOperators:
     """Validate and represent ``a`` once; None or a zero form is the Grassmann connection.
 
@@ -301,12 +293,7 @@ def connection_operators(module: ProjectiveModule,
     representing equals representing P . C . P.  Off ker(m) the two differ by
     terms of size connection_ker_mult * ||[D^k, P]||, and validation gates
     connection_ker_mult at tol.  D and D^2 act on V block by block.
-
-    An already evaluated bundle is returned as it is, so a caller holding one
-    can pass it to any function that takes a connection without re-validation.
     """
-    if isinstance(a, ConnectionOperators):
-        return a
     if a is not None:
         _require_same_module(module, a)
     v = module.range_isometry
@@ -325,11 +312,9 @@ def connection_operators(module: ProjectiveModule,
     return ConnectionOperators(v=v, w=w, a_r=a_r, a2_r=a2_r, t=t, m_r=t + a_r, n_r=n_r)
 
 
-def spectrum(module: ProjectiveModule,
-             a: ConnectionForm | ConnectionOperators | None = None,
-             tol: float = DEFAULT_TOL) -> list[float]:
+def spectrum(ops: ConnectionOperators, tol: float = DEFAULT_TOL) -> list[float]:
     """Ascending eigenvalues of the product operator restricted to range(P)."""
-    m_r = connection_operators(module, a, tol).m_r
+    m_r = ops.m_r
     _require([Check("spectrum_symmetric_input", relative_distance(m_r, m_r.conj().T), tol)])
     return [float(v) for v in np.linalg.eigvalsh(m_r)]
 

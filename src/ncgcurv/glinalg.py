@@ -1,7 +1,7 @@
 """Dense complex matrix algebra.
 
 Operators are plain complex128 numpy arrays.  This module supplies
-commutators, norms, grading checks and the rank-revealing subspace machinery
+commutators, norms, residual checks and the rank-revealing subspace machinery
 (Frobenius inner product) on which all form-space computations are built.
 
 Every function is pure and never mutates its arguments, so independent calls
@@ -25,7 +25,6 @@ __all__ = [
     "frobenius_norm",
     "membership_residual",
     "orthonormality_defect",
-    "parity_residual",
     "project_off",
     "relative_distance",
     "relative_residual",
@@ -83,12 +82,6 @@ def relative_residual(defect, ref) -> float:
 def support_residual(p, x) -> float:
     """||p x p - x||_F / max(1, ||x||_F): how far x is from living on range(p)."""
     return relative_residual(p @ x @ p - x, x)
-
-
-def parity_residual(g, x, odd: bool) -> float:
-    """||g x g + x||_F (odd) or ||g x g - x||_F (even), over max(1, ||x||_F)."""
-    gxg = g @ x @ g
-    return relative_residual(gxg + x if odd else gxg - x, x)
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:

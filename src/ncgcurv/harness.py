@@ -126,8 +126,7 @@ def _draw_grassmann(rng, k):
 
 def _measure_grassmann(module, a):
     m_op = connection_operators(module, a).m_op
-    g = module.grading
-    return frobenius_norm(m_op - m_op.conj().T), frobenius_norm(g @ m_op + m_op @ g)
+    return frobenius_norm(m_op - m_op.conj().T), frobenius_norm(module.graded(m_op) + m_op)
 
 
 def _measure_hermitian(module, a):

@@ -20,7 +20,7 @@ from ncgcurv.fgpmod import symmetrized_entries
 from ncgcurv.forms import UniversalOneForm, _universal_tables, junk_space, kernel_one_forms
 from ncgcurv.generate import unit_disc
 from ncgcurv.glinalg import (anticommutator, commutator, frobenius_norm, relative_distance,
-                             spectral_norm)
+                             relative_residual, spectral_norm)
 
 ORACLES = Path(__file__).resolve().parents[1] / "oracles"
 
@@ -33,8 +33,16 @@ def run_oracle(name: str) -> dict:
 
 
 def pair_stack(st_, right):
-    """(..., d, d, n, n) stack of b_p r_q from d^2 matmuls, on any basis."""
-    return st_.basis[:, None] @ right[..., None, :, :, :]
+    """(..., d, d, n, n) stack of b_p r_q, one n x n matmul per pair (p, q) and
+    leading index, on any basis."""
+    right = np.asarray(right)
+    out = np.empty((*right.shape[:-3], st_.d, *right.shape[-3:]),
+                   dtype=np.result_type(st_.basis, right))
+    for idx in np.ndindex(right.shape[:-3]):
+        for p, b in enumerate(st_.basis):
+            for q, r in enumerate(right[idx]):
+                out[idx + (p, q)] = b @ r
+    return out
 
 
 def loop_commutators(st_, x):
@@ -136,6 +144,18 @@ def kron_lifts(module):
     st_, signs = module.triple, np.diag(module.signs)
     return (np.kron(signs, np.eye(st_.n)), np.kron(signs, st_.dirac),
             np.kron(np.eye(module.m), st_.dirac))
+
+
+def kron_graded(module, x):
+    """G x G for the grading G = Gamma (x) gamma, as an np.kron product."""
+    g = np.kron(np.diag(module.signs), module.triple.gamma)
+    return g @ x @ g
+
+
+def kron_parity_residual(module, x, odd: bool) -> float:
+    """||G x G + x||_F (odd) or ||G x G - x||_F (even), over max(1, ||x||_F)."""
+    gxg = kron_graded(module, x)
+    return relative_residual(gxg + x if odd else gxg - x, x)
 
 
 def kron_projector_even(module) -> float:

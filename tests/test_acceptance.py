@@ -12,10 +12,7 @@ import numpy as np
 import pytest
 
 from ncgcurv import harness
-from ncgcurv.curvature import (
-    curvature_direct,
-    external_product_defect_ungraded,
-)
+from ncgcurv.curvature import curvature_report, external_product_defect_ungraded
 from ncgcurv.fgpmod import connection_operators
 from ncgcurv.forms import junk_space, one_form_space, two_form_space
 from ncgcurv.generate import random_connection, random_module, random_triple, rng_for
@@ -94,7 +91,7 @@ def test_criterion_6_two_point_fixture(two_point_oracle):
     assert junk.dim == two_point_oracle["junk_dim"]
 
     scen_mod = parse_scenario(ROOT / "fixtures" / "two_point_module.json")
-    r = curvature_direct(scen_mod.module)
+    r = curvature_report(scen_mod.module).R
     expected = np.diag([-1.0, 0.0, 0.0, -1.0])
     assert np.allclose(r, expected, atol=1e-10)
     assert np.allclose(np.diag(r).real, two_point_oracle["curvature_diag"], atol=1e-10)
@@ -112,11 +109,10 @@ def test_criterion_7_grassmann_symmetry():
     assert worst_odd <= 1e-10, f"grading defect {worst_odd:.3e} exceeds 1e-10"
     for name in ("two_point_module.json", "two_point_free_module.json"):
         scen = parse_scenario(ROOT / "fixtures" / name)
-        g = scen.module.grading
         for a in (None, scen.connection):
             m_op = connection_operators(scen.module, a).m_op
             assert frobenius_norm(m_op - m_op.conj().T) <= 1e-10
-            assert frobenius_norm(g @ m_op + m_op @ g) <= 1e-10
+            assert frobenius_norm(scen.module.graded(m_op) + m_op) <= 1e-10
     report(7, f"100 modules + fixtures, sym {worst_sym:.2e}, odd {worst_odd:.2e}")
 
 
@@ -152,7 +148,7 @@ def test_criterion_9_growth_proxy_documented():
     for m in (1, 2, 4, 6):
         module = random_module(rng, st, m=m, allow_free=False)
         a = random_connection(rng, module, hermitian=True)
-        norms.append(spectral_norm(curvature_direct(module, a)))
+        norms.append(spectral_norm(curvature_report(module, a).R))
     assert all(np.isfinite(norms))  # reported, not asserted to grow
     report(9, "growth proxy reported (m -> |R|): "
               + ", ".join(f"{v:.2f}" for v in norms))

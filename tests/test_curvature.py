@@ -36,23 +36,24 @@ from ncgcurv.glinalg import (
     anticommutator,
     commutator,
     frobenius_norm,
+    relative_residual,
     spectral_norm,
     support_residual,
 )
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
-from reference import (eager_reference, hermitian, kron_lifts, lifted_svd_canonical, rebased_twin,
-                       symmetrized, unitary_twin)
+from reference import (eager_reference, hermitian, kron_graded, kron_lifts, lifted_svd_canonical,
+                       rebased_twin, symmetrized, unitary_twin)
 from test_fgpmod import delta_connection
 
 
 class TestDirectRoute:
     def test_free_module_flat(self, free_module):
-        assert frobenius_norm(curvature_direct(free_module)) <= 1e-14
+        assert frobenius_norm(curvature_report(free_module).R) <= 1e-14
 
     def test_two_point_module(self, two_point_module, two_point_oracle):
-        r = curvature_direct(two_point_module)
+        r = curvature_report(two_point_module).R
         expected = np.diag(two_point_oracle["curvature_diag"]).astype(complex)
         assert np.allclose(r, expected, atol=1e-12)
         assert np.allclose(r, np.diag([-1.0, 0.0, 0.0, -1.0]))
@@ -66,14 +67,14 @@ class TestDirectRoute:
             module = random_module(rng, random_triple(rng))
             proj = module.projector
             dp = commutator(kron_lifts(module)[1], proj)
-            assert np.allclose(curvature_direct(module), proj @ dp @ dp @ proj,
+            assert np.allclose(curvature_report(module).R, proj @ dp @ dp @ proj,
                                atol=1e-11)
 
 
 class TestFormulaRoute:
     def test_matches_direct_without_connection(self, two_point_module):
-        assert np.allclose(curvature_formula(two_point_module),
-                           curvature_direct(two_point_module), atol=1e-12)
+        ops = connection_operators(two_point_module)
+        assert np.allclose(curvature_formula(ops), curvature_direct(ops), atol=1e-12)
 
     def test_free_module_with_delta_form(self, free_module):
         # on a free module P = 1 and the formula is A^2 + [Dt, A]_+ - A_D2
@@ -82,8 +83,8 @@ class TestFormulaRoute:
         a_d, a_d2 = ops.expand(ops.a_r), ops.expand(ops.a2_r)
         dt = kron_lifts(free_module)[1]
         expected = a_d @ a_d + anticommutator(dt, a_d) - a_d2
-        assert np.allclose(curvature_formula(free_module, a), expected, atol=1e-12)
-        assert np.allclose(curvature_direct(free_module, a), expected, atol=1e-12)
+        assert np.allclose(ops.expand(curvature_formula(ops)), expected, atol=1e-12)
+        assert np.allclose(ops.expand(curvature_direct(ops)), expected, atol=1e-12)
 
     def test_route_equality_seeded(self):
         for seed in range(25):
@@ -91,8 +92,8 @@ class TestFormulaRoute:
             st_ = random_triple(rng)
             module = random_module(rng, st_)
             a = random_connection(rng, module, hermitian=True)
-            direct = curvature_direct(module, a)
-            formula = curvature_formula(module, a)
+            ops = connection_operators(module, a)
+            direct, formula = ops.expand(curvature_direct(ops)), ops.expand(curvature_formula(ops))
             scale = max(1.0, frobenius_norm(direct))
             assert frobenius_norm(direct - formula) <= 1e-9 * scale
 
@@ -116,11 +117,12 @@ class TestReport:
 
     def test_unitarily_conjugated_triple_takes_dense_paths(self, monkeypatch):
         # U (gamma, basis, D) U* for a random U: neither gamma nor the basis is
-        # diagonal, so pair_products and every parity check take the matmuls
+        # diagonal, so pair_products takes the dense route and every parity check
+        # the block products of graded
         dense_parity = []
-        parity = fgpmod.parity_residual
-        monkeypatch.setattr(fgpmod, "parity_residual",
-                            lambda *args: dense_parity.append(1) or parity(*args))
+        graded = ProjectiveModule.graded
+        monkeypatch.setattr(ProjectiveModule, "graded", lambda self, x: dense_parity.append(
+            self.triple.gamma_signs is None) or graded(self, x))
         rng = rng_for(67)
         module = random_module(rng, random_triple(rng, n=6, d=3, kind="diag"), m=3,
                                allow_free=False)
@@ -132,11 +134,11 @@ class TestReport:
         report = curvature_report(module_u, a_u)
         for residual in ("route", "symmetry", "evenness", "support"):
             assert getattr(report, residual + "_residual") <= 1e-10
-        assert len(dense_parity) == 2  # connection_odd and curvature evenness
+        assert dense_parity == [True, True]  # connection_odd and curvature evenness
         lift = np.kron(np.eye(module.m), u)
         expected = lift @ curvature_report(module, a).R @ lift.conj().T
         assert frobenius_norm(report.R - expected) <= 1e-10 * frobenius_norm(expected)
-        assert len(dense_parity) == 2  # the diagonal original takes none
+        assert dense_parity == [True, True, False]  # the diagonal original's connection_odd
 
     def test_structure_invariants_seeded(self):
         rng = rng_for(31)
@@ -145,8 +147,7 @@ class TestReport:
             module = random_module(rng, st_)
             a = random_connection(rng, module, hermitian=True)
             report = curvature_report(module, a)
-            g = module.grading
-            assert np.allclose(g @ report.R @ g, report.R, atol=1e-10)
+            assert np.allclose(kron_graded(module, report.R), report.R, atol=1e-10)
             proj = module.projector
             assert np.allclose(proj @ report.R @ proj, report.R, atol=1e-10)
             assert report.symmetry_residual <= 1e-10
@@ -154,7 +155,7 @@ class TestReport:
 
 class TestJunkCoset:
     def test_equal_curvatures(self, two_point_module):
-        r = curvature_direct(two_point_module)
+        r = curvature_report(two_point_module).R
         assert junk_coset_residual(r, r, two_point_module) <= 1e-14
 
     def test_lift_pairs_agree_modulo_junk(self):
@@ -176,13 +177,13 @@ class TestJunkCoset:
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_, m=2, allow_free=False)
         a1, a2 = junk_lift_pair(rng, module)
-        r1 = curvature_direct(module, a1)
-        r2 = curvature_direct(module, a2)
+        r1 = curvature_report(module, a1).R
+        r2 = curvature_report(module, a2).R
         assert frobenius_norm(r1 - r2) > 1e-3
 
     def test_non_junk_shift_detected(self, two_point_module):
         # junk is empty here, so any nonzero difference is fully visible
-        r = curvature_direct(two_point_module)
+        r = curvature_report(two_point_module).R
         shifted = r + two_point_module.projector
         assert junk_coset_residual(r, shifted, two_point_module) >= 0.1
 
@@ -192,7 +193,7 @@ class TestJunkCoset:
         module = random_module(rng, st_, m=2, allow_free=False)
         junk = junk_space(st_)
         assert junk.dim > 0
-        r = curvature_direct(module)
+        r = curvature_report(module).R
         shifted = r + module.projector  # P is even and not a junk combination
         assert junk_coset_residual(r, shifted, module, junk=junk) >= 0.1
 
@@ -271,8 +272,8 @@ class TestBlockwiseJunkProjection:
         st_ = random_triple(rng, n=4, kind="amp2")
         module = random_module(rng, st_, m=2, allow_free=False)
         junk = junk_space(st_)
-        r1 = curvature_direct(module, random_connection(rng, module))
-        r2 = curvature_direct(module, random_connection(rng, module))
+        r1 = curvature_report(module, random_connection(rng, module)).R
+        r2 = curvature_report(module, random_connection(rng, module)).R
         x = r1 - r2
         expected = frobenius_norm(lifted_svd_canonical(x, module, junk))
         assert junk_coset_residual(r1, r2, module, junk=junk) == pytest.approx(
@@ -298,7 +299,7 @@ class TestCorrespondence:
     def test_zero_vertical_reduces_to_curvature(self, two_point_module):
         s = VerticalOperator(two_point_module, np.zeros((2, 2, 2)))
         corr = correspondence_report(two_point_module, None, s).curvature
-        assert np.allclose(corr, curvature_direct(two_point_module), atol=1e-12)
+        assert np.allclose(corr, curvature_report(two_point_module).R, atol=1e-12)
 
     def test_anticommuting_vertical_on_free_module(self, free_module):
         # S = antidiag(1, 1) anticommutes with diag(D, -D): the squares add
@@ -329,7 +330,7 @@ class TestCorrespondence:
         m_op = eager_reference(module, a)["m_op"]
         s_m = anticommutator(s.matrix, m_op)
         assert frobenius_norm(report.s_m - s_m) <= 1e-12 * max(1.0, frobenius_norm(s_m))
-        expected = curvature_direct(module, a) + report.s_m
+        expected = curvature_report(module, a).R + report.s_m
         assert np.allclose(report.curvature, expected, atol=1e-10)
 
     def test_invalid_vertical_rejected(self, free_module):
@@ -390,8 +391,10 @@ class TestSingleEvaluation:
         correspondence_decomposition_residual(module, a, s)
         assert calls == ["represented", "checks"] * 2
         ops = connection_operators(module, a)
-        assert connection_operators(module, ops) is ops
-        assert np.array_equal(curvature_direct(module, ops), curvature_direct(module, a))
+        assert calls == ["represented", "checks"] * 3
+        # the routes read the bundle alone and evaluate nothing
+        assert np.array_equal(curvature_direct(ops), curvature_report(module, a).R_r)
+        curvature_formula(ops)
         assert calls == ["represented", "checks"] * 4
 
     def test_reading_r_runs_no_formula_route(self, monkeypatch):
@@ -444,7 +447,7 @@ MODULE_READS = {
         m, ConnectionForm(a.module, np.zeros_like(a.entries))),
     "validate_connection": lambda m, a, s: validate_connection(m, a),
     "hermitian_residual": lambda m, a, s: hermitian_residual(m, a),
-    "curvature_direct": lambda m, a, s: curvature_direct(m, a),
+    "curvature_report": lambda m, a, s: curvature_report(m, a),
     "correspondence_curvature": lambda m, a, s: correspondence_report(m, None, s).curvature,
     "correspondence_decomposition_residual":
         lambda m, a, s: correspondence_decomposition_residual(m, None, s),
@@ -489,14 +492,14 @@ def range_coordinate_values(module, a, junk=None):
     ops = report.ops
     return {
         "R": report.R,
-        "formula": curvature_formula(module, ops),
+        "formula": ops.expand(curvature_formula(ops)),
         "route_residual": report.route_residual,
         "symmetry_residual": report.symmetry_residual,
         "m_op": ops.m_op,
         "n_op": ops.expand(ops.n_r),
         "norm": report.norm,
         "junk_canonical": report.junk_canonical,
-    } | ({"spectrum": np.array(fgpmod.spectrum(module, ops))} if hermitian(a) else {})
+    } | ({"spectrum": np.array(fgpmod.spectrum(ops))} if hermitian(a) else {})
 
 
 def worst_relative_gap(got: dict, want: dict) -> float:
@@ -588,7 +591,7 @@ class TestAlgebraBasisCovariance:
             scale = max(1.0, frobenius_norm(want.R))
             worst = max(worst, frobenius_norm(got.R - want.R) / scale,
                         abs(got.norm - want.norm) / max(1.0, want.norm))
-            spec, spec_b = fgpmod.spectrum(module, a), fgpmod.spectrum(module_b, a_b)
+            spec, spec_b = (fgpmod.spectrum(x.ops) for x in (want, got))
             worst = max(worst, np.abs(np.subtract(spec_b, spec)).max(initial=0.0)
                         / max(1.0, np.abs(spec).max(initial=0.0)))
             assert junk_space(module_b.triple).dim == junk_space(module.triple).dim
@@ -672,12 +675,10 @@ class TestRangeCoordinates:
     def test_flipped_first_formula_term_fails_route_residual(self, ladder_modules,
                                                                monkeypatch):
         # +(W*W - T*T) in place of -(W*W - T*T): P[Dt,P][Dt,P]P with its sign flipped
-        def flipped(module, a=None, tol=1e-8, *, range_coords=False):
-            ops = connection_operators(module, a, tol)
+        def flipped(ops):
             t, w, a_r = ops.t, ops.w, ops.a_r
             base = w.conj().T @ w - t.conj().T @ t
-            f_r = base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
-            return f_r if range_coords else ops.expand(f_r)
+            return base + a_r @ a_r + anticommutator(t, a_r) - ops.a2_r
 
         cases = [(module, random_connection(rng_for(61), module)) for module in ladder_modules]
         assert all(curvature_report(*case).route_residual <= 1e-10 for case in cases)
@@ -690,13 +691,12 @@ class TestRangeCoordinates:
             a = random_connection(rng_for(62), module)
             ops = connection_operators(module, a)
             report = curvature_report(module, a)
-            r_r = curvature_direct(module, ops, range_coords=True)
-            f_r = curvature_formula(module, ops, range_coords=True)
+            r_r, f_r = curvature_direct(ops), curvature_formula(ops)
             rank = module.range_isometry.shape[1]
             assert r_r.shape == f_r.shape == (rank, rank)
             assert np.array_equal(report.R_r, r_r)
-            assert np.array_equal(ops.expand(r_r), curvature_direct(module, ops))
-            assert np.array_equal(ops.expand(f_r), curvature_formula(module, ops))
+            assert np.array_equal(ops.expand(r_r), report.R)
+            assert report.route_residual == relative_residual(r_r - f_r, r_r)
 
     def test_negated_direct_route_fails_route_residual(self, ladder_modules, monkeypatch):
         # the report takes R_r from the public direct route, so a plant there reaches it

@@ -3,6 +3,7 @@
 import ast
 import functools
 import importlib
+import inspect
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -67,6 +68,16 @@ def test_test_only_helpers_stay_in_the_tests():
     evaluations = ("represented_d", "_represent", "mult_residual", "_point_mult_residual")
     assert [n for n in evaluations if hasattr(ncgcurv.ConnectionForm, n)] == []
     assert [n for n in ("a_d", "a_d2", "n_op") if hasattr(fgpmod.ConnectionOperators, n)] == []
+    # the grading is applied by ProjectiveModule.graded and never assembled, and the
+    # curvature routes and the spectrum read the connection's bundle alone
+    from ncgcurv import glinalg
+
+    assert not hasattr(ncgcurv.ProjectiveModule, "grading")
+    assert not hasattr(glinalg, "parity_residual") and "parity_residual" not in glinalg.__all__
+    assert not hasattr(fgpmod, "_block_lift")
+    params = {f: list(inspect.signature(f).parameters) for f in (
+        curvature.curvature_direct, curvature.curvature_formula, fgpmod.spectrum)}
+    assert list(params.values()) == [["ops"], ["ops"], ["ops", "tol"]]
 
 
 def _loads(node) -> list[str]:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ncgcurv import ProjectiveModule, SpectralTriple
-from ncgcurv.curvature import curvature_report
+from ncgcurv import harness
+from ncgcurv.curvature import _block_lift, curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
-    _block_lift,
     connection_operators,
     hermitian_residual,
     pairing_adjoint_entries,
@@ -29,15 +29,15 @@ from ncgcurv.generate import (
 from ncgcurv.glinalg import (
     commutator,
     frobenius_norm,
-    parity_residual,
     relative_distance,
     support_residual,
 )
 from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import InvariantViolation
 
-from reference import (delta_basis, kron_hermitian_residual, kron_lifts, kron_projector_even,
-                       symmetrized, tensordot_reference, unitary_twin)
+from reference import (delta_basis, kron_graded, kron_hermitian_residual, kron_lifts,
+                       kron_parity_residual, kron_projector_even, symmetrized,
+                       tensordot_reference, unitary_twin)
 
 
 def delta_connection(module, position=(0, 0), element=None):
@@ -127,13 +127,13 @@ class TestGrassmannOperator:
         m_op = connection_operators(free_module).m_op
         expected = np.kron(np.diag([1.0, -1.0]), two_point.dirac)
         assert np.allclose(m_op, expected)
-        assert spectrum(free_module) == pytest.approx([-1.0, -1.0, 1.0, 1.0])
+        assert spectrum(connection_operators(free_module)) == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
     def test_zero_module(self, two_point):
         p = np.zeros((2, 2, 2), dtype=complex)
         module = ProjectiveModule(two_point, p, np.array([1.0, -1.0]))
         assert not np.any(connection_operators(module).m_op)
-        assert spectrum(module) == []
+        assert spectrum(connection_operators(module)) == []
 
     def test_diagonal_module_matches_hand_assembly(self, two_point_module):
         # direct assembly oracle: compress the graded lift by the projector
@@ -150,7 +150,7 @@ class TestGrassmannOperator:
             m_op = connection_operators(module).m_op
             assert relative_distance(m_op, m_op.conj().T) <= 1e-10
             assert support_residual(module.projector, m_op) <= 1e-10
-            assert parity_residual(module.grading, m_op, odd=True) <= 1e-10
+            assert kron_parity_residual(module, m_op, odd=True) <= 1e-10
 
     def test_pdp_identity(self):
         # P [Dt, P] P = 0, the algebraic heart of the curvature formula
@@ -167,24 +167,34 @@ class TestGrassmannOperator:
     def test_scaling_dirac_scales_spectrum(self, free_module, two_point):
         scaled = SpectralTriple(two_point.gamma, two_point.basis, 3.0 * two_point.dirac)
         mod3 = ProjectiveModule(scaled, free_module.p, free_module.signs)
-        assert np.allclose(spectrum(mod3), 3.0 * np.array(spectrum(free_module)))
+        spec3, spec = (spectrum(connection_operators(m)) for m in (mod3, free_module))
+        assert np.allclose(spec3, 3.0 * np.array(spec))
 
 
-def assert_grading_is_kron(module):
-    reference = np.kron(np.diag(module.signs), module.triple.gamma)
-    assert module.grading.dtype == reference.dtype
-    assert module.grading.tobytes() == reference.tobytes()
+def sparse_draw(rng, dim):
+    """A dim x dim complex draw with about 30% of its entries zero."""
+    return unit_disc(rng, (dim, dim)) * (rng.random((dim, dim)) < 0.7)
+
+
+def assert_graded_is_kron(module, x):
+    # over a diagonal gamma, the entries of G x G from np.kron lifts; only a
+    # zero may differ in sign (the matmul sums signed zeros)
+    got, want = module.graded(x), kron_graded(module, x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestBlockLifts:
-    """The one assembled lift, the grading Gamma (x) gamma, holds the entries of np.kron."""
+    """The grading G = Gamma (x) gamma is applied by ``graded``, never assembled, and the
+    one remaining lift, the external product's, holds the bits of np.kron."""
 
     def test_free_and_single_generator_modules(self, free_module, two_point):
-        assert_grading_is_kron(free_module)
+        rng = rng_for(37)
+        assert_graded_is_kron(free_module, sparse_draw(rng, free_module.dim))
         for sign in (1.0, -1.0):
             p = np.zeros((1, 1, 2), dtype=complex)
             p[0, 0, 1] = 1.0
-            assert_grading_is_kron(ProjectiveModule(two_point, p, np.array([sign])))
+            assert_graded_is_kron(ProjectiveModule(two_point, p, np.array([sign])),
+                                  sparse_draw(rng, 2))
 
     def test_seeded_mixed_sign_modules(self):
         rng = rng_for(71)
@@ -193,12 +203,22 @@ class TestBlockLifts:
             module = random_module(rng, random_triple(rng, n=4, kind=kind),
                                    m=int(rng.integers(2, 5)))
             mixed += len(set(module.signs)) == 2
-            assert_grading_is_kron(module)
+            assert_graded_is_kron(module, sparse_draw(rng, module.dim))
         assert mixed >= 10
 
+    def test_grassmann_odd_residual_is_the_dense_one(self):
+        # the harness's ||G M + M G||_F, against the two dense products it replaced
+        family = harness.FAMILIES["grassmann"]
+        rng = rng_for(83)
+        for k in range(40):
+            module, a = family.draw(rng, k)
+            m_op = connection_operators(module, a).m_op
+            g = np.kron(np.diag(module.signs), module.triple.gamma)
+            assert family.measure(module, a)[1] == frobenius_norm(g @ m_op + m_op @ g)
+
     def test_block_lift_is_kron_bit_for_bit(self):
-        # the products of the external-product defect too: real and complex
-        # factors, either side, with signed zeros among the entries
+        # the factors of the external-product defect, the lift's one caller: real
+        # and complex factors, either side, with signed zeros among the entries
         rng = rng_for(79)
         for _ in range(300):
             p, q = (int(k) for k in rng.integers(1, 7, size=2))
@@ -443,7 +463,7 @@ class TestProductOperator:
         a = random_connection(rng, module, hermitian=True)
         m_op = connection_operators(module, a).m_op
         assert relative_distance(m_op, m_op.conj().T) <= 1e-10
-        assert parity_residual(module.grading, m_op, odd=True) <= 1e-10
+        assert kron_parity_residual(module, m_op, odd=True) <= 1e-10
 
     def test_free_module_additivity(self, free_module):
         a = symmetrized(delta_connection(free_module))
@@ -472,11 +492,11 @@ class TestProductOperator:
         ops = connection_operators(free_module)
         skew = replace(ops, m_r=ops.m_r + 1j * np.eye(4))
         with pytest.raises(InvariantViolation):
-            spectrum(free_module, skew)
+            spectrum(skew)
 
     def test_spectrum_of_zero_operator(self, two_point_module):
         # the compressed graded lift vanishes on this module; rank of P is 2
-        assert spectrum(two_point_module) == pytest.approx([0.0, 0.0])
+        assert spectrum(connection_operators(two_point_module)) == pytest.approx([0.0, 0.0])
 
 
 def fixture_modules(fixtures_dir):
@@ -533,36 +553,71 @@ class TestRangeIsometry:
 
 
 class TestGradingParity:
-    """ProjectiveModule.parity_residual against the dense glinalg reference."""
+    """ProjectiveModule.graded and parity_residual against the np.kron reference."""
+
+    odd = np.array([[0.0, 2.0], [2.0, 0.0]])
+    even = np.diag([3.0, -1.0])
 
     def _cases(self, ladder_modules, two_point_module, uneven_module):
         rng = rng_for(29)
         modules = [two_point_module, uneven_module, *ladder_modules]
         modules += [random_module(rng, random_triple(rng, kind="diag")) for _ in range(40)]
         for module in modules:
-            g = module.grading
-            x = unit_disc(rng, (module.dim, module.dim)) * (rng.random((module.dim,) * 2) < 0.7)
-            yield module, x, (x - g @ x @ g) / 2, (x + g @ x @ g) / 2
+            x = sparse_draw(rng, module.dim)
+            gxg = kron_graded(module, x)
+            yield module, x, (x - gxg) / 2, (x + gxg) / 2
 
     def test_diagonal_grading_matches_dense(self, ladder_modules, two_point_module,
                                             uneven_module):
         for module, *xs in self._cases(ladder_modules, two_point_module, uneven_module):
             assert module.triple.gamma_signs is not None
             for x in xs:
+                assert_graded_is_kron(module, x)
                 for odd in (True, False):
-                    assert module.parity_residual(x, odd) == parity_residual(
-                        module.grading, x, odd)
+                    assert module.parity_residual(x, odd) == kron_parity_residual(module, x, odd)
 
-    def test_other_gradings_take_the_matmuls(self, two_point):
+    def test_other_gradings_take_the_block_products(self, two_point):
+        # 1 (x) gamma per n-block and Gamma (x) 1 as a scaling, against np.kron: a
+        # rotated and a scaled gamma, and the unitary twins of diag modules, with
+        # G x G within 1e-15 of its largest entry and the residual within 1e-15
         u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         rotated = ProjectiveModule(
             replace(two_point, gamma=u @ two_point.gamma @ u), np.zeros((1, 1, 2)), [1.0])
         scaled = ProjectiveModule(
             replace(two_point, gamma=np.diag([2.0, -1.0])), np.zeros((1, 1, 2)), [1.0])
-        x = unit_disc(rng_for(31), (2, 2))
-        for module in (rotated, scaled):
+        rng = rng_for(31)
+        modules = [rotated, scaled]
+        modules += [unitary_twin(random_module(rng, random_triple(rng, kind="diag")), None,
+                                 rng)[0] for _ in range(300)]
+        for module in modules:
             assert module.triple.gamma_signs is None
-            assert module.parity_residual(x, True) == parity_residual(module.grading, x, True)
+            x = unit_disc(rng, (module.dim, module.dim))
+            got, want = module.graded(x), kron_graded(module, x)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            for odd in (True, False):
+                assert module.parity_residual(x, odd) == pytest.approx(
+                    kron_parity_residual(module, x, odd), rel=0, abs=1e-15)
+
+    def _graded_two_point(self, two_point):
+        # one generator of sign +1 over the two-point triple: G = gamma = diag(1, -1)
+        return ProjectiveModule(two_point, np.zeros((1, 1, 2)), [1.0])
+
+    def test_parity_residual_tells_odd_from_even(self, two_point):
+        module = self._graded_two_point(two_point)
+        assert module.parity_residual(self.odd, odd=True) == 0.0
+        assert module.parity_residual(self.odd, odd=False) > 0.0
+        assert module.parity_residual(self.even, odd=False) == 0.0
+        assert module.parity_residual(self.even, odd=True) > 0.0
+
+    def test_parity_norm_floor(self, two_point):
+        # relative above norm 1, absolute below it
+        module = self._graded_two_point(two_point)
+        small = 0.1 * self.odd
+        assert module.parity_residual(self.odd, odd=False) == pytest.approx(2.0)
+        assert module.parity_residual(small, odd=False) == pytest.approx(
+            2.0 * frobenius_norm(small))
+        assert module.parity_residual(0.1 * self.even, odd=True) == pytest.approx(
+            2.0 * frobenius_norm(0.1 * self.even))
 
 
 class TestHermitianResidual:

@@ -8,10 +8,8 @@ from ncgcurv.glinalg import (
     anticommutator,
     as_complex_matrix,
     commutator,
-    frobenius_norm,
     membership_residual,
     orthonormality_defect,
-    parity_residual,
     project_off,
     relative_residual,
     solve_kernel,
@@ -283,17 +281,10 @@ class TestSolveKernel:
 
 
 class TestCheckFormulas:
-    """support_residual and parity_residual, the shared operator checks."""
+    """support_residual and relative_residual, the shared operator checks; the
+    parity cases are in tests/test_fgpmod.py::TestGradingParity."""
 
-    g = np.diag([1.0, -1.0])
     odd = np.array([[0.0, 2.0], [2.0, 0.0]])
-    even = np.diag([3.0, -1.0])
-
-    def test_parity_residual_tells_odd_from_even(self):
-        assert parity_residual(self.g, self.odd, odd=True) == 0.0
-        assert parity_residual(self.g, self.odd, odd=False) > 0.0
-        assert parity_residual(self.g, self.even, odd=False) == 0.0
-        assert parity_residual(self.g, self.even, odd=True) > 0.0
 
     def test_support_residual_zero_only_on_range(self):
         p = np.diag([1.0, 0.0])
@@ -308,9 +299,3 @@ class TestCheckFormulas:
         assert support_residual(p, 0.25 * e01) == pytest.approx(0.25)
         assert relative_residual(e01, 4.0 * e01) == pytest.approx(0.25)
         assert relative_residual(e01, 0.25 * e01) == pytest.approx(1.0)
-        small = 0.1 * self.odd
-        assert parity_residual(self.g, self.odd, odd=False) == pytest.approx(2.0)
-        assert parity_residual(self.g, small, odd=False) == pytest.approx(
-            2.0 * frobenius_norm(small))
-        assert parity_residual(self.g, 0.1 * self.even, odd=True) == pytest.approx(
-            2.0 * frobenius_norm(0.1 * self.even))
