@@ -263,7 +263,7 @@ def correspondence_report(module: ProjectiveModule, a: ConnectionForm | None,
     total = s_r + ops.m_r
     corr_r = total @ total - s_r @ s_r - ops.n_r
     s_m_r = anticommutator(s_r, ops.m_r)
-    residual = frobenius_norm(corr_r - (ops.m_r @ ops.m_r - ops.n_r) - s_m_r)
+    residual = frobenius_norm(corr_r - curvature_direct(ops) - s_m_r)
     return CorrespondenceReport(residual, checks, s.matrix, ops, corr_r, s_m_r)
 
 

@@ -699,9 +699,14 @@ class TestRangeCoordinates:
             assert report.route_residual == relative_residual(r_r - f_r, r_r)
 
     def test_negated_direct_route_fails_route_residual(self, ladder_modules, monkeypatch):
-        # the report takes R_r from the public direct route, so a plant there reaches it
+        # the report and the correspondence decomposition take R_r from the
+        # public direct route, so a plant there reaches both
         direct = curvature.curvature_direct
         cases = [(module, random_connection(rng_for(63), module)) for module in ladder_modules]
+        verticals = [random_vertical(rng_for(64), module) for module, _ in cases]
+        assert all(correspondence_report(*case, s).decomposition_residual <= 1e-10
+                   for case, s in zip(cases, verticals))
         monkeypatch.setattr(curvature, "curvature_direct", lambda *a, **k: -direct(*a, **k))
-        for case in cases:
+        for case, s in zip(cases, verticals):
             assert curvature_report(*case).route_residual > 1e-3
+            assert correspondence_report(*case, s).decomposition_residual > 1e-3

@@ -1,11 +1,12 @@
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ncgcurv import ProjectiveModule, SpectralTriple
-from ncgcurv import harness
+from ncgcurv import fgpmod, harness
 from ncgcurv.curvature import _block_lift, curvature_report
 from ncgcurv.fgpmod import (
     ConnectionForm,
@@ -30,10 +31,11 @@ from ncgcurv.glinalg import (
     commutator,
     frobenius_norm,
     relative_distance,
+    relative_residual,
     support_residual,
 )
 from ncgcurv.scenario import parse_scenario
-from ncgcurv.triple import InvariantViolation
+from ncgcurv.triple import DEFAULT_TOL, InvariantViolation
 
 from reference import (delta_basis, kron_graded, kron_hermitian_residual, kron_lifts,
                        kron_parity_residual, kron_projector_even, symmetrized,
@@ -362,7 +364,8 @@ class TestRepresentConnection:
         curvature_report(module, a)
         assert calls == []
 
-    def test_planted_bad_connections_still_raise(self, two_point_module):
+    def test_planted_bad_connections_still_raise(self, two_point_module, ladder_modules,
+                                                 monkeypatch):
         # pi_d(1 (x) 1) = 0 but 1 (x) 1 is not in ker(m)
         off_kernel = np.zeros((2, 2, 2, 2), dtype=complex)
         off_kernel[0, 0, 0, 0] = 1.0
@@ -373,6 +376,37 @@ class TestRepresentConnection:
         with pytest.raises(InvariantViolation) as err:
             connection_operators(two_point_module, delta_connection(two_point_module))
         assert err.value.check.name == "connection_compressed"
+
+        # the same faults on the (20, 10, 6) rung, which only the point level reads
+        module = ladder_modules[3]
+        assert module.dim >= fgpmod.POINT_LEVEL_MIN_DIM
+        monkeypatch.setattr(fgpmod, "_slot_level_blocks", None)
+        rng = rng_for(71)
+        i, j = next(zip(*np.nonzero(~module.even_mask)))
+        one_one = np.zeros((6, 6, 10, 10), dtype=complex)
+        one_one[0, 0, 0, 0] = 1.0
+        bad = {
+            "connection_compressed": generate._random_table_over(rng, module),
+            "connection_grading_support": delta_connection(module, position=(i, j)).entries,
+            "connection_ker_mult": one_one,
+        }
+        for name, entries in bad.items():
+            with pytest.raises(InvariantViolation) as err:
+                connection_operators(module, ConnectionForm(module, entries))
+            assert err.value.check.name == name
+        # a twin triple whose D couples two slots of different points in range(P)
+        # with the same gamma: an entry that P keeps and that is gamma-even
+        st_, points = module.triple, module.triple.points.argmax(axis=0)
+        held = np.flatnonzero(module.range_isometry.reshape(6, st_.n, -1).any(axis=(0, 2)))
+        x, y = next((x, y) for x in held for y in held
+                    if points[x] != points[y] and st_.gamma[x, x] == st_.gamma[y, y])
+        dirac = st_.dirac.copy()
+        dirac[x, y] = dirac[y, x] = 1.0
+        twin = ProjectiveModule(SpectralTriple(st_.gamma, st_.basis, dirac), module.p,
+                                module.signs)
+        with pytest.raises(InvariantViolation) as err:
+            connection_operators(twin, random_connection(rng, twin))
+        assert err.value.check.name == "connection_odd"
 
     def test_validation_checks_pass_for_generated(self):
         rng = rng_for(11)
@@ -447,6 +481,93 @@ class TestPointKernel:
         assert checks[0].name == "connection_ker_mult"
         assert builds == [a, a]
         assert checks[0].value == a.represented()[2] and builds == [a, a, a]
+
+
+def point_level_cases(rng):
+    """Seeded point modules with a +/-1 diagonal gamma on both sides of the gate.
+
+    n = 16 and 20 with m = 6 and with m = 1, then draws of every size up to
+    (20, 10, 6); every fifth module is free, every third draw permutes the slots
+    (so neither the points nor gamma are contiguous), and every fourth gives D
+    gamma-even entries, so that connection_odd reads more than round-off.  Each
+    module carries a ker(m) connection and a raw table (:func:`raw_form`).
+    """
+    sizes = [(16, 6), (20, 6), (16, 1), (20, 1)]
+    sizes += [(int(rng.integers(2, 21)), int(rng.integers(1, 7))) for _ in range(116)]
+    for k, (n, m) in enumerate(sizes):
+        st_ = random_triple(rng, n=n, d=int(rng.integers(1, n + 1)), kind="diag")
+        gamma, basis, dirac = st_.gamma, st_.basis, st_.dirac
+        if k % 3 == 2:
+            perm = rng.permutation(n)
+            gamma, dirac = gamma[np.ix_(perm, perm)], dirac[np.ix_(perm, perm)]
+            basis = basis[:, perm][:, :, perm]
+        if k % 4 == 3:
+            even = unit_disc(rng, (n, n)) * (np.outer(np.diag(gamma), np.diag(gamma)) > 0)
+            dirac = dirac + even + even.conj().T
+        st_ = SpectralTriple(gamma, basis, dirac)
+        if k % 5 == 4:
+            module = ProjectiveModule(st_, generate._free_table(m, st_.d), np.ones(m))
+        else:
+            module = random_module(rng, st_, m=m, allow_free=False)
+        yield module, random_connection(rng, module, hermitian=k % 2 == 0)
+        yield module, raw_form(rng, module)
+
+
+class TestPointLevel:
+    """Connections over points read from the md x md point kernel, against the slot level."""
+
+    def test_agrees_with_slot_level(self, ladder_modules):
+        rng = rng_for(113)
+        cases = [(module, random_connection(rng, module, hermitian=False))
+                 for module in ladder_modules]
+        cases += list(point_level_cases(rng))
+        gated = [module.dim >= fgpmod.POINT_LEVEL_MIN_DIM for module, _ in cases]
+        assert len(cases) == 244 and 40 <= sum(gated) <= 204
+        worst_blocks = worst_checks = 0.0
+        for module, a in cases:
+            assert module.triple.points is not None
+            assert module.triple.gamma_signs is not None
+            grassmann = connection_operators(module)
+            point, slot = (level(module, a, DEFAULT_TOL) for level in
+                           (fgpmod._point_level_blocks, fgpmod._slot_level_blocks))
+            for got, want in ((point[0], slot[0]), (point[1], slot[1]),
+                              (grassmann.m_r + point[0], grassmann.m_r + slot[0]),
+                              (grassmann.n_r + point[1], grassmann.n_r + slot[1])):
+                worst_blocks = max(worst_blocks, relative_residual(got - want, want))
+            assert [c.name for c in point[2]] == [c.name for c in slot[2]] == [
+                "connection_ker_mult", "connection_grading_support",
+                "connection_compressed", "connection_odd"]
+            worst_checks = max(worst_checks, *(abs(p.value - s.value)
+                                               for p, s in zip(point[2], slot[2])))
+        assert worst_blocks <= 1e-12 and worst_checks <= 1e-13
+
+    def test_top_rung_holds_no_mn_by_mn_array(self, ladder_modules):
+        # the slot level holds about five 120 x 120 complex arrays at its peak
+        base = ladder_modules[3]
+        module = ProjectiveModule(base.triple, base.p, base.signs)  # its isometry cold
+        a = random_connection(rng_for(127), base)
+        a = ConnectionForm(module, a.entries, a.hermitian)
+        tracemalloc.start()
+        try:
+            connection_operators(module, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert module.dim == 120 and peak < 16 * module.dim ** 2
+
+    def test_level_is_chosen_by_points_gamma_and_size(self, ladder_modules, monkeypatch):
+        monkeypatch.setattr(fgpmod, "_point_level_blocks", lambda *args: "point")
+        monkeypatch.setattr(fgpmod, "_slot_level_blocks", lambda *args: "slot")
+        rng = rng_for(131)
+        top = ladder_modules[3]
+        gamma = top.triple.gamma.copy()
+        gamma[0, 1] = gamma[1, 0] = 1e-3  # no longer diagonal
+        twins = [unitary_twin(top, None, rng)[0],
+                 ProjectiveModule(replace(top.triple, gamma=gamma), top.p, top.signs)]
+        levels = [fgpmod._represented_blocks(module, None, DEFAULT_TOL)
+                  for module in [*ladder_modules, *twins]]
+        assert levels == ["slot", "slot", "point", "point", "slot", "slot"]
+        assert [module.dim for module in ladder_modules] == [24, 48, 96, 120]
 
 
 class TestProductOperator:

@@ -189,6 +189,37 @@ def test_draw_stream_output_sees_a_cut_at_another_gap(monkeypatch):
     assert tool._generated_digests()[1] != stream
 
 
+def test_ladder_reports_name_the_gated_checks(monkeypatch):
+    # each rung reads as a report of the checks connection_operators gates on,
+    # the recorder on fgpmod._require is taken off again, and a plant at point
+    # level moves the two rungs at or above the gate and no other
+    from ncgcurv import fgpmod
+
+    tool = _compare_outputs()
+    require = fgpmod._require
+    reports = tool._ladder_reports()
+    assert fgpmod._require is require and tool._ladder_reports() == reports
+    for out, err, code in reports.values():
+        entries = tool.report_entries(out)
+        assert [key for key in entries if key.startswith("checks.")] == [
+            "checks.projector_range_isometry", "checks.connection_ker_mult",
+            "checks.connection_grading_support", "checks.connection_compressed",
+            "checks.connection_odd"]
+        assert [key for key in entries if key.startswith("values.")] == [
+            "values.route_residual", "values.norm", "values.R_r_sha256"]
+        assert (err, code) == ("", 0)
+    point = fgpmod._point_level_blocks
+
+    def nudged(*args):
+        a_r, a2_r, checks = point(*args)
+        return a_r * (1 + 2.0 ** -40), a2_r, checks
+
+    monkeypatch.setattr(fgpmod, "_point_level_blocks", nudged)
+    planted = tool._ladder_reports()
+    assert [label for label in reports if planted[label] != reports[label]] == [
+        "ladder rung (n, d, m) = (16, 8, 6)", "ladder rung (n, d, m) = (20, 10, 6)"]
+
+
 def _numpy_ledger():
     spec = importlib.util.spec_from_file_location("numpy_ledger", NUMPY_LEDGER)
     module = importlib.util.module_from_spec(spec)

@@ -23,7 +23,13 @@ captures, as (stdout, stderr, exit code):
   basis, whether the module is free or a spectral cut, and rank(P), the
   rounded trace of the assembled projection).  It stays put when a change
   moves values at round-off but draws what it drew before; a cut at another
-  gap moves it.
+  gap moves it;
+* a JSON report per rung of the benchmark's size ladder, drawn as
+  ``tests/conftest.py::ladder_modules`` draws it, with a seeded Hermitian
+  connection: the checks ``connection_operators`` gates on (read as it hands
+  them to ``fgpmod._require``), the route residual, the norm and a hash of
+  R_r of its ``curvature_report``.  The top two rungs are the only captured
+  modules at or above ``fgpmod.POINT_LEVEL_MIN_DIM``.
 
 The outputs that differ are listed, and the exit code is 1 if any differs.
 When both sides of a differing stdout or stderr parse as a report (text or
@@ -49,6 +55,8 @@ from pathlib import Path
 
 SELFTEST_SEEDS = (0, 7, 11)
 GENERATED_SCENARIOS = 40
+LADDER = ((6, 4, 4), (12, 8, 4), (16, 8, 6), (20, 10, 6))
+LADDER_CONNECTION_SEED = 211
 
 
 def _cli(argv: list[str]) -> list:
@@ -91,6 +99,36 @@ def _generated_digests() -> tuple[str, str]:
     return values.hexdigest(), stream.hexdigest()
 
 
+def _ladder_reports() -> dict[str, list]:
+    """The gated checks, route residual, norm and R_r hash of each ladder rung."""
+    import numpy as np
+
+    from ncgcurv import curvature, fgpmod, generate
+
+    gated, require = [], fgpmod._require
+    fgpmod._require = lambda checks: gated.extend(checks) or require(checks)
+    reports = {}
+    try:
+        for idx, (n, d, m) in enumerate(LADDER):
+            rng = generate.rng_for(7 + idx)
+            st = generate.random_triple(rng, n=n, d=d, kind="diag")
+            module = generate.random_module(rng, st, m=m, allow_free=False)
+            a = generate.random_connection(generate.rng_for(LADDER_CONNECTION_SEED + idx), module)
+            gated.clear()
+            report = curvature.curvature_report(module, a)
+            digest = hashlib.sha256(np.ascontiguousarray(report.R_r).tobytes()).hexdigest()
+            label = f"ladder rung (n, d, m) = ({n}, {d}, {m})"
+            doc = {"command": label,
+                   "checks": [{"name": c.name, "value": c.value, "threshold": c.threshold,
+                               "passed": c.passed} for c in gated],
+                   "values": {"route_residual": report.route_residual, "norm": report.norm,
+                              "R_r_sha256": digest}}
+            reports[label] = [json.dumps(doc, indent=2) + "\n", "", 0]
+    finally:
+        fgpmod._require = require
+    return reports
+
+
 def capture(root: Path) -> dict[str, list]:
     """Every output of the checkout at ``root``, keyed by a readable label."""
     from ncgcurv.cli import COMMANDS
@@ -115,6 +153,7 @@ def capture(root: Path) -> dict[str, list]:
     values, stream = _generated_digests()
     outputs[f"{GENERATED_SCENARIOS} generated scenarios"] = [values, "", 0]
     outputs[f"{GENERATED_SCENARIOS} generated scenarios: draw stream"] = [stream, "", 0]
+    outputs.update(_ladder_reports())
     return outputs
 
 
