@@ -21,10 +21,10 @@ over points from one point kernel, else from the d^2 pair stack.
 
 Over points that kernel is constant on each block of point x point slots, so
 A_D = D o K depends on the form only through an md x md point kernel.  From
-mn = POINT_LEVEL_MIN_DIM (64) on, with a +/-1 diagonal gamma,
-:func:`connection_operators` reads its four checks and its range blocks from
-that kernel and forms no mn x mn array (:func:`_point_level_blocks`); the two
-levels break even near mn = 48-56.  :func:`validate_connection`,
+mn = POINT_LEVEL_MIN_DIM (64) on a module is read in point coordinates: V from
+one eigh per point, w, t and n_r gathered from V's slots and generator vectors,
+and, with a +/-1 diagonal gamma, the four checks and range blocks from that
+kernel (:func:`_point_level_blocks`); no mn x mn array is formed.  :func:`validate_connection`,
 :func:`hermitian_residual` and :meth:`ConnectionForm.represented` report or
 read the assembled A_D, and stay at slot level.
 """
@@ -51,6 +51,19 @@ __all__ = [
     "validate_connection",
     "validate_module",
 ]
+
+
+#: Smallest mn at which a module over points is evaluated in point coordinates
+#: (:func:`_large_point_module`).  Below it the slot level's fewer numpy calls win.
+#: Timed in-process (2-core VM, BLAS at one thread), the point level takes 1.4-1.5x
+#: the slot level's time at mn <= 32, breaks even at mn = 48-56 and is 1.35x
+#: faster at mn = 64, 3.2x at mn = 96 and 3.8x at mn = 120.
+POINT_LEVEL_MIN_DIM = 64
+
+
+def _large_point_module(module: ProjectiveModule) -> bool:
+    """Over points from mn = POINT_LEVEL_MIN_DIM on: evaluated in point coordinates."""
+    return module.triple.points is not None and module.dim >= POINT_LEVEL_MIN_DIM
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,30 +109,42 @@ class ProjectiveModule:
         """The assembled projection matrix P."""
         return self.assemble_table(self.p)
 
-    @cached_property
-    def range_isometry(self) -> np.ndarray:
-        """Isometry V (mn x r), V V* = P: the eigenvectors of P above 1/2.
+    #: Isometry V (mn x r), V V* = P: the eigenvectors of P above 1/2.
+    range_isometry = cached_property(lambda self: self._range_frame[0])
 
-        Over points P = sum_x p(x) (x) E_xx, so V comes from one batched eigh
-        of the m x m point blocks p(x); other bases take eigh(P).
-        The cut at 1/2 is a rank decision: InvariantViolation unless ||V V* -
-        P||_F / max(1, ||P||_F) <= DEFAULT_TOL, which also fails a P that is
-        not self-adjoint (eigh reads one triangle)."""
-        if self.triple.points is None:  # one block, P itself
-            blocks, m, n = self.projector[None], self.dim, 1
-        else:  # p(x)[i, j] = sum_k p[i, j, k] b_k[x]
-            blocks = (self.p @ self.triple.basis_diagonal).transpose(2, 0, 1)
-            m, n = self.m, self.triple.n
+    @cached_property
+    def _range_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(V, x, u): the range isometry; over points V's column c is the generator
+        vector u[c] at slot x[c].  P = sum_x p(x) (x) E_xx with p(x) = p(u) on
+        each slot of point u: a large point module takes one batched eigh of the
+        d blocks p(u), a smaller one of the n blocks p(x) (a batch of d can pick
+        other eigenvectors of a degenerate eigenspace), other bases eigh(P).  The
+        cut at 1/2 is a rank decision: InvariantViolation unless ||V V* - P||_F /
+        max(1, ||P||_F) <= DEFAULT_TOL (p(u) counted n_u times), which also
+        fails a P that is not self-adjoint (eigh reads one triangle)."""
+        st, m, weight = self.triple, self.m, None
+        at = np.arange(st.n)  # the block of each slot
+        if st.points is None:  # one block, P itself
+            blocks, m, at = self.projector[None], self.dim, at[:1]
+        elif _large_point_module(self):  # p(u)[i, j] = sum_k p[i, j, k] b_k[x], x in u
+            first, at = st.points.argmax(axis=1), st.points.argmax(axis=0)
+            blocks = (self.p @ st.basis_diagonal[:, first]).transpose(2, 0, 1)
+            weight = np.sqrt(st.points.sum(axis=1))[:, None, None]
+        else:
+            blocks = (self.p @ st.basis_diagonal).transpose(2, 0, 1)
         vals, vecs = np.linalg.eigh(blocks)
         keep = vals > 0.5
         kept = vecs * keep[:, None, :]
         gap = kept @ kept.conj().transpose(0, 2, 1) - blocks  # V V* - P, block by block
+        if weight is not None:  # p(u) once per slot of u
+            gap, blocks = gap * weight, blocks * weight
         defect = np.sqrt(np.vdot(gap, gap).real / max(1.0, np.vdot(blocks, blocks).real))
         _require([Check("projector_range_isometry", float(defect), DEFAULT_TOL)])
-        x, col = np.nonzero(keep)
-        v = np.zeros((m, n, len(x)), dtype=complex)
-        v[:, x, np.arange(len(x))] = vecs[x, :, col].T
-        return v.reshape(self.dim, -1)
+        x, col = np.nonzero(keep[at])
+        u = vecs[at[x], :, col]
+        v = np.zeros((m, len(at), len(x)), dtype=complex)
+        v[:, x, np.arange(len(x))] = u.T
+        return v.reshape(self.dim, -1), x, u
 
     def compress(self, x: np.ndarray) -> np.ndarray:
         """P x P, formed as V (V* x V) V* with V the range isometry."""
@@ -304,15 +329,6 @@ class ConnectionOperators:
     m_op = cached_property(lambda self: self.expand(self.m_r))
 
 
-#: Smallest mn at which :func:`connection_operators` evaluates a connection over
-#: points with a +/-1 diagonal gamma at point level (:func:`_point_level_blocks`).
-#: Below it the slot level's fewer numpy calls win.  Timed in-process (2-core VM,
-#: BLAS at one thread), the point level takes 1.4-1.5x the slot level's time at
-#: mn <= 32, breaks even at mn = 48-56 and is 1.35x faster at mn = 64, 3.2x at
-#: mn = 96 and 3.8x at mn = 120.
-POINT_LEVEL_MIN_DIM = 64
-
-
 def _slot_level_blocks(module: ProjectiveModule, a: ConnectionForm,
                        tol: float) -> tuple[np.ndarray, np.ndarray, list[Check]]:
     """(a_r, a2_r, the four connection checks) from the assembled mn x mn A_D and A_D2."""
@@ -346,8 +362,8 @@ def _point_level_blocks(module: ProjectiveModule, a: ConnectionForm,
       with w_uv = (sum_{x in u, y in v} |D_xy|^2)^1/2 (broadcast over i, j).
     * Range blocks: V's column c sits at slot x_c with generator vector u_c,
       so a_r[c,c'] = D[x_c, x_c'] (u_c* K_pt u_c') = D_cc' (V_pt* K_pt V_pt)[c,c']
-      with V_pt = (e (x) 1) V, V summed over each point's slots; a2_r likewise
-      with D^2.
+      with V_pt[(i,u), c] = u_c[i] at the point u of x_c (the frame of
+      ProjectiveModule._range_frame); a2_r likewise with D^2.
     * Compression: P = sum_x p(x) (x) E_xx and p(x) = p(u), so P A_D P - A_D is
       D o (P_pt K_pt P_pt - K_pt) lifted, P_pt = (+)_u p(u).  As the slot level
       forms P A_D P as V a_r V*, P_pt K_pt P_pt is W_pt (W_pt* K_pt W_pt) W_pt*,
@@ -361,7 +377,7 @@ def _point_level_blocks(module: ProjectiveModule, a: ConnectionForm,
       even-even and the odd-odd parts.
     """
     st = module.triple
-    e, m, d, n = st.points, module.m, st.d, st.n
+    e, m, d = st.points, module.m, st.d
     first = e.argmax(axis=1)  # one slot per point
     k_pt, mult = _kernel(a.entries, st.basis_diagonal[:, first])  # K_pt[i, j, u, v]
     defect = float(np.sqrt((_abs2(mult) @ e.sum(axis=1)).max(initial=0.0)))
@@ -374,16 +390,19 @@ def _point_level_blocks(module: ProjectiveModule, a: ConnectionForm,
     scale = max(1.0, float(np.sqrt(mass.sum())))
     k_pt = k_pt.transpose(0, 2, 1, 3).reshape(m * d, m * d)  # K_pt[(i,u),(j,v)], a copy
 
-    v = module.range_isometry.reshape(m, n, -1)
-    slot = (v != 0).any(axis=0).argmax(axis=0)  # x_c
-    v_pt = (e @ v).reshape(m * d, -1)
+    _, slot, u = module._range_frame  # x_c and u_c
+    point = e.argmax(axis=0)[slot]
+    v_pt = np.zeros((m, d, len(slot)), dtype=complex)
+    v_pt[:, point, np.arange(len(slot))] = u.T
+    v_pt = v_pt.reshape(m * d, -1)
     core = v_pt.conj().T @ k_pt @ v_pt
-    a_r = st.dirac[np.ix_(slot, slot)] * core
-    a2_r = st.dirac_sq[np.ix_(slot, slot)] * core
+    at = (slot[:, None], slot)  # D[x_c, x_c']
+    a_r = st.dirac[at] * core
+    a2_r = st.dirac_sq[at] * core
 
-    rep = slot == first[e.argmax(axis=0)[slot]]
+    rep = slot == first[point]
     w_pt = v_pt[:, rep]
-    gap = (w_pt @ core[np.ix_(rep, rep)]) @ w_pt.conj().T
+    gap = (w_pt @ core[rep][:, rep]) @ w_pt.conj().T
     gap -= k_pt
     del k_pt  # at most two md x md arrays live at once
     gap_mass = _abs2(gap).reshape(m, -1).sum(axis=0).reshape(d, m, d).sum(axis=1)  # (u, v)
@@ -401,9 +420,7 @@ def _represented_blocks(module: ProjectiveModule, a: ConnectionForm,
                         tol: float) -> tuple[np.ndarray, np.ndarray, list[Check]]:
     """(a_r, a2_r, checks) at point level over points with a +/-1 diagonal gamma
     from mn = POINT_LEVEL_MIN_DIM on, else at slot level."""
-    st = module.triple
-    point_level = (st.points is not None and st.gamma_signs is not None
-                   and module.dim >= POINT_LEVEL_MIN_DIM)
+    point_level = _large_point_module(module) and module.triple.gamma_signs is not None
     return (_point_level_blocks if point_level else _slot_level_blocks)(module, a, tol)
 
 
@@ -425,18 +442,25 @@ def connection_operators(module: ProjectiveModule, a: ConnectionForm | None = No
     """
     if a is not None:
         _require_same_module(module, a)
-    v = module.range_isometry
-    vh = v.conj().T
+    v, slot, u = module._range_frame
     if a is None or a.is_zero():
-        a_r = a2_r = np.zeros((len(vh),) * 2, dtype=complex)
+        a_r = a2_r = np.zeros((v.shape[1],) * 2, dtype=complex)
     else:
         a_r, a2_r, checks = _represented_blocks(module, a, tol)
         _require(checks)
     st = module.triple
-    blocks = v.reshape(module.m, st.n, -1)
-    w = (module.signs[:, None, None] * (st.dirac @ blocks)).reshape(module.dim, -1)
-    t = vh @ w
-    n_r = vh @ (st.dirac_sq @ blocks).reshape(module.dim, -1) + a2_r
+    if _large_point_module(module):  # V's column c is u_c at slot x_c alone
+        su = module.signs[:, None] * u.T  # S U
+        w = (su[:, None, :] * st.dirac[:, slot]).reshape(module.dim, -1)
+        at = (slot[:, None], slot)
+        t = st.dirac[at] * (u.conj() @ su)
+        n_r = st.dirac_sq[at] * (u.conj() @ u.T) + a2_r
+    else:
+        vh = v.conj().T
+        blocks = v.reshape(module.m, st.n, -1)
+        w = (module.signs[:, None, None] * (st.dirac @ blocks)).reshape(module.dim, -1)
+        t = vh @ w
+        n_r = vh @ (st.dirac_sq @ blocks).reshape(module.dim, -1) + a2_r
     return ConnectionOperators(v=v, w=w, a_r=a_r, a2_r=a2_r, t=t, m_r=t + a_r, n_r=n_r)
 
 

@@ -68,14 +68,18 @@ def n3() -> SpectralTriple:
 
 @pytest.fixture
 def connection_evaluations(monkeypatch) -> list[str]:
-    """In call order: "represented" per ConnectionForm.represented, "checks" per validation."""
+    """In call order: "represented" per ConnectionForm.represented, "checks" per
+    slot-level validation, "point level" per point-level evaluation and validation."""
     calls = []
     represented = fgpmod.ConnectionForm.represented
     checks = fgpmod._connection_checks
+    point_level = fgpmod._point_level_blocks
     monkeypatch.setattr(fgpmod.ConnectionForm, "represented",
                         lambda self: calls.append("represented") or represented(self))
     monkeypatch.setattr(fgpmod, "_connection_checks",
                         lambda *args: calls.append("checks") or checks(*args))
+    monkeypatch.setattr(fgpmod, "_point_level_blocks",
+                        lambda *args: calls.append("point level") or point_level(*args))
     return calls
 
 

@@ -348,3 +348,59 @@ def loop_lift_pair(rng, module):
     if not kernel:
         return a, a
     return a, a + generate._compress_connection(module, loop_table_over(rng, module, kernel))
+
+
+def two_pass_point_pairs(st_, rank_tol):
+    """forms._point_pairs as two passes, D then D^2: its (kernel pairs, junk
+    pairs, rescaled D^2, squared block norms of D^2), or None."""
+    e = st_.points
+    if e is None:
+        return None
+    keep = ~np.eye(st_.d, dtype=bool)
+    kept = []
+    for m, kept_if_nonzero in ((st_.dirac, False), (st_.dirac_sq, True)):
+        nonzero = e @ (m != 0) @ e.T > 0
+        m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])
+        sq = e @ np.abs(m) ** 2 @ e.T
+        if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
+            return None
+        keep = keep & (nonzero == kept_if_nonzero)
+        kept.append(keep)
+    return kept[0], kept[1], m, sq
+
+
+def broadcast_junk_basis(st_, rank_tol):
+    """The point junk basis as the broadcast product e_k (x) e_l o D^2 over the
+    block norm, or None near the cut."""
+    pairs = two_pass_point_pairs(st_, rank_tol)
+    if pairs is None:
+        return None
+    _, keep, d2, sq = pairs
+    e = st_.points
+    k, l = np.nonzero(keep)
+    return e[k, :, None] * e[l, None, :] * d2 / np.sqrt(sq[k, l])[:, None, None]
+
+
+def slot_range_isometry(module):
+    """(V, guard value) over points from one eigh per slot block p(x), the guard
+    summed over the slots."""
+    st_ = module.triple
+    blocks = (module.p @ st_.basis_diagonal).transpose(2, 0, 1)
+    vals, vecs = np.linalg.eigh(blocks)
+    keep = vals > 0.5
+    kept = vecs * keep[:, None, :]
+    gap = kept @ kept.conj().transpose(0, 2, 1) - blocks
+    defect = np.sqrt(np.vdot(gap, gap).real / max(1.0, np.vdot(blocks, blocks).real))
+    x, col = np.nonzero(keep)
+    v = np.zeros((module.m, st_.n, len(x)), dtype=complex)
+    v[:, x, np.arange(len(x))] = vecs[x, :, col].T
+    return v.reshape(module.dim, -1), float(defect)
+
+
+def matmul_grassmann(module, v):
+    """(w, t, V* (1 (x) D^2) V) of an isometry V by products with D and D^2 per block."""
+    st_ = module.triple
+    blocks = v.reshape(module.m, st_.n, -1)
+    w = (module.signs[:, None, None] * (st_.dirac @ blocks)).reshape(module.dim, -1)
+    vh = v.conj().T
+    return w, vh @ w, vh @ (st_.dirac_sq @ blocks).reshape(module.dim, -1)

@@ -397,6 +397,24 @@ class TestSingleEvaluation:
         curvature_formula(ops)
         assert calls == ["represented", "checks"] * 4
 
+    def test_point_level_connection_validated_once_per_call(self, ladder_modules,
+                                                            connection_evaluations):
+        calls = connection_evaluations
+        module = ladder_modules[3]
+        rng = rng_for(29)
+        a = random_connection(rng, module)
+        s = random_vertical(rng, module)
+        assert module.dim == 120 and not a.is_zero() and calls == []
+        report = curvature_report(module, a)
+        assert report.route_residual <= 1e-10 and calls == ["point level"]
+        correspondence_decomposition_residual(module, a, s)
+        assert calls == ["point level"] * 2
+        ops = connection_operators(module, a)
+        assert calls == ["point level"] * 3
+        assert np.array_equal(curvature_direct(ops), report.R_r)
+        curvature_formula(ops)
+        assert calls == ["point level"] * 3
+
     def test_reading_r_runs_no_formula_route(self, monkeypatch):
         calls = []
         formula = curvature.curvature_formula

@@ -38,8 +38,8 @@ from ncgcurv.scenario import parse_scenario
 from ncgcurv.triple import DEFAULT_TOL, InvariantViolation
 
 from reference import (delta_basis, kron_graded, kron_hermitian_residual, kron_lifts,
-                       kron_parity_residual, kron_projector_even, symmetrized,
-                       tensordot_reference, unitary_twin)
+                       kron_parity_residual, kron_projector_even, matmul_grassmann,
+                       slot_range_isometry, symmetrized, tensordot_reference, unitary_twin)
 
 
 def delta_connection(module, position=(0, 0), element=None):
@@ -516,11 +516,15 @@ def point_level_cases(rng):
 class TestPointLevel:
     """Connections over points read from the md x md point kernel, against the slot level."""
 
-    def test_agrees_with_slot_level(self, ladder_modules):
+    @staticmethod
+    def _cases(ladder_modules):
         rng = rng_for(113)
         cases = [(module, random_connection(rng, module, hermitian=False))
                  for module in ladder_modules]
-        cases += list(point_level_cases(rng))
+        return cases + list(point_level_cases(rng))
+
+    def test_agrees_with_slot_level(self, ladder_modules):
+        cases = self._cases(ladder_modules)
         gated = [module.dim >= fgpmod.POINT_LEVEL_MIN_DIM for module, _ in cases]
         assert len(cases) == 244 and 40 <= sum(gated) <= 204
         worst_blocks = worst_checks = 0.0
@@ -541,19 +545,71 @@ class TestPointLevel:
                                                for p, s in zip(point[2], slot[2])))
         assert worst_blocks <= 1e-12 and worst_checks <= 1e-13
 
+    def test_point_frame_agrees_with_slot_frame(self, ladder_modules, monkeypatch):
+        # every module of the cases takes one eigh per point (the gate set to 0):
+        # V V* and the guard value against one eigh per slot
+        monkeypatch.setattr(fgpmod, "POINT_LEVEL_MIN_DIM", 0)
+        guards = []
+        require = fgpmod._require
+        monkeypatch.setattr(fgpmod, "_require",
+                            lambda checks: guards.extend(checks) or require(checks))
+        modules = list({id(module): module for module, _ in self._cases(ladder_modules)}.values())
+        assert len(modules) == 124
+        for module in modules:
+            guards.clear()
+            v = replace(module).range_isometry  # its frame cold
+            want, want_guard = slot_range_isometry(module)
+            assert [c.name for c in guards] == ["projector_range_isometry"]
+            assert v.shape == want.shape
+            assert relative_distance(v @ v.conj().T, want @ want.conj().T) <= 1e-13
+            # the guard is itself relative to max(1, ||P||_F)
+            assert abs(guards[0].value - want_guard) <= 1e-13
+
+    def test_planted_non_projection_at_one_point_raises(self, ladder_modules):
+        module = ladder_modules[3]
+        st_, e = module.triple, module.triple.points
+        u = int(e.sum(axis=1).argmax())
+        assert module.dim >= fgpmod.POINT_LEVEL_MIN_DIM and e[u].sum() > 1
+        at_u = st_.coords(np.diag(e[u]))  # e_u in the algebra basis
+        scaled, upper = module.p.copy(), np.zeros_like(module.p)
+        scaled[0, 0] += 0.5 * at_u  # p(u) alone is no projection
+        upper[0, 1] = 0.25 * at_u  # one triangle of p(u) alone: not self-adjoint
+        for p in (scaled, module.p + upper):
+            bad = ProjectiveModule(st_, p, module.signs)
+            with pytest.raises(InvariantViolation) as err:
+                bad.range_isometry
+            assert err.value.check.name == "projector_range_isometry"
+            # p(u) weighted by its slot count, as the slot sum weighs it
+            want = slot_range_isometry(bad)[1]
+            assert abs(err.value.check.value - want) <= 1e-13 * want
+
+    def test_gathered_grassmann_blocks_agree_with_products(self, ladder_modules, monkeypatch):
+        # w, t and n_r gathered from (x_c, u_c) against products of D and D^2 with V,
+        # on every module of the cases (the gate set to 0)
+        monkeypatch.setattr(fgpmod, "POINT_LEVEL_MIN_DIM", 0)
+        worst = 0.0
+        for module, _ in self._cases(ladder_modules)[::2]:
+            ops = connection_operators(replace(module))
+            for got, want in zip((ops.w, ops.t, ops.n_r), matmul_grassmann(module, ops.v)):
+                worst = max(worst, relative_residual(got - want, want))
+        assert worst <= 1e-13
+
     def test_top_rung_holds_no_mn_by_mn_array(self, ladder_modules):
-        # the slot level holds about five 120 x 120 complex arrays at its peak
+        # the slot level holds about five 120 x 120 complex arrays at its peak;
+        # neither connection_operators nor the benchmark's route op holds one
         base = ladder_modules[3]
-        module = ProjectiveModule(base.triple, base.p, base.signs)  # its isometry cold
         a = random_connection(rng_for(127), base)
-        a = ConnectionForm(module, a.entries, a.hermitian)
-        tracemalloc.start()
-        try:
-            connection_operators(module, a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert module.dim == 120 and peak < 16 * module.dim ** 2
+        peaks = []
+        for op in (connection_operators,
+                   lambda module, a: curvature_report(module, a).route_residual):
+            module = ProjectiveModule(base.triple, base.p, base.signs)  # its isometry cold
+            tracemalloc.start()
+            try:
+                op(module, ConnectionForm(module, a.entries, a.hermitian))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert module.dim == 120 and max(peaks) < 16 * module.dim ** 2
 
     def test_level_is_chosen_by_points_gamma_and_size(self, ladder_modules, monkeypatch):
         monkeypatch.setattr(fgpmod, "_point_level_blocks", lambda *args: "point")

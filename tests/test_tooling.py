@@ -241,6 +241,13 @@ def test_numpy_ledger_repeats_itself_and_puts_numpy_back():
     assert first["svd((2, 8, 8), compute_uv=False)"] > 0  # c1 of a and a* in one call
 
 
+def test_numpy_ledger_of_the_ladder_repeats_itself():
+    tool = _numpy_ledger()
+    first, second = tool.ladder_ledger(), tool.ladder_ledger()
+    assert first == second and tool.render(first) == tool.render(second)
+    assert first["eigh((10, 6, 6))"] > 0  # the top rung: one eigh block per point
+
+
 def test_numpy_ledger_keys_calls_by_shape_and_value():
     tool = _numpy_ledger()
     counts = Counter()

@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Count the numpy calls of one ``cli_fixtures`` pass: a deterministic work ledger.
+"""Count the numpy calls of one benchmark pass: a deterministic work ledger.
 
-Usage: python tools/numpy_ledger.py
+Usage: python tools/numpy_ledger.py [--workload {cli_fixtures,size_ladder}]
+
+With ``--workload size_ladder`` it runs the 14 ops of one pass of
+bench/workloads.py's ``SizeLadder`` (seed 0; generation is not counted)
+instead of the fixture commands below; bench/ is read, never edited.
 
 Runs the 17 fixture commands of the benchmark's ``cli_fixtures`` workload
 and ``selftest --seed 7``, with the arguments that workload gives them
@@ -24,6 +28,7 @@ routine that calls another inside numpy counts once, as the routine called:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -87,6 +92,24 @@ def ledger() -> Counter:
     return counts
 
 
+def ladder_ledger() -> Counter:
+    """Calls per key over the ops of one ``size_ladder`` pass, seed 0."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    try:
+        from workloads import SizeLadder
+    finally:
+        del sys.path[:2]
+    workload = SizeLadder(ROOT, 0)
+    workload.load(workload.generate())
+    ops = workload.make_pass()
+    counts: Counter = Counter()
+    with counting(counts):
+        for op in ops:
+            if not op.check(op.run()):
+                raise RuntimeError(f"ladder op {op.label} did not pass")
+    return counts
+
+
 def render(counts: Counter) -> str:
     """The printed ledger: one line per key, totals per routine, the digest."""
     lines = [f"{count:6d} {key}" for key, count in sorted(counts.items())]
@@ -100,4 +123,8 @@ def render(counts: Counter) -> str:
 
 
 if __name__ == "__main__":
-    print(render(ledger()))
+    parser = argparse.ArgumentParser(description="Count the numpy calls of one benchmark pass.")
+    parser.add_argument("--workload", choices=("cli_fixtures", "size_ladder"),
+                        default="cli_fixtures")
+    args = parser.parse_args()
+    print(render(ladder_ledger() if args.workload == "size_ladder" else ledger()))
