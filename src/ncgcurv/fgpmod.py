@@ -23,10 +23,9 @@ Over points that kernel is constant on each block of point x point slots, so
 A_D = D o K depends on the form only through an md x md point kernel.  From
 mn = POINT_LEVEL_MIN_DIM (64) on a module is read in point coordinates: V from
 one eigh per point, w, t and n_r gathered from V's slots and generator vectors,
-and, with a +/-1 diagonal gamma, the four checks and range blocks from that
-kernel (:func:`_point_level_blocks`); no mn x mn array is formed.  :func:`validate_connection`,
-:func:`hermitian_residual` and :meth:`ConnectionForm.represented` report or
-read the assembled A_D, and stay at slot level.
+and with a +/-1 diagonal gamma the checks and range blocks from that kernel
+(:func:`_point_level_blocks`), forming no mn x mn array.  :func:`validate_connection`,
+:func:`hermitian_residual` and :meth:`ConnectionForm.represented` stay at slot level.
 """
 
 from __future__ import annotations
@@ -54,10 +53,12 @@ __all__ = [
 
 
 #: Smallest mn at which a module over points is evaluated in point coordinates
-#: (:func:`_large_point_module`).  Below it the slot level's fewer numpy calls win.
-#: Timed in-process (2-core VM, BLAS at one thread), the point level takes 1.4-1.5x
-#: the slot level's time at mn <= 32, breaks even at mn = 48-56 and is 1.35x
-#: faster at mn = 64, 3.2x at mn = 96 and 3.8x at mn = 120.
+#: (:func:`_large_point_module`).  In-process time of each point form over its slot
+#: form (2-core VM, BLAS at one thread, two seeded modules per mn): connection level
+#: 1.2-1.3 at mn <= 16, 1.0 at 32, 0.84-0.94 at 40-48, 0.63 at 64, 0.28-0.39 at 120;
+#: eigh per point 1.06-1.21 at <= 24, 0.85-1.10 at 32-56, 0.62-0.90 from 64; gathered
+#: w, t, n_r 1.10-1.28 at <= 12, 0.75-0.93 at 40-56, 0.47-0.69 from 64.  Below 64 the
+#: slot forms also keep the bits of the selftest and fixture reports.
 POINT_LEVEL_MIN_DIM = 64
 
 
@@ -109,40 +110,42 @@ class ProjectiveModule:
         """The assembled projection matrix P."""
         return self.assemble_table(self.p)
 
-    #: Isometry V (mn x r), V V* = P: the eigenvectors of P above 1/2.
-    range_isometry = cached_property(lambda self: self._range_frame[0])
+    @cached_property
+    def range_isometry(self) -> np.ndarray:
+        """Isometry V (mn x r), V V* = P: the eigenvectors of P above 1/2.
+        Over points P = sum_x p(x) (x) E_xx, so V comes from one batched eigh of
+        the blocks p(x), one per point u (p(x) = p(u) on its slots) from mn =
+        POINT_LEVEL_MIN_DIM on; other bases take eigh(P).  The cut at 1/2 is a
+        rank decision: InvariantViolation unless ||V V* - P||_F / max(1, ||P||_F)
+        <= DEFAULT_TOL, which also fails a P that is not self-adjoint."""
+        return self._range_frame[0]
 
     @cached_property
     def _range_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(V, x, u): the range isometry; over points V's column c is the generator
-        vector u[c] at slot x[c].  P = sum_x p(x) (x) E_xx with p(x) = p(u) on
-        each slot of point u: a large point module takes one batched eigh of the
-        d blocks p(u), a smaller one of the n blocks p(x) (a batch of d can pick
-        other eigenvectors of a degenerate eigenspace), other bases eigh(P).  The
-        cut at 1/2 is a rank decision: InvariantViolation unless ||V V* - P||_F /
-        max(1, ||P||_F) <= DEFAULT_TOL (p(u) counted n_u times), which also
-        fails a P that is not self-adjoint (eigh reads one triangle)."""
-        st, m, weight = self.triple, self.m, None
-        at = np.arange(st.n)  # the block of each slot
+        """(V, x, u): over points V's column c is the generator vector u[c] at slot x[c]."""
+        st, m, n = self.triple, self.m, self.triple.n
+        large = _large_point_module(self)
         if st.points is None:  # one block, P itself
-            blocks, m, at = self.projector[None], self.dim, at[:1]
-        elif _large_point_module(self):  # p(u)[i, j] = sum_k p[i, j, k] b_k[x], x in u
-            first, at = st.points.argmax(axis=1), st.points.argmax(axis=0)
+            blocks, m, n = self.projector[None], self.dim, 1
+        elif large:  # p(u)[i, j] = sum_k p[i, j, k] b_k[x] at the first slot x of u
+            point, first = st.point_index
             blocks = (self.p @ st.basis_diagonal[:, first]).transpose(2, 0, 1)
-            weight = np.sqrt(st.points.sum(axis=1))[:, None, None]
         else:
             blocks = (self.p @ st.basis_diagonal).transpose(2, 0, 1)
         vals, vecs = np.linalg.eigh(blocks)
         keep = vals > 0.5
         kept = vecs * keep[:, None, :]
         gap = kept @ kept.conj().transpose(0, 2, 1) - blocks  # V V* - P, block by block
-        if weight is not None:  # p(u) once per slot of u
+        if large:  # p(u) once per slot of u
+            weight = np.sqrt(st.points.sum(axis=1))[:, None, None]
             gap, blocks = gap * weight, blocks * weight
         defect = np.sqrt(np.vdot(gap, gap).real / max(1.0, np.vdot(blocks, blocks).real))
         _require([Check("projector_range_isometry", float(defect), DEFAULT_TOL)])
-        x, col = np.nonzero(keep[at])
-        u = vecs[at[x], :, col]
-        v = np.zeros((m, len(at), len(x)), dtype=complex)
+        if large:  # each slot takes its point's eigenvectors
+            vecs, keep = vecs[point], keep[point]
+        x, col = np.nonzero(keep)
+        u = vecs[x, :, col]
+        v = np.zeros((m, n, len(x)), dtype=complex)
         v[:, x, np.arange(len(x))] = u.T
         return v.reshape(self.dim, -1), x, u
 
@@ -378,7 +381,7 @@ def _point_level_blocks(module: ProjectiveModule, a: ConnectionForm,
     """
     st = module.triple
     e, m, d = st.points, module.m, st.d
-    first = e.argmax(axis=1)  # one slot per point
+    point_of, first = st.point_index  # first: one slot per point
     k_pt, mult = _kernel(a.entries, st.basis_diagonal[:, first])  # K_pt[i, j, u, v]
     defect = float(np.sqrt((_abs2(mult) @ e.sum(axis=1)).max(initial=0.0)))
     gamma_even = np.outer(st.gamma_signs, st.gamma_signs) > 0
@@ -391,7 +394,7 @@ def _point_level_blocks(module: ProjectiveModule, a: ConnectionForm,
     k_pt = k_pt.transpose(0, 2, 1, 3).reshape(m * d, m * d)  # K_pt[(i,u),(j,v)], a copy
 
     _, slot, u = module._range_frame  # x_c and u_c
-    point = e.argmax(axis=0)[slot]
+    point = point_of[slot]
     v_pt = np.zeros((m, d, len(slot)), dtype=complex)
     v_pt[:, point, np.arange(len(slot))] = u.T
     v_pt = v_pt.reshape(m * d, -1)
@@ -418,8 +421,7 @@ def _point_level_blocks(module: ProjectiveModule, a: ConnectionForm,
 
 def _represented_blocks(module: ProjectiveModule, a: ConnectionForm,
                         tol: float) -> tuple[np.ndarray, np.ndarray, list[Check]]:
-    """(a_r, a2_r, checks) at point level over points with a +/-1 diagonal gamma
-    from mn = POINT_LEVEL_MIN_DIM on, else at slot level."""
+    """(a_r, a2_r, checks) at point level on a large point module with a +/-1 gamma."""
     point_level = _large_point_module(module) and module.triple.gamma_signs is not None
     return (_point_level_blocks if point_level else _slot_level_blocks)(module, a, tol)
 
@@ -433,12 +435,8 @@ def connection_operators(module: ProjectiveModule, a: ConnectionForm | None = No
     pi_d and pi_d2 are A-bimodule maps on ker(m), so compressing after
     representing equals representing P . C . P.  Off ker(m) the two differ by
     terms of size connection_ker_mult * ||[D^k, P]||, and validation gates
-    connection_ker_mult at tol.  D and D^2 act on V block by block.
-
-    Over points with a +/-1 diagonal gamma and mn >= POINT_LEVEL_MIN_DIM (64),
-    A_D = D o K with K constant on point x point blocks, and the checks and
-    the range blocks are read from one md x md kernel (:func:`_point_level_blocks`);
-    no mn x mn array is formed.  Otherwise A_D and A_D2 are assembled.
+    connection_ker_mult at tol.  D and D^2 act on V block by block; from mn =
+    POINT_LEVEL_MIN_DIM over points the module is read in point coordinates.
     """
     if a is not None:
         _require_same_module(module, a)

@@ -199,8 +199,7 @@ def _point_pairs(st: SpectralTriple, rank_tol: float):
         return None
     x = np.stack([st.dirac, st.dirac_sq])  # both in one pass
     nonzero = e @ (x != 0) @ e.T > 0  # exact where sq may underflow
-    scale = np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(1, 2)))[1])
-    x = x * scale[:, None, None]  # exact rescale: max |x| < 1
+    x = x * np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))[1])  # exact: max |x| < 1
     sq = e @ np.abs(x) ** 2 @ e.T  # squared block norms, each stack summing to its ||x||_F^2
     keep = ~np.eye(st.d, dtype=bool)
     kept = []
@@ -209,8 +208,7 @@ def _point_pairs(st: SpectralTriple, rank_tol: float):
             return None
         keep = keep & (nonzero_x == kept_if_nonzero)
         kept.append(keep)
-    kernel_pairs, junk_pairs = kept
-    return kernel_pairs, junk_pairs, x[1], sq[1]
+    return (*kept, x[1], sq[1])  # kernel pairs, junk pairs, rescaled D^2, its block norms
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
@@ -243,12 +241,11 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
     if pairs is None:
         return _junk_space_svd(st, rank_tol)
     _, keep, d2, sq = pairs
-    point = st.points.argmax(axis=0)
+    point, _ = st.point_index
     k, l = np.nonzero(keep)  # row-major
     block = (point == k[:, None])[:, :, None] & (point == l[:, None])[:, None, :]
-    basis = np.zeros((len(k), st.n, st.n), dtype=d2.dtype)
-    np.divide(d2, np.sqrt(sq[k, l])[:, None, None], out=basis, where=block)  # e_k D^2 e_l
-    return FormSpace(basis)
+    basis = np.zeros(block.shape, dtype=d2.dtype)  # e_k D^2 e_l on its block
+    return FormSpace(np.divide(d2, np.sqrt(sq[k, l])[:, None, None], out=basis, where=block))
 
 
 def _junk_space_svd(st: SpectralTriple, rank_tol: float) -> FormSpace:

@@ -182,6 +182,12 @@ class SpectralTriple:
         e[0] -= e[1:].sum(0)
         return e if ((e == 0) | (e == 1)).all() and e.any(axis=1).all() else None
 
+    @cached_property
+    def point_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(point of each slot, first slot of each point) over :attr:`points`."""
+        e = self.points
+        return None if e is None else (e.argmax(axis=0), e.argmax(axis=1))
+
     def pair_products(self, right: np.ndarray) -> np.ndarray:
         """(..., d, d, n, n) stack of b_p r_q for a (..., d, n, n) stack r, one batched
         matmul on every basis.  Not cached: it would cost d times the commutators' memory."""

@@ -162,6 +162,10 @@ class TestPoints:
             assert e.shape == (d, n) and e.dtype == float
             assert np.array_equal(e.sum(0), np.ones(n)) and e.any(axis=1).all()
             assert np.array_equal(e[1:], np.diagonal(basis[1:], axis1=1, axis2=2).real)
+            point, first = st_.point_index
+            assert np.array_equal(e[point, np.arange(n)], np.ones(n))  # slot x lies in point[x]
+            assert np.array_equal(point[first], np.arange(d))
+            assert all(first[u] == np.flatnonzero(e[u])[0] for u in range(d))
 
     def test_exact_tables_match_lstsq(self):
         # b_0 = 1 and b_i b_j = delta_ij b_i: T[0, j, j] = T[i, 0, i] = T[k, k, k] = 1,
@@ -198,7 +202,7 @@ class TestPoints:
 
     def test_gate_negatives_have_no_points(self, n3):
         for name, st_ in gate_negatives(n3).items():
-            assert st_.points is None, name
+            assert st_.points is None and st_.point_index is None, name
         assert gate_negatives(n3)["empty_row"].basis_diagonal is not None
         permuted = SpectralTriple(n3.gamma, n3.basis[:, ::-1, ::-1], n3.dirac)
         assert np.array_equal(permuted.points, n3.points[:, ::-1])
