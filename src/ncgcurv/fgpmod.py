@@ -55,9 +55,9 @@ __all__ = [
 #: Smallest mn at which a module over points is evaluated in point coordinates
 #: (:func:`_large_point_module`).  In-process time of each point form over its slot
 #: form (2-core VM, BLAS at one thread, two seeded modules per mn): connection level
-#: 1.2-1.3 at mn <= 16, 1.0 at 32, 0.84-0.94 at 40-48, 0.63 at 64, 0.28-0.39 at 120;
+#: 1.19-1.33 at mn <= 16, 1.0 at 32, 0.84-0.94 at 40-48, 0.63 at 64, 0.28-0.39 at 120;
 #: eigh per point 1.06-1.21 at <= 24, 0.85-1.10 at 32-56, 0.62-0.90 from 64; gathered
-#: w, t, n_r 1.10-1.28 at <= 12, 0.75-0.93 at 40-56, 0.47-0.69 from 64.  Below 64 the
+#: w, t, n_r 1.10-1.28 at <= 12, 0.75-0.93 at 40-56, 0.47-0.80 from 64.  Below 64 the
 #: slot forms also keep the bits of the selftest and fixture reports.
 POINT_LEVEL_MIN_DIM = 64
 

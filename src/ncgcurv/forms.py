@@ -197,18 +197,18 @@ def _point_pairs(st: SpectralTriple, rank_tol: float):
     e = st.points
     if e is None:
         return None
-    x = np.stack([st.dirac, st.dirac_sq])  # both in one pass
-    nonzero = e @ (x != 0) @ e.T > 0  # exact where sq may underflow
-    x = x * np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))[1])  # exact: max |x| < 1
-    sq = e @ np.abs(x) ** 2 @ e.T  # squared block norms, each stack summing to its ||x||_F^2
     keep = ~np.eye(st.d, dtype=bool)
     kept = []
-    for nonzero_x, sq_x, kept_if_nonzero in zip(nonzero, sq, (False, True)):
-        if np.any(keep & nonzero_x & (sq_x < rank_tol * sq_x.sum())):
+    for m, kept_if_nonzero in ((st.dirac, False), (st.dirac_sq, True)):
+        nonzero = e @ (m != 0) @ e.T > 0  # exact where sq may underflow
+        m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])  # exact rescale: max |m| < 1
+        sq = e @ np.abs(m) ** 2 @ e.T  # squared block norms, summing to ||m||_F^2
+        if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
             return None
-        keep = keep & (nonzero_x == kept_if_nonzero)
+        keep = keep & (nonzero == kept_if_nonzero)
         kept.append(keep)
-    return (*kept, x[1], sq[1])  # kernel pairs, junk pairs, rescaled D^2, its block norms
+    kernel_pairs, junk_pairs = kept
+    return kernel_pairs, junk_pairs, m, sq
 
 
 def kernel_one_forms(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> list[UniversalOneForm]:
@@ -241,11 +241,11 @@ def junk_space(st: SpectralTriple, rank_tol: float = DEFAULT_RANK_TOL) -> FormSp
     if pairs is None:
         return _junk_space_svd(st, rank_tol)
     _, keep, d2, sq = pairs
-    point, _ = st.point_index
+    e = st.points
     k, l = np.nonzero(keep)  # row-major
-    block = (point == k[:, None])[:, :, None] & (point == l[:, None])[:, None, :]
-    basis = np.zeros(block.shape, dtype=d2.dtype)  # e_k D^2 e_l on its block
-    return FormSpace(np.divide(d2, np.sqrt(sq[k, l])[:, None, None], out=basis, where=block))
+    basis = np.zeros((len(k), st.n, st.n), dtype=d2.dtype)  # e_k D^2 e_l on its block
+    return FormSpace(np.divide(d2, np.sqrt(sq[k, l])[:, None, None], out=basis,
+                               where=e[k, :, None] * e[l, None, :] > 0))
 
 
 def _junk_space_svd(st: SpectralTriple, rank_tol: float) -> FormSpace:

@@ -17,7 +17,8 @@ import numpy as np
 
 from ncgcurv import ProjectiveModule, SpectralTriple, generate
 from ncgcurv.fgpmod import symmetrized_entries
-from ncgcurv.forms import UniversalOneForm, _universal_tables, junk_space, kernel_one_forms
+from ncgcurv.forms import (UniversalOneForm, _point_pairs, _universal_tables, junk_space,
+                           kernel_one_forms)
 from ncgcurv.generate import unit_disc
 from ncgcurv.glinalg import (anticommutator, commutator, frobenius_norm, relative_distance,
                              relative_residual, spectral_norm)
@@ -350,29 +351,10 @@ def loop_lift_pair(rng, module):
     return a, a + generate._compress_connection(module, loop_table_over(rng, module, kernel))
 
 
-def two_pass_point_pairs(st_, rank_tol):
-    """forms._point_pairs as two passes, D then D^2: its (kernel pairs, junk
-    pairs, rescaled D^2, squared block norms of D^2), or None."""
-    e = st_.points
-    if e is None:
-        return None
-    keep = ~np.eye(st_.d, dtype=bool)
-    kept = []
-    for m, kept_if_nonzero in ((st_.dirac, False), (st_.dirac_sq, True)):
-        nonzero = e @ (m != 0) @ e.T > 0
-        m = m * np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])
-        sq = e @ np.abs(m) ** 2 @ e.T
-        if np.any(keep & nonzero & (sq < rank_tol * sq.sum())):
-            return None
-        keep = keep & (nonzero == kept_if_nonzero)
-        kept.append(keep)
-    return kept[0], kept[1], m, sq
-
-
 def broadcast_junk_basis(st_, rank_tol):
     """The point junk basis as the broadcast product e_k (x) e_l o D^2 over the
     block norm, or None near the cut."""
-    pairs = two_pass_point_pairs(st_, rank_tol)
+    pairs = _point_pairs(st_, rank_tol)
     if pairs is None:
         return None
     _, keep, d2, sq = pairs

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from ncgcurv.triple import InvariantViolation
 
 from reference import (broadcast_junk_basis, conjugated, delta_basis, even_unitary,
                        form_tables, full_svd_kernel, span_gap, span_projector,
-                       svd_universal_form_basis, two_pass_point_pairs)
+                       svd_universal_form_basis)
 
 
 # The bimodule actions and the involution on universal one-forms.  Only these
@@ -482,49 +481,24 @@ class TestClosedFormJunk:
             assert len(got) == len(want) > 0
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
-    def test_one_pass_matches_the_two_pass_loop(self, n3, ladder_modules):
-        # _point_pairs reads the stacked [D, D^2] once and junk_space writes each
-        # block into zeros: the same None decisions and the same arrays bit for
-        # bit as the two-pass loop, and the same basis bits as the broadcast
+    def test_masked_basis_matches_the_broadcast_product(self, n3, ladder_modules):
+        # junk_space writes each block into zeros: the same bits as the broadcast
         # product, whose zeros off the blocks may be -0.0 (+0.0 here)
         rng = rng_for(67)
         triples = [n3] + [module.triple for module in ladder_modules]
         for _ in range(300):
             n = int(rng.integers(1, 21))
             triples.append(random_triple(rng, n=n, d=int(rng.integers(1, n + 1)), kind="diag"))
-        planted = []
-        for st_ in triples:  # a block pair of D holding 5% of its mass or less, put under the cut
-            e = st_.points
-            sq = e @ np.abs(st_.dirac) ** 2 @ e.T
-            np.fill_diagonal(sq, 0.0)
-            blocks = (sq > 0) & (sq <= 0.05 * np.sum(np.abs(st_.dirac) ** 2))
-            if blocks.any():
-                k, l = np.argwhere(blocks)[0]
-                pair = np.outer(e[k], e[l]) + np.outer(e[l], e[k])
-                planted.append(replace(st_, dirac=np.where(pair > 0, 1e-6 * st_.dirac,
-                                                           st_.dirac)))
-        # the plants of test_takes_the_junk_route: a block of D, then of D^2
-        w6 = np.array([[1.0, 1e-12, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        w4 = np.array([[1.0, 1.0], [1.0, -1.0 + 1e-12]])
-        for w, first in ((w6, [1.0, 0, 0, 1, 0, 0]), (w4, [1.0, 0, 0, 0])):
-            k = len(w)
-            basis = np.stack([np.eye(2 * k), np.diag(first), np.diag(np.roll(first, 1))])
-            dirac = np.block([[np.zeros((k, k)), w], [w.T, np.zeros((k, k))]])
-            planted.append(SpectralTriple(np.diag([1.0] * k + [-1.0] * k), basis, dirac))
-        decided = []
-        for st_ in triples + planted:
-            got, want = forms._point_pairs(st_, 1e-9), two_pass_point_pairs(st_, 1e-9)
-            decided.append(got is not None)
-            assert (got is None) == (want is None)
-            if got is None:
+        decided = 0
+        for st_ in triples:
+            broadcast = broadcast_junk_basis(st_, 1e-9)
+            if broadcast is None:
                 continue
-            for x, y in zip(got, want):
-                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-            basis, broadcast = junk_space(st_).basis, broadcast_junk_basis(st_, 1e-9)
+            decided += 1
+            basis = junk_space(st_).basis
             assert basis.dtype == broadcast.dtype and basis.shape == broadcast.shape
             assert basis.tobytes() == (broadcast + 0.0).tobytes()
-        assert all(decided[:len(triples)]) and not any(decided[len(triples):])
-        assert len(planted) > 100
+        assert decided == len(triples)
 
     def test_gate_negatives_take_svd_route(self, n3, monkeypatch):
         one_ulp = n3.basis.copy()
